@@ -15,6 +15,17 @@ the same answers as arbitrary-precision arithmetic:
   charpoly/adjugate work and report out-of-range batches for the exact
   fallback path.
 
+The GF(2) nonderogatory test works on bit-packed rows instead, in the style
+of M4RI (Albrecht, Bard & Hart, ACM TOMS 37, 2010): each Krylov power of
+M mod 2 is kept row-major in uint64 words holding ``64 // n`` whole n-bit
+rows (one word for n <= 8, two for n = 9, 10), multiplied by M with shifts,
+masks and XOR, and eliminated by batched XOR; there is no per-instance
+Python loop.
+
+Capacity is one model: ``SWEEP_N_CAP`` is the largest n for which both the
+int64 bound above and the cycle-image materialization limit hold, and the
+sweep driver checks it before any work starts.
+
 The sister implementations in :mod:`arbormat.algebra` are arbitrary
 precision; the test suite asserts agreement between both routes.
 """
@@ -27,6 +38,9 @@ from functools import lru_cache
 import numpy as np
 
 _BATCH_N_CAP = 10  # int64 bound argument above holds through n = 10
+MAX_CYCLE_VERTICES = 10  # cycle_images materializes at most 9! rows (about 32 MB)
+# Largest n a sweep can run: its kernels and its cycle images must both fit.
+SWEEP_N_CAP = min(_BATCH_N_CAP, MAX_CYCLE_VERTICES - 1)
 
 
 def _check_small(n: int):
@@ -81,33 +95,50 @@ def batched_gf2_nonderogatory(mats: np.ndarray) -> np.ndarray:
     """Whether I, M, ..., M^(n-1) are linearly independent over GF(2).
 
     Together with an all-ones mod-2 characteristic polynomial this pins the
-    invariant factor list to the single polynomial 1 + x + ... + x^n."""
+    invariant factor list to the single polynomial 1 + x + ... + x^n.
+
+    Bit-packed and batched: row c of M mod 2 becomes the n-bit mask
+    ``rows[:, c]`` (bit j = column j), and each Krylov power is stored
+    row-major in ``words`` uint64 words of ``64 // n`` whole rows, row i in
+    the n-bit slot at bit ``n * (i % per)`` of word ``i // per``.  Row i of
+    P.M is the XOR of the rows c of M with P[i, c] = 1, so for all slots of
+    a word at once P.M = XOR_c ((P >> c) & E) * rows[:, c], where E has the
+    lowest bit of every slot set.  The product cannot carry: each term is a
+    row mask below 2**n placed on one slot.  The powers are then reduced in
+    insertion order against the earlier ones by batched XOR, each basis
+    vector's pivot being its lowest set bit; an instance fails when a
+    reduced power is zero.
+    """
     b, n, _ = mats.shape
     _check_small(n)
-    m2 = (np.abs(mats) & 1).astype(np.int64)
-    power = np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n)).copy()
-    vecs = np.empty((b, n, n * n), dtype=np.uint8)
+    per = 64 // n
+    words = -(-n // per)
+    lows = np.zeros(words, dtype=np.uint64)
+    identity = np.zeros(words, dtype=np.uint64)
+    for i in range(n):
+        word, slot = divmod(i, per)
+        lows[word] |= np.uint64(1 << (n * slot))
+        identity[word] |= np.uint64(1 << (n * slot + i))
+
+    rows = ((mats & 1) @ (1 << np.arange(n, dtype=np.int64))).astype(np.uint64)
+    cols = np.arange(n, dtype=np.uint64)
+    power = np.broadcast_to(identity, (b, words))
+    basis, pivots = [], []
+    ok = np.ones(b, dtype=bool)
     for k in range(n):
-        vecs[:, k, :] = (power & 1).reshape(b, n * n)
-        if k + 1 < n:
-            power = (power @ m2) & 1
-    packed = np.packbits(vecs, axis=2)
-    out = np.empty(b, dtype=bool)
-    for idx in range(b):
-        basis = []
-        ok = True
-        for k in range(n):
-            row = int.from_bytes(packed[idx, k].tobytes(), "big")
-            for known in basis:
-                reduced = row ^ known
-                if reduced < row:
-                    row = reduced
-            if row == 0:
-                ok = False
-                break
-            basis.append(row)
-        out[idx] = ok
-    return out
+        if k:
+            terms = ((power[:, :, None] >> cols) & lows[:, None]) * rows[:, None, :]
+            power = np.bitwise_xor.reduce(terms, axis=2)
+        vec = power.copy()
+        for known, pivot in zip(basis, pivots):
+            hit = ((vec & pivot) != 0).any(axis=1)
+            vec ^= known * hit[:, None]
+        nonzero = vec != 0
+        ok &= nonzero.any(axis=1)
+        first = nonzero & (np.cumsum(nonzero, axis=1) == 1)
+        basis.append(vec)
+        pivots.append(np.where(first, vec & (~vec + np.uint64(1)), np.uint64(0)))
+    return ok
 
 
 def batched_path_image_ok(
@@ -146,6 +177,22 @@ def batched_petrie(mats: np.ndarray) -> np.ndarray:
     return small & (contiguous & single).all(axis=1)
 
 
+def batched_witness_matrix(mats: np.ndarray, seeds: np.ndarray):
+    """Stack the seed rows w and their iterates w.A, ..., w.A^(n-1) into Mf.
+
+    Returns (mf, gate): gate marks the instances whose iterate coordinates
+    all stayed in {-1,0,1}, the precondition of batched_charpoly on Mf."""
+    n = mats.shape[1]
+    _check_small(n)
+    rows = [seeds.astype(np.int64)]
+    w = rows[0]
+    for _ in range(n - 1):
+        w = np.einsum("bi,bij->bj", w, mats)
+        rows.append(w)
+    mf = np.stack(rows, axis=1)
+    return mf, np.abs(mf).max(axis=(1, 2)) <= 1
+
+
 def batched_witness(mats: np.ndarray, seeds: np.ndarray):
     """Iterate seed row vectors under w -> w.A and check the basis claims.
 
@@ -159,15 +206,8 @@ def batched_witness(mats: np.ndarray, seeds: np.ndarray):
                     of Mf.A.Mf^-1 == C over the rationals
     """
     b, n, _ = mats.shape
-    _check_small(n)
-    rows = [seeds.astype(np.int64)]
-    w = rows[0]
-    for _ in range(n - 1):
-        w = np.einsum("bi,bij->bj", w, mats)
-        rows.append(w)
-    mf = np.stack(rows, axis=1)
-    gate = np.abs(mf).max(axis=(1, 2)) <= 1
-    w_n = np.einsum("bi,bij->bj", rows[-1], mats)
+    mf, gate = batched_witness_matrix(mats, seeds)
+    w_n = np.einsum("bi,bij->bj", mf[:, -1], mats)
     companion_ok = np.all(w_n == -mf.sum(axis=1), axis=1)
 
     safe_mf = np.where(gate[:, None, None], mf, 0)
@@ -200,8 +240,10 @@ def companion_int(n: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def cycle_images(v: int) -> np.ndarray:
     """All single v-cycles as image arrays: out[b, u] = f(u); column 0 unused."""
-    if v > 10:
-        raise ValueError("refusing to materialize more than 9! cycle images")
+    if v > MAX_CYCLE_VERTICES:
+        raise ValueError(
+            f"refusing to materialize more than {MAX_CYCLE_VERTICES - 1}! cycle images"
+        )
     perms = np.array(
         list(itertools.permutations(range(2, v + 1))), dtype=np.int64
     ).reshape(-1, v - 1)

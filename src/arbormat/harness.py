@@ -118,9 +118,15 @@ def _spv_table_cached(edges: tuple) -> np.ndarray:
 
 
 def _check_cap(ns, cap):
+    """Reject every n a sweep cannot finish, before any tree is enumerated."""
     for n in ns:
         if n > cap:
             raise CapExceeded(f"n = {n} exceeds cap {cap} (set ARBOR_CAP_N to raise)")
+        if n > _fast.SWEEP_N_CAP:
+            raise CapExceeded(
+                f"n = {n} exceeds the sweep limit of n <= {_fast.SWEEP_N_CAP}: "
+                f"{n}! cycle images per tree would be materialized"
+            )
         if n < 2:
             raise CapExceeded(f"n = {n} below the minimum of 2")
 
@@ -476,9 +482,7 @@ def _path_graph_worker(args) -> dict:
         a = _fast.build_oriented_batch(table, images, first, second)
         b = np.abs(a)
         uniform = _fast.batched_uniform_sign(a)
-        cp_b = _fast.batched_charpoly(b)
-        det_b = cp_b[:, 0] if n % 2 == 0 else -cp_b[:, 0]
-        unimodular = np.abs(det_b) == 1
+        unimodular = np.abs(_fast.batched_charpoly(b)[:, 0]) == 1
 
         petrie_all = np.ones(images.shape[0], dtype=bool)
         witness_unimodular = np.ones(images.shape[0], dtype=bool)
@@ -489,18 +493,11 @@ def _path_graph_worker(args) -> dict:
             for i in range(1, v + 1):
                 targets = _fast.iterate_images(images, i, j)
                 seeds = table[i, targets, :].astype(np.int64)
-                rows = [seeds]
-                w = seeds
-                for _ in range(n - 1):
-                    w = np.einsum("bi,bij->bj", w, a)
-                    rows.append(w)
-                mf = np.stack(rows, axis=1)
-                gate = np.abs(mf).max(axis=(1, 2)) <= 1
+                mf, gate = _fast.batched_witness_matrix(a, seeds)
                 gates &= gate
                 petrie_all &= _fast.batched_petrie(mf)
                 cp_mf = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
-                det_mf = cp_mf[:, 0] if n % 2 == 0 else -cp_mf[:, 0]
-                witness_unimodular &= np.abs(det_mf) == 1
+                witness_unimodular &= np.abs(cp_mf[:, 0]) == 1
 
         ok = uniform & unimodular & petrie_all & witness_unimodular & gates
         instances += int(images.shape[0])
@@ -665,13 +662,14 @@ def _det_search_worker(args) -> dict:
             for i in range(1, v + 1):
                 targets = _fast.iterate_images(images, i, j)
                 seeds = table[i, targets, :].astype(np.int64)
-                gate, det, _, _ = _fast.batched_witness(a, seeds)
-                dets = np.abs(det)
+                mf, gate = _fast.batched_witness_matrix(a, seeds)
+                cp = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
+                dets = np.abs(cp[:, 0])
                 for idx in np.nonzero(~gate)[0]:
                     f = VertexMap(tree, [int(x) for x in images[idx][1:]])
                     orientation = Orientation.from_int(bits, n)
-                    _, mf = _witness_rows(f, orientation, i, j)
-                    dets[idx] = abs(mf.determinant())
+                    _, exact_mf = _witness_rows(f, orientation, i, j)
+                    dets[idx] = abs(exact_mf.determinant())
                 values, counts = np.unique(dets, return_counts=True)
                 for value, count in zip(values, counts):
                     histogram[int(value)] = histogram.get(int(value), 0) + int(count)

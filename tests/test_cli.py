@@ -82,6 +82,19 @@ class TestVerify:
         assert code == 2
         assert "cap" in err
 
+    def test_sweep_limit_checked_before_enumeration(self, capsys, monkeypatch):
+        from arbormat import harness
+
+        def no_trees(v):
+            raise AssertionError(f"trees on {v} vertices enumerated")
+
+        monkeypatch.setattr(harness, "trees_for", no_trees)
+        monkeypatch.setenv("ARBOR_CAP_N", "12")
+        code, out, err = run_cli(capsys, "verify", "--n", "10", "--orientations", "canonical")
+        assert code == 2
+        assert out == ""
+        assert "sweep limit of n <= 9" in err
+
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ARBOR_CAP_N", "2")
         code, _, err = run_cli(capsys, "verify", "--n", "3")

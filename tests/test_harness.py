@@ -11,8 +11,10 @@ from arbormat import (
     ZZ,
     basis_witness,
     geometric_sum_is_zero,
+    invariant_factors,
     oriented_matrix,
     petrie_check,
+    reduce_mod,
     z2_similarity_to_companion,
 )
 from arbormat import _fast
@@ -38,6 +40,40 @@ def random_sign_matrices(seed, count, n):
         [[[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)] for _ in range(count)],
         dtype=np.int64,
     )
+
+
+def gf2_derogatory_geometric(n):
+    """A derogatory 0/1 matrix whose charpoly is 1 + x + ... + x^n mod 2, or
+    None when that polynomial is squarefree over GF(2) (n = 1 and even n).
+
+    Polynomials are bitmasks (bit k = coefficient of x^k).  With g^2 | P the
+    block sum of the companions of g and P/g has minimal polynomial P/g."""
+
+    def divmod2(a, b):
+        q = 0
+        while a and a.bit_length() >= b.bit_length():
+            shift = a.bit_length() - b.bit_length()
+            q |= 1 << shift
+            a ^= b << shift
+        return q, a
+
+    def companion2(poly):
+        d = poly.bit_length() - 1
+        comp = np.zeros((d, d), dtype=np.int64)
+        comp[np.arange(d - 1), np.arange(1, d)] = 1
+        comp[d - 1, :] = [(poly >> k) & 1 for k in range(d)]
+        return comp
+
+    geometric = (1 << (n + 1)) - 1
+    for g in range(2, 1 << (n // 2 + 1)):
+        square = sum(1 << (2 * k) for k in range(g.bit_length()) if (g >> k) & 1)
+        if divmod2(geometric, square)[1] == 0:
+            d = g.bit_length() - 1
+            out = np.zeros((n, n), dtype=np.int64)
+            out[:d, :d] = companion2(g)
+            out[d:, d:] = companion2(divmod2(geometric, g)[0])
+            return out
+    return None
 
 
 def instance_batch(seed, count, v):
@@ -90,6 +126,53 @@ class TestKernelAgreement:
         for k in range(60):
             want = z2_similarity_to_companion(ExactMatrix(ZZ, mats[k].tolist()))
             assert bool(kernel[k]) == want
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_gf2_kernel_every_n(self, n):
+        # n = 9, 10 pack each Krylov power into two uint64 words
+        rng = np.random.default_rng(n)
+        mats = [np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)]
+        # sparse draws give reduced powers whose first packed word is zero
+        for low, density in ((0, 0.1), (0, 0.2), (0, 0.5), (-1, 0.1), (-1, 0.3), (-1, 0.7)):
+            for _ in range(12):
+                draw = rng.random((n, n)) < density
+                signs = rng.integers(low, 1, (n, n), endpoint=True) | 1
+                mats.append(np.where(draw, signs, 0))
+        derogatory = gf2_derogatory_geometric(n)
+        if derogatory is not None:
+            derogatory_idx = len(mats)
+            mats.append(derogatory)
+        mats = np.array(mats)
+        if n >= 2:
+            _, real = instance_batch(100 + n, 8, n + 1)
+            mats = np.concatenate([mats, np.abs(real), real])
+        got = _fast.batched_gf2_nonderogatory(mats)
+        cp = _fast.batched_charpoly(mats)
+        claim = np.all(cp % 2 == 1, axis=1) & got
+        for k in range(mats.shape[0]):
+            exact = ExactMatrix(ZZ, mats[k].tolist())
+            assert bool(got[k]) == (len(invariant_factors(reduce_mod(exact, 2))) == 1)
+            if n >= 2:  # the companion of 1 + ... + x^n starts at n = 2
+                assert bool(claim[k]) == z2_similarity_to_companion(exact)
+        if n >= 2:
+            assert not got.all() and claim.any()
+        if derogatory is not None:
+            assert np.all(cp[derogatory_idx] % 2 == 1) and not got[derogatory_idx]
+
+    def test_witness_matrix_helper_matches_witness_kernel(self):
+        rng = np.random.default_rng(5)
+        mats = rng.integers(-1, 1, (300, 5, 5), endpoint=True)
+        seeds = rng.integers(-1, 1, (300, 5), endpoint=True)
+        _, real = instance_batch(13, 40, 6)
+        mats = np.concatenate([mats, real])
+        seeds = np.concatenate([seeds, real[:, 0]])
+        gate, det, _, _ = _fast.batched_witness(mats, seeds)
+        mf, helper_gate = _fast.batched_witness_matrix(mats, seeds)
+        assert (mf[:, 0] == seeds).all()
+        assert (mf[:, 1:] == np.einsum("bki,bij->bkj", mf[:, :-1], mats)).all()
+        assert (helper_gate == gate).all() and gate.any() and not gate.all()
+        cp = _fast.batched_charpoly(np.where(helper_gate[:, None, None], mf, 0))
+        assert (-cp[:, 0] == det).all()  # det = (-1)^n cp(0) with n = 5
 
     def test_matrix_build_matches_api(self):
         rng = random.Random(55)
