@@ -20,12 +20,9 @@ from .algebra import (
 from .dynamics import (
     TransitionMatrices,
     VertexMap,
-    inverse_map,
-    make_vertex_map,
     oriented_matrix,
     parse_map,
     path_image_check,
-    phi_apply,
 )
 from .rings import GF, QQ, ZZ
 from .theorems import (
@@ -69,12 +66,9 @@ __all__ = [
     "reduce_mod",
     "TransitionMatrices",
     "VertexMap",
-    "inverse_map",
-    "make_vertex_map",
     "oriented_matrix",
     "parse_map",
     "path_image_check",
-    "phi_apply",
     "GF",
     "QQ",
     "ZZ",

@@ -14,6 +14,10 @@ the same answers as arbitrary-precision arithmetic:
 * Witness kernels additionally gate on observed |entries| <= 1 before any
   charpoly/adjugate work and report out-of-range batches for the exact
   fallback path.
+* Split-sign rebuilt rows are sf.B[i] + 2.delta.(c . A') with sf, delta,
+  the entries of B and A' in {-1,0,1} and c a signed path vector, so
+  |entries| <= 1 + 2n.
+* Root-vector transport products r(w).A have |entries| <= n.
 
 The GF(2) nonderogatory test works on bit-packed rows instead, in the style
 of M4RI (Albrecht, Bard & Hart, ACM TOMS 37, 2010): each Krylov power of
@@ -142,17 +146,75 @@ def batched_gf2_nonderogatory(mats: np.ndarray) -> np.ndarray:
 
 
 def batched_path_image_ok(
-    spv: np.ndarray, images: np.ndarray, mats: np.ndarray
+    roots: np.ndarray, images: np.ndarray, mats: np.ndarray
 ) -> np.ndarray:
     """Per instance: the matrix transports every signed path vector of (u, w)
     to that of (f(u), f(w)).
 
-    spv: (v+1, v+1, n) signed path table, images: (B, v+1) with images[b, u]
-    = f(u), mats: (B, n, n)."""
-    lhs = np.einsum("pqi,bij->bpqj", spv[1:, 1:].astype(np.int64), mats)
-    fu = images[:, 1:]
-    rhs = spv[fu[:, :, None], fu[:, None, :]].astype(np.int64)
-    return np.all(lhs == rhs, axis=(1, 2, 3))
+    roots: oriented root vectors (see root_vectors), (v+1, n) shared by the
+    batch or (B, v+1, n) per instance; images: (B, v+1) with images[b, u] =
+    f(u); mats: (B, n, n).  Since spv(u, w) = r(w) - r(u), the identity for
+    every pair holds iff r(w).A = r(f(w)) - r(f(1)) for every w, which costs
+    O(v n^2) per instance instead of O(v^2 n^2)."""
+    b = mats.shape[0]
+    roots = np.broadcast_to(roots.astype(np.int64), (b,) + roots.shape[-2:])
+    lhs = roots[:, 1:] @ mats
+    image_roots = np.take_along_axis(roots, images[:, 1:, None], axis=1)
+    rhs = image_roots - image_roots[:, :1]  # images[:, 1] = f(1)
+    return np.all(lhs == rhs, axis=(1, 2))
+
+
+def batched_split_sign(paths, table_o, images, first, second, mats):
+    """The one-sign-change reduction of theorems.split_sign_check, per instance.
+
+    paths: path_table of the tree, table_o: its oriented signed path table,
+    images: (B, v+1), first/second: oriented edge endpoints, mats: the
+    oriented matrices A of the batch.  As in the exact route, the step signs
+    of row i come from the image path f(first_i) -> f(second_i) and A enters
+    only the final comparison, so a corrupted A fails the rebuild there.
+
+    A mixed row changes sign once, at split vertex s; with p = f^-1(s) and
+    near the endpoint of edge i on p's side, the row is rebuilt as
+    sf.B[i] + 2.delta.(spv(near, p) . A'), where A' holds the single-signed
+    rows and sf, delta follow the walk rules of the exact route.
+
+    Returns (applicable, mixed, holds): the hypothesis holds (no row changes
+    sign twice, no correction row is mixed); some row is mixed; the row
+    operations rebuild A and det |A| = +-1.  ``holds`` is only meaningful
+    where ``applicable`` is set."""
+    vertices, edges, lengths = paths
+    n = mats.shape[1]
+    v = images.shape[1] - 1
+    steps = np.take_along_axis(table_o, edges, axis=2)
+    steps = np.where(np.arange(n) < lengths[..., None], steps, 0)
+
+    fa, fb = images[:, first], images[:, second]
+    signs = steps[fa, fb].astype(np.int64)  # (B, n, n): step t of row i
+    change = (signs[..., 1:] != signs[..., :-1]) & (signs[..., 1:] != 0)
+    changes = change.sum(axis=2)
+    mixed = changes == 1
+    applicable = (changes <= 1).all(axis=1)
+
+    split = vertices[fa, fb, change.argmax(axis=2) + 1]
+    inverse = np.zeros_like(images)
+    np.put_along_axis(inverse, images[:, 1:], np.arange(1, v + 1)[None, :], axis=1)
+    pre = np.take_along_axis(inverse, split, axis=1)
+    # p lies past edge i iff the path first_i -> p starts with second_i
+    beyond = vertices[first[:, None], np.arange(v + 1), 1] == second[:, None]
+    far = beyond[np.arange(n), pre]
+    corrections = table_o[np.where(far, second, first), pre].astype(np.int64)
+    corrections[~mixed] = 0
+    applicable &= ~((corrections != 0) & mixed[:, None, :]).any(axis=(1, 2))
+
+    unoriented = np.abs(mats)
+    s1 = signs[..., 0]
+    sign = np.where(mixed & ~far, -s1, s1)
+    delta = np.where(far, -1, 1)
+    single = np.where(mixed[..., None], 0, s1[..., None] * unoriented)
+    rebuilt = sign[..., None] * unoriented + 2 * delta[..., None] * (corrections @ single)
+    holds = np.all(rebuilt == mats, axis=(1, 2))
+    holds &= np.abs(batched_charpoly(unoriented)[:, 0]) == 1
+    return applicable, mixed.any(axis=1), holds
 
 
 def batched_uniform_sign(mats: np.ndarray) -> np.ndarray:
@@ -255,19 +317,52 @@ def cycle_images(v: int) -> np.ndarray:
     return images
 
 
+def root_vectors(tree) -> np.ndarray:
+    """(v+1, n) root vectors under the canonical orientation, from one
+    breadth-first search: row x is the signed path vector of 1 -> x, rows 0
+    and 1 are zero.  The path u -> w is u -> 1 -> w with the shared stretch
+    cancelled, so its signed path vector is r(w) - r(u)."""
+    v = tree.vertex_count
+    roots = np.zeros((v + 1, tree.edge_count), dtype=np.int8)
+    reached = [False] * (v + 1)
+    reached[1] = True
+    queue = [1]
+    for x in queue:
+        for y, k in tree.adjacency[x]:
+            if not reached[y]:
+                reached[y] = True
+                roots[y] = roots[x]
+                roots[y, k] = 1 if x < y else -1
+                queue.append(y)
+    return roots
+
+
 def signed_path_table(tree) -> np.ndarray:
     """(v+1, v+1, n) table of signed path vectors under canonical orientation."""
-    from .trees import Orientation
-
-    v = tree.vertex_count
-    n = tree.edge_count
-    canonical = Orientation.canonical(n)
-    table = np.zeros((v + 1, v + 1, n), dtype=np.int8)
-    for u in range(1, v + 1):
-        for w in range(1, v + 1):
-            if u != w:
-                table[u, w] = tree.signed_path_vector(canonical, u, w)
+    roots = root_vectors(tree)
+    table = roots[None, :, :] - roots[:, None, :]
+    table[0] = 0
+    table[:, 0] = 0
     return table
+
+
+def path_table(tree):
+    """Padded paths of every ordered vertex pair (x, y): vertices
+    (v+1, v+1, n+1) and edge indices (v+1, v+1, n), both zero past the end,
+    and lengths in edges (v+1, v+1)."""
+    v, n = tree.vertex_count, tree.edge_count
+    vertices = np.zeros((v + 1, v + 1, n + 1), dtype=np.int64)
+    edges = np.zeros((v + 1, v + 1, n), dtype=np.int64)
+    lengths = np.zeros((v + 1, v + 1), dtype=np.int64)
+    for x in range(1, v + 1):
+        for y in range(1, v + 1):
+            path = tree.path_vertices(x, y)
+            vertices[x, y, : len(path)] = path
+            edges[x, y, : len(path) - 1] = [
+                tree.edge_index(a, b) for a, b in zip(path, path[1:])
+            ]
+            lengths[x, y] = len(path) - 1
+    return vertices, edges, lengths
 
 
 def orient_table(table: np.ndarray, bits: int, n: int) -> np.ndarray:

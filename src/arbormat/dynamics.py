@@ -19,12 +19,9 @@ from .trees import Orientation, Tree
 __all__ = [
     "VertexMap",
     "TransitionMatrices",
-    "make_vertex_map",
     "parse_map",
     "oriented_matrix",
-    "phi_apply",
     "path_image_check",
-    "inverse_map",
 ]
 
 
@@ -84,10 +81,6 @@ class VertexMap:
         return f"VertexMap({self.tree!r}, {list(self.image)!r})"
 
 
-def make_vertex_map(tree: Tree, image: Iterable[int]) -> VertexMap:
-    return VertexMap(tree, image)
-
-
 _CYCLE_RE = re.compile(r"^\(\s*(\d+(?:\s+\d+)*)\s*\)$")
 
 
@@ -119,12 +112,11 @@ def parse_map(text: str, tree: Tree) -> VertexMap:
 class TransitionMatrices:
     """Oriented ({-1,0,1}) and unoriented ({0,1}) transition matrices."""
 
-    __slots__ = ("oriented", "unoriented", "orientation")
+    __slots__ = ("oriented", "unoriented")
 
-    def __init__(self, oriented: ExactMatrix, orientation: Orientation):
+    def __init__(self, oriented: ExactMatrix):
         self.oriented = oriented
         self.unoriented = oriented.abs()
-        self.orientation = orientation
 
     @property
     def n(self) -> int:
@@ -144,12 +136,7 @@ def oriented_matrix(f: VertexMap, orientation: Orientation) -> TransitionMatrice
         tree.signed_path_vector(orientation, f(a), f(b))
         for a, b in tree.oriented_endpoints(orientation)
     ]
-    return TransitionMatrices(ExactMatrix(ZZ, rows), orientation)
-
-
-def phi_apply(m: TransitionMatrices, w) -> tuple:
-    """Coordinates of the induced map applied to w (row convention w . A)."""
-    return m.oriented.vec_mul(w)
+    return TransitionMatrices(ExactMatrix(ZZ, rows))
 
 
 def path_image_check(f: VertexMap, orientation: Orientation) -> bool:
@@ -176,8 +163,3 @@ def _path_image_check_matrix(
             if lhs != spv(orientation, f(u), f(w)):
                 return False
     return True
-
-
-def inverse_map(f: VertexMap) -> VertexMap:
-    """Vertex map whose image is the inverse permutation of f's."""
-    return f.inverse()

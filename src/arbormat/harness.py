@@ -11,6 +11,7 @@ any worker count.  Orientation sampling is counter-based, keyed by
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing
 import random
 from dataclasses import dataclass, field
@@ -53,7 +54,11 @@ __all__ = [
 
 DEFAULT_N_CAP = DEFAULT_VERTEX_CAP - 1
 MAX_FAILURE_RECORDS = 20
-CYCLE_CHUNK = 50_000  # keeps per-chunk (B, n, n) int64 arrays well under 100MB
+# A quarter of the 8! cycles of one n = 8 task: its (B, n, n) int64
+# temporaries stay near 45 MB instead of 175 MB, and n <= 7 is never split.
+CYCLE_CHUNK = 10_080
+RANDOM_CHUNK = 128  # random instances held at once by the path-transport sweep
+PATH_IMAGE_AUDIT = 16  # random instances also checked on the exact route
 
 
 def _image_chunks(images: np.ndarray):
@@ -115,6 +120,11 @@ def trees_for(v: int) -> tuple[Tree, ...]:
 @lru_cache(maxsize=256)
 def _spv_table_cached(edges: tuple) -> np.ndarray:
     return _fast.signed_path_table(Tree(edges))
+
+
+@lru_cache(maxsize=256)
+def _path_table_cached(edges: tuple):
+    return _fast.path_table(Tree(edges))
 
 
 def _check_cap(ns, cap):
@@ -186,7 +196,7 @@ def _theorem_worker(args) -> dict:
             ok["unoriented_charpoly_odd"] & _fast.batched_gf2_nonderogatory(b)
         )
         if with_path_image:
-            ok["path_image_identity"] = _fast.batched_path_image_ok(table, images, a)
+            ok["path_image_identity"] = _fast.batched_path_image_ok(table[1], images, a)
         if with_witness:
             seeds = table[1, images[:, 1], :].astype(np.int64)
             gate, det, companion_ok, conjugation_ok = _fast.batched_witness(a, seeds)
@@ -386,7 +396,7 @@ def _path_image_worker(args) -> dict:
     failures = []
     for images in _image_chunks(_fast.cycle_images(v)):
         a = _fast.build_oriented_batch(table, images, first, second)
-        ok = _fast.batched_path_image_ok(table, images, a)
+        ok = _fast.batched_path_image_ok(table[1], images, a)
         instances += int(images.shape[0])
         if not ok.all():
             edges_str = tree.edge_list_str()
@@ -422,6 +432,28 @@ def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
         )
 
 
+def _random_path_image_ok(instances) -> np.ndarray:
+    """Batched path-transport verdicts of (vertex map, orientation) pairs,
+    one kernel call per vertex count."""
+    ok = np.zeros(len(instances), dtype=bool)
+    by_v: dict[int, list[int]] = {}
+    for k, (f, _) in enumerate(instances):
+        by_v.setdefault(f.tree.vertex_count, []).append(k)
+    for group in by_v.values():
+        pairs = [instances[k] for k in group]
+        roots = np.stack([_fast.root_vectors(f.tree) * o.sign_vector() for f, o in pairs])
+        images = np.array([(0,) + f.image for f, _ in pairs], dtype=np.int64)
+        ends = np.array([f.tree.oriented_endpoints(o) for f, o in pairs], dtype=np.int64)
+        b, n, _ = ends.shape
+        image_ends = np.take_along_axis(images, ends.reshape(b, 2 * n), axis=1)
+        image_ends = image_ends.reshape(b, n, 2)
+        batch = np.arange(b)[:, None]
+        # row i: the signed path vector f(first_i) -> f(second_i)
+        mats = roots[batch, image_ends[..., 1]] - roots[batch, image_ends[..., 0]]
+        ok[group] = _fast.batched_path_image_ok(roots, images, mats)
+    return ok
+
+
 @dataclass
 class PathImageResult:
     exhaustive_instances: int = 0
@@ -451,9 +483,19 @@ def run_path_image_sweep(
     for res in results:
         out.exhaustive_instances += res["instances"]
         out.failures.extend(res["failures"])
-    for f, orientation in random_instances(seed, random_count, *random_n):
-        out.random_instances += 1
-        if not path_image_check(f, orientation):
+    # the first PATH_IMAGE_AUDIT instances are also decided on the exact
+    # route; a disagreement fails the instance
+    stream = random_instances(seed, random_count, *random_n)
+    for start in range(0, random_count, RANDOM_CHUNK):
+        chunk = list(itertools.islice(stream, RANDOM_CHUNK))
+        for idx, (f, orientation), ok in zip(
+            itertools.count(start), chunk, _random_path_image_ok(chunk)
+        ):
+            if idx < PATH_IMAGE_AUDIT and path_image_check(f, orientation) != ok:
+                ok = False
+            out.random_instances += 1
+            if ok:
+                continue
             out.failures.append(
                 {
                     "tree": f.tree.edge_list_str(),
@@ -554,7 +596,7 @@ def run_path_graph_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> Path
 
 
 # --------------------------------------------------------------------------
-# split-sign reduction sweep (pure exact path)
+# split-sign reduction sweep
 
 
 @dataclass
@@ -569,43 +611,74 @@ class SplitSignResult:
     example_not_applicable: dict | None = None
 
 
+# identity of a failure where the batched and exact verdicts differ
+SPLIT_SIGN_AGREEMENT = "batched and exact split-sign verdicts agree"
+
+
+def _exact_split_sign(tree: Tree, orientation: Orientation, image_row):
+    """(verdict, reason or failed identity) of split_sign_check."""
+    f = VertexMap(tree, [int(x) for x in image_row[1:]])
+    try:
+        reduction = split_sign_check(f, orientation)
+    except WitnessFailed as exc:
+        return "fail", exc.identity
+    if reduction.status is not ClaimStatus.PASS:
+        return "not_applicable", reduction.reason
+    return ("with_additions" if reduction.mixed_rows else "applicable"), None
+
+
 def _split_sign_worker(args) -> dict:
+    """Batched split-sign verdicts of one task.  The exact route audits the
+    task's first applicable and first not-applicable instance, supplies the
+    not-applicable reason, and names the identity of every failure."""
     v, tree_idx, edges, bits = args
     n = v - 1
     tree = Tree(edges)
     orientation = Orientation.from_int(bits, n)
-    images = _fast.cycle_images(v)
+    table = _fast.orient_table(_spv_table_cached(edges), bits, n)
+    first, second = _fast.oriented_endpoint_arrays(tree, bits)
+    paths = _path_table_cached(edges)
     counts = {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0}
     failures = []
     example_add = None
     example_na = None
+    audited = set()
     edges_str = tree.edge_list_str()
-    for row in images:
-        f = VertexMap(tree, [int(x) for x in row[1:]])
-        counts["instances"] += 1
-        try:
-            reduction = split_sign_check(f, orientation)
-        except WitnessFailed as exc:
-            failures.append(
-                {
-                    **_instance_descriptor(edges_str, bits, n, row),
-                    "identity": exc.identity,
-                }
-            )
-            continue
-        if reduction.status is ClaimStatus.PASS:
-            counts["applicable"] += 1
-            if reduction.mixed_rows:
-                counts["with_additions"] += 1
-                if example_add is None:
-                    example_add = _instance_descriptor(edges_str, bits, n, row)
-        else:
-            counts["not_applicable"] += 1
-            if example_na is None:
-                example_na = {
-                    **_instance_descriptor(edges_str, bits, n, row),
-                    "reason": reduction.reason,
-                }
+    for images in _image_chunks(_fast.cycle_images(v)):
+        a = _fast.build_oriented_batch(table, images, first, second)
+        applicable, mixed, holds = _fast.batched_split_sign(
+            paths, table, images, first, second, a
+        )
+        passed = applicable & holds
+        counts["instances"] += int(images.shape[0])
+        counts["applicable"] += int(passed.sum())
+        counts["with_additions"] += int((passed & mixed).sum())
+        counts["not_applicable"] += int((~applicable).sum())
+        if example_add is None and (passed & mixed).any():
+            idx = int(np.argmax(passed & mixed))
+            example_add = _instance_descriptor(edges_str, bits, n, images[idx])
+
+        room = max(0, MAX_FAILURE_RECORDS - len(failures))
+        picks = np.nonzero(applicable & ~holds)[0].tolist()[:room]
+        for kind, flags in (("applicable", passed), ("not_applicable", ~applicable)):
+            if kind not in audited and flags.any():
+                audited.add(kind)
+                picks.append(int(np.argmax(flags)))
+        for idx in sorted(picks):
+            if not applicable[idx]:
+                verdict = "not_applicable"
+            elif not holds[idx]:
+                verdict = "fail"
+            else:
+                verdict = "with_additions" if mixed[idx] else "applicable"
+            desc = _instance_descriptor(edges_str, bits, n, images[idx])
+            exact, detail = _exact_split_sign(tree, orientation, images[idx])
+            if exact == "fail":
+                failures.append({**desc, "identity": detail})
+            elif exact != verdict:
+                failures.append({**desc, "identity": SPLIT_SIGN_AGREEMENT})
+            elif exact == "not_applicable":
+                example_na = {**desc, "reason": detail}
     return {
         "key": (v, tree_idx, bits),
         "counts": counts,

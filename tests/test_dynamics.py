@@ -8,12 +8,9 @@ from arbormat import (
     QQ,
     VertexMap,
     ZZ,
-    inverse_map,
-    make_vertex_map,
     oriented_matrix,
     parse_map,
     path_image_check,
-    phi_apply,
 )
 from arbormat.dynamics import _path_image_check_matrix
 from arbormat.errors import (
@@ -28,20 +25,20 @@ from arbormat._fast import cycle_images
 
 class TestVertexMap:
     def test_valid_cycle(self, path3):
-        f = make_vertex_map(path3, [2, 3, 1])
+        f = VertexMap(path3, [2, 3, 1])
         assert f(1) == 2 and f.iterate(1, 3) == 1
 
     def test_fixed_point_rejected(self, path3):
         with pytest.raises(NotSingleCycle):
-            make_vertex_map(path3, [1, 3, 2])
+            VertexMap(path3, [1, 3, 2])
 
     def test_not_permutation(self, path3):
         with pytest.raises(NotPermutation):
-            make_vertex_map(path3, [2, 2, 1])
+            VertexMap(path3, [2, 2, 1])
 
     def test_two_cycles_rejected(self, star4):
         with pytest.raises(NotSingleCycle):
-            make_vertex_map(star4, [2, 1, 4, 3])
+            VertexMap(star4, [2, 1, 4, 3])
 
     def test_parse_image_list(self, path3):
         assert parse_map("2,3,1", path3).image == (2, 3, 1)
@@ -122,26 +119,26 @@ class TestPhiApply:
     def test_basis_vector(self, shift3):
         f, o = shift3
         tm = oriented_matrix(f, o)
-        assert phi_apply(tm, (1, 0)) == (0, 1)
-        assert phi_apply(tm, (0, 0)) == (0, 0)
-        assert phi_apply(tm, (1, 1)) == (-1, 0)
+        assert tm.oriented.vec_mul((1, 0)) == (0, 1)
+        assert tm.oriented.vec_mul((0, 0)) == (0, 0)
+        assert tm.oriented.vec_mul((1, 1)) == (-1, 0)
 
     def test_dimension(self, shift3):
         f, o = shift3
         with pytest.raises(DimensionMismatch):
-            phi_apply(oriented_matrix(f, o), (1, 0, 0))
+            oriented_matrix(f, o).oriented.vec_mul((1, 0, 0))
 
 
 class TestInverseMap:
     def test_image(self, path3):
         f = VertexMap(path3, [2, 3, 1])
-        assert inverse_map(f).image == (3, 1, 2)
-        assert inverse_map(inverse_map(f)) == f
+        assert f.inverse().image == (3, 1, 2)
+        assert f.inverse().inverse() == f
 
     def test_matrix_inverse_over_rationals(self):
         for f, o in random_instances(9, 20, 2, 5):
             a = ExactMatrix(QQ, oriented_matrix(f, o).oriented.rows)
-            a_inv = ExactMatrix(QQ, oriented_matrix(inverse_map(f), o).oriented.rows)
+            a_inv = ExactMatrix(QQ, oriented_matrix(f.inverse(), o).oriented.rows)
             n = f.tree.edge_count
             assert a @ a_inv == ExactMatrix.identity(QQ, n)
 

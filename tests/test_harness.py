@@ -225,12 +225,12 @@ class TestKernelAgreement:
             table = _fast.orient_table(_fast.signed_path_table(tree), bits, tree.edge_count)
             images = np.array([[0] + list(f.image)], dtype=np.int64)
             single = mats[k : k + 1]
-            got = _fast.batched_path_image_ok(table, images, single)
+            got = _fast.batched_path_image_ok(table[1], images, single)
             assert bool(got[0])
             corrupted = single.copy()
             corrupted[0, 0, :] = -corrupted[0, 0, :]
             if not (corrupted[0] == single[0]).all():
-                bad = _fast.batched_path_image_ok(table, images, corrupted)
+                bad = _fast.batched_path_image_ok(table[1], images, corrupted)
                 assert not bool(bad[0])
 
 
@@ -355,3 +355,270 @@ class TestWitnessFallback:
 
         tree = Tree([(1, 2), (2, 3)])
         assert _exact_witness_ok(tree, 0, np.array([0, 2, 3, 1]), 1, 1)
+
+
+def exact_split_sign_task(args) -> dict:
+    """Split-sign outcome of one (tree, orientation) task, every cycle on the
+    exact route: the reference for the batched worker."""
+    from arbormat.errors import WitnessFailed
+    from arbormat.harness import _instance_descriptor
+    from arbormat.theorems import ClaimStatus, split_sign_check
+
+    v, _, edges, bits = args
+    n = v - 1
+    tree = Tree(edges)
+    orientation = Orientation.from_int(bits, n)
+    counts = {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0}
+    failures, example_add, example_na = [], None, None
+    for row in _fast.cycle_images(v):
+        desc = _instance_descriptor(tree.edge_list_str(), bits, n, row)
+        counts["instances"] += 1
+        try:
+            reduction = split_sign_check(VertexMap(tree, [int(x) for x in row[1:]]), orientation)
+        except WitnessFailed as exc:
+            failures.append({**desc, "identity": exc.identity})
+            continue
+        if reduction.status is ClaimStatus.PASS:
+            counts["applicable"] += 1
+            if reduction.mixed_rows:
+                counts["with_additions"] += 1
+                example_add = example_add or desc
+        else:
+            counts["not_applicable"] += 1
+            example_na = example_na or {**desc, "reason": reduction.reason}
+    return {
+        "counts": counts,
+        "failures": failures,
+        "example_with_additions": example_add,
+        "example_not_applicable": example_na,
+    }
+
+
+def split_sign_tasks(n):
+    v = n + 1
+    return [
+        (v, idx, tree.edges, bits)
+        for idx, tree in enumerate(trees_for(v))
+        for bits in range(1 << n)
+    ]
+
+
+class TestSplitSignKernel:
+    """The batched split-sign worker against the per-instance exact route."""
+
+    @staticmethod
+    def batched(task):
+        from arbormat.harness import _split_sign_worker
+
+        out = _split_sign_worker(task)
+        del out["key"]
+        return out
+
+    def test_every_task_small_n(self):
+        for n in (2, 3, 4):
+            for task in split_sign_tasks(n):
+                assert self.batched(task) == exact_split_sign_task(task), task
+
+    def test_seeded_tasks_n5_n6(self):
+        rng = random.Random(2024)
+        for n, count in ((5, 6), (6, 3)):
+            for task in rng.sample(split_sign_tasks(n), count):
+                assert self.batched(task) == exact_split_sign_task(task), task
+
+    @staticmethod
+    def corruption(kind):
+        """A task, one reduction in it that no audit picks, and an entry of its
+        A to corrupt: "flip" negates an entry of a mixed row, so the row
+        operations no longer rebuild A; "extend" gives a row without additions
+        one more entry of its own sign, so A is rebuilt but |det B| != 1."""
+        for task in split_sign_tasks(4):
+            v, _, edges, bits = task
+            tree, n = Tree(edges), v - 1
+            table = _fast.orient_table(_fast.signed_path_table(tree), bits, n)
+            images = _fast.cycle_images(v)
+            first, second = _fast.oriented_endpoint_arrays(tree, bits)
+            a = _fast.build_oriented_batch(table, images, first, second)
+            applicable, mixed, holds = _fast.batched_split_sign(
+                _fast.path_table(tree), table, images, first, second, a
+            )
+            passed = applicable & holds
+            chosen = passed & (mixed if kind == "flip" else ~mixed)
+            chosen[np.argmax(passed)] = False  # the audited one
+            for target in np.nonzero(chosen)[0][::-1]:
+                m = a[target]
+                image = tuple(int(x) for x in images[target, 1:])
+                if kind == "flip":
+                    row = int(np.nonzero((m > 0).any(1) & (m < 0).any(1))[0][0])
+                    col = int(np.nonzero(m[row])[0][0])
+                    return task, image, row, col, -m[row, col]
+                for row, col in zip(*np.nonzero(m == 0)):
+                    b = np.abs(m)
+                    b[row, col] = 1
+                    if round(abs(np.linalg.det(b))) != 1:
+                        return task, image, row, col, np.sign(m[row].sum())
+        raise AssertionError(f"no {kind} corruption found")
+
+    @pytest.mark.parametrize(
+        "kind, identity",
+        [
+            ("flip", "row operations rebuild the oriented matrix"),
+            ("extend", "unoriented determinant is +-1"),
+        ],
+    )
+    def test_corrupted_entry_fails_with_exact_identity(self, monkeypatch, kind, identity):
+        from arbormat import dynamics, theorems
+
+        task, image, row, col, value = self.corruption(kind)
+        v, _, edges, bits = task
+        tree, n = Tree(edges), v - 1
+        build = _fast.build_oriented_batch
+
+        def corrupt_batch(table_o, imgs, fst, snd):
+            out = build(table_o, imgs, fst, snd)
+            out[(imgs[:, 1:] == image).all(axis=1), row, col] = value
+            return out
+
+        exact = theorems.oriented_matrix
+
+        def corrupt_exact(f, o):
+            tm = exact(f, o)
+            if f.image != image:
+                return tm
+            rows = [list(r) for r in tm.oriented.rows]
+            rows[row][col] = int(value)
+            return dynamics.TransitionMatrices(ExactMatrix(ZZ, rows))
+
+        monkeypatch.setattr(_fast, "build_oriented_batch", corrupt_batch)
+        monkeypatch.setattr(theorems, "oriented_matrix", corrupt_exact)
+        got = self.batched(task)
+        assert got["failures"] == [
+            {
+                "tree": tree.edge_list_str(),
+                "orientation": "".join(str((bits >> k) & 1) for k in range(n)),
+                "map": ",".join(map(str, image)),
+                "identity": identity,
+            }
+        ]
+        assert got == exact_split_sign_task(task)
+
+    def test_disagreement_is_a_failure(self, monkeypatch):
+        from arbormat.harness import SPLIT_SIGN_AGREEMENT
+
+        task = split_sign_tasks(4)[9]
+        kernel = _fast.batched_split_sign
+        flipped = []
+
+        def wrong(*args):
+            applicable, mixed, holds = kernel(*args)
+            flipped.append(np.nonzero(applicable)[0][-1])
+            holds = holds.copy()
+            holds[flipped[-1]] = False
+            return applicable, mixed, holds
+
+        monkeypatch.setattr(_fast, "batched_split_sign", wrong)
+        failures = self.batched(task)["failures"]
+        assert [f["identity"] for f in failures] == [SPLIT_SIGN_AGREEMENT]
+        want = _fast.cycle_images(5)[flipped[0], 1:]
+        assert failures[0]["map"] == ",".join(map(str, want))
+
+
+class TestRootVectors:
+    def test_signed_path_table_certificate(self):
+        rng = random.Random(3)
+        for v in range(3, 10):
+            n = v - 1
+            for tree in trees_for(v):
+                base = _fast.signed_path_table(tree)
+                assert not base[0].any() and not base[:, 0].any()
+                for bits in {0, (1 << n) - 1, rng.randrange(1 << n), rng.randrange(1 << n)}:
+                    table = _fast.orient_table(base, bits, n)
+                    o = Orientation.from_int(bits, n)
+                    for u in range(1, v + 1):
+                        for w in range(1, v + 1):
+                            want = tree.signed_path_vector(o, u, w)
+                            assert tuple(int(x) for x in table[u, w]) == want
+
+    def test_root_transport_matches_exact_route(self):
+        from arbormat import path_image_check
+        from arbormat.harness import _random_path_image_ok
+
+        instances = list(random_instances(17, 300, 2, 9))
+        assert {f.tree.edge_count for f, _ in instances} == set(range(2, 10))
+        got = _random_path_image_ok(instances)
+        assert got.all()
+        assert got.tolist() == [path_image_check(f, o) for f, o in instances]
+
+    def test_corrupted_matrix_rejected_every_n(self):
+        from arbormat.dynamics import _path_image_check_matrix
+
+        rng = np.random.default_rng(8)
+        for n in range(2, 10):
+            for f, o in random_instances(n, 5, n, n):
+                tm = oriented_matrix(f, o)
+                roots = (_fast.root_vectors(f.tree) * np.array(o.sign_vector()))[None]
+                images = np.array([(0,) + f.image])
+                mats = np.array([tm.oriented.rows], dtype=np.int64)
+                assert _fast.batched_path_image_ok(roots, images, mats).all()
+                i, j = rng.integers(0, n, 2)
+                mats[0, i, j] = rng.choice([x for x in (-1, 0, 1) if x != mats[0, i, j]])
+                assert not _fast.batched_path_image_ok(roots, images, mats).any()
+                assert not _path_image_check_matrix(f, o, ExactMatrix(ZZ, mats[0].tolist()))
+
+
+class TestCycleChunks:
+    def test_workers_ignore_chunk_size(self, monkeypatch):
+        from arbormat import harness
+
+        tasks = [(5, idx, tree.edges, bits) for idx, tree in enumerate(trees_for(5))
+                 for bits in (0, 5)]
+        workers = {
+            harness._theorem_worker: [t + (True, True) for t in tasks],
+            harness._witness_worker: tasks,
+            harness._det_search_worker: tasks,
+            harness._split_sign_worker: tasks,
+        }
+        base = {w: [w(t) for t in ts] for w, ts in workers.items()}
+        monkeypatch.setattr(harness, "CYCLE_CHUNK", 7)  # 24 cycles -> 4 chunks
+        for w, ts in workers.items():
+            assert [w(t) for t in ts] == base[w], w.__name__
+
+
+class TestExactRouteBudget:
+    """The batched sweeps call the exact route only for audits and failures."""
+
+    def test_split_sign_audit_only(self, monkeypatch):
+        from arbormat import harness
+
+        calls = []
+        real = harness.split_sign_check
+        monkeypatch.setattr(
+            harness, "split_sign_check", lambda f, o: calls.append(f) or real(f, o)
+        )
+        res = run_split_sign_sweep([2, 3, 4])
+        tasks = sum(len(split_sign_tasks(n)) for n in (2, 3, 4))
+        assert res.all_pass and res.instances == 1256
+        assert tasks <= len(calls) <= 2 * tasks
+
+    def test_path_image_audit_only(self, monkeypatch):
+        from arbormat import harness
+
+        calls = []
+        real = harness.path_image_check
+        monkeypatch.setattr(
+            harness, "path_image_check", lambda f, o: calls.append(f) or real(f, o)
+        )
+        res = run_path_image_sweep([2], random_count=200, seed=4)
+        assert res.all_pass and res.random_instances == 200
+        assert len(calls) == harness.PATH_IMAGE_AUDIT
+
+    def test_path_image_audit_disagreement_is_a_failure(self, monkeypatch):
+        from arbormat import harness
+
+        audited = list(random_instances(4, 200, 6, 9))[5][0]
+        real = harness.path_image_check
+        monkeypatch.setattr(
+            harness, "path_image_check", lambda f, o: f != audited and real(f, o)
+        )
+        res = run_path_image_sweep([2], random_count=200, seed=4)
+        assert not res.all_pass
+        assert [f["map"] for f in res.failures] == [audited.image_str()]
