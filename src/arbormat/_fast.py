@@ -365,12 +365,14 @@ def path_table(tree):
     return vertices, edges, lengths
 
 
+def orientation_signs(bits: int, n: int) -> np.ndarray:
+    """The diagonal of D for an orientation bitmask: -1 on reversed edges."""
+    return np.array([-1 if (bits >> k) & 1 else 1 for k in range(n)], dtype=np.int8)
+
+
 def orient_table(table: np.ndarray, bits: int, n: int) -> np.ndarray:
     """Apply an orientation bitmask: flipping edge k negates coordinate k."""
-    signs = np.array(
-        [-1 if (bits >> k) & 1 else 1 for k in range(n)], dtype=np.int8
-    )
-    return table * signs[None, None, :]
+    return table * orientation_signs(bits, n)[None, None, :]
 
 
 def oriented_endpoint_arrays(tree, bits: int):

@@ -24,6 +24,7 @@ from .fixtures import FIGURE_IDS, check_fixture, load_fixture, reconstruct_insta
 from .harness import (
     DEFAULT_N_CAP,
     OrientationPolicy,
+    QuotientCounts,
     run_det_search,
     run_theorem_sweep,
 )
@@ -141,6 +142,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     policy = OrientationPolicy.parse(args.orientations)
     ns = _parse_range(args.n)
+    counts = QuotientCounts()
     started = time.perf_counter()
     result = run_theorem_sweep(
         ns,
@@ -148,6 +150,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         workers=args.workers,
         cap=_cap(),
+        counts=counts,
     )
     elapsed = time.perf_counter() - started
     doc = {
@@ -166,7 +169,10 @@ def cmd_verify(args) -> int:
         "total_instances": _s(result.total_instances),
         "all_pass": result.all_pass,
     }
-    print(f"verify: {result.total_instances} instances in {elapsed:.2f}s", file=sys.stderr)
+    print(
+        f"verify: {result.total_instances} instances in {elapsed:.2f}s ({counts})",
+        file=sys.stderr,
+    )
     _emit(doc, args.out)
     return 0 if result.all_pass else CLAIM_ERROR
 
@@ -204,6 +210,8 @@ def cmd_reproduce(args) -> int:
 def cmd_search_detmf(args) -> int:
     policy = OrientationPolicy.parse(args.orientations)
     ns = _parse_range(args.n)
+    counts = QuotientCounts()
+    started = time.perf_counter()
     result = run_det_search(
         ns,
         policy,
@@ -211,7 +219,9 @@ def cmd_search_detmf(args) -> int:
         workers=args.workers,
         cap=_cap(),
         paths_only=args.paths_only,
+        counts=counts,
     )
+    elapsed = time.perf_counter() - started
     doc = {
         "command": "search-detmf",
         "config": {
@@ -225,6 +235,8 @@ def cmd_search_detmf(args) -> int:
         "all_odd": result.all_odd,
         "all_unit": result.all_unit,
     }
+    witnesses = sum(result.histogram.values())
+    print(f"search-detmf: {witnesses} witnesses in {elapsed:.2f}s ({counts})", file=sys.stderr)
     _emit(doc, args.out)
     # non-unit determinants are a reportable discovery, not a failure
     return 0 if result.all_odd else CLAIM_ERROR

@@ -1,11 +1,17 @@
 """Deterministic sweep driver over instance spaces.
 
-An instance is (tree, orientation, single-cycle vertex map).  Work is split
-into tasks of one (tree, orientation) pair covering all cycles at once via
-the batched kernels in :mod:`arbormat._fast`; tasks are distributed over a
-process pool and reduced in sorted task order, so output is identical for
-any worker count.  Orientation sampling is counter-based, keyed by
-(seed, tree code), hence schedule-independent.
+An instance is (tree, orientation, single-cycle vertex map).  A task is one
+tree with its tuple of orientations, covering all cycles at once via the
+batched kernels in :mod:`arbormat._fast`.  The theorem, witness,
+determinant and exhaustive path-transport claims are invariant under the
+similarity A_o = D.A_0.D that reversing edges induces, so they are computed
+once per tree and carried to every other orientation by a certificate (see
+:class:`_OrientationQuotient`); the split-sign and path-graph tasks hold one
+orientation each.  Every task returns one sub-result per orientation;
+tasks are distributed over a process pool and sub-results are reduced in
+sorted (v, tree, orientation) order, so output is identical for any worker
+count.  Orientation sampling is counter-based, keyed by (seed, tree code),
+hence schedule-independent.
 """
 
 from __future__ import annotations
@@ -15,15 +21,16 @@ import itertools
 import multiprocessing
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _fast
 from .errors import CapExceeded, WitnessFailed
 from .dynamics import VertexMap, path_image_check
-from .theorems import ClaimStatus, basis_witness, split_sign_check
+from .theorems import ClaimStatus, _witness_rows, basis_witness, split_sign_check
 from .trees import (
     DEFAULT_VERTEX_CAP,
     Orientation,
@@ -36,6 +43,7 @@ from .trees import (
 
 __all__ = [
     "OrientationPolicy",
+    "QuotientCounts",
     "TheoremSweepResult",
     "WitnessSweepResult",
     "PathImageResult",
@@ -141,15 +149,149 @@ def _check_cap(ns, cap):
             raise CapExceeded(f"n = {n} below the minimum of 2")
 
 
-def _run_tasks(worker, tasks, workers: int) -> list[dict]:
-    if workers <= 1 or len(tasks) <= 1:
-        results = [worker(t) for t in tasks]
+def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
+    """Run every task, flatten the sub-results each returns and sort them by
+    key; a QuotientCounts given as ``counts`` sums their quotient counters."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        outputs = [worker(t) for t in tasks]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            results = pool.map(worker, tasks, chunksize=1)
+            outputs = pool.map(worker, tasks, chunksize=1)
+    results = [res for subs in outputs for res in subs]
+    if counts is not None:
+        for res in results:
+            counts.add(res["quotient"])
     results.sort(key=lambda r: r["key"])
     return results
+
+
+@dataclass
+class QuotientCounts:
+    """How the instances of an orientation-quotiented sweep were decided.
+
+    computed: by the claim kernels, on the representative orientation or as
+    a certificate fallback; derived: carried over from the representative
+    through the certificate, or repeated from a sampled duplicate;
+    fallbacks: rows whose matrix failed the certificate (also computed)."""
+
+    computed: int = 0
+    derived: int = 0
+    fallbacks: int = 0
+
+    def add(self, other: "QuotientCounts") -> None:
+        self.computed += other.computed
+        self.derived += other.derived
+        self.fallbacks += other.fallbacks
+
+    def __str__(self) -> str:
+        return (
+            f"{self.computed} computed, {self.derived} derived, "
+            f"{self.fallbacks} certificate fallbacks"
+        )
+
+
+class _Oriented(NamedTuple):
+    """One tree under one orientation bitmask, ready for the batched kernels."""
+
+    tree: Tree
+    bits: int
+    table: np.ndarray  # oriented signed path table
+    first: np.ndarray  # oriented edge endpoints
+    second: np.ndarray
+
+    @classmethod
+    def of(cls, tree: Tree, bits: int) -> "_Oriented":
+        table = _fast.orient_table(_spv_table_cached(tree.edges), bits, tree.edge_count)
+        return cls(tree, bits, table, *_fast.oriented_endpoint_arrays(tree, bits))
+
+    def build(self, images: np.ndarray) -> np.ndarray:
+        return _fast.build_oriented_batch(self.table, images, self.first, self.second)
+
+
+class _OrientationQuotient:
+    """One tree under a tuple of orientations, its claims computed once.
+
+    Reversing edge k negates row k and coordinate k of the oriented matrix,
+    so A_o = D.A_r.D with D = diag(signs of o ^ r) for the representative
+    r = orientations[0].  The claims a sweep decides here are invariant
+    under that similarity, except for ``signed`` values such as det Mf that
+    pick up the factor det D = +-1.  So the claims function runs on r, and
+    every other orientation takes r's flags for the rows whose built matrix
+    passes the certificate A_o == D.A_r.D; a row that fails it is
+    recomputed directly by the same claims function."""
+
+    def __init__(self, v: int, edges: tuple, orientations: tuple):
+        self.v = v
+        self.tree = Tree(edges)
+        self.edges_str = self.tree.edge_list_str()
+        self.orientations = orientations
+        # distinct orientations, representative first
+        self.oriented = {bits: _Oriented.of(self.tree, bits) for bits in orientations}
+        self.rows = 0
+        self.computed = dict.fromkeys(self.oriented, 0)
+        self.fallbacks = dict.fromkeys(self.oriented, 0)
+
+    def chunks(self, claims, signed=()):
+        """Per cycle chunk: the images and, per distinct orientation, the
+        claims' per-row arrays."""
+        rep, *others = self.oriented.values()
+        for images in _image_chunks(_fast.cycle_images(self.v)):
+            batch = images.shape[0]
+            self.rows += batch
+            a_rep = rep.build(images)
+            base = claims(rep, images, a_rep)
+            self.computed[rep.bits] += batch
+            flags = {rep.bits: base}
+            for o in others:
+                d = _fast.orientation_signs(o.bits ^ rep.bits, a_rep.shape[1])
+                det_d = int(d.prod())
+                own = {k: x * det_d if k in signed else x for k, x in base.items()}
+                a = o.build(images)
+                bad = np.nonzero(~np.all(a == d[:, None] * a_rep * d, axis=(1, 2)))[0]
+                if bad.size:
+                    redo = claims(o, images[bad], a[bad])
+                    own = {k: x.copy() for k, x in own.items()}
+                    for k, x in own.items():
+                        x[bad] = redo[k]
+                    self.computed[o.bits] += bad.size
+                    self.fallbacks[o.bits] += bad.size
+                flags[o.bits] = own
+            yield images, flags
+
+    def descriptor(self, bits: int, image_row) -> dict:
+        return _instance_descriptor(self.edges_str, bits, self.v - 1, image_row)
+
+    def results(self, tree_idx: int, per_bits: dict) -> list[dict]:
+        """One sub-result per entry of the orientations tuple, duplicates
+        included; a repeated orientation counts as derived."""
+        out = []
+        seen = set()
+        for bits in self.orientations:
+            computed = 0 if bits in seen else self.computed[bits]
+            fallbacks = 0 if bits in seen else self.fallbacks[bits]
+            seen.add(bits)
+            counts = QuotientCounts(computed, self.rows - computed, fallbacks)
+            out.append({"key": (self.v, tree_idx, bits), **per_bits[bits], "quotient": counts})
+        return out
+
+
+def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only=False):
+    """(v, tree index, edges, orientations) per tree of every n, counting
+    trees and orientations into per_n when given."""
+    tasks = []
+    for n in ns:
+        v = n + 1
+        for tree_idx, tree in enumerate(trees_for(v)):
+            if paths_only and not tree.is_path():
+                continue
+            orientations = tuple(orientations_for(policy, n, seed, canonical_form(tree)))
+            if per_n is not None:
+                per_n[n]["trees"] += 1
+                per_n[n]["orientations"] += len(orientations)
+            tasks.append((v, tree_idx, tree.edges, orientations))
+    return tasks
 
 
 def _instance_descriptor(edges_str: str, bits: int, n: int, image_row) -> dict:
@@ -169,68 +311,65 @@ def _bits_string(bits: int, n: int) -> str:
 # theorem sweep (charpoly / determinant / geometric sum / oddness / GF(2))
 
 
-def _theorem_worker(args) -> dict:
-    v, tree_idx, edges, bits, with_path_image, with_witness = args
-    n = v - 1
-    tree = Tree(edges)
-    table = _fast.orient_table(_spv_table_cached(edges), bits, n)
-    first, second = _fast.oriented_endpoint_arrays(tree, bits)
+def _theorem_claims(o: _Oriented, images, a, with_path_image, with_witness) -> dict:
+    """Per-row verdicts of every theorem-sweep claim."""
+    n = a.shape[1]
     sign = 1 if n % 2 == 0 else -1
-
-    instances = 0
-    failed_instances = 0
-    claim_failures: dict[str, int] = {}
-    failures = []
-    for images in _image_chunks(_fast.cycle_images(v)):
-        a = _fast.build_oriented_batch(table, images, first, second)
-        b = np.abs(a)
-        cp_a = _fast.batched_charpoly(a)
-        cp_b = _fast.batched_charpoly(b)
-        ok = {
-            "oriented_charpoly_geometric": np.all(cp_a == 1, axis=1),
-            "oriented_determinant": (sign * cp_a[:, 0]) == sign,
-            "geometric_sum_zero": _fast.batched_geometric_sum_zero(a),
-            "unoriented_charpoly_odd": np.all(cp_b % 2 == 1, axis=1),
-        }
-        ok["z2_companion_similar"] = (
-            ok["unoriented_charpoly_odd"] & _fast.batched_gf2_nonderogatory(b)
-        )
-        if with_path_image:
-            ok["path_image_identity"] = _fast.batched_path_image_ok(table[1], images, a)
-        if with_witness:
-            seeds = table[1, images[:, 1], :].astype(np.int64)
-            gate, det, companion_ok, conjugation_ok = _fast.batched_witness(a, seeds)
-            witness_ok = gate & (det % 2 == 1) & companion_ok & conjugation_ok
-            for idx in np.nonzero(~gate)[0]:
-                witness_ok[idx] = _exact_witness_ok(tree, bits, images[idx], 1, 1)
-            ok["basis_witness"] = witness_ok
-
-        instances += int(a.shape[0])
-        combined = np.ones(a.shape[0], dtype=bool)
-        for name, flags in ok.items():
-            combined &= flags
-            bad = int((~flags).sum())
-            if bad:
-                claim_failures[name] = claim_failures.get(name, 0) + bad
-        failed_instances += int((~combined).sum())
-        if not combined.all():
-            edges_str = tree.edge_list_str()
-            for idx in np.nonzero(~combined)[0]:
-                if len(failures) >= MAX_FAILURE_RECORDS:
-                    break
-                desc = _instance_descriptor(edges_str, bits, n, images[idx])
-                desc["claims"] = sorted(
-                    name for name, flags in ok.items() if not flags[idx]
-                )
-                failures.append(desc)
-    return {
-        "key": (v, tree_idx, bits),
-        "n": n,
-        "instances": instances,
-        "failed_instances": failed_instances,
-        "claim_failures": claim_failures,
-        "failures": failures,
+    b = np.abs(a)
+    cp_a = _fast.batched_charpoly(a)
+    cp_b = _fast.batched_charpoly(b)
+    ok = {
+        "oriented_charpoly_geometric": np.all(cp_a == 1, axis=1),
+        "oriented_determinant": (sign * cp_a[:, 0]) == sign,
+        "geometric_sum_zero": _fast.batched_geometric_sum_zero(a),
+        "unoriented_charpoly_odd": np.all(cp_b % 2 == 1, axis=1),
     }
+    ok["z2_companion_similar"] = (
+        ok["unoriented_charpoly_odd"] & _fast.batched_gf2_nonderogatory(b)
+    )
+    if with_path_image:
+        ok["path_image_identity"] = _fast.batched_path_image_ok(o.table[1], images, a)
+    if with_witness:
+        seeds = o.table[1, images[:, 1], :].astype(np.int64)
+        gate, det, companion_ok, conjugation_ok = _fast.batched_witness(a, seeds)
+        witness_ok = gate & (det % 2 == 1) & companion_ok & conjugation_ok
+        for idx in np.nonzero(~gate)[0]:
+            witness_ok[idx] = _exact_witness_ok(o.tree, o.bits, images[idx], 1, 1)
+        ok["basis_witness"] = witness_ok
+    return ok
+
+
+def _theorem_worker(args) -> list[dict]:
+    v, tree_idx, edges, orientations, with_path_image, with_witness = args
+    quotient = _OrientationQuotient(v, edges, orientations)
+    claims = partial(
+        _theorem_claims, with_path_image=with_path_image, with_witness=with_witness
+    )
+    out = {
+        bits: {"n": v - 1, "instances": 0, "failed_instances": 0,
+               "claim_failures": {}, "failures": []}
+        for bits in quotient.oriented
+    }
+    for images, flags in quotient.chunks(claims):
+        for bits, ok in flags.items():
+            res = out[bits]
+            res["instances"] += int(images.shape[0])
+            combined = np.ones(images.shape[0], dtype=bool)
+            for name, verdicts in ok.items():
+                combined &= verdicts
+                bad = int((~verdicts).sum())
+                if bad:
+                    res["claim_failures"][name] = res["claim_failures"].get(name, 0) + bad
+            res["failed_instances"] += int((~combined).sum())
+            for idx in np.nonzero(~combined)[0]:
+                if len(res["failures"]) >= MAX_FAILURE_RECORDS:
+                    break
+                desc = quotient.descriptor(bits, images[idx])
+                desc["claims"] = sorted(
+                    name for name, verdicts in ok.items() if not verdicts[idx]
+                )
+                res["failures"].append(desc)
+    return quotient.results(tree_idx, out)
 
 
 def _exact_witness_ok(tree: Tree, bits: int, image_row, i: int, j: int) -> bool:
@@ -263,23 +402,18 @@ def run_theorem_sweep(
     cap: int = DEFAULT_N_CAP,
     path_image_max_n: int = 5,
     with_witness: bool = True,
+    counts: QuotientCounts | None = None,
 ) -> TheoremSweepResult:
-    """Run the per-instance matrix claims over whole instance spaces."""
+    """Run the per-instance matrix claims over whole instance spaces; the
+    quotient counters of the run are added to ``counts`` when given."""
     ns = sorted(set(ns))
     _check_cap(ns, cap)
-    tasks = []
     per_n = {n: {"trees": 0, "orientations": 0, "instances": 0, "failures": 0} for n in ns}
-    for n in ns:
-        v = n + 1
-        for tree_idx, tree in enumerate(trees_for(v)):
-            code = canonical_form(tree)
-            per_n[n]["trees"] += 1
-            for bits in orientations_for(policy, n, seed, code):
-                per_n[n]["orientations"] += 1
-                tasks.append(
-                    (v, tree_idx, tree.edges, bits, n <= path_image_max_n, with_witness)
-                )
-    results = _run_tasks(_theorem_worker, tasks, workers)
+    tasks = [
+        task + (task[0] - 1 <= path_image_max_n, with_witness)
+        for task in _tree_tasks(ns, policy, seed, per_n)
+    ]
+    results = _run_tasks(_theorem_worker, tasks, workers, counts)
 
     out = TheoremSweepResult(ns=ns, policy=policy.describe(), seed=seed)
     out.per_n = per_n
@@ -303,47 +437,47 @@ def run_theorem_sweep(
 # basis-witness sweep over all start vertices and coprime steps
 
 
-def _witness_worker(args) -> dict:
-    v, tree_idx, edges, bits = args
-    n = v - 1
-    tree = Tree(edges)
-    table = _fast.orient_table(_spv_table_cached(edges), bits, n)
-    first, second = _fast.oriented_endpoint_arrays(tree, bits)
+def _witness_pairs(v: int) -> list[tuple[int, int]]:
+    """Every (start i, step j coprime to v) witness pair, j outermost."""
+    return [(i, j) for j in range(1, v) if gcd(j, v) == 1 for i in range(1, v + 1)]
 
-    instances = 0
-    checked = 0
-    failures = []
-    edges_str = tree.edge_list_str()
-    for images in _image_chunks(_fast.cycle_images(v)):
-        a = _fast.build_oriented_batch(table, images, first, second)
-        batch = images.shape[0]
-        instances += batch
-        for j in range(1, n + 1):
-            if gcd(j, v) != 1:
-                continue
-            for i in range(1, v + 1):
-                targets = _fast.iterate_images(images, i, j)
-                seeds = table[i, targets, :].astype(np.int64)
-                gate, det, companion_ok, conjugation_ok = _fast.batched_witness(a, seeds)
-                det_odd = det % 2 == 1
-                all_ok = gate & det_odd & companion_ok & conjugation_ok
-                for idx in np.nonzero(~gate)[0]:
-                    all_ok[idx] = _exact_witness_ok(tree, bits, images[idx], i, j)
-                checked += batch
-                if not all_ok.all():
-                    for idx in np.nonzero(~all_ok)[0]:
-                        if len(failures) >= MAX_FAILURE_RECORDS:
-                            break
-                        desc = _instance_descriptor(edges_str, bits, n, images[idx])
-                        desc.update({"i": i, "j": j, "det": int(det[idx])})
-                        failures.append(desc)
-    return {
-        "key": (v, tree_idx, bits),
-        "n": n,
-        "instances": instances,
-        "witnesses": checked,
-        "failures": failures,
+
+def _witness_claims(o: _Oriented, images, a) -> dict:
+    """Per row and witness pair: whether the basis claims hold, and det Mf."""
+    pairs = _witness_pairs(images.shape[1] - 1)
+    ok = np.empty((images.shape[0], len(pairs)), dtype=bool)
+    det = np.empty((images.shape[0], len(pairs)), dtype=np.int64)
+    for p, (i, j) in enumerate(pairs):
+        seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
+        gate, det[:, p], companion_ok, conjugation_ok = _fast.batched_witness(a, seeds)
+        ok[:, p] = gate & (det[:, p] % 2 == 1) & companion_ok & conjugation_ok
+        for idx in np.nonzero(~gate)[0]:
+            ok[idx, p] = _exact_witness_ok(o.tree, o.bits, images[idx], i, j)
+    return {"ok": ok, "det": det}
+
+
+def _witness_worker(args) -> list[dict]:
+    v, tree_idx, edges, orientations = args
+    quotient = _OrientationQuotient(v, edges, orientations)
+    pairs = _witness_pairs(v)
+    out = {
+        bits: {"n": v - 1, "instances": 0, "witnesses": 0, "failures": []}
+        for bits in quotient.oriented
     }
+    for images, flags in quotient.chunks(_witness_claims, signed=("det",)):
+        for bits, claims in flags.items():
+            res = out[bits]
+            res["instances"] += int(images.shape[0])
+            res["witnesses"] += claims["ok"].size
+            # pair-major, as the pairs are checked
+            for p, idx in zip(*np.nonzero(~claims["ok"].T)):
+                if len(res["failures"]) >= MAX_FAILURE_RECORDS:
+                    break
+                i, j = pairs[p]
+                desc = quotient.descriptor(bits, images[idx])
+                desc.update({"i": i, "j": j, "det": int(claims["det"][idx, p])})
+                res["failures"].append(desc)
+    return quotient.results(tree_idx, out)
 
 
 @dataclass
@@ -362,17 +496,12 @@ def run_witness_sweep(
     seed: int = 0,
     workers: int = 1,
     cap: int = DEFAULT_N_CAP,
+    counts: QuotientCounts | None = None,
 ) -> WitnessSweepResult:
     ns = sorted(set(ns))
     _check_cap(ns, cap)
-    tasks = []
-    for n in ns:
-        v = n + 1
-        for tree_idx, tree in enumerate(trees_for(v)):
-            code = canonical_form(tree)
-            for bits in orientations_for(policy, n, seed, code):
-                tasks.append((v, tree_idx, tree.edges, bits))
-    results = _run_tasks(_witness_worker, tasks, workers)
+    tasks = _tree_tasks(ns, policy, seed)
+    results = _run_tasks(_witness_worker, tasks, workers, counts)
     out = WitnessSweepResult(ns=ns, policy=policy.describe(), seed=seed)
     for res in results:
         out.total_witnesses += res["witnesses"]
@@ -386,29 +515,23 @@ def run_witness_sweep(
 # path-transport sweep: exhaustive small n plus seeded random large n
 
 
-def _path_image_worker(args) -> dict:
-    v, tree_idx, edges, bits = args
-    n = v - 1
-    tree = Tree(edges)
-    table = _fast.orient_table(_spv_table_cached(edges), bits, n)
-    first, second = _fast.oriented_endpoint_arrays(tree, bits)
-    instances = 0
-    failures = []
-    for images in _image_chunks(_fast.cycle_images(v)):
-        a = _fast.build_oriented_batch(table, images, first, second)
-        ok = _fast.batched_path_image_ok(table[1], images, a)
-        instances += int(images.shape[0])
-        if not ok.all():
-            edges_str = tree.edge_list_str()
-            for idx in np.nonzero(~ok)[0]:
-                if len(failures) >= MAX_FAILURE_RECORDS:
+def _path_image_claims(o: _Oriented, images, a) -> dict:
+    return {"ok": _fast.batched_path_image_ok(o.table[1], images, a)}
+
+
+def _path_image_worker(args) -> list[dict]:
+    v, tree_idx, edges, orientations = args
+    quotient = _OrientationQuotient(v, edges, orientations)
+    out = {bits: {"instances": 0, "failures": []} for bits in quotient.oriented}
+    for images, flags in quotient.chunks(_path_image_claims):
+        for bits, claims in flags.items():
+            res = out[bits]
+            res["instances"] += int(images.shape[0])
+            for idx in np.nonzero(~claims["ok"])[0]:
+                if len(res["failures"]) >= MAX_FAILURE_RECORDS:
                     break
-                failures.append(_instance_descriptor(edges_str, bits, n, images[idx]))
-    return {
-        "key": (v, tree_idx, bits),
-        "instances": instances,
-        "failures": failures,
-    }
+                res["failures"].append(quotient.descriptor(bits, images[idx]))
+    return quotient.results(tree_idx, out)
 
 
 def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
@@ -469,16 +592,12 @@ def run_path_image_sweep(
     seed: int = 0,
     workers: int = 1,
     cap: int = DEFAULT_N_CAP,
+    counts: QuotientCounts | None = None,
 ) -> PathImageResult:
     ns = sorted(set(ns_exhaustive))
     _check_cap(ns, cap)
-    tasks = []
-    for n in ns:
-        v = n + 1
-        for tree_idx, tree in enumerate(trees_for(v)):
-            for bits in range(1 << n):
-                tasks.append((v, tree_idx, tree.edges, bits))
-    results = _run_tasks(_path_image_worker, tasks, workers)
+    tasks = _tree_tasks(ns, OrientationPolicy("all"), seed)
+    results = _run_tasks(_path_image_worker, tasks, workers, counts)
     out = PathImageResult()
     for res in results:
         out.exhaustive_instances += res["instances"]
@@ -512,16 +631,15 @@ def run_path_image_sweep(
 # path graphs: Petrie structure of witness matrices and uniform row signs
 
 
-def _path_graph_worker(args) -> dict:
+def _path_graph_worker(args) -> list[dict]:
     v, edges, bits = args
     n = v - 1
     tree = Tree(edges)
-    table = _fast.orient_table(_spv_table_cached(edges), bits, n)
-    first, second = _fast.oriented_endpoint_arrays(tree, bits)
+    o = _Oriented.of(tree, bits)
     instances = 0
     failures = []
     for images in _image_chunks(_fast.cycle_images(v)):
-        a = _fast.build_oriented_batch(table, images, first, second)
+        a = o.build(images)
         b = np.abs(a)
         uniform = _fast.batched_uniform_sign(a)
         unimodular = np.abs(_fast.batched_charpoly(b)[:, 0]) == 1
@@ -529,17 +647,13 @@ def _path_graph_worker(args) -> dict:
         petrie_all = np.ones(images.shape[0], dtype=bool)
         witness_unimodular = np.ones(images.shape[0], dtype=bool)
         gates = np.ones(images.shape[0], dtype=bool)
-        for j in range(1, n + 1):
-            if gcd(j, v) != 1:
-                continue
-            for i in range(1, v + 1):
-                targets = _fast.iterate_images(images, i, j)
-                seeds = table[i, targets, :].astype(np.int64)
-                mf, gate = _fast.batched_witness_matrix(a, seeds)
-                gates &= gate
-                petrie_all &= _fast.batched_petrie(mf)
-                cp_mf = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
-                witness_unimodular &= np.abs(cp_mf[:, 0]) == 1
+        for i, j in _witness_pairs(v):
+            seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
+            mf, gate = _fast.batched_witness_matrix(a, seeds)
+            gates &= gate
+            petrie_all &= _fast.batched_petrie(mf)
+            cp_mf = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
+            witness_unimodular &= np.abs(cp_mf[:, 0]) == 1
 
         ok = uniform & unimodular & petrie_all & witness_unimodular & gates
         instances += int(images.shape[0])
@@ -552,11 +666,7 @@ def _path_graph_worker(args) -> dict:
                 desc["uniform_sign"] = bool(uniform[idx])
                 desc["petrie"] = bool(petrie_all[idx])
                 failures.append(desc)
-    return {
-        "key": (v, bits),
-        "instances": instances,
-        "failures": failures,
-    }
+    return [{"key": (v, bits), "instances": instances, "failures": failures}]
 
 
 @dataclass
@@ -627,7 +737,7 @@ def _exact_split_sign(tree: Tree, orientation: Orientation, image_row):
     return ("with_additions" if reduction.mixed_rows else "applicable"), None
 
 
-def _split_sign_worker(args) -> dict:
+def _split_sign_worker(args) -> list[dict]:
     """Batched split-sign verdicts of one task.  The exact route audits the
     task's first applicable and first not-applicable instance, supplies the
     not-applicable reason, and names the identity of every failure."""
@@ -635,8 +745,7 @@ def _split_sign_worker(args) -> dict:
     n = v - 1
     tree = Tree(edges)
     orientation = Orientation.from_int(bits, n)
-    table = _fast.orient_table(_spv_table_cached(edges), bits, n)
-    first, second = _fast.oriented_endpoint_arrays(tree, bits)
+    o = _Oriented.of(tree, bits)
     paths = _path_table_cached(edges)
     counts = {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0}
     failures = []
@@ -645,9 +754,9 @@ def _split_sign_worker(args) -> dict:
     audited = set()
     edges_str = tree.edge_list_str()
     for images in _image_chunks(_fast.cycle_images(v)):
-        a = _fast.build_oriented_batch(table, images, first, second)
+        a = o.build(images)
         applicable, mixed, holds = _fast.batched_split_sign(
-            paths, table, images, first, second, a
+            paths, o.table, images, o.first, o.second, a
         )
         passed = applicable & holds
         counts["instances"] += int(images.shape[0])
@@ -679,13 +788,13 @@ def _split_sign_worker(args) -> dict:
                 failures.append({**desc, "identity": SPLIT_SIGN_AGREEMENT})
             elif exact == "not_applicable":
                 example_na = {**desc, "reason": detail}
-    return {
+    return [{
         "key": (v, tree_idx, bits),
         "counts": counts,
         "failures": failures[:MAX_FAILURE_RECORDS],
         "example_with_additions": example_add,
         "example_not_applicable": example_na,
-    }
+    }]
 
 
 def run_split_sign_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> SplitSignResult:
@@ -716,44 +825,43 @@ def run_split_sign_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> Spli
 # determinant search over witness matrices
 
 
-def _det_search_worker(args) -> dict:
-    v, tree_idx, edges, bits = args
-    n = v - 1
-    tree = Tree(edges)
-    table = _fast.orient_table(_spv_table_cached(edges), bits, n)
-    first, second = _fast.oriented_endpoint_arrays(tree, bits)
-    from .theorems import _witness_rows
+def _det_claims(o: _Oriented, images, a) -> dict:
+    """|det Mf| per row and witness pair."""
+    n = a.shape[1]
+    pairs = _witness_pairs(n + 1)
+    dets = np.empty((images.shape[0], len(pairs)), dtype=np.int64)
+    for p, (i, j) in enumerate(pairs):
+        seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
+        mf, gate = _fast.batched_witness_matrix(a, seeds)
+        cp = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
+        dets[:, p] = np.abs(cp[:, 0])
+        for idx in np.nonzero(~gate)[0]:
+            f = VertexMap(o.tree, [int(x) for x in images[idx][1:]])
+            _, exact_mf = _witness_rows(f, Orientation.from_int(o.bits, n), i, j)
+            dets[idx, p] = abs(exact_mf.determinant())
+    return {"det": dets}
 
-    histogram: dict[int, int] = {}
-    nonunit = []
-    edges_str = tree.edge_list_str()
-    for images in _image_chunks(_fast.cycle_images(v)):
-        a = _fast.build_oriented_batch(table, images, first, second)
-        for j in range(1, n + 1):
-            if gcd(j, v) != 1:
-                continue
-            for i in range(1, v + 1):
-                targets = _fast.iterate_images(images, i, j)
-                seeds = table[i, targets, :].astype(np.int64)
-                mf, gate = _fast.batched_witness_matrix(a, seeds)
-                cp = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
-                dets = np.abs(cp[:, 0])
-                for idx in np.nonzero(~gate)[0]:
-                    f = VertexMap(tree, [int(x) for x in images[idx][1:]])
-                    orientation = Orientation.from_int(bits, n)
-                    _, exact_mf = _witness_rows(f, orientation, i, j)
-                    dets[idx] = abs(exact_mf.determinant())
-                values, counts = np.unique(dets, return_counts=True)
-                for value, count in zip(values, counts):
-                    histogram[int(value)] = histogram.get(int(value), 0) + int(count)
-                if (dets != 1).any():
-                    for idx in np.nonzero(dets != 1)[0]:
-                        if len(nonunit) >= MAX_FAILURE_RECORDS:
-                            break
-                        desc = _instance_descriptor(edges_str, bits, n, images[idx])
-                        desc.update({"i": i, "j": j, "abs_det": int(dets[idx])})
-                        nonunit.append(desc)
-    return {"key": (v, tree_idx, bits), "histogram": histogram, "nonunit": nonunit}
+
+def _det_search_worker(args) -> list[dict]:
+    v, tree_idx, edges, orientations = args
+    quotient = _OrientationQuotient(v, edges, orientations)
+    pairs = _witness_pairs(v)
+    out = {bits: {"histogram": {}, "nonunit": []} for bits in quotient.oriented}
+    for images, flags in quotient.chunks(_det_claims):
+        for bits, claims in flags.items():
+            res = out[bits]
+            histogram = res["histogram"]
+            values, counts = np.unique(claims["det"], return_counts=True)
+            for value, count in zip(values, counts):
+                histogram[int(value)] = histogram.get(int(value), 0) + int(count)
+            for p, idx in zip(*np.nonzero(claims["det"].T != 1)):
+                if len(res["nonunit"]) >= MAX_FAILURE_RECORDS:
+                    break
+                i, j = pairs[p]
+                desc = quotient.descriptor(bits, images[idx])
+                desc.update({"i": i, "j": j, "abs_det": int(claims["det"][idx, p])})
+                res["nonunit"].append(desc)
+    return quotient.results(tree_idx, out)
 
 
 @dataclass
@@ -774,20 +882,13 @@ def run_det_search(
     workers: int = 1,
     cap: int = DEFAULT_N_CAP,
     paths_only: bool = False,
+    counts: QuotientCounts | None = None,
 ) -> DetSearchResult:
     """Tabulate |det| of every witness matrix over the instance space."""
     ns = sorted(set(ns))
     _check_cap(ns, cap)
-    tasks = []
-    for n in ns:
-        v = n + 1
-        for tree_idx, tree in enumerate(trees_for(v)):
-            if paths_only and not tree.is_path():
-                continue
-            code = canonical_form(tree)
-            for bits in orientations_for(policy, n, seed, code):
-                tasks.append((v, tree_idx, tree.edges, bits))
-    results = _run_tasks(_det_search_worker, tasks, workers)
+    tasks = _tree_tasks(ns, policy, seed, paths_only=paths_only)
+    results = _run_tasks(_det_search_worker, tasks, workers, counts)
     out = DetSearchResult(ns=ns, policy=policy.describe(), seed=seed)
     for res in results:
         for value, count in res["histogram"].items():

@@ -77,6 +77,13 @@ class TestVerify:
         assert doc["per_n"]["2"]["instances"] == "8"
         assert doc["per_n"]["3"]["instances"] == "96"
 
+    def test_stderr_reports_quotient_split(self, capsys):
+        # n = 2, 3: 1 + 2 trees, 2 and 6 cycles, 4 and 8 orientations
+        code, _, err = run_cli(capsys, "verify", "--n", "2..3", "--orientations", "all")
+        assert code == 0
+        assert err.startswith("verify: 104 instances in ")
+        assert err.rstrip().endswith("(14 computed, 90 derived, 0 certificate fallbacks)")
+
     def test_cap_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "12")
         assert code == 2
@@ -173,6 +180,14 @@ class TestSearchDetmf:
         assert code == 0
         assert doc["all_odd"] is True
         assert set(doc["histogram"]) == {"1"}
+
+    def test_stderr_summary(self, capsys):
+        # canonical only: 2 + 12 instances, 6 and 8 coprime (i, j) pairs each
+        code, doc, err = run_json(capsys, "search-detmf", "--n", "2..3")
+        assert code == 0
+        assert sum(int(c) for c in doc["histogram"].values()) == 108
+        assert err.startswith("search-detmf: 108 witnesses in ")
+        assert err.rstrip().endswith("(14 computed, 0 derived, 0 certificate fallbacks)")
 
     def test_paths_only(self, capsys):
         code, doc, _ = run_json(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -410,7 +411,7 @@ class TestSplitSignKernel:
     def batched(task):
         from arbormat.harness import _split_sign_worker
 
-        out = _split_sign_worker(task)
+        (out,) = _split_sign_worker(task)  # one sub-result: one orientation per task
         del out["key"]
         return out
 
@@ -569,13 +570,17 @@ class TestCycleChunks:
     def test_workers_ignore_chunk_size(self, monkeypatch):
         from arbormat import harness
 
-        tasks = [(5, idx, tree.edges, bits) for idx, tree in enumerate(trees_for(5))
-                 for bits in (0, 5)]
+        # orientation 5 is derived from 0 through the quotient in every chunk
+        trees = list(enumerate(trees_for(5)))
+        tasks = [(5, idx, tree.edges, (0, 5)) for idx, tree in trees]
         workers = {
             harness._theorem_worker: [t + (True, True) for t in tasks],
             harness._witness_worker: tasks,
             harness._det_search_worker: tasks,
-            harness._split_sign_worker: tasks,
+            harness._path_image_worker: tasks,
+            harness._split_sign_worker: [
+                (5, idx, tree.edges, bits) for idx, tree in trees for bits in (0, 5)
+            ],
         }
         base = {w: [w(t) for t in ts] for w, ts in workers.items()}
         monkeypatch.setattr(harness, "CYCLE_CHUNK", 7)  # 24 cycles -> 4 chunks
@@ -622,3 +627,190 @@ class TestExactRouteBudget:
         res = run_path_image_sweep([2], random_count=200, seed=4)
         assert not res.all_pass
         assert [f["map"] for f in res.failures] == [audited.image_str()]
+
+
+def one_orientation_per_task(monkeypatch):
+    """Route every quotiented sweep through the brute-force reference: the
+    same workers, each task handed a single orientation."""
+    from arbormat import harness
+
+    real = harness._run_tasks
+
+    def split(worker, tasks, workers, counts=None):
+        single = [t[:3] + ((bits,),) + t[4:] for t in tasks for bits in t[3]]
+        return real(worker, single, workers, counts)
+
+    monkeypatch.setattr(harness, "_run_tasks", split)
+
+
+def marked(mats):
+    """An injected failure pattern that depends on |M| only, so it is the
+    same for every orientation: reversing edges negates rows and columns."""
+    return np.abs(mats).sum(axis=tuple(range(1, mats.ndim))) % 3 == 0
+
+
+def inject_failures(monkeypatch, sweep):
+    """Patch one kernel of `sweep` to fail the marked instances, so failure
+    records, witness determinant signs and non-unit histogram entries occur."""
+    if sweep == "theorem":
+        real = _fast.batched_geometric_sum_zero
+        monkeypatch.setattr(_fast, "batched_geometric_sum_zero", lambda a: real(a) & ~marked(a))
+    elif sweep == "witness":
+        real = _fast.batched_witness
+
+        def witness(a, seeds):
+            gate, det, companion_ok, conjugation_ok = real(a, seeds)
+            hit = marked(a) & marked(seeds)
+            return gate, det, companion_ok & ~hit, conjugation_ok
+
+        monkeypatch.setattr(_fast, "batched_witness", witness)
+    elif sweep == "det":
+        real = _fast.batched_charpoly
+
+        def charpoly(mats):
+            cp = real(mats)
+            cp[:, 0] *= np.where(marked(mats), 3, 1)
+            return cp
+
+        monkeypatch.setattr(_fast, "batched_charpoly", charpoly)
+    else:
+        real = _fast.batched_path_image_ok
+        monkeypatch.setattr(
+            _fast, "batched_path_image_ok", lambda r, i, m: real(r, i, m) & ~marked(m)
+        )
+
+
+def quotiented_sweep(sweep, policy, counts):
+    ns = [2, 3, 4, 5]
+    if sweep == "theorem":
+        return run_theorem_sweep(ns, policy, seed=11, counts=counts)
+    if sweep == "witness":
+        return run_witness_sweep(ns, policy, seed=11, counts=counts)
+    if sweep == "det":
+        return run_det_search(ns, policy, seed=11, counts=counts)
+    return run_path_image_sweep(ns, counts=counts)  # exhaustive: every orientation
+
+
+class TestOrientationQuotient:
+    """Claims computed once per tree and carried to every orientation by the
+    certificate A_o == D.A_0.D equal the brute-force route."""
+
+    @pytest.mark.parametrize(
+        "sweep, policy",
+        [(s, "all") for s in ("theorem", "witness", "det", "path_image")]
+        + [(s, "sample:4") for s in ("theorem", "witness", "det")],
+    )
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_equals_one_orientation_per_task(self, monkeypatch, sweep, policy, injected):
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts
+
+        policy = OrientationPolicy.parse(policy)
+        if policy.mode == "sample":  # seed 11 samples 0 again and repeats
+            tuples = [t[3] for t in harness._tree_tasks([2, 3, 4, 5], policy, 11)]
+            assert any(0 in t[1:] for t in tuples)
+            assert any(len(set(t)) < len(t) for t in tuples)
+        if injected:
+            inject_failures(monkeypatch, sweep)
+            # record every failure, so the whole record order is compared
+            monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
+        counts = QuotientCounts()
+        quotient = quotiented_sweep(sweep, policy, counts)
+        with monkeypatch.context() as m:
+            one_orientation_per_task(m)
+            brute_counts = QuotientCounts()
+            brute = quotiented_sweep(sweep, policy, brute_counts)
+        assert quotient == brute
+        total = brute_counts.computed
+        assert brute_counts == QuotientCounts(total, 0, 0)
+        assert counts.computed + counts.derived == total
+        assert counts.derived > counts.computed > 0 and counts.fallbacks == 0
+        failures = quotient.nonunit_witnesses if sweep == "det" else quotient.failures
+        if not injected:
+            assert not failures
+            return
+        orientations = {f["orientation"] for f in failures}
+        assert len(failures) > 20 and len(orientations) > 4
+        if sweep == "witness":
+            assert {int(f["det"]) for f in failures} >= {1, -1}
+        if sweep == "det":
+            assert set(quotient.histogram) == {1, 3}
+
+    def test_sampled_duplicates_are_repeated(self):
+        from arbormat.harness import _theorem_worker
+
+        tree = trees_for(5)[1]
+        subs = _theorem_worker((5, 1, tree.edges, (0, 6, 0, 6, 9), True, True))
+        assert [s["key"] for s in subs] == [(5, 1, b) for b in (0, 6, 0, 6, 9)]
+        assert [astuple(s["quotient"]) for s in subs] == [
+            (24, 0, 0), (0, 24, 0), (0, 24, 0), (0, 24, 0), (0, 24, 0)
+        ]
+        strip = [{k: v for k, v in s.items() if k not in ("key", "quotient")} for s in subs]
+        assert all(s == strip[0] for s in strip)
+
+    @pytest.mark.parametrize("worker", ["theorem", "witness", "det_search", "path_image"])
+    def test_corrupted_row_is_recomputed(self, monkeypatch, worker):
+        """A matrix entry flipped in one row of a non-canonical orientation
+        fails the certificate; that row alone is recomputed directly."""
+        from arbormat import harness
+
+        fn = getattr(harness, f"_{worker}_worker")
+        idx, tree = 2, trees_for(5)[2]
+        extra = (True, True) if worker == "theorem" else ()
+        target = _fast.oriented_endpoint_arrays(tree, 5)
+        row = 17
+        build = _fast.build_oriented_batch
+
+        def corrupt(table_o, images, first, second):
+            out = build(table_o, images, first, second)
+            hit = (images[:, 1:] == _fast.cycle_images(5)[row, 1:]).all(axis=1)
+            if hit.any() and (first == target[0]).all() and (second == target[1]).all():
+                col = int(np.nonzero(out[hit][0, 0])[0][0])
+                out[hit, 0, col] *= -1
+            return out
+
+        monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
+        quotient = fn((5, idx, tree.edges, (0, 5)) + extra)
+        brute = [fn((5, idx, tree.edges, (bits,)) + extra)[0] for bits in (0, 5)]
+        assert [astuple(s["quotient"]) for s in quotient] == [(24, 0, 0), (1, 23, 1)]
+        for got, want in zip(quotient, brute):
+            del got["quotient"], want["quotient"]
+            assert got == want
+        if worker == "theorem":
+            clean, flipped = quotient
+            assert clean["failed_instances"] == 0 and not clean["failures"]
+            assert flipped["failed_instances"] == 1
+            want_map = ",".join(map(str, _fast.cycle_images(5)[row, 1:]))
+            assert [(f["orientation"], f["map"]) for f in flipped["failures"]] == [
+                ("1010", want_map)
+            ]
+
+    def test_pool_never_exceeds_tasks(self, monkeypatch):
+        import types
+
+        from arbormat import harness
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(
+            harness.multiprocessing, "get_context",
+            lambda method: types.SimpleNamespace(Pool=SerialPool),
+        )
+        res = run_theorem_sweep([3], OrientationPolicy("all"), workers=8)
+        assert res.all_pass and res.total_instances == 96
+        assert sizes == [2]  # one task per tree
+        run_theorem_sweep([3, 4], OrientationPolicy("all"), workers=2)
+        assert sizes == [2, 2]
