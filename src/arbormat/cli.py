@@ -236,7 +236,11 @@ def cmd_search_detmf(args) -> int:
         "all_unit": result.all_unit,
     }
     witnesses = sum(result.histogram.values())
-    print(f"search-detmf: {witnesses} witnesses in {elapsed:.2f}s ({counts})", file=sys.stderr)
+    print(
+        f"search-detmf: {witnesses} witnesses in {elapsed:.2f}s, "
+        f"{counts.start_vertex()} ({counts})",
+        file=sys.stderr,
+    )
     _emit(doc, args.out)
     # non-unit determinants are a reportable discovery, not a failure
     return 0 if result.all_odd else CLAIM_ERROR

@@ -7,11 +7,14 @@ determinant and exhaustive path-transport claims are invariant under the
 similarity A_o = D.A_0.D that reversing edges induces, so they are computed
 once per tree and carried to every other orientation by a certificate (see
 :class:`_OrientationQuotient`); the split-sign and path-graph tasks hold one
-orientation each.  Every task returns one sub-result per orientation;
-tasks are distributed over a process pool and sub-results are reduced in
-sorted (v, tree, orientation) order, so output is identical for any worker
-count.  Orientation sampling is counter-based, keyed by (seed, tree code),
-hence schedule-independent.
+orientation each.  Within a computed row, the witness and determinant
+claims build Mf(1, j) only and carry it to every start vertex by
+Mf(f(i), j) = C.Mf(i, j), under a per-row certificate with a per-pair
+fallback (see :func:`_carried_dets`).  Every task returns one sub-result
+per orientation; tasks are distributed over a process pool and
+sub-results are reduced in sorted (v, tree, orientation) order, so output
+is identical for any worker count.  Orientation sampling is counter-based,
+keyed by (seed, tree code), hence schedule-independent.
 """
 
 from __future__ import annotations
@@ -169,21 +172,36 @@ def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
 
 @dataclass
 class QuotientCounts:
-    """How the instances of an orientation-quotiented sweep were decided.
+    """How the instances of a quotiented sweep were decided.
 
-    computed: by the claim kernels, on the representative orientation or as
-    a certificate fallback; derived: carried over from the representative
-    through the certificate, or repeated from a sampled duplicate;
-    fallbacks: rows whose matrix failed the certificate (also computed)."""
+    Orientation quotient, in instances: computed by the claim kernels, on
+    the representative orientation or as a certificate fallback; derived:
+    carried over from the representative through the certificate, or
+    repeated from a sampled duplicate; fallbacks: rows whose matrix failed
+    the certificate (also computed).
+
+    Start-vertex quotient of the witness and determinant claims, within the
+    computed rows: built, witnesses Mf(1, j) built by the kernels; carried,
+    witnesses Mf(i, j), i != 1, carried from i = 1 by the certificate;
+    start_fallbacks, rows that failed it and whose every pair was recomputed
+    directly."""
 
     computed: int = 0
     derived: int = 0
     fallbacks: int = 0
+    built: int = 0
+    carried: int = 0
+    start_fallbacks: int = 0
 
     def add(self, other: "QuotientCounts") -> None:
-        self.computed += other.computed
-        self.derived += other.derived
-        self.fallbacks += other.fallbacks
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
+
+    def start_vertex(self) -> str:
+        return (
+            f"{self.built} built at i = 1, {self.carried} carried, "
+            f"{self.start_fallbacks} start-vertex fallbacks"
+        )
 
     def __str__(self) -> str:
         return (
@@ -220,7 +238,9 @@ class _OrientationQuotient:
     pick up the factor det D = +-1.  So the claims function runs on r, and
     every other orientation takes r's flags for the rows whose built matrix
     passes the certificate A_o == D.A_r.D; a row that fails it is
-    recomputed directly by the same claims function."""
+    recomputed directly by the same claims function.  Claims functions take
+    (oriented tree, images, matrices, counts) and may add their own
+    start-vertex tallies to the orientation's QuotientCounts."""
 
     def __init__(self, v: int, edges: tuple, orientations: tuple):
         self.v = v
@@ -230,8 +250,7 @@ class _OrientationQuotient:
         # distinct orientations, representative first
         self.oriented = {bits: _Oriented.of(self.tree, bits) for bits in orientations}
         self.rows = 0
-        self.computed = dict.fromkeys(self.oriented, 0)
-        self.fallbacks = dict.fromkeys(self.oriented, 0)
+        self.counts = {bits: QuotientCounts() for bits in self.oriented}
 
     def chunks(self, claims, signed=()):
         """Per cycle chunk: the images and, per distinct orientation, the
@@ -241,8 +260,8 @@ class _OrientationQuotient:
             batch = images.shape[0]
             self.rows += batch
             a_rep = rep.build(images)
-            base = claims(rep, images, a_rep)
-            self.computed[rep.bits] += batch
+            base = claims(rep, images, a_rep, self.counts[rep.bits])
+            self.counts[rep.bits].computed += batch
             flags = {rep.bits: base}
             for o in others:
                 d = _fast.orientation_signs(o.bits ^ rep.bits, a_rep.shape[1])
@@ -251,12 +270,13 @@ class _OrientationQuotient:
                 a = o.build(images)
                 bad = np.nonzero(~np.all(a == d[:, None] * a_rep * d, axis=(1, 2)))[0]
                 if bad.size:
-                    redo = claims(o, images[bad], a[bad])
+                    counts = self.counts[o.bits]
+                    redo = claims(o, images[bad], a[bad], counts)
                     own = {k: x.copy() for k, x in own.items()}
                     for k, x in own.items():
                         x[bad] = redo[k]
-                    self.computed[o.bits] += bad.size
-                    self.fallbacks[o.bits] += bad.size
+                    counts.computed += bad.size
+                    counts.fallbacks += bad.size
                 flags[o.bits] = own
             yield images, flags
 
@@ -269,10 +289,9 @@ class _OrientationQuotient:
         out = []
         seen = set()
         for bits in self.orientations:
-            computed = 0 if bits in seen else self.computed[bits]
-            fallbacks = 0 if bits in seen else self.fallbacks[bits]
+            counts = QuotientCounts() if bits in seen else self.counts[bits]
             seen.add(bits)
-            counts = QuotientCounts(computed, self.rows - computed, fallbacks)
+            counts.derived = self.rows - counts.computed
             out.append({"key": (self.v, tree_idx, bits), **per_bits[bits], "quotient": counts})
         return out
 
@@ -311,8 +330,9 @@ def _bits_string(bits: int, n: int) -> str:
 # theorem sweep (charpoly / determinant / geometric sum / oddness / GF(2))
 
 
-def _theorem_claims(o: _Oriented, images, a, with_path_image, with_witness) -> dict:
-    """Per-row verdicts of every theorem-sweep claim."""
+def _theorem_claims(o: _Oriented, images, a, counts, with_path_image, with_witness) -> dict:
+    """Per-row verdicts of every theorem-sweep claim (``counts`` unused: the
+    witness here is the single pair (1, 1))."""
     n = a.shape[1]
     sign = 1 if n % 2 == 0 else -1
     b = np.abs(a)
@@ -331,8 +351,8 @@ def _theorem_claims(o: _Oriented, images, a, with_path_image, with_witness) -> d
         ok["path_image_identity"] = _fast.batched_path_image_ok(o.table[1], images, a)
     if with_witness:
         seeds = o.table[1, images[:, 1], :].astype(np.int64)
-        gate, det, companion_ok, conjugation_ok = _fast.batched_witness(a, seeds)
-        witness_ok = gate & (det % 2 == 1) & companion_ok & conjugation_ok
+        gate, det, companion_ok = _fast.batched_witness(a, seeds)
+        witness_ok = gate & (det % 2 == 1) & companion_ok
         for idx in np.nonzero(~gate)[0]:
             witness_ok[idx] = _exact_witness_ok(o.tree, o.bits, images[idx], 1, 1)
         ok["basis_witness"] = witness_ok
@@ -442,18 +462,81 @@ def _witness_pairs(v: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, v) if gcd(j, v) == 1 for i in range(1, v + 1)]
 
 
-def _witness_claims(o: _Oriented, images, a) -> dict:
-    """Per row and witness pair: whether the basis claims hold, and det Mf."""
+def _start_vertex_orbit(images: np.ndarray):
+    """orbit[:, k] = f^k(1) for k = 0..v-1, and position[:, f^k(1)] = k."""
+    b, v = images.shape[0], images.shape[1] - 1
+    orbit = np.empty((b, v), dtype=np.int64)
+    orbit[:, 0] = 1
+    rows = np.arange(b)
+    for k in range(1, v):
+        orbit[:, k] = images[rows, orbit[:, k - 1]]
+    position = np.zeros_like(images)
+    np.put_along_axis(position, orbit, np.arange(v), axis=1)
+    return orbit, position
+
+
+def _carried_dets(o: _Oriented, images, a, counts: QuotientCounts):
+    """Signed det Mf(i, j) of every witness pair, built at i = 1 only, and
+    the rows whose start-vertex certificate holds.
+
+    The seed of (f(i), j) is the seed of (i, j) times A once A transports
+    path vectors, and Mf(i, j).A == C.Mf(i, j) then makes Mf(f(i), j) =
+    C.Mf(i, j).  Since f is one cycle, Mf(f^k(1), j) = C^k.Mf(1, j): with
+    det C = (-1)^n its determinant is (-1)^(n k) det Mf(1, j), and the
+    companion identity and the odd determinant carry over.  The certificate
+    checks both premises per row: path transport r(w).A = r(f(w)) - r(f(1))
+    for every w, and, for each step j, the gate and Mf(1, j).A == C.Mf(1, j).
+    Transport also makes every row of every Mf a signed path vector, so the
+    gate holds at every pair.  The values of uncertified rows are void."""
+    b, v = images.shape[0], images.shape[1] - 1
+    n = v - 1
+    steps = [j for j in range(1, v) if gcd(j, v) == 1]
+    orbit, position = _start_vertex_orbit(images)
+    certified = _fast.batched_path_image_ok(o.table[1], images, a)
+    first = np.empty((b, len(steps)), dtype=np.int64)
+    for q, j in enumerate(steps):
+        gate, first[:, q], companion_ok = _fast.batched_witness(a, o.table[1, orbit[:, j]])
+        certified &= gate & companion_ok
+    sign = 1 - 2 * (n * position[:, 1:] % 2)  # (-1)^(n k) for i = 1..v
+    counts.built += first.size
+    counts.carried += int(certified.sum()) * len(steps) * n
+    counts.start_fallbacks += int((~certified).sum())
+    # pairs j-major, as _witness_pairs orders them
+    return (first[:, :, None] * sign[:, None, :]).reshape(b, -1), certified
+
+
+def _recompute_uncertified(claims: dict, certified, direct, o: _Oriented, images, a) -> dict:
+    """Replace the claims of the rows that failed the start-vertex
+    certificate by the per-pair direct route."""
+    bad = np.nonzero(~certified)[0]
+    if bad.size:
+        for k, x in direct(o, images[bad], a[bad]).items():
+            claims[k][bad] = x
+    return claims
+
+
+def _witness_claims_direct(o: _Oriented, images, a) -> dict:
+    """Per row and witness pair: whether the basis claims hold, and det Mf,
+    building every Mf(i, j)."""
     pairs = _witness_pairs(images.shape[1] - 1)
     ok = np.empty((images.shape[0], len(pairs)), dtype=bool)
     det = np.empty((images.shape[0], len(pairs)), dtype=np.int64)
     for p, (i, j) in enumerate(pairs):
         seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
-        gate, det[:, p], companion_ok, conjugation_ok = _fast.batched_witness(a, seeds)
-        ok[:, p] = gate & (det[:, p] % 2 == 1) & companion_ok & conjugation_ok
+        gate, det[:, p], companion_ok = _fast.batched_witness(a, seeds)
+        ok[:, p] = gate & (det[:, p] % 2 == 1) & companion_ok
         for idx in np.nonzero(~gate)[0]:
             ok[idx, p] = _exact_witness_ok(o.tree, o.bits, images[idx], i, j)
     return {"ok": ok, "det": det}
+
+
+def _witness_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
+    """_witness_claims_direct from the witnesses at i = 1: on a certified row
+    every pair satisfies the gate and the companion identity, so its
+    verdict is det odd."""
+    det, certified = _carried_dets(o, images, a, counts)
+    claims = {"ok": det % 2 == 1, "det": det}
+    return _recompute_uncertified(claims, certified, _witness_claims_direct, o, images, a)
 
 
 def _witness_worker(args) -> list[dict]:
@@ -515,7 +598,7 @@ def run_witness_sweep(
 # path-transport sweep: exhaustive small n plus seeded random large n
 
 
-def _path_image_claims(o: _Oriented, images, a) -> dict:
+def _path_image_claims(o: _Oriented, images, a, counts) -> dict:
     return {"ok": _fast.batched_path_image_ok(o.table[1], images, a)}
 
 
@@ -825,21 +908,25 @@ def run_split_sign_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> Spli
 # determinant search over witness matrices
 
 
-def _det_claims(o: _Oriented, images, a) -> dict:
-    """|det Mf| per row and witness pair."""
+def _det_claims_direct(o: _Oriented, images, a) -> dict:
+    """Signed det Mf per row and witness pair, building every Mf(i, j)."""
     n = a.shape[1]
     pairs = _witness_pairs(n + 1)
     dets = np.empty((images.shape[0], len(pairs)), dtype=np.int64)
     for p, (i, j) in enumerate(pairs):
         seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
-        mf, gate = _fast.batched_witness_matrix(a, seeds)
-        cp = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
-        dets[:, p] = np.abs(cp[:, 0])
+        gate, dets[:, p], _ = _fast.batched_witness(a, seeds)
         for idx in np.nonzero(~gate)[0]:
             f = VertexMap(o.tree, [int(x) for x in images[idx][1:]])
             _, exact_mf = _witness_rows(f, Orientation.from_int(o.bits, n), i, j)
-            dets[idx, p] = abs(exact_mf.determinant())
+            dets[idx, p] = exact_mf.determinant()
     return {"det": dets}
+
+
+def _det_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
+    """_det_claims_direct from the witnesses at i = 1."""
+    det, certified = _carried_dets(o, images, a, counts)
+    return _recompute_uncertified({"det": det}, certified, _det_claims_direct, o, images, a)
 
 
 def _det_search_worker(args) -> list[dict]:
@@ -847,19 +934,20 @@ def _det_search_worker(args) -> list[dict]:
     quotient = _OrientationQuotient(v, edges, orientations)
     pairs = _witness_pairs(v)
     out = {bits: {"histogram": {}, "nonunit": []} for bits in quotient.oriented}
-    for images, flags in quotient.chunks(_det_claims):
+    for images, flags in quotient.chunks(_det_claims, signed=("det",)):
         for bits, claims in flags.items():
             res = out[bits]
             histogram = res["histogram"]
-            values, counts = np.unique(claims["det"], return_counts=True)
+            dets = np.abs(claims["det"])
+            values, counts = np.unique(dets, return_counts=True)
             for value, count in zip(values, counts):
                 histogram[int(value)] = histogram.get(int(value), 0) + int(count)
-            for p, idx in zip(*np.nonzero(claims["det"].T != 1)):
+            for p, idx in zip(*np.nonzero(dets.T != 1)):
                 if len(res["nonunit"]) >= MAX_FAILURE_RECORDS:
                     break
                 i, j = pairs[p]
                 desc = quotient.descriptor(bits, images[idx])
-                desc.update({"i": i, "j": j, "abs_det": int(claims["det"][idx, p])})
+                desc.update({"i": i, "j": j, "abs_det": int(dets[idx, p])})
                 res["nonunit"].append(desc)
     return quotient.results(tree_idx, out)
 

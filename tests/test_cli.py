@@ -189,6 +189,16 @@ class TestSearchDetmf:
         assert err.startswith("search-detmf: 108 witnesses in ")
         assert err.rstrip().endswith("(14 computed, 0 derived, 0 certificate fallbacks)")
 
+    def test_stderr_reports_start_vertex_split(self, capsys):
+        # Mf(1, j) built per cycle and step: (2 + 12) x 2 = 28; the other
+        # 2 and 3 start vertices carried: 2 x 2 x 2 + 12 x 2 x 3 = 80
+        code, _, err = run_cli(capsys, "search-detmf", "--n", "2..3")
+        assert code == 0
+        assert err.rstrip().endswith(
+            ", 28 built at i = 1, 80 carried, 0 start-vertex fallbacks "
+            "(14 computed, 0 derived, 0 certificate fallbacks)"
+        )
+
     def test_paths_only(self, capsys):
         code, doc, _ = run_json(
             capsys, "search-detmf", "--n", "2..4", "--paths-only"

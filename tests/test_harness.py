@@ -167,7 +167,7 @@ class TestKernelAgreement:
         _, real = instance_batch(13, 40, 6)
         mats = np.concatenate([mats, real])
         seeds = np.concatenate([seeds, real[:, 0]])
-        gate, det, _, _ = _fast.batched_witness(mats, seeds)
+        gate, det, _ = _fast.batched_witness(mats, seeds)
         mf, helper_gate = _fast.batched_witness_matrix(mats, seeds)
         assert (mf[:, 0] == seeds).all()
         assert (mf[:, 1:] == np.einsum("bki,bij->bkj", mf[:, :-1], mats)).all()
@@ -200,13 +200,14 @@ class TestKernelAgreement:
             ],
             dtype=np.int64,
         )
-        gate, det, companion_ok, conjugation_ok = _fast.batched_witness(mats, seeds)
+        gate, det, companion_ok = _fast.batched_witness(mats, seeds)
         for k, (f, o, tm) in enumerate(instances):
             assert bool(gate[k])
             w = basis_witness(f, o, 1, 1)
             assert int(det[k]) == w.determinant
             assert bool(companion_ok[k])
-            assert bool(conjugation_ok[k]) == w.conjugates_over_rationals(tm.oriented)
+            # the conjugation Mf.A.Mf^-1 == C follows from the companion identity
+            assert not companion_ok[k] or w.conjugates_over_rationals(tm.oriented)
 
     def test_petrie_kernel(self):
         rng = random.Random(31)
@@ -659,9 +660,10 @@ def inject_failures(monkeypatch, sweep):
         real = _fast.batched_witness
 
         def witness(a, seeds):
-            gate, det, companion_ok, conjugation_ok = real(a, seeds)
-            hit = marked(a) & marked(seeds)
-            return gate, det, companion_ok & ~hit, conjugation_ok
+            # keyed on |A| alone: a marked row fails at every start vertex,
+            # so the pattern survives the start-vertex quotient too
+            gate, det, companion_ok = real(a, seeds)
+            return gate, det, companion_ok & ~marked(a)
 
         monkeypatch.setattr(_fast, "batched_witness", witness)
     elif sweep == "det":
@@ -722,9 +724,16 @@ class TestOrientationQuotient:
             brute = quotiented_sweep(sweep, policy, brute_counts)
         assert quotient == brute
         total = brute_counts.computed
-        assert brute_counts == QuotientCounts(total, 0, 0)
+        assert (brute_counts.derived, brute_counts.fallbacks) == (0, 0)
         assert counts.computed + counts.derived == total
         assert counts.derived > counts.computed > 0 and counts.fallbacks == 0
+        start = (counts.built, counts.carried, counts.start_fallbacks)
+        if sweep in ("theorem", "path_image"):
+            assert start == (0, 0, 0)
+        elif injected and sweep == "witness":  # marked rows fail the certificate
+            assert counts.start_fallbacks > 0
+        else:
+            assert counts.carried > counts.built > 0 and counts.start_fallbacks == 0
         failures = quotient.nonunit_witnesses if sweep == "det" else quotient.failures
         if not injected:
             assert not failures
@@ -743,7 +752,8 @@ class TestOrientationQuotient:
         subs = _theorem_worker((5, 1, tree.edges, (0, 6, 0, 6, 9), True, True))
         assert [s["key"] for s in subs] == [(5, 1, b) for b in (0, 6, 0, 6, 9)]
         assert [astuple(s["quotient"]) for s in subs] == [
-            (24, 0, 0), (0, 24, 0), (0, 24, 0), (0, 24, 0), (0, 24, 0)
+            (24, 0, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0),
+            (0, 24, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0),
         ]
         strip = [{k: v for k, v in s.items() if k not in ("key", "quotient")} for s in subs]
         assert all(s == strip[0] for s in strip)
@@ -751,7 +761,9 @@ class TestOrientationQuotient:
     @pytest.mark.parametrize("worker", ["theorem", "witness", "det_search", "path_image"])
     def test_corrupted_row_is_recomputed(self, monkeypatch, worker):
         """A matrix entry flipped in one row of a non-canonical orientation
-        fails the certificate; that row alone is recomputed directly."""
+        fails the certificate; that row alone is recomputed directly.  The
+        witness claims then build its 4 witnesses Mf(1, j), and the row
+        fails path transport, so its pairs come from the direct route."""
         from arbormat import harness
 
         fn = getattr(harness, f"_{worker}_worker")
@@ -772,7 +784,13 @@ class TestOrientationQuotient:
         monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
         quotient = fn((5, idx, tree.edges, (0, 5)) + extra)
         brute = [fn((5, idx, tree.edges, (bits,)) + extra)[0] for bits in (0, 5)]
-        assert [astuple(s["quotient"]) for s in quotient] == [(24, 0, 0), (1, 23, 1)]
+        # 24 cycles; witness claims: 4 steps j coprime to 5, 4 more starts i
+        start = [(0, 0, 0)] * 2
+        if worker in ("witness", "det_search"):
+            start = [(96, 384, 0), (4, 0, 1)]
+        assert [astuple(s["quotient"]) for s in quotient] == [
+            (24, 0, 0) + start[0], (1, 23, 1) + start[1]
+        ]
         for got, want in zip(quotient, brute):
             del got["quotient"], want["quotient"]
             assert got == want
@@ -814,3 +832,135 @@ class TestOrientationQuotient:
         assert sizes == [2]  # one task per tree
         run_theorem_sweep([3, 4], OrientationPolicy("all"), workers=2)
         assert sizes == [2, 2]
+
+
+def start_vertex_route(v, tree, bits, corrupt=None):
+    """Both start-vertex routes of one tree under one orientation: the
+    quotient and the direct witness and determinant claims, with counts."""
+    from arbormat import harness
+    from arbormat.harness import QuotientCounts, _Oriented
+
+    o = _Oriented.of(tree, bits)
+    images = _fast.cycle_images(v)
+    a = o.build(images)
+    if corrupt is not None:
+        corrupt(a)
+    counts = QuotientCounts()
+    witness = harness._witness_claims(o, images, a, counts)
+    det = harness._det_claims(o, images, a, counts)
+    direct = (
+        harness._witness_claims_direct(o, images, a),
+        harness._det_claims_direct(o, images, a),
+    )
+    return (witness, det), direct, counts
+
+
+class TestStartVertexQuotient:
+    """Witnesses built at i = 1 and carried to every start vertex by
+    Mf(f(i), j) = C.Mf(i, j) equal the per-pair direct route."""
+
+    @pytest.mark.parametrize("v", range(3, 8))
+    def test_equals_direct_every_tree(self, v):
+        # n = v - 1 of both parities; orientation 0 and a non-canonical one
+        steps = sum(1 for j in range(1, v) if np.gcd(j, v) == 1)
+        rows = len(_fast.cycle_images(v))
+        for tree in trees_for(v):
+            for bits in (0, (1 << (v - 1)) - 2):
+                (witness, det), (witness_direct, det_direct), counts = start_vertex_route(
+                    v, tree, bits
+                )
+                assert (witness["ok"] == witness_direct["ok"]).all()
+                assert (witness["det"] == witness_direct["det"]).all()
+                assert (det["det"] == det_direct["det"]).all()
+                assert (det["det"] == witness["det"]).all()
+                assert witness["ok"].all()
+                # each of the two claims functions builds and carries once
+                assert astuple(counts)[3:] == (
+                    2 * rows * steps, 2 * rows * steps * (v - 1), 0
+                )
+
+    def test_signed_dets_match_exact_route(self):
+        from arbormat.theorems import iter_witness_determinants
+
+        v, n = 5, 4
+        pairs = [(i, j) for j in range(1, v) if np.gcd(j, v) == 1 for i in range(1, v + 1)]
+        images = _fast.cycle_images(v)
+        for tree in trees_for(v):
+            for bits in (0, 6, 13):
+                (witness, _), _, _ = start_vertex_route(v, tree, bits)
+                o = Orientation.from_int(bits, n)
+                for row, img in enumerate(images):
+                    f = VertexMap(tree, [int(x) for x in img[1:]])
+                    exact = {(i, j): d for i, j, d in iter_witness_determinants(f, o)}
+                    assert [exact[p] for p in pairs] == witness["det"][row].tolist()
+
+    def test_corrupted_row_is_recomputed(self, monkeypatch):
+        from arbormat import harness
+
+        v, row = 6, 57  # 120 cycles, steps j = 1 and 5
+        tree = trees_for(v)[3]
+
+        def corrupt(a):
+            col = int(np.nonzero(a[row, 2])[0][0])
+            a[row, 2, col] *= -1
+
+        recomputed = []
+        real = harness._witness_claims_direct
+
+        def spy(o, images, a):
+            recomputed.append(images.copy())
+            return real(o, images, a)
+
+        monkeypatch.setattr(harness, "_witness_claims_direct", spy)
+        (witness, det), (witness_direct, det_direct), counts = start_vertex_route(
+            v, tree, 9, corrupt
+        )
+        # the direct reference call is the second one
+        assert len(recomputed) == 2
+        assert (recomputed[0] == _fast.cycle_images(v)[[row]]).all()
+        assert counts.start_fallbacks == 2  # one row, once per claims function
+        assert counts.carried == 2 * (120 - 1) * 2 * 5
+        assert (witness["ok"] == witness_direct["ok"]).all()
+        assert (witness["det"] == witness_direct["det"]).all()
+        assert (det["det"] == det_direct["det"]).all()
+        assert not witness["ok"][row].all() and witness["ok"][np.arange(120) != row].all()
+
+    def test_certificate_failing_everywhere_gives_direct_documents(self, monkeypatch):
+        """With transport refused on every row, every pair comes from the
+        direct route; the documents must not change.  Witness determinants
+        are doubled on a pattern of |A|, so carried failure records with
+        both determinant signs are compared too."""
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts
+
+        real = _fast.batched_witness
+
+        def even(a, seeds):
+            gate, det, companion_ok = real(a, seeds)
+            return gate, det * np.where(marked(a), 2, 1), companion_ok
+
+        monkeypatch.setattr(_fast, "batched_witness", even)
+        monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
+        policy = OrientationPolicy.parse("sample:4")
+        ns = [2, 3, 4, 5]
+
+        def documents(counts):
+            return (
+                run_witness_sweep(ns, policy, seed=11, counts=counts),
+                run_det_search(ns, policy, seed=11, counts=counts),
+            )
+
+        counts = QuotientCounts()
+        quotient = documents(counts)
+        assert counts.carried > counts.built > 0 and counts.start_fallbacks == 0
+        dets = {f["det"] for f in quotient[0].failures}
+        assert {2, -2} <= dets and dets <= {2, -2}
+        assert set(quotient[1].histogram) == {1, 2}
+        monkeypatch.setattr(
+            _fast, "batched_path_image_ok", lambda r, i, m: np.zeros(m.shape[0], dtype=bool)
+        )
+        forced = QuotientCounts()
+        direct = documents(forced)
+        assert direct == quotient
+        assert forced.carried == 0 and forced.start_fallbacks == forced.computed
+        assert forced.built == counts.built
