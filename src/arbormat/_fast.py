@@ -17,7 +17,8 @@ the same answers as arbitrary-precision arithmetic:
 * Split-sign rebuilt rows are sf.B[i] + 2.delta.(c . A') with sf, delta,
   the entries of B and A' in {-1,0,1} and c a signed path vector, so
   |entries| <= 1 + 2n.
-* Root-vector transport products r(w).A have |entries| <= n.
+* Root-vector transport products r(w).A have |entries| <= n, so a batch
+  sharing one root table computes them exactly in float32.
 
 The GF(2) nonderogatory test works on bit-packed rows instead, in the style
 of M4RI (Albrecht, Bard & Hart, ACM TOMS 37, 2010): each Krylov power of
@@ -156,10 +157,16 @@ def batched_path_image_ok(
     f(u); mats: (B, n, n).  Since spv(u, w) = r(w) - r(u), the identity for
     every pair holds iff r(w).A = r(f(w)) - r(f(1)) for every w, which costs
     O(v n^2) per instance instead of O(v^2 n^2)."""
-    b = mats.shape[0]
-    roots = np.broadcast_to(roots.astype(np.int64), (b,) + roots.shape[-2:])
-    lhs = roots[:, 1:] @ mats
-    image_roots = np.take_along_axis(roots, images[:, 1:, None], axis=1)
+    if roots.ndim == 2:
+        # float32 (BLAS) is exact here: every product and partial sum is an
+        # integer of magnitude at most n (see the module bounds), far below 2**24
+        roots = roots.astype(np.float32)
+        lhs = roots[1:] @ mats.astype(np.float32)
+        image_roots = roots[images[:, 1:]]
+    else:
+        roots = roots.astype(np.int64)
+        lhs = roots[:, 1:] @ mats
+        image_roots = np.take_along_axis(roots, images[:, 1:, None], axis=1)
     rhs = image_roots - image_roots[:, :1]  # images[:, 1] = f(1)
     return np.all(lhs == rhs, axis=(1, 2))
 

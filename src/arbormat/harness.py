@@ -7,14 +7,14 @@ determinant and exhaustive path-transport claims are invariant under the
 similarity A_o = D.A_0.D that reversing edges induces, so they are computed
 once per tree and carried to every other orientation by a certificate (see
 :class:`_OrientationQuotient`); the split-sign and path-graph tasks hold one
-orientation each.  Within a computed row, the witness and determinant
-claims build Mf(1, j) only and carry it to every start vertex by
-Mf(f(i), j) = C.Mf(i, j), under a per-row certificate with a per-pair
-fallback (see :func:`_carried_dets`).  Every task returns one sub-result
-per orientation; tasks are distributed over a process pool and
-sub-results are reduced in sorted (v, tree, orientation) order, so output
-is identical for any worker count.  Orientation sampling is counter-based,
-keyed by (seed, tree code), hence schedule-independent.
+orientation each.  Within a computed row, the theorem, witness and
+determinant claims follow from the closed form of det Mf once the row
+passes path transport; the direct kernels decide the rows that fail it and
+a fixed audit set of every chunk (see :mod:`arbormat.certificate`).  Every
+task returns one sub-result per orientation; tasks are distributed over a
+process pool and sub-results are reduced in sorted (v, tree, orientation)
+order, so output is identical for any worker count.  Orientation sampling
+is counter-based, keyed by (seed, tree code), hence schedule-independent.
 """
 
 from __future__ import annotations
@@ -25,12 +25,19 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _fast
+from .certificate import (
+    AUDIT_AGREEMENT,
+    certified_rows,
+    closed_form_dets,
+    decide,
+    start_vertex_orbit,
+    witness_pairs,
+)
 from .errors import CapExceeded, WitnessFailed
 from .dynamics import VertexMap, path_image_check
 from .theorems import ClaimStatus, _witness_rows, basis_witness, split_sign_check
@@ -174,33 +181,35 @@ def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
 class QuotientCounts:
     """How the instances of a quotiented sweep were decided.
 
-    Orientation quotient, in instances: computed by the claim kernels, on
+    Orientation quotient, in instances: computed by the claims function, on
     the representative orientation or as a certificate fallback; derived:
     carried over from the representative through the certificate, or
     repeated from a sampled duplicate; fallbacks: rows whose matrix failed
     the certificate (also computed).
 
-    Start-vertex quotient of the witness and determinant claims, within the
-    computed rows: built, witnesses Mf(1, j) built by the kernels; carried,
-    witnesses Mf(i, j), i != 1, carried from i = 1 by the certificate;
-    start_fallbacks, rows that failed it and whose every pair was recomputed
-    directly."""
+    Transport certificate of the theorem, witness and determinant claims,
+    splitting the computed rows: certified, claims taken from the closed
+    form; audited, decided on the direct route as a chunk's audit set;
+    uncertified, failed the certificate and decided on the direct route.
+    disagreements counts the certified audit rows whose direct values
+    differ from the closed form."""
 
     computed: int = 0
     derived: int = 0
     fallbacks: int = 0
-    built: int = 0
-    carried: int = 0
-    start_fallbacks: int = 0
+    certified: int = 0
+    audited: int = 0
+    uncertified: int = 0
+    disagreements: int = 0
 
     def add(self, other: "QuotientCounts") -> None:
         for name, value in vars(other).items():
             setattr(self, name, getattr(self, name) + value)
 
-    def start_vertex(self) -> str:
+    def transport(self) -> str:
         return (
-            f"{self.built} built at i = 1, {self.carried} carried, "
-            f"{self.start_fallbacks} start-vertex fallbacks"
+            f"{self.certified} certified, {self.audited} audited, "
+            f"{self.uncertified} uncertified, {self.disagreements} audit disagreements"
         )
 
     def __str__(self) -> str:
@@ -240,7 +249,7 @@ class _OrientationQuotient:
     passes the certificate A_o == D.A_r.D; a row that fails it is
     recomputed directly by the same claims function.  Claims functions take
     (oriented tree, images, matrices, counts) and may add their own
-    start-vertex tallies to the orientation's QuotientCounts."""
+    transport-certificate tallies to the orientation's QuotientCounts."""
 
     def __init__(self, v: int, edges: tuple, orientations: tuple):
         self.v = v
@@ -329,10 +338,19 @@ def _bits_string(bits: int, n: int) -> str:
 # --------------------------------------------------------------------------
 # theorem sweep (charpoly / determinant / geometric sum / oddness / GF(2))
 
+THEOREM_CLAIMS = (
+    "oriented_charpoly_geometric",
+    "oriented_determinant",
+    "geometric_sum_zero",
+    "unoriented_charpoly_odd",
+    "z2_companion_similar",
+    "basis_witness",
+)
 
-def _theorem_claims(o: _Oriented, images, a, counts, with_path_image, with_witness) -> dict:
-    """Per-row verdicts of every theorem-sweep claim (``counts`` unused: the
-    witness here is the single pair (1, 1))."""
+
+def _theorem_claims_direct(o: _Oriented, images, a, with_path_image) -> dict:
+    """Per-row verdicts of every theorem-sweep claim from the kernels; the
+    witness is the single pair (1, 1)."""
     n = a.shape[1]
     sign = 1 if n % 2 == 0 else -1
     b = np.abs(a)
@@ -349,22 +367,38 @@ def _theorem_claims(o: _Oriented, images, a, counts, with_path_image, with_witne
     )
     if with_path_image:
         ok["path_image_identity"] = _fast.batched_path_image_ok(o.table[1], images, a)
-    if with_witness:
-        seeds = o.table[1, images[:, 1], :].astype(np.int64)
-        gate, det, companion_ok = _fast.batched_witness(a, seeds)
-        witness_ok = gate & (det % 2 == 1) & companion_ok
-        for idx in np.nonzero(~gate)[0]:
-            witness_ok[idx] = _exact_witness_ok(o.tree, o.bits, images[idx], 1, 1)
-        ok["basis_witness"] = witness_ok
+    seeds = o.table[1, images[:, 1], :].astype(np.int64)
+    gate, det, companion_ok = _fast.batched_witness(a, seeds)
+    witness_ok = gate & (det % 2 == 1) & companion_ok
+    for idx in np.nonzero(~gate)[0]:
+        witness_ok[idx] = _exact_witness_ok(o.tree, o.bits, images[idx], 1, 1)
+    ok["basis_witness"] = witness_ok
     return ok
 
 
-def _theorem_worker(args) -> list[dict]:
-    v, tree_idx, edges, orientations, with_path_image, with_witness = args
-    quotient = _OrientationQuotient(v, edges, orientations)
-    claims = partial(
-        _theorem_claims, with_path_image=with_path_image, with_witness=with_witness
+def _theorem_claims_derived(o: _Oriented, images, a, with_path_image):
+    """Every theorem claim holds on a row where Mf = Mf(1, 1) is certified:
+    A = Mf^-1.C.Mf over Z gives the charpoly, the determinant and the
+    geometric sum of C, and B = |A| == A mod 2 is similar to C over GF(2),
+    so its charpoly is odd.  Path transport is the certificate itself."""
+    names = THEOREM_CLAIMS + (("path_image_identity",) if with_path_image else ())
+    rows = images.shape[0]
+    claims = {name: np.ones(rows, dtype=bool) for name in names}
+    return claims, certified_rows(o, images, a, (1,))
+
+
+def _theorem_claims(o: _Oriented, images, a, counts, with_path_image) -> dict:
+    return decide(
+        partial(_theorem_claims_derived, with_path_image=with_path_image),
+        partial(_theorem_claims_direct, with_path_image=with_path_image),
+        o, images, a, counts,
     )
+
+
+def _theorem_worker(args) -> list[dict]:
+    v, tree_idx, edges, orientations, with_path_image = args
+    quotient = _OrientationQuotient(v, edges, orientations)
+    claims = partial(_theorem_claims, with_path_image=with_path_image)
     out = {
         bits: {"n": v - 1, "instances": 0, "failed_instances": 0,
                "claim_failures": {}, "failures": []}
@@ -421,7 +455,6 @@ def run_theorem_sweep(
     workers: int = 1,
     cap: int = DEFAULT_N_CAP,
     path_image_max_n: int = 5,
-    with_witness: bool = True,
     counts: QuotientCounts | None = None,
 ) -> TheoremSweepResult:
     """Run the per-instance matrix claims over whole instance spaces; the
@@ -430,7 +463,7 @@ def run_theorem_sweep(
     _check_cap(ns, cap)
     per_n = {n: {"trees": 0, "orientations": 0, "instances": 0, "failures": 0} for n in ns}
     tasks = [
-        task + (task[0] - 1 <= path_image_max_n, with_witness)
+        task + (task[0] - 1 <= path_image_max_n,)
         for task in _tree_tasks(ns, policy, seed, per_n)
     ]
     results = _run_tasks(_theorem_worker, tasks, workers, counts)
@@ -457,92 +490,52 @@ def run_theorem_sweep(
 # basis-witness sweep over all start vertices and coprime steps
 
 
-def _witness_pairs(v: int) -> list[tuple[int, int]]:
-    """Every (start i, step j coprime to v) witness pair, j outermost."""
-    return [(i, j) for j in range(1, v) if gcd(j, v) == 1 for i in range(1, v + 1)]
-
-
-def _start_vertex_orbit(images: np.ndarray):
-    """orbit[:, k] = f^k(1) for k = 0..v-1, and position[:, f^k(1)] = k."""
-    b, v = images.shape[0], images.shape[1] - 1
-    orbit = np.empty((b, v), dtype=np.int64)
-    orbit[:, 0] = 1
-    rows = np.arange(b)
-    for k in range(1, v):
-        orbit[:, k] = images[rows, orbit[:, k - 1]]
-    position = np.zeros_like(images)
-    np.put_along_axis(position, orbit, np.arange(v), axis=1)
-    return orbit, position
-
-
-def _carried_dets(o: _Oriented, images, a, counts: QuotientCounts):
-    """Signed det Mf(i, j) of every witness pair, built at i = 1 only, and
-    the rows whose start-vertex certificate holds.
-
-    The seed of (f(i), j) is the seed of (i, j) times A once A transports
-    path vectors, and Mf(i, j).A == C.Mf(i, j) then makes Mf(f(i), j) =
-    C.Mf(i, j).  Since f is one cycle, Mf(f^k(1), j) = C^k.Mf(1, j): with
-    det C = (-1)^n its determinant is (-1)^(n k) det Mf(1, j), and the
-    companion identity and the odd determinant carry over.  The certificate
-    checks both premises per row: path transport r(w).A = r(f(w)) - r(f(1))
-    for every w, and, for each step j, the gate and Mf(1, j).A == C.Mf(1, j).
-    Transport also makes every row of every Mf a signed path vector, so the
-    gate holds at every pair.  The values of uncertified rows are void."""
-    b, v = images.shape[0], images.shape[1] - 1
-    n = v - 1
-    steps = [j for j in range(1, v) if gcd(j, v) == 1]
-    orbit, position = _start_vertex_orbit(images)
-    certified = _fast.batched_path_image_ok(o.table[1], images, a)
-    first = np.empty((b, len(steps)), dtype=np.int64)
-    for q, j in enumerate(steps):
-        gate, first[:, q], companion_ok = _fast.batched_witness(a, o.table[1, orbit[:, j]])
-        certified &= gate & companion_ok
-    sign = 1 - 2 * (n * position[:, 1:] % 2)  # (-1)^(n k) for i = 1..v
-    counts.built += first.size
-    counts.carried += int(certified.sum()) * len(steps) * n
-    counts.start_fallbacks += int((~certified).sum())
-    # pairs j-major, as _witness_pairs orders them
-    return (first[:, :, None] * sign[:, None, :]).reshape(b, -1), certified
-
-
-def _recompute_uncertified(claims: dict, certified, direct, o: _Oriented, images, a) -> dict:
-    """Replace the claims of the rows that failed the start-vertex
-    certificate by the per-pair direct route."""
-    bad = np.nonzero(~certified)[0]
-    if bad.size:
-        for k, x in direct(o, images[bad], a[bad]).items():
-            claims[k][bad] = x
-    return claims
+def _direct_witnesses(o: _Oriented, images, a):
+    """The witness pairs, and batched_witness's (gate, det, companion_ok) of
+    every row and pair, each (rows, pairs), building every Mf(i, j).  Rows
+    go in blocks whose stacked witnesses number about CYCLE_CHUNK."""
+    v = images.shape[1] - 1
+    pairs = witness_pairs(v)
+    starts = np.array([i for i, _ in pairs])
+    steps = np.array([j for _, j in pairs])
+    out = [np.empty((images.shape[0], len(pairs)), dtype=t) for t in (bool, np.int64, bool)]
+    block = max(1, CYCLE_CHUNK // len(pairs))
+    for lo in range(0, images.shape[0], block):
+        part = images[lo : lo + block]
+        orbit, position = start_vertex_orbit(part)
+        ends = np.take_along_axis(orbit, (position[:, starts] + steps) % v, axis=1)
+        seeds = o.table[starts, ends].reshape(-1, v - 1)  # row-major: pair within row
+        mats = np.repeat(a[lo : lo + block], len(pairs), axis=0)
+        for dst, x in zip(out, _fast.batched_witness(mats, seeds)):
+            dst[lo : lo + part.shape[0]] = x.reshape(part.shape[0], -1)
+    return pairs, out
 
 
 def _witness_claims_direct(o: _Oriented, images, a) -> dict:
     """Per row and witness pair: whether the basis claims hold, and det Mf,
     building every Mf(i, j)."""
-    pairs = _witness_pairs(images.shape[1] - 1)
-    ok = np.empty((images.shape[0], len(pairs)), dtype=bool)
-    det = np.empty((images.shape[0], len(pairs)), dtype=np.int64)
-    for p, (i, j) in enumerate(pairs):
-        seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
-        gate, det[:, p], companion_ok = _fast.batched_witness(a, seeds)
-        ok[:, p] = gate & (det[:, p] % 2 == 1) & companion_ok
-        for idx in np.nonzero(~gate)[0]:
-            ok[idx, p] = _exact_witness_ok(o.tree, o.bits, images[idx], i, j)
+    pairs, (gate, det, companion_ok) = _direct_witnesses(o, images, a)
+    ok = gate & (det % 2 == 1) & companion_ok
+    for idx, p in zip(*np.nonzero(~gate)):
+        ok[idx, p] = _exact_witness_ok(o.tree, o.bits, images[idx], *pairs[p])
     return {"ok": ok, "det": det}
 
 
+def _witness_claims_derived(o: _Oriented, images, a):
+    """On a certified row every Mf(i, j) is a unimodular {-1, 0, 1} matrix
+    with Mf.A == C.Mf, so its verdict is its closed-form det odd."""
+    det, certified = closed_form_dets(o, images, a)
+    return {"ok": det % 2 == 1, "det": det}, certified
+
+
 def _witness_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
-    """_witness_claims_direct from the witnesses at i = 1: on a certified row
-    every pair satisfies the gate and the companion identity, so its
-    verdict is det odd."""
-    det, certified = _carried_dets(o, images, a, counts)
-    claims = {"ok": det % 2 == 1, "det": det}
-    return _recompute_uncertified(claims, certified, _witness_claims_direct, o, images, a)
+    return decide(_witness_claims_derived, _witness_claims_direct, o, images, a, counts)
 
 
 def _witness_worker(args) -> list[dict]:
     v, tree_idx, edges, orientations = args
     quotient = _OrientationQuotient(v, edges, orientations)
-    pairs = _witness_pairs(v)
+    pairs = witness_pairs(v)
     out = {
         bits: {"n": v - 1, "instances": 0, "witnesses": 0, "failures": []}
         for bits in quotient.oriented
@@ -551,9 +544,10 @@ def _witness_worker(args) -> list[dict]:
         for bits, claims in flags.items():
             res = out[bits]
             res["instances"] += int(images.shape[0])
-            res["witnesses"] += claims["ok"].size
+            ok = claims["ok"] & claims[AUDIT_AGREEMENT][:, None]
+            res["witnesses"] += ok.size
             # pair-major, as the pairs are checked
-            for p, idx in zip(*np.nonzero(~claims["ok"].T)):
+            for p, idx in zip(*np.nonzero(~ok.T)):
                 if len(res["failures"]) >= MAX_FAILURE_RECORDS:
                     break
                 i, j = pairs[p]
@@ -730,7 +724,7 @@ def _path_graph_worker(args) -> list[dict]:
         petrie_all = np.ones(images.shape[0], dtype=bool)
         witness_unimodular = np.ones(images.shape[0], dtype=bool)
         gates = np.ones(images.shape[0], dtype=bool)
-        for i, j in _witness_pairs(v):
+        for i, j in witness_pairs(v):
             seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
             mf, gate = _fast.batched_witness_matrix(a, seeds)
             gates &= gate
@@ -911,28 +905,27 @@ def run_split_sign_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> Spli
 def _det_claims_direct(o: _Oriented, images, a) -> dict:
     """Signed det Mf per row and witness pair, building every Mf(i, j)."""
     n = a.shape[1]
-    pairs = _witness_pairs(n + 1)
-    dets = np.empty((images.shape[0], len(pairs)), dtype=np.int64)
-    for p, (i, j) in enumerate(pairs):
-        seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
-        gate, dets[:, p], _ = _fast.batched_witness(a, seeds)
-        for idx in np.nonzero(~gate)[0]:
-            f = VertexMap(o.tree, [int(x) for x in images[idx][1:]])
-            _, exact_mf = _witness_rows(f, Orientation.from_int(o.bits, n), i, j)
-            dets[idx, p] = exact_mf.determinant()
-    return {"det": dets}
+    pairs, (gate, det, _) = _direct_witnesses(o, images, a)
+    for idx, p in zip(*np.nonzero(~gate)):
+        f = VertexMap(o.tree, [int(x) for x in images[idx][1:]])
+        _, exact_mf = _witness_rows(f, Orientation.from_int(o.bits, n), *pairs[p])
+        det[idx, p] = exact_mf.determinant()
+    return {"det": det}
+
+
+def _det_claims_derived(o: _Oriented, images, a):
+    det, certified = closed_form_dets(o, images, a)
+    return {"det": det}, certified
 
 
 def _det_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
-    """_det_claims_direct from the witnesses at i = 1."""
-    det, certified = _carried_dets(o, images, a, counts)
-    return _recompute_uncertified({"det": det}, certified, _det_claims_direct, o, images, a)
+    return decide(_det_claims_derived, _det_claims_direct, o, images, a, counts)
 
 
 def _det_search_worker(args) -> list[dict]:
     v, tree_idx, edges, orientations = args
     quotient = _OrientationQuotient(v, edges, orientations)
-    pairs = _witness_pairs(v)
+    pairs = witness_pairs(v)
     out = {bits: {"histogram": {}, "nonunit": []} for bits in quotient.oriented}
     for images, flags in quotient.chunks(_det_claims, signed=("det",)):
         for bits, claims in flags.items():

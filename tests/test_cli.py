@@ -84,6 +84,17 @@ class TestVerify:
         assert err.startswith("verify: 104 instances in ")
         assert err.rstrip().endswith("(14 computed, 90 derived, 0 certificate fallbacks)")
 
+    def test_stderr_reports_transport_split(self, capsys):
+        # n = 4: 3 trees x 24 cycles on orientation 0, each chunk 16 audited
+        # rows and 8 certified; 15 more orientations derived
+        code, _, err = run_cli(capsys, "verify", "--n", "4", "--orientations", "all")
+        assert code == 0
+        assert err.startswith("verify: 1152 instances in ")
+        assert err.rstrip().endswith(
+            ", 24 certified, 48 audited, 0 uncertified, 0 audit disagreements "
+            "(72 computed, 1080 derived, 0 certificate fallbacks)"
+        )
+
     def test_cap_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "12")
         assert code == 2
@@ -189,14 +200,15 @@ class TestSearchDetmf:
         assert err.startswith("search-detmf: 108 witnesses in ")
         assert err.rstrip().endswith("(14 computed, 0 derived, 0 certificate fallbacks)")
 
-    def test_stderr_reports_start_vertex_split(self, capsys):
-        # Mf(1, j) built per cycle and step: (2 + 12) x 2 = 28; the other
-        # 2 and 3 start vertices carried: 2 x 2 x 2 + 12 x 2 x 3 = 80
-        code, _, err = run_cli(capsys, "search-detmf", "--n", "2..3")
+    def test_stderr_reports_transport_split(self, capsys):
+        # chunks of 2 and 6 cycles (n = 2, 3) are audited whole; the three
+        # 24-cycle chunks of n = 4 audit 16 rows and certify 8
+        code, _, err = run_cli(capsys, "search-detmf", "--n", "2..4")
         assert code == 0
+        assert err.startswith("search-detmf: 1548 witnesses in ")
         assert err.rstrip().endswith(
-            ", 28 built at i = 1, 80 carried, 0 start-vertex fallbacks "
-            "(14 computed, 0 derived, 0 certificate fallbacks)"
+            ", 24 certified, 62 audited, 0 uncertified, 0 audit disagreements "
+            "(86 computed, 0 derived, 0 certificate fallbacks)"
         )
 
     def test_paths_only(self, capsys):

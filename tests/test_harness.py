@@ -1,5 +1,6 @@
 import random
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from arbormat import (
 )
 from arbormat import _fast
 from arbormat.errors import CapExceeded
+from arbormat.certificate import AUDIT_AGREEMENT, AUDIT_ROWS, audit_rows
 from arbormat.harness import (
     OrientationPolicy,
     _sample_orientation,
@@ -575,7 +577,7 @@ class TestCycleChunks:
         trees = list(enumerate(trees_for(5)))
         tasks = [(5, idx, tree.edges, (0, 5)) for idx, tree in trees]
         workers = {
-            harness._theorem_worker: [t + (True, True) for t in tasks],
+            harness._theorem_worker: [t + (True,) for t in tasks],
             harness._witness_worker: tasks,
             harness._det_search_worker: tasks,
             harness._path_image_worker: tasks,
@@ -583,10 +585,20 @@ class TestCycleChunks:
                 (5, idx, tree.edges, bits) for idx, tree in trees for bits in (0, 5)
             ],
         }
-        base = {w: [w(t) for t in ts] for w, ts in workers.items()}
+        def run(w, ts):
+            # the transport split depends on the chunk size: chunks of at
+            # most AUDIT_ROWS rows are audited whole
+            subs = [sub for t in ts for sub in w(t)]
+            for sub in subs:
+                if "quotient" in sub:
+                    q = sub.pop("quotient")
+                    sub["orientation_quotient"] = (q.computed, q.derived, q.fallbacks)
+            return subs
+
+        base = {w: run(w, ts) for w, ts in workers.items()}
         monkeypatch.setattr(harness, "CYCLE_CHUNK", 7)  # 24 cycles -> 4 chunks
         for w, ts in workers.items():
-            assert [w(t) for t in ts] == base[w], w.__name__
+            assert run(w, ts) == base[w], w.__name__
 
 
 class TestExactRouteBudget:
@@ -650,36 +662,36 @@ def marked(mats):
     return np.abs(mats).sum(axis=tuple(range(1, mats.ndim))) % 3 == 0
 
 
+def refuse_transport(monkeypatch, refused=marked):
+    """Make path transport fail the refused matrices, so the theorem,
+    witness and determinant claims of those rows come from the direct
+    kernels instead of the closed form."""
+    real = _fast.batched_path_image_ok
+    monkeypatch.setattr(
+        _fast, "batched_path_image_ok", lambda r, i, m: real(r, i, m) & ~refused(m)
+    )
+
+
 def inject_failures(monkeypatch, sweep):
-    """Patch one kernel of `sweep` to fail the marked instances, so failure
-    records, witness determinant signs and non-unit histogram entries occur."""
+    """Fail the marked instances of `sweep`, so failure records, witness
+    determinant signs and non-unit histogram entries occur.  Transport
+    refuses the marked rows, which sends them to the direct kernels, and
+    one kernel of `sweep` fails them there."""
+    refuse_transport(monkeypatch)
     if sweep == "theorem":
         real = _fast.batched_geometric_sum_zero
         monkeypatch.setattr(_fast, "batched_geometric_sum_zero", lambda a: real(a) & ~marked(a))
-    elif sweep == "witness":
+    elif sweep in ("witness", "det"):
         real = _fast.batched_witness
 
         def witness(a, seeds):
-            # keyed on |A| alone: a marked row fails at every start vertex,
-            # so the pattern survives the start-vertex quotient too
+            # keyed on |A| alone: a marked row fails at every start vertex
             gate, det, companion_ok = real(a, seeds)
+            if sweep == "det":
+                return gate, det * np.where(marked(a), 3, 1), companion_ok
             return gate, det, companion_ok & ~marked(a)
 
         monkeypatch.setattr(_fast, "batched_witness", witness)
-    elif sweep == "det":
-        real = _fast.batched_charpoly
-
-        def charpoly(mats):
-            cp = real(mats)
-            cp[:, 0] *= np.where(marked(mats), 3, 1)
-            return cp
-
-        monkeypatch.setattr(_fast, "batched_charpoly", charpoly)
-    else:
-        real = _fast.batched_path_image_ok
-        monkeypatch.setattr(
-            _fast, "batched_path_image_ok", lambda r, i, m: real(r, i, m) & ~marked(m)
-        )
 
 
 def quotiented_sweep(sweep, policy, counts):
@@ -727,13 +739,14 @@ class TestOrientationQuotient:
         assert (brute_counts.derived, brute_counts.fallbacks) == (0, 0)
         assert counts.computed + counts.derived == total
         assert counts.derived > counts.computed > 0 and counts.fallbacks == 0
-        start = (counts.built, counts.carried, counts.start_fallbacks)
-        if sweep in ("theorem", "path_image"):
-            assert start == (0, 0, 0)
-        elif injected and sweep == "witness":  # marked rows fail the certificate
-            assert counts.start_fallbacks > 0
+        transport = (counts.certified, counts.audited, counts.uncertified, counts.disagreements)
+        if sweep == "path_image":  # its claim is transport itself
+            assert transport == (0, 0, 0, 0)
         else:
-            assert counts.carried > counts.built > 0 and counts.start_fallbacks == 0
+            assert counts.certified > counts.audited > 0 and counts.disagreements == 0
+            assert counts.certified + counts.audited + counts.uncertified == counts.computed
+            # marked rows fail the certificate
+            assert (counts.uncertified > 0) == injected
         failures = quotient.nonunit_witnesses if sweep == "det" else quotient.failures
         if not injected:
             assert not failures
@@ -749,11 +762,12 @@ class TestOrientationQuotient:
         from arbormat.harness import _theorem_worker
 
         tree = trees_for(5)[1]
-        subs = _theorem_worker((5, 1, tree.edges, (0, 6, 0, 6, 9), True, True))
+        subs = _theorem_worker((5, 1, tree.edges, (0, 6, 0, 6, 9), True))
         assert [s["key"] for s in subs] == [(5, 1, b) for b in (0, 6, 0, 6, 9)]
+        # 24 cycles: 16 audited, 8 certified, on the representative only
         assert [astuple(s["quotient"]) for s in subs] == [
-            (24, 0, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0),
-            (0, 24, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0),
+            (24, 0, 0, 8, 16, 0, 0), (0, 24, 0, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0, 0),
+            (0, 24, 0, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0, 0),
         ]
         strip = [{k: v for k, v in s.items() if k not in ("key", "quotient")} for s in subs]
         assert all(s == strip[0] for s in strip)
@@ -761,14 +775,13 @@ class TestOrientationQuotient:
     @pytest.mark.parametrize("worker", ["theorem", "witness", "det_search", "path_image"])
     def test_corrupted_row_is_recomputed(self, monkeypatch, worker):
         """A matrix entry flipped in one row of a non-canonical orientation
-        fails the certificate; that row alone is recomputed directly.  The
-        witness claims then build its 4 witnesses Mf(1, j), and the row
-        fails path transport, so its pairs come from the direct route."""
+        fails the certificate; that row alone is recomputed, and as a
+        one-row chunk it is audited whole on the direct route."""
         from arbormat import harness
 
         fn = getattr(harness, f"_{worker}_worker")
         idx, tree = 2, trees_for(5)[2]
-        extra = (True, True) if worker == "theorem" else ()
+        extra = (True,) if worker == "theorem" else ()
         target = _fast.oriented_endpoint_arrays(tree, 5)
         row = 17
         build = _fast.build_oriented_batch
@@ -784,12 +797,12 @@ class TestOrientationQuotient:
         monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
         quotient = fn((5, idx, tree.edges, (0, 5)) + extra)
         brute = [fn((5, idx, tree.edges, (bits,)) + extra)[0] for bits in (0, 5)]
-        # 24 cycles; witness claims: 4 steps j coprime to 5, 4 more starts i
-        start = [(0, 0, 0)] * 2
-        if worker in ("witness", "det_search"):
-            start = [(96, 384, 0), (4, 0, 1)]
+        # 24 cycles: 16 audited and 8 certified, then the recomputed row
+        transport = [(0, 0, 0, 0)] * 2
+        if worker != "path_image":
+            transport = [(8, 16, 0, 0), (0, 1, 0, 0)]
         assert [astuple(s["quotient"]) for s in quotient] == [
-            (24, 0, 0) + start[0], (1, 23, 1) + start[1]
+            (24, 0, 0) + transport[0], (1, 23, 1) + transport[1]
         ]
         for got, want in zip(quotient, brute):
             del got["quotient"], want["quotient"]
@@ -874,13 +887,15 @@ class TestStartVertexQuotient:
                 assert (det["det"] == det_direct["det"]).all()
                 assert (det["det"] == witness["det"]).all()
                 assert witness["ok"].all()
-                # each of the two claims functions builds and carries once
-                assert astuple(counts)[3:] == (
-                    2 * rows * steps, 2 * rows * steps * (v - 1), 0
-                )
+                # each of the two claims functions audits and certifies once
+                audited = min(rows, AUDIT_ROWS)
+                assert astuple(counts)[3:] == (2 * (rows - audited), 2 * audited, 0, 0)
 
     def test_signed_dets_match_exact_route(self):
         from arbormat.theorems import iter_witness_determinants
+
+        from arbormat.certificate import closed_form_dets
+        from arbormat.harness import _Oriented
 
         v, n = 5, 4
         pairs = [(i, j) for j in range(1, v) if np.gcd(j, v) == 1 for i in range(1, v + 1)]
@@ -888,11 +903,15 @@ class TestStartVertexQuotient:
         for tree in trees_for(v):
             for bits in (0, 6, 13):
                 (witness, _), _, _ = start_vertex_route(v, tree, bits)
+                oriented = _Oriented.of(tree, bits)
+                closed, certified = closed_form_dets(oriented, images, oriented.build(images))
+                assert certified.all()
                 o = Orientation.from_int(bits, n)
                 for row, img in enumerate(images):
                     f = VertexMap(tree, [int(x) for x in img[1:]])
                     exact = {(i, j): d for i, j, d in iter_witness_determinants(f, o)}
                     assert [exact[p] for p in pairs] == witness["det"][row].tolist()
+                    assert [exact[p] for p in pairs] == closed[row].tolist()
 
     def test_corrupted_row_is_recomputed(self, monkeypatch):
         from arbormat import harness
@@ -915,11 +934,14 @@ class TestStartVertexQuotient:
         (witness, det), (witness_direct, det_direct), counts = start_vertex_route(
             v, tree, 9, corrupt
         )
-        # the direct reference call is the second one
+        # the direct reference call is the second one; the first holds the
+        # audit rows and the flipped row, which alone fails transport
         assert len(recomputed) == 2
-        assert (recomputed[0] == _fast.cycle_images(v)[[row]]).all()
-        assert counts.start_fallbacks == 2  # one row, once per claims function
-        assert counts.carried == 2 * (120 - 1) * 2 * 5
+        audit = audit_rows(120).tolist()
+        assert row not in audit
+        assert (recomputed[0] == _fast.cycle_images(v)[sorted(audit + [row])]).all()
+        assert counts.uncertified == 2  # one row, once per claims function
+        assert counts.certified == 2 * (120 - 16 - 1)
         assert (witness["ok"] == witness_direct["ok"]).all()
         assert (witness["det"] == witness_direct["det"]).all()
         assert (det["det"] == det_direct["det"]).all()
@@ -927,9 +949,10 @@ class TestStartVertexQuotient:
 
     def test_certificate_failing_everywhere_gives_direct_documents(self, monkeypatch):
         """With transport refused on every row, every pair comes from the
-        direct route; the documents must not change.  Witness determinants
-        are doubled on a pattern of |A|, so carried failure records with
-        both determinant signs are compared too."""
+        direct route; the documents must not change.  Transport refuses a
+        pattern of |A| first, and the direct witness determinants of those
+        rows are doubled, so failure records with both determinant signs
+        are compared too."""
         from arbormat import harness
         from arbormat.harness import QuotientCounts
 
@@ -940,6 +963,7 @@ class TestStartVertexQuotient:
             return gate, det * np.where(marked(a), 2, 1), companion_ok
 
         monkeypatch.setattr(_fast, "batched_witness", even)
+        refuse_transport(monkeypatch)
         monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
         policy = OrientationPolicy.parse("sample:4")
         ns = [2, 3, 4, 5]
@@ -952,7 +976,8 @@ class TestStartVertexQuotient:
 
         counts = QuotientCounts()
         quotient = documents(counts)
-        assert counts.carried > counts.built > 0 and counts.start_fallbacks == 0
+        assert counts.certified > counts.audited > 0 and counts.disagreements == 0
+        assert counts.uncertified > 0
         dets = {f["det"] for f in quotient[0].failures}
         assert {2, -2} <= dets and dets <= {2, -2}
         assert set(quotient[1].histogram) == {1, 2}
@@ -962,5 +987,156 @@ class TestStartVertexQuotient:
         forced = QuotientCounts()
         direct = documents(forced)
         assert direct == quotient
-        assert forced.carried == 0 and forced.start_fallbacks == forced.computed
-        assert forced.built == counts.built
+        assert forced.certified == 0
+        assert forced.uncertified + forced.audited == forced.computed
+        assert forced.audited == counts.audited
+
+
+def closed_form_routes():
+    """(derived, direct) claims functions of the theorem, witness and
+    determinant claims."""
+    from arbormat import harness
+
+    return [
+        (
+            partial(harness._theorem_claims_derived, with_path_image=True),
+            partial(harness._theorem_claims_direct, with_path_image=True),
+        ),
+        (harness._witness_claims_derived, harness._witness_claims_direct),
+        (harness._det_claims_derived, harness._det_claims_direct),
+    ]
+
+
+class TestClosedForm:
+    """Claims decided from the transport certificate and the closed form
+    det Mf(f^k(1), j) = (-1)^(n k) det T(n, j) sgn(sigma_f) det R_{2..v}."""
+
+    def test_step_det_is_one(self):
+        from arbormat.certificate import step_det
+
+        for n in range(1, 31):
+            for j in range(1, n + 1):
+                if np.gcd(j, n + 1) == 1:
+                    assert step_det(n, j) == 1, (n, j)
+
+    def test_root_det_is_unit(self):
+        from oracles import bareiss_det
+
+        from arbormat.certificate import root_det
+
+        for v in range(3, 10):
+            n = v - 1
+            for tree in trees_for(v):
+                for bits in {0, (1 << n) - 1, 0x55 & ((1 << n) - 1)}:
+                    o = Orientation.from_int(bits, n)
+                    rows = [tree.signed_path_vector(o, 1, x) for x in range(2, v + 1)]
+                    det = root_det(tree.edges, bits)
+                    assert abs(det) == 1 and det == bareiss_det(rows), (tree, bits)
+
+    @pytest.mark.parametrize("name", ["root_det", "step_det"])
+    def test_non_unit_exact_det_certifies_nothing(self, monkeypatch, name):
+        from arbormat import certificate
+        from arbormat.harness import QuotientCounts
+
+        policy = OrientationPolicy("canonical")
+        want = run_det_search([5], policy)
+        monkeypatch.setattr(certificate, name, lambda *key: 3)
+        counts = QuotientCounts()
+        assert run_det_search([5], policy, counts=counts) == want
+        # n = 5: 6 trees, one 120-row chunk each
+        assert astuple(counts)[3:] == (0, 6 * AUDIT_ROWS, 6 * (120 - AUDIT_ROWS), 0)
+
+    @pytest.mark.parametrize("v", range(3, 8))
+    def test_derived_equals_direct_every_tree(self, v):
+        from arbormat.harness import _Oriented
+
+        images = _fast.cycle_images(v)
+        for tree in trees_for(v):
+            for bits in (0, (1 << (v - 1)) - 2):
+                o = _Oriented.of(tree, bits)
+                a = o.build(images)
+                for derived, direct in closed_form_routes():
+                    claims, certified = derived(o, images, a)
+                    want = direct(o, images, a)
+                    assert certified.all()
+                    assert claims.keys() == want.keys()
+                    for name, x in want.items():
+                        assert (claims[name] == x).all(), (tree, bits, name)
+
+    def test_flipped_entry_sends_that_row_to_the_direct_route(self, monkeypatch):
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts, _Oriented
+
+        v, row = 7, 300
+        o = _Oriented.of(trees_for(v)[4], 5)
+        images = _fast.cycle_images(v)
+        a = o.build(images)
+        a[row, 1, int(np.nonzero(a[row, 1])[0][0])] *= -1
+        audit = audit_rows(images.shape[0]).tolist()
+        assert row not in audit and len(audit) == AUDIT_ROWS
+        for (derived, direct), claims in zip(
+            closed_form_routes(),
+            [
+                partial(harness._theorem_claims, with_path_image=True),
+                harness._witness_claims,
+                harness._det_claims,
+            ],
+        ):
+            _, certified = derived(o, images, a)
+            assert np.nonzero(~certified)[0].tolist() == [row]
+            name = direct.func.__name__ if isinstance(direct, partial) else direct.__name__
+            sent = []
+
+            def spy(o, images, a, real=getattr(harness, name), **kw):
+                sent.append(images)
+                return real(o, images, a, **kw)
+
+            monkeypatch.setattr(harness, name, spy)
+            counts = QuotientCounts()
+            got = claims(o, images, a, counts)
+            (rows,) = sent
+            assert (rows == images[sorted(audit + [row])]).all()
+            assert astuple(counts)[3:] == (720 - AUDIT_ROWS - 1, AUDIT_ROWS, 1, 0)
+            assert got.pop(AUDIT_AGREEMENT).all()
+            want = direct(o, images, a)
+            assert got.keys() == want.keys()
+            for key, x in want.items():
+                assert (got[key] == x).all()
+
+    def test_audit_disagreement_is_counted_and_fails(self, monkeypatch, capsys, tmp_path):
+        from arbormat import cli
+        from arbormat.harness import QuotientCounts
+
+        audited = 6 * AUDIT_ROWS  # n = 5: 6 trees, one 120-row chunk each
+        policy = OrientationPolicy("canonical")
+        monkeypatch.setattr(
+            _fast, "batched_geometric_sum_zero", lambda a: np.zeros(a.shape[0], dtype=bool)
+        )
+        counts = QuotientCounts()
+        res = run_theorem_sweep([5], policy, counts=counts)
+        assert (counts.audited, counts.disagreements) == (audited, audited)
+        assert not res.all_pass and res.per_n[5]["failures"] == audited
+        assert res.claim_failures == {AUDIT_AGREEMENT: audited, "geometric_sum_zero": audited}
+        assert res.failures[0]["claims"] == [AUDIT_AGREEMENT, "geometric_sum_zero"]
+
+        real = _fast.batched_witness
+
+        def negated(a, seeds):
+            gate, det, companion_ok = real(a, seeds)
+            return gate, -det, companion_ok
+
+        monkeypatch.setattr(_fast, "batched_witness", negated)
+        counts = QuotientCounts()
+        res = run_witness_sweep([5], policy, counts=counts)
+        assert counts.disagreements == audited and not res.all_pass
+        # the record carries the direct (here negated) determinant
+        from arbormat.theorems import iter_witness_determinants
+
+        first = res.failures[0]
+        tree = Tree([tuple(map(int, e.split("-"))) for e in first["tree"].split(",")])
+        f = VertexMap(tree, [int(x) for x in first["map"].split(",")])
+        exact = {(i, j): d for i, j, d in iter_witness_determinants(f, Orientation.canonical(5))}
+        assert first["det"] == -exact[first["i"], first["j"]]
+        code = cli.main(["search-detmf", "--n", "5", "--out", str(tmp_path / "d.json")])
+        assert code == 1
+        assert f"{audited} audit disagreements" in capsys.readouterr().err
