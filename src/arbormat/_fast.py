@@ -37,7 +37,6 @@ precision; the test suite asserts agreement between both routes.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -284,6 +283,20 @@ def batched_witness(mats: np.ndarray, seeds: np.ndarray):
     return gate, det, companion_ok
 
 
+def _lex_permutations(m: int) -> np.ndarray:
+    """Every permutation of 0..m-1, one per row, in lexicographic order
+    (that of itertools.permutations), built level by level in numpy."""
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, m + 1):
+        # first entry f, then the permutations of 0..k-2 relabelled onto
+        # 0..k-1 without f, which keeps their order
+        perms = np.concatenate([
+            np.hstack([np.full((perms.shape[0], 1), f), perms + (perms >= f)])
+            for f in range(k)
+        ])
+    return perms
+
+
 @lru_cache(maxsize=8)
 def cycle_images(v: int) -> np.ndarray:
     """All single v-cycles as image arrays: out[b, u] = f(u); column 0 unused."""
@@ -291,9 +304,7 @@ def cycle_images(v: int) -> np.ndarray:
         raise ValueError(
             f"refusing to materialize more than {MAX_CYCLE_VERTICES - 1}! cycle images"
         )
-    perms = np.array(
-        list(itertools.permutations(range(2, v + 1))), dtype=np.int64
-    ).reshape(-1, v - 1)
+    perms = _lex_permutations(v - 1) + 2  # the cycle 1 -> perm[0] -> ...
     b = perms.shape[0]
     seq = np.concatenate([np.ones((b, 1), dtype=np.int64), perms], axis=1)
     nxt = np.roll(seq, -1, axis=1)

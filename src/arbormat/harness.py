@@ -19,6 +19,7 @@ is counter-based, keyed by (seed, tree code), hence schedule-independent.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import multiprocessing
@@ -77,6 +78,7 @@ MAX_FAILURE_RECORDS = 20
 CYCLE_CHUNK = 10_080
 RANDOM_CHUNK = 128  # random instances held at once by the path-transport sweep
 PATH_IMAGE_AUDIT = 16  # random instances also checked on the exact route
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
 
 def _image_chunks(images: np.ndarray):
@@ -168,13 +170,42 @@ def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            outputs = pool.map(worker, tasks, chunksize=1)
+            outputs = pool.map(partial(_pool_task, worker), tasks, chunksize=1)
     results = [res for subs in outputs for res in subs]
     if counts is not None:
         for res in results:
             counts.add(res["quotient"])
     results.sort(key=lambda r: r["key"])
     return results
+
+
+def _pool_task(worker, task) -> list[dict]:
+    _keep_heap()
+    return worker(task)
+
+
+@lru_cache(maxsize=None)
+def _keep_heap() -> None:
+    """Keep freed memory in this pool worker's heap.
+
+    Every chunk of a sweep allocates the same megabyte-sized numpy
+    temporaries.  glibc's adaptive thresholds serve the largest of them by
+    mmap and trim the heap top after the rest, so each chunk faults its
+    pages in anew: about 23k extra minor faults and a quarter of the
+    workers' CPU in a `verify --n 7 --orientations canonical` run, and
+    run-to-run time that follows the kernel's page-fault cost.  Fixed
+    thresholds let the heap serve them: mmap from 32 MiB, the ceiling of
+    glibc's own adaptive rule on 64-bit, and trim from 64 MiB.  A worker
+    exits with its sweep, so the memory it keeps is returned then; without
+    glibc this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 @dataclass

@@ -14,8 +14,6 @@ import heapq
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from .errors import (
     BadDimension,
     CapExceeded,
@@ -274,9 +272,57 @@ def enumerate_trees(v: int, cap: int = DEFAULT_VERTEX_CAP) -> Iterator[Tree]:
         raise BadDimension("tree enumeration starts at 3 vertices")
     if v > cap:
         raise CapExceeded(f"vertex count {v} exceeds cap {cap}")
-    for g in nx.nonisomorphic_trees(v):
-        edges = sorted((min(a, b) + 1, max(a, b) + 1) for a, b in g.edges())
-        yield Tree(edges)
+    for layout in _free_tree_layouts(v):
+        parents = []  # vertices of the current root path
+        edges = []
+        for x, level in enumerate(layout, start=1):
+            del parents[level:]
+            if parents:
+                edges.append((parents[-1], x))
+            parents.append(x)
+        yield Tree(sorted(edges))
+
+
+def _free_tree_layouts(v: int) -> Iterator[list[int]]:
+    """Level sequences (depth of each vertex in preorder) of one rooted
+    representative per free tree on v >= 3 vertices, in the order of the
+    algorithm of Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15,
+    1986), which is also networkx's ``nonisomorphic_trees`` order."""
+    layout = list(range(v // 2 + 1)) + list(range(1, (v + 1) // 2))  # path
+    while layout is not None:
+        left, rest = _split_layout(layout)
+        # a free tree's representative is rooted at its centre: the subtree
+        # hanging off the root's first child is no higher than the rest,
+        # and no larger or later when equally high
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            p = len(left)
+            skip = _next_rooted_layout(layout, p)
+            if layout[p] > 2:
+                height = max(_split_layout(skip)[0])
+                skip[-height - 1 :] = range(1, height + 2)
+            layout = skip
+        yield layout
+        layout = _next_rooted_layout(layout)
+
+
+def _split_layout(layout: list[int]) -> tuple[list[int], list[int]]:
+    """The subtree of the root's first child, relevelled, and the rest."""
+    m = next((i for i in range(2, len(layout)) if layout[i] == 1), len(layout))
+    return [x - 1 for x in layout[1:m]], [0] + layout[m:]
+
+
+def _next_rooted_layout(layout: list[int], p: int | None = None):
+    """The Beyer-Hedetniemi successor of a rooted level sequence, from its
+    last vertex not at depth 1 or from position p; None after the star."""
+    if p is None:
+        p = max(i for i, level in enumerate(layout) if level != 1)
+    if p == 0:
+        return None
+    q = max(i for i in range(p) if layout[i] == layout[p] - 1)
+    out = list(layout)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
 
 
 def canonical_form(tree: Tree) -> str:

@@ -79,6 +79,16 @@ class TestEnumeration:
             codes = [canonical_form(t) for t in enumerate_trees(v)]
             assert len(codes) == len(set(codes))
 
+    def test_same_trees_in_same_order_as_networkx(self):
+        # tree indices and edge lists appear in the sweep documents
+        nx = pytest.importorskip("networkx")
+        for v in range(3, 13):
+            want = [
+                sorted((min(a, b) + 1, max(a, b) + 1) for a, b in g.edges())
+                for g in nx.nonisomorphic_trees(v)
+            ]
+            assert [list(t.edges) for t in enumerate_trees(v, cap=12)] == want
+
 
 class TestTreeValidation:
     def test_bad_labels(self):
