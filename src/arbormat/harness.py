@@ -1,8 +1,12 @@
 """Deterministic sweep driver over instance spaces.
 
 An instance is (tree, orientation, single-cycle vertex map).  A task is one
-tree with its tuple of orientations, covering all cycles at once via the
-batched kernels in :mod:`arbormat._fast`.  The theorem, witness,
+tree with a tuple of orientations, covering all cycles at once via the
+batched kernels in :mod:`arbormat._fast`.  A sweep is a claims function,
+which decides per-row claims of one cycle chunk under one orientation, plus
+a tally, which folds them into that orientation's sub-result (see
+:class:`_Sweep`); one worker runs the tasks of every sweep and one reducer
+folds the sub-results into the sweep's result.  The theorem, witness,
 determinant and exhaustive path-transport claims are invariant under the
 similarity A_o = D.A_0.D that reversing edges induces, so they are computed
 once per tree and carried to every other orientation by a certificate (see
@@ -10,15 +14,16 @@ once per tree and carried to every other orientation by a certificate (see
 orientation each.  Within a computed row, the theorem, witness and
 determinant claims follow from the closed form of det Mf once the row
 passes path transport; the direct kernels decide the rows that fail it and
-a fixed audit set of every chunk (see :mod:`arbormat.certificate`).  Every
-task returns one sub-result per orientation; tasks are distributed over a
-process pool and sub-results are reduced in sorted (v, tree, orientation)
-order, so output is identical for any worker count.  Orientation sampling
-is counter-based, keyed by (seed, tree code), hence schedule-independent.
+a fixed audit set of every chunk (see :mod:`arbormat.certificate`).  Tasks
+are distributed over a process pool and sub-results are reduced in sorted
+(v, tree, orientation) order, so output is identical for any worker count.
+Orientation sampling is counter-based, keyed by (seed, tree code), hence
+schedule-independent.
 """
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import hashlib
 import itertools
@@ -26,7 +31,7 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,15 +84,6 @@ CYCLE_CHUNK = 10_080
 RANDOM_CHUNK = 128  # random instances held at once by the path-transport sweep
 PATH_IMAGE_AUDIT = 16  # random instances also checked on the exact route
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-
-
-def _image_chunks(images: np.ndarray):
-    b = images.shape[0]
-    if b <= CYCLE_CHUNK:
-        yield images
-        return
-    for start in range(0, b, CYCLE_CHUNK):
-        yield images[start : start + CYCLE_CHUNK]
 
 
 @dataclass(frozen=True)
@@ -147,8 +143,10 @@ def _path_table_cached(edges: tuple):
     return _fast.path_table(Tree(edges))
 
 
-def _check_cap(ns, cap):
-    """Reject every n a sweep cannot finish, before any tree is enumerated."""
+def _check_cap(ns, cap) -> list[int]:
+    """The distinct ns in ascending order; rejects every n a sweep cannot
+    finish, before any tree is enumerated."""
+    ns = sorted(set(ns))
     for n in ns:
         if n > cap:
             raise CapExceeded(f"n = {n} exceeds cap {cap} (set ARBOR_CAP_N to raise)")
@@ -159,18 +157,20 @@ def _check_cap(ns, cap):
             )
         if n < 2:
             raise CapExceeded(f"n = {n} below the minimum of 2")
+    return ns
 
 
 def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
     """Run every task, flatten the sub-results each returns and sort them by
     key; a QuotientCounts given as ``counts`` sums their quotient counters."""
+    _keep_heap()
     workers = min(workers, len(tasks))
     if workers <= 1:
         outputs = [worker(t) for t in tasks]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            outputs = pool.map(partial(_pool_task, worker), tasks, chunksize=1)
+            outputs = pool.map(worker, tasks, chunksize=1)
     results = [res for subs in outputs for res in subs]
     if counts is not None:
         for res in results:
@@ -179,14 +179,9 @@ def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
     return results
 
 
-def _pool_task(worker, task) -> list[dict]:
-    _keep_heap()
-    return worker(task)
-
-
 @lru_cache(maxsize=None)
 def _keep_heap() -> None:
-    """Keep freed memory in this pool worker's heap.
+    """Keep freed memory in this process's heap.
 
     Every chunk of a sweep allocates the same megabyte-sized numpy
     temporaries.  glibc's adaptive thresholds serve the largest of them by
@@ -195,9 +190,11 @@ def _keep_heap() -> None:
     workers' CPU in a `verify --n 7 --orientations canonical` run, and
     run-to-run time that follows the kernel's page-fault cost.  Fixed
     thresholds let the heap serve them: mmap from 32 MiB, the ceiling of
-    glibc's own adaptive rule on 64-bit, and trim from 64 MiB.  A worker
-    exits with its sweep, so the memory it keeps is returned then; without
-    glibc this does nothing."""
+    glibc's own adaptive rule on 64-bit, and trim from 64 MiB.  They are set
+    before the pool forks, so every worker inherits them, and a worker
+    returns what it keeps when it exits with its sweep; a serial sweep
+    leaves the thresholds set in the calling process.  Without glibc this
+    does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -296,7 +293,9 @@ class _OrientationQuotient:
         """Per cycle chunk: the images and, per distinct orientation, the
         claims' per-row arrays."""
         rep, *others = self.oriented.values()
-        for images in _image_chunks(_fast.cycle_images(self.v)):
+        cycles = _fast.cycle_images(self.v)
+        for start in range(0, cycles.shape[0], CYCLE_CHUNK):
+            images = cycles[start : start + CYCLE_CHUNK]
             batch = images.shape[0]
             self.rows += batch
             a_rep = rep.build(images)
@@ -321,7 +320,11 @@ class _OrientationQuotient:
             yield images, flags
 
     def descriptor(self, bits: int, image_row) -> dict:
-        return _instance_descriptor(self.edges_str, bits, self.v - 1, image_row)
+        return {
+            "tree": self.edges_str,
+            "orientation": Orientation.from_int(bits, self.v - 1).bitstring(),
+            "map": ",".join(str(int(x)) for x in image_row[1:]),
+        }
 
     def results(self, tree_idx: int, per_bits: dict) -> list[dict]:
         """One sub-result per entry of the orientations tuple, duplicates
@@ -347,23 +350,95 @@ def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only
                 continue
             orientations = tuple(orientations_for(policy, n, seed, canonical_form(tree)))
             if per_n is not None:
-                per_n[n]["trees"] += 1
-                per_n[n]["orientations"] += len(orientations)
+                _merge(per_n, {n: {"trees": 1, "orientations": len(orientations)}})
             tasks.append((v, tree_idx, tree.edges, orientations))
     return tasks
 
 
-def _instance_descriptor(edges_str: str, bits: int, n: int, image_row) -> dict:
-    return {
-        "tree": edges_str,
-        "orientation": _bits_string(bits, n),
-        "map": ",".join(str(int(x)) for x in image_row[1:]),
-    }
+# --------------------------------------------------------------------------
+# the sweep engine: one worker, one reducer
 
 
-def _bits_string(bits: int, n: int) -> str:
-    # bit k of the mask is edge k, printed left to right
-    return "".join("1" if (bits >> k) & 1 else "0" for k in range(n))
+class _Sweep(NamedTuple):
+    """What a sweep decides and what it keeps.
+
+    ``claims(o, images, a, counts)`` returns per-row arrays for one cycle
+    chunk under one orientation; values under a ``signed`` key change sign
+    with det D from one orientation to another.  ``empty`` is the sub-result
+    of one orientation before its first chunk, its containers empty, and
+    ``tally(res, quotient, bits, images, claims)`` folds one chunk's arrays
+    into it.  Sub-result entries are named after the result's fields."""
+
+    claims: Callable
+    signed: tuple
+    empty: dict
+    tally: Callable
+
+
+def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
+    """The sub-results of one (v, tree index, edges, orientations) task."""
+    v, tree_idx, edges, orientations = task
+    quotient = _OrientationQuotient(v, edges, orientations)
+    out = {bits: {k: copy.copy(x) for k, x in sweep.empty.items()} for bits in quotient.oriented}
+    for images, flags in quotient.chunks(sweep.claims, sweep.signed):
+        for bits, claims in flags.items():
+            sweep.tally(out[bits], quotient, bits, images, claims)
+    return quotient.results(tree_idx, out)
+
+
+def _sweep(sweep: _Sweep, out, tasks, workers: int, counts=None):
+    """Run a sweep's tasks and fold their sub-results, in key order, into
+    the result ``out``: counts add up, dicts of counts merge key by key,
+    failure lists concatenate up to MAX_FAILURE_RECORDS, and the first
+    example found is kept."""
+    for res in _run_tasks(partial(_sweep_worker, sweep), tasks, workers, counts):
+        for name, value in res.items():
+            if name.startswith("example_"):
+                if getattr(out, name) is None:
+                    setattr(out, name, value)
+            elif value and name not in ("key", "quotient"):
+                setattr(out, name, _merge(getattr(out, name), value))
+    return out
+
+
+def _merge(into, value):
+    """``into`` with ``value`` added: numbers sum, dicts merge key by key
+    (copying what ``into`` lacks), and lists concatenate up to
+    MAX_FAILURE_RECORDS."""
+    if isinstance(value, dict):
+        for k, x in value.items():
+            into[k] = _merge(into.get(k, type(x)()), x)
+        return into
+    if isinstance(value, list):
+        return (into + value)[:MAX_FAILURE_RECORDS]
+    return into + value
+
+
+def _capped(failures: list, records) -> None:
+    """Append the failure records of a lazy iterable until
+    MAX_FAILURE_RECORDS are held."""
+    failures.extend(itertools.islice(records, max(0, MAX_FAILURE_RECORDS - len(failures))))
+
+
+def _row_tally(count: str, extras: tuple, res, quotient, bits, images, claims) -> None:
+    """Count the chunk's rows under ``count`` and record every row failing
+    the claim "ok", with its verdicts of the ``extras`` claims."""
+    res[count] += images.shape[0]
+    _capped(res["failures"], (
+        {**quotient.descriptor(bits, images[idx]), **{k: bool(claims[k][idx]) for k in extras}}
+        for idx in np.nonzero(~claims["ok"])[0]
+    ))
+
+
+def _pair_records(quotient, bits, images, bad, **values):
+    """Records of the (row, witness pair) entries flagged in ``bad``,
+    pair-major as the pairs are checked, each with its entry of every
+    ``values`` array."""
+    pairs = witness_pairs(quotient.v)
+    for p, idx in zip(*np.nonzero(bad.T)):
+        i, j = pairs[p]
+        desc = quotient.descriptor(bits, images[idx])
+        yield {**desc, "i": i, "j": j, **{k: int(x[idx, p]) for k, x in values.items()}}
 
 
 # --------------------------------------------------------------------------
@@ -375,96 +450,77 @@ THEOREM_CLAIMS = (
     "geometric_sum_zero",
     "unoriented_charpoly_odd",
     "z2_companion_similar",
+    "path_image_identity",
     "basis_witness",
 )
 
 
-def _theorem_claims_direct(o: _Oriented, images, a, with_path_image) -> dict:
+def _theorem_claims_direct(o: _Oriented, images, a) -> dict:
     """Per-row verdicts of every theorem-sweep claim from the kernels; the
     witness is the single pair (1, 1)."""
-    n = a.shape[1]
+    rows, n = a.shape[:2]
     sign = 1 if n % 2 == 0 else -1
     b = np.abs(a)
-    cp_a = _fast.batched_charpoly(a)
-    cp_b = _fast.batched_charpoly(b)
+    # one call for both: on a chunk's audit rows its cost is mostly per call
+    cp_a, cp_b = np.split(_fast.batched_charpoly(np.concatenate([a, b])), [rows])
     ok = {
         "oriented_charpoly_geometric": np.all(cp_a == 1, axis=1),
         "oriented_determinant": (sign * cp_a[:, 0]) == sign,
         "geometric_sum_zero": _fast.batched_geometric_sum_zero(a),
         "unoriented_charpoly_odd": np.all(cp_b % 2 == 1, axis=1),
+        "path_image_identity": _fast.batched_path_image_ok(o.table[1], images, a),
     }
     ok["z2_companion_similar"] = (
         ok["unoriented_charpoly_odd"] & _fast.batched_gf2_nonderogatory(b)
     )
-    if with_path_image:
-        ok["path_image_identity"] = _fast.batched_path_image_ok(o.table[1], images, a)
-    seeds = o.table[1, images[:, 1], :].astype(np.int64)
-    gate, det, companion_ok = _fast.batched_witness(a, seeds)
-    witness_ok = gate & (det % 2 == 1) & companion_ok
-    for idx in np.nonzero(~gate)[0]:
-        witness_ok[idx] = _exact_witness_ok(o.tree, o.bits, images[idx], 1, 1)
-    ok["basis_witness"] = witness_ok
+    ok["basis_witness"] = _witness_verdicts(o, images, a, [(1, 1)])["ok"][:, 0]
     return ok
 
 
-def _theorem_claims_derived(o: _Oriented, images, a, with_path_image):
+def _theorem_claims_derived(o: _Oriented, images, a):
     """Every theorem claim holds on a row where Mf = Mf(1, 1) is certified:
     A = Mf^-1.C.Mf over Z gives the charpoly, the determinant and the
     geometric sum of C, and B = |A| == A mod 2 is similar to C over GF(2),
     so its charpoly is odd.  Path transport is the certificate itself."""
-    names = THEOREM_CLAIMS + (("path_image_identity",) if with_path_image else ())
-    rows = images.shape[0]
-    claims = {name: np.ones(rows, dtype=bool) for name in names}
+    claims = {name: np.ones(images.shape[0], dtype=bool) for name in THEOREM_CLAIMS}
     return claims, certified_rows(o, images, a, (1,))
 
 
-def _theorem_claims(o: _Oriented, images, a, counts, with_path_image) -> dict:
-    return decide(
-        partial(_theorem_claims_derived, with_path_image=with_path_image),
-        partial(_theorem_claims_direct, with_path_image=with_path_image),
-        o, images, a, counts,
-    )
+def _theorem_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
+    return decide(_theorem_claims_derived, _theorem_claims_direct, o, images, a, counts)
 
 
-def _theorem_worker(args) -> list[dict]:
-    v, tree_idx, edges, orientations, with_path_image = args
-    quotient = _OrientationQuotient(v, edges, orientations)
-    claims = partial(_theorem_claims, with_path_image=with_path_image)
-    out = {
-        bits: {"n": v - 1, "instances": 0, "failed_instances": 0,
-               "claim_failures": {}, "failures": []}
-        for bits in quotient.oriented
-    }
-    for images, flags in quotient.chunks(claims):
-        for bits, ok in flags.items():
-            res = out[bits]
-            res["instances"] += int(images.shape[0])
-            combined = np.ones(images.shape[0], dtype=bool)
-            for name, verdicts in ok.items():
-                combined &= verdicts
-                bad = int((~verdicts).sum())
-                if bad:
-                    res["claim_failures"][name] = res["claim_failures"].get(name, 0) + bad
-            res["failed_instances"] += int((~combined).sum())
-            for idx in np.nonzero(~combined)[0]:
-                if len(res["failures"]) >= MAX_FAILURE_RECORDS:
-                    break
-                desc = quotient.descriptor(bits, images[idx])
-                desc["claims"] = sorted(
-                    name for name, verdicts in ok.items() if not verdicts[idx]
-                )
-                res["failures"].append(desc)
-    return quotient.results(tree_idx, out)
+def _theorem_tally(res, quotient, bits, images, claims) -> None:
+    failed = ~np.logical_and.reduce(list(claims.values()))
+    stats = res["per_n"].setdefault(quotient.v - 1, {"instances": 0, "failures": 0})
+    stats["instances"] += images.shape[0]
+    if not failed.any():
+        return
+    stats["failures"] += int(failed.sum())
+    _merge(res["claim_failures"], {
+        name: int((~ok).sum()) for name, ok in claims.items() if not ok.all()
+    })
+    _capped(res["failures"], (
+        {**quotient.descriptor(bits, images[idx]),
+         "claims": sorted(name for name, ok in claims.items() if not ok[idx])}
+        for idx in np.nonzero(failed)[0]
+    ))
 
 
-def _exact_witness_ok(tree: Tree, bits: int, image_row, i: int, j: int) -> bool:
+_THEOREM = _Sweep(
+    _theorem_claims, (), {"per_n": {}, "claim_failures": {}, "failures": []}, _theorem_tally
+)
+
+
+def _exact_witness(tree: Tree, bits: int, image_row, i: int, j: int) -> tuple[bool, int]:
+    """Whether the basis claims of the pair (i, j) hold, and det Mf(i, j),
+    on the exact route."""
     f = VertexMap(tree, [int(x) for x in image_row[1:]])
     orientation = Orientation.from_int(bits, tree.edge_count)
     try:
-        basis_witness(f, orientation, i, j)
-        return True
+        return True, basis_witness(f, orientation, i, j).determinant
     except WitnessFailed:
-        return False
+        return False, _witness_rows(f, orientation, i, j)[1].determinant()
 
 
 @dataclass
@@ -485,48 +541,30 @@ def run_theorem_sweep(
     seed: int = 0,
     workers: int = 1,
     cap: int = DEFAULT_N_CAP,
-    path_image_max_n: int = 5,
     counts: QuotientCounts | None = None,
 ) -> TheoremSweepResult:
     """Run the per-instance matrix claims over whole instance spaces; the
     quotient counters of the run are added to ``counts`` when given."""
-    ns = sorted(set(ns))
-    _check_cap(ns, cap)
-    per_n = {n: {"trees": 0, "orientations": 0, "instances": 0, "failures": 0} for n in ns}
-    tasks = [
-        task + (task[0] - 1 <= path_image_max_n,)
-        for task in _tree_tasks(ns, policy, seed, per_n)
-    ]
-    results = _run_tasks(_theorem_worker, tasks, workers, counts)
-
+    ns = _check_cap(ns, cap)
     out = TheoremSweepResult(ns=ns, policy=policy.describe(), seed=seed)
-    out.per_n = per_n
-    claim_totals: dict[str, int] = {}
-    for res in results:
-        n = res["n"]
-        per_n[n]["instances"] += res["instances"]
-        per_n[n]["failures"] += res["failed_instances"]
-        for name, cnt in res["claim_failures"].items():
-            claim_totals[name] = claim_totals.get(name, 0) + cnt
-        out.failures.extend(res["failures"])
-        out.total_instances += res["instances"]
-        if res["failed_instances"]:
-            out.all_pass = False
-    out.failures = out.failures[:MAX_FAILURE_RECORDS]
-    out.claim_failures = dict(sorted(claim_totals.items()))
+    _sweep(_THEOREM, out, _tree_tasks(ns, policy, seed, out.per_n), workers, counts)
+    out.total_instances = sum(stats["instances"] for stats in out.per_n.values())
+    out.all_pass = not any(stats["failures"] for stats in out.per_n.values())
+    out.claim_failures = dict(sorted(out.claim_failures.items()))
     return out
 
 
 # --------------------------------------------------------------------------
-# basis-witness sweep over all start vertices and coprime steps
+# witness sweep over all start vertices and coprime steps, and the
+# determinant search over the same witness matrices
 
 
-def _direct_witnesses(o: _Oriented, images, a):
-    """The witness pairs, and batched_witness's (gate, det, companion_ok) of
-    every row and pair, each (rows, pairs), building every Mf(i, j).  Rows
-    go in blocks whose stacked witnesses number about CYCLE_CHUNK."""
+def _witness_verdicts(o: _Oriented, images, a, pairs) -> dict:
+    """Per row and (start, step) pair: whether the basis claims hold, and
+    signed det Mf, building every Mf(i, j) with batched_witness.  Rows go in
+    blocks whose stacked witnesses number about CYCLE_CHUNK; a pair whose
+    iterates leave {-1, 0, 1} is decided on the exact route."""
     v = images.shape[1] - 1
-    pairs = witness_pairs(v)
     starts = np.array([i for i, _ in pairs])
     steps = np.array([j for _, j in pairs])
     out = [np.empty((images.shape[0], len(pairs)), dtype=t) for t in (bool, np.int64, bool)]
@@ -539,17 +577,15 @@ def _direct_witnesses(o: _Oriented, images, a):
         mats = np.repeat(a[lo : lo + block], len(pairs), axis=0)
         for dst, x in zip(out, _fast.batched_witness(mats, seeds)):
             dst[lo : lo + part.shape[0]] = x.reshape(part.shape[0], -1)
-    return pairs, out
+    gate, det, companion_ok = out
+    ok = gate & (det % 2 == 1) & companion_ok
+    for idx, p in zip(*np.nonzero(~gate)):
+        ok[idx, p], det[idx, p] = _exact_witness(o.tree, o.bits, images[idx], *pairs[p])
+    return {"ok": ok, "det": det}
 
 
 def _witness_claims_direct(o: _Oriented, images, a) -> dict:
-    """Per row and witness pair: whether the basis claims hold, and det Mf,
-    building every Mf(i, j)."""
-    pairs, (gate, det, companion_ok) = _direct_witnesses(o, images, a)
-    ok = gate & (det % 2 == 1) & companion_ok
-    for idx, p in zip(*np.nonzero(~gate)):
-        ok[idx, p] = _exact_witness_ok(o.tree, o.bits, images[idx], *pairs[p])
-    return {"ok": ok, "det": det}
+    return _witness_verdicts(o, images, a, witness_pairs(images.shape[1] - 1))
 
 
 def _witness_claims_derived(o: _Oriented, images, a):
@@ -563,29 +599,27 @@ def _witness_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
     return decide(_witness_claims_derived, _witness_claims_direct, o, images, a, counts)
 
 
-def _witness_worker(args) -> list[dict]:
-    v, tree_idx, edges, orientations = args
-    quotient = _OrientationQuotient(v, edges, orientations)
-    pairs = witness_pairs(v)
-    out = {
-        bits: {"n": v - 1, "instances": 0, "witnesses": 0, "failures": []}
-        for bits in quotient.oriented
-    }
-    for images, flags in quotient.chunks(_witness_claims, signed=("det",)):
-        for bits, claims in flags.items():
-            res = out[bits]
-            res["instances"] += int(images.shape[0])
-            ok = claims["ok"] & claims[AUDIT_AGREEMENT][:, None]
-            res["witnesses"] += ok.size
-            # pair-major, as the pairs are checked
-            for p, idx in zip(*np.nonzero(~ok.T)):
-                if len(res["failures"]) >= MAX_FAILURE_RECORDS:
-                    break
-                i, j = pairs[p]
-                desc = quotient.descriptor(bits, images[idx])
-                desc.update({"i": i, "j": j, "det": int(claims["det"][idx, p])})
-                res["failures"].append(desc)
-    return quotient.results(tree_idx, out)
+def _witness_tally(res, quotient, bits, images, claims) -> None:
+    ok = claims["ok"] & claims[AUDIT_AGREEMENT][:, None]
+    res["total_witnesses"] += ok.size
+    _capped(res["failures"], _pair_records(quotient, bits, images, ~ok, det=claims["det"]))
+
+
+def _det_tally(res, quotient, bits, images, claims) -> None:
+    dets = np.abs(claims["det"])
+    values, counts = np.unique(dets, return_counts=True)
+    _merge(res["histogram"], dict(zip(values.tolist(), counts.tolist())))
+    _capped(
+        res["nonunit_witnesses"], _pair_records(quotient, bits, images, dets != 1, abs_det=dets)
+    )
+
+
+_WITNESS = _Sweep(
+    _witness_claims, ("det",), {"total_witnesses": 0, "failures": []}, _witness_tally
+)
+_DET_SEARCH = _Sweep(
+    _witness_claims, ("det",), {"histogram": {}, "nonunit_witnesses": []}, _det_tally
+)
 
 
 @dataclass
@@ -606,16 +640,41 @@ def run_witness_sweep(
     cap: int = DEFAULT_N_CAP,
     counts: QuotientCounts | None = None,
 ) -> WitnessSweepResult:
-    ns = sorted(set(ns))
-    _check_cap(ns, cap)
-    tasks = _tree_tasks(ns, policy, seed)
-    results = _run_tasks(_witness_worker, tasks, workers, counts)
+    ns = _check_cap(ns, cap)
     out = WitnessSweepResult(ns=ns, policy=policy.describe(), seed=seed)
-    for res in results:
-        out.total_witnesses += res["witnesses"]
-        out.failures.extend(res["failures"])
-    out.failures = out.failures[:MAX_FAILURE_RECORDS]
+    _sweep(_WITNESS, out, _tree_tasks(ns, policy, seed), workers, counts)
     out.all_pass = not out.failures
+    return out
+
+
+@dataclass
+class DetSearchResult:
+    ns: list[int]
+    policy: str
+    seed: int
+    histogram: dict = field(default_factory=dict)
+    nonunit_witnesses: list = field(default_factory=list)
+    all_odd: bool = True
+    all_unit: bool = True
+
+
+def run_det_search(
+    ns,
+    policy: OrientationPolicy,
+    seed: int = 0,
+    workers: int = 1,
+    cap: int = DEFAULT_N_CAP,
+    paths_only: bool = False,
+    counts: QuotientCounts | None = None,
+) -> DetSearchResult:
+    """Tabulate |det| of every witness matrix over the instance space."""
+    ns = _check_cap(ns, cap)
+    out = DetSearchResult(ns=ns, policy=policy.describe(), seed=seed)
+    tasks = _tree_tasks(ns, policy, seed, paths_only=paths_only)
+    _sweep(_DET_SEARCH, out, tasks, workers, counts)
+    out.histogram = dict(sorted(out.histogram.items()))
+    out.all_odd = all(value % 2 == 1 for value in out.histogram)
+    out.all_unit = set(out.histogram) <= {1}
     return out
 
 
@@ -627,19 +686,10 @@ def _path_image_claims(o: _Oriented, images, a, counts) -> dict:
     return {"ok": _fast.batched_path_image_ok(o.table[1], images, a)}
 
 
-def _path_image_worker(args) -> list[dict]:
-    v, tree_idx, edges, orientations = args
-    quotient = _OrientationQuotient(v, edges, orientations)
-    out = {bits: {"instances": 0, "failures": []} for bits in quotient.oriented}
-    for images, flags in quotient.chunks(_path_image_claims):
-        for bits, claims in flags.items():
-            res = out[bits]
-            res["instances"] += int(images.shape[0])
-            for idx in np.nonzero(~claims["ok"])[0]:
-                if len(res["failures"]) >= MAX_FAILURE_RECORDS:
-                    break
-                res["failures"].append(quotient.descriptor(bits, images[idx]))
-    return quotient.results(tree_idx, out)
+_PATH_IMAGE = _Sweep(
+    _path_image_claims, (), {"exhaustive_instances": 0, "failures": []},
+    partial(_row_tally, "exhaustive_instances", ()),
+)
 
 
 def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
@@ -702,35 +752,21 @@ def run_path_image_sweep(
     cap: int = DEFAULT_N_CAP,
     counts: QuotientCounts | None = None,
 ) -> PathImageResult:
-    ns = sorted(set(ns_exhaustive))
-    _check_cap(ns, cap)
-    tasks = _tree_tasks(ns, OrientationPolicy("all"), seed)
-    results = _run_tasks(_path_image_worker, tasks, workers, counts)
-    out = PathImageResult()
-    for res in results:
-        out.exhaustive_instances += res["instances"]
-        out.failures.extend(res["failures"])
+    tasks = _tree_tasks(_check_cap(ns_exhaustive, cap), OrientationPolicy("all"), seed)
+    out = _sweep(_PATH_IMAGE, PathImageResult(), tasks, workers, counts)
     # the first PATH_IMAGE_AUDIT instances are also decided on the exact
     # route; a disagreement fails the instance
     stream = random_instances(seed, random_count, *random_n)
     for start in range(0, random_count, RANDOM_CHUNK):
         chunk = list(itertools.islice(stream, RANDOM_CHUNK))
-        for idx, (f, orientation), ok in zip(
-            itertools.count(start), chunk, _random_path_image_ok(chunk)
-        ):
-            if idx < PATH_IMAGE_AUDIT and path_image_check(f, orientation) != ok:
-                ok = False
-            out.random_instances += 1
-            if ok:
-                continue
-            out.failures.append(
-                {
-                    "tree": f.tree.edge_list_str(),
-                    "orientation": orientation.bitstring(),
-                    "map": f.image_str(),
-                }
-            )
-    out.failures = out.failures[:MAX_FAILURE_RECORDS]
+        ok = _random_path_image_ok(chunk)
+        for k, (f, orientation) in enumerate(chunk[: max(0, PATH_IMAGE_AUDIT - start)]):
+            ok[k] &= path_image_check(f, orientation) == ok[k]
+        out.random_instances += len(chunk)
+        _capped(out.failures, (
+            {"tree": f.tree.edge_list_str(), "orientation": o.bitstring(), "map": f.image_str()}
+            for (f, o), good in zip(chunk, ok) if not good
+        ))
     out.all_pass = not out.failures
     return out
 
@@ -739,42 +775,25 @@ def run_path_image_sweep(
 # path graphs: Petrie structure of witness matrices and uniform row signs
 
 
-def _path_graph_worker(args) -> list[dict]:
-    v, edges, bits = args
-    n = v - 1
-    tree = Tree(edges)
-    o = _Oriented.of(tree, bits)
-    instances = 0
-    failures = []
-    for images in _image_chunks(_fast.cycle_images(v)):
-        a = o.build(images)
-        b = np.abs(a)
-        uniform = _fast.batched_uniform_sign(a)
-        unimodular = np.abs(_fast.batched_charpoly(b)[:, 0]) == 1
+def _path_graph_claims(o: _Oriented, images, a, counts) -> dict:
+    """Per row: every oriented row single-signed, |det B| = 1, and every
+    witness matrix a Petrie matrix with |det| = 1."""
+    uniform = _fast.batched_uniform_sign(a)
+    petrie = np.ones(images.shape[0], dtype=bool)
+    ok = np.abs(_fast.batched_charpoly(np.abs(a))[:, 0]) == 1
+    for i, j in witness_pairs(images.shape[1] - 1):
+        seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
+        mf, gate = _fast.batched_witness_matrix(a, seeds)
+        petrie &= _fast.batched_petrie(mf)
+        cp_mf = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
+        ok &= gate & (np.abs(cp_mf[:, 0]) == 1)
+    return {"uniform_sign": uniform, "petrie": petrie, "ok": ok & uniform & petrie}
 
-        petrie_all = np.ones(images.shape[0], dtype=bool)
-        witness_unimodular = np.ones(images.shape[0], dtype=bool)
-        gates = np.ones(images.shape[0], dtype=bool)
-        for i, j in witness_pairs(v):
-            seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
-            mf, gate = _fast.batched_witness_matrix(a, seeds)
-            gates &= gate
-            petrie_all &= _fast.batched_petrie(mf)
-            cp_mf = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
-            witness_unimodular &= np.abs(cp_mf[:, 0]) == 1
 
-        ok = uniform & unimodular & petrie_all & witness_unimodular & gates
-        instances += int(images.shape[0])
-        if not ok.all():
-            edges_str = tree.edge_list_str()
-            for idx in np.nonzero(~ok)[0]:
-                if len(failures) >= MAX_FAILURE_RECORDS:
-                    break
-                desc = _instance_descriptor(edges_str, bits, n, images[idx])
-                desc["uniform_sign"] = bool(uniform[idx])
-                desc["petrie"] = bool(petrie_all[idx])
-                failures.append(desc)
-    return [{"key": (v, bits), "instances": instances, "failures": failures}]
+_PATH_GRAPH = _Sweep(
+    _path_graph_claims, (), {"instances": 0, "failures": []},
+    partial(_row_tally, "instances", ("uniform_sign", "petrie")),
+)
 
 
 @dataclass
@@ -791,24 +810,14 @@ def run_path_graph_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> Path
 
     Edges are reindexed along the path first: the Petrie contiguity claim is
     relative to interval-style edge order."""
-    ns = sorted(set(ns))
-    _check_cap(ns, cap)
     tasks = []
-    for n in ns:
-        v = n + 1
-        for tree in trees_for(v):
-            if not tree.is_path():
-                continue
-            tree = path_edge_ordered(tree)
-            orientation = same_direction_orientation(tree)
-            bits = sum(1 << k for k, flag in enumerate(orientation.bits) if flag)
-            tasks.append((v, tree.edges, bits))
-    results = _run_tasks(_path_graph_worker, tasks, workers)
-    out = PathGraphResult()
-    for res in results:
-        out.instances += res["instances"]
-        out.failures.extend(res["failures"])
-    out.failures = out.failures[:MAX_FAILURE_RECORDS]
+    paths = _tree_tasks(_check_cap(ns, cap), OrientationPolicy("canonical"), 0, paths_only=True)
+    for v, tree_idx, edges, _ in paths:
+        tree = path_edge_ordered(Tree(edges))
+        orientation = same_direction_orientation(tree)
+        bits = sum(1 << k for k, flag in enumerate(orientation.bits) if flag)
+        tasks.append((v, tree_idx, tree.edges, (bits,)))
+    out = _sweep(_PATH_GRAPH, PathGraphResult(), tasks, workers)
     out.all_pass = not out.failures
     return out
 
@@ -845,169 +854,61 @@ def _exact_split_sign(tree: Tree, orientation: Orientation, image_row):
     return ("with_additions" if reduction.mixed_rows else "applicable"), None
 
 
-def _split_sign_worker(args) -> list[dict]:
-    """Batched split-sign verdicts of one task.  The exact route audits the
+def _split_sign_claims(o: _Oriented, images, a, counts) -> dict:
+    applicable, mixed, holds = _fast.batched_split_sign(
+        _path_table_cached(o.tree.edges), o.table, images, o.first, o.second, a
+    )
+    return {"applicable": applicable, "mixed": mixed, "holds": holds}
+
+
+def _split_sign_tally(res, quotient, bits, images, claims) -> None:
+    """Count the chunk's batched verdicts.  The exact route audits the
     task's first applicable and first not-applicable instance, supplies the
     not-applicable reason, and names the identity of every failure."""
-    v, tree_idx, edges, bits = args
-    n = v - 1
-    tree = Tree(edges)
-    orientation = Orientation.from_int(bits, n)
-    o = _Oriented.of(tree, bits)
-    paths = _path_table_cached(edges)
-    counts = {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0}
-    failures = []
-    example_add = None
-    example_na = None
-    audited = set()
-    edges_str = tree.edge_list_str()
-    for images in _image_chunks(_fast.cycle_images(v)):
-        a = o.build(images)
-        applicable, mixed, holds = _fast.batched_split_sign(
-            paths, o.table, images, o.first, o.second, a
-        )
-        passed = applicable & holds
-        counts["instances"] += int(images.shape[0])
-        counts["applicable"] += int(passed.sum())
-        counts["with_additions"] += int((passed & mixed).sum())
-        counts["not_applicable"] += int((~applicable).sum())
-        if example_add is None and (passed & mixed).any():
-            idx = int(np.argmax(passed & mixed))
-            example_add = _instance_descriptor(edges_str, bits, n, images[idx])
+    applicable, mixed, holds = claims["applicable"], claims["mixed"], claims["holds"]
+    passed = applicable & holds
+    res["instances"] += images.shape[0]
+    res["with_additions"] += int((passed & mixed).sum())
+    if res["example_with_additions"] is None and (passed & mixed).any():
+        idx = int(np.argmax(passed & mixed))
+        res["example_with_additions"] = quotient.descriptor(bits, images[idx])
 
-        room = max(0, MAX_FAILURE_RECORDS - len(failures))
-        picks = np.nonzero(applicable & ~holds)[0].tolist()[:room]
-        for kind, flags in (("applicable", passed), ("not_applicable", ~applicable)):
-            if kind not in audited and flags.any():
-                audited.add(kind)
-                picks.append(int(np.argmax(flags)))
-        for idx in sorted(picks):
-            if not applicable[idx]:
-                verdict = "not_applicable"
-            elif not holds[idx]:
-                verdict = "fail"
-            else:
-                verdict = "with_additions" if mixed[idx] else "applicable"
-            desc = _instance_descriptor(edges_str, bits, n, images[idx])
-            exact, detail = _exact_split_sign(tree, orientation, images[idx])
-            if exact == "fail":
-                failures.append({**desc, "identity": detail})
-            elif exact != verdict:
-                failures.append({**desc, "identity": SPLIT_SIGN_AGREEMENT})
-            elif exact == "not_applicable":
-                example_na = {**desc, "reason": detail}
-    return [{
-        "key": (v, tree_idx, bits),
-        "counts": counts,
-        "failures": failures[:MAX_FAILURE_RECORDS],
-        "example_with_additions": example_add,
-        "example_not_applicable": example_na,
-    }]
+    room = max(0, MAX_FAILURE_RECORDS - len(res["failures"]))
+    picks = np.nonzero(applicable & ~holds)[0].tolist()[:room]
+    for kind, flags in (("applicable", passed), ("not_applicable", ~applicable)):
+        if res[kind] == 0 and flags.any():  # not audited in an earlier chunk
+            picks.append(int(np.argmax(flags)))
+        res[kind] += int(flags.sum())
+    orientation = Orientation.from_int(bits, quotient.v - 1)
+    for idx in sorted(picks):
+        if not applicable[idx]:
+            verdict = "not_applicable"
+        elif not holds[idx]:
+            verdict = "fail"
+        else:
+            verdict = "with_additions" if mixed[idx] else "applicable"
+        desc = quotient.descriptor(bits, images[idx])
+        exact, detail = _exact_split_sign(quotient.tree, orientation, images[idx])
+        if exact == "fail":
+            res["failures"].append({**desc, "identity": detail})
+        elif exact != verdict:
+            res["failures"].append({**desc, "identity": SPLIT_SIGN_AGREEMENT})
+        elif exact == "not_applicable":
+            res["example_not_applicable"] = {**desc, "reason": detail}
+
+
+_SPLIT_SIGN = _Sweep(
+    _split_sign_claims, (),
+    {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0,
+     "failures": [], "example_with_additions": None, "example_not_applicable": None},
+    _split_sign_tally,
+)
 
 
 def run_split_sign_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> SplitSignResult:
-    ns = sorted(set(ns))
-    _check_cap(ns, cap)
     tasks = []
-    for n in ns:
-        v = n + 1
-        for tree_idx, tree in enumerate(trees_for(v)):
-            for bits in range(1 << n):
-                tasks.append((v, tree_idx, tree.edges, bits))
-    results = _run_tasks(_split_sign_worker, tasks, workers)
-    out = SplitSignResult()
-    for res in results:
-        for name, value in res["counts"].items():
-            setattr(out, name, getattr(out, name) + value)
-        out.failures.extend(res["failures"])
-        if out.example_with_additions is None:
-            out.example_with_additions = res["example_with_additions"]
-        if out.example_not_applicable is None:
-            out.example_not_applicable = res["example_not_applicable"]
-    out.failures = out.failures[:MAX_FAILURE_RECORDS]
+    for v, tree_idx, edges, every in _tree_tasks(_check_cap(ns, cap), OrientationPolicy("all"), 0):
+        tasks += [(v, tree_idx, edges, (bits,)) for bits in every]
+    out = _sweep(_SPLIT_SIGN, SplitSignResult(), tasks, workers)
     out.all_pass = not out.failures
-    return out
-
-
-# --------------------------------------------------------------------------
-# determinant search over witness matrices
-
-
-def _det_claims_direct(o: _Oriented, images, a) -> dict:
-    """Signed det Mf per row and witness pair, building every Mf(i, j)."""
-    n = a.shape[1]
-    pairs, (gate, det, _) = _direct_witnesses(o, images, a)
-    for idx, p in zip(*np.nonzero(~gate)):
-        f = VertexMap(o.tree, [int(x) for x in images[idx][1:]])
-        _, exact_mf = _witness_rows(f, Orientation.from_int(o.bits, n), *pairs[p])
-        det[idx, p] = exact_mf.determinant()
-    return {"det": det}
-
-
-def _det_claims_derived(o: _Oriented, images, a):
-    det, certified = closed_form_dets(o, images, a)
-    return {"det": det}, certified
-
-
-def _det_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
-    return decide(_det_claims_derived, _det_claims_direct, o, images, a, counts)
-
-
-def _det_search_worker(args) -> list[dict]:
-    v, tree_idx, edges, orientations = args
-    quotient = _OrientationQuotient(v, edges, orientations)
-    pairs = witness_pairs(v)
-    out = {bits: {"histogram": {}, "nonunit": []} for bits in quotient.oriented}
-    for images, flags in quotient.chunks(_det_claims, signed=("det",)):
-        for bits, claims in flags.items():
-            res = out[bits]
-            histogram = res["histogram"]
-            dets = np.abs(claims["det"])
-            values, counts = np.unique(dets, return_counts=True)
-            for value, count in zip(values, counts):
-                histogram[int(value)] = histogram.get(int(value), 0) + int(count)
-            for p, idx in zip(*np.nonzero(dets.T != 1)):
-                if len(res["nonunit"]) >= MAX_FAILURE_RECORDS:
-                    break
-                i, j = pairs[p]
-                desc = quotient.descriptor(bits, images[idx])
-                desc.update({"i": i, "j": j, "abs_det": int(dets[idx, p])})
-                res["nonunit"].append(desc)
-    return quotient.results(tree_idx, out)
-
-
-@dataclass
-class DetSearchResult:
-    ns: list[int]
-    policy: str
-    seed: int
-    histogram: dict = field(default_factory=dict)
-    nonunit_witnesses: list = field(default_factory=list)
-    all_odd: bool = True
-    all_unit: bool = True
-
-
-def run_det_search(
-    ns,
-    policy: OrientationPolicy,
-    seed: int = 0,
-    workers: int = 1,
-    cap: int = DEFAULT_N_CAP,
-    paths_only: bool = False,
-    counts: QuotientCounts | None = None,
-) -> DetSearchResult:
-    """Tabulate |det| of every witness matrix over the instance space."""
-    ns = sorted(set(ns))
-    _check_cap(ns, cap)
-    tasks = _tree_tasks(ns, policy, seed, paths_only=paths_only)
-    results = _run_tasks(_det_search_worker, tasks, workers, counts)
-    out = DetSearchResult(ns=ns, policy=policy.describe(), seed=seed)
-    for res in results:
-        for value, count in res["histogram"].items():
-            out.histogram[value] = out.histogram.get(value, 0) + count
-        out.nonunit_witnesses.extend(res["nonunit"])
-    out.nonunit_witnesses = out.nonunit_witnesses[:MAX_FAILURE_RECORDS]
-    out.histogram = dict(sorted(out.histogram.items()))
-    out.all_odd = all(value % 2 == 1 for value in out.histogram)
-    out.all_unit = set(out.histogram) <= {1}
     return out

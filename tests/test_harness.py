@@ -358,13 +358,13 @@ class TestChunking:
         from arbormat import harness
 
         base = run_theorem_sweep([4], OrientationPolicy("canonical"), workers=1)
+        wit_base = run_witness_sweep([4], OrientationPolicy("canonical"))
         monkeypatch.setattr(harness, "CYCLE_CHUNK", 7)
         small = run_theorem_sweep([4], OrientationPolicy("canonical"), workers=1)
         assert small.per_n == base.per_n
         assert small.all_pass and base.all_pass
         assert small.total_instances == base.total_instances == 3 * 24
 
-        wit_base = run_witness_sweep([4], OrientationPolicy("canonical"))
         wit_small = run_witness_sweep([4], OrientationPolicy("canonical"))
         assert wit_base.total_witnesses == wit_small.total_witnesses
 
@@ -372,27 +372,30 @@ class TestChunking:
 class TestWitnessFallback:
     def test_exact_fallback_matches(self):
         # force the exact path by calling it directly on a valid instance
-        from arbormat.harness import _exact_witness_ok
+        from arbormat.harness import _exact_witness
 
         tree = Tree([(1, 2), (2, 3)])
-        assert _exact_witness_ok(tree, 0, np.array([0, 2, 3, 1]), 1, 1)
+        assert _exact_witness(tree, 0, np.array([0, 2, 3, 1]), 1, 1) == (True, 1)
 
 
 def exact_split_sign_task(args) -> dict:
     """Split-sign outcome of one (tree, orientation) task, every cycle on the
     exact route: the reference for the batched worker."""
     from arbormat.errors import WitnessFailed
-    from arbormat.harness import _instance_descriptor
     from arbormat.theorems import ClaimStatus, split_sign_check
 
-    v, _, edges, bits = args
+    v, _, edges, (bits,) = args
     n = v - 1
     tree = Tree(edges)
     orientation = Orientation.from_int(bits, n)
     counts = {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0}
     failures, example_add, example_na = [], None, None
     for row in _fast.cycle_images(v):
-        desc = _instance_descriptor(tree.edge_list_str(), bits, n, row)
+        desc = {
+            "tree": tree.edge_list_str(),
+            "orientation": orientation.bitstring(),
+            "map": ",".join(str(int(x)) for x in row[1:]),
+        }
         counts["instances"] += 1
         try:
             reduction = split_sign_check(VertexMap(tree, [int(x) for x in row[1:]]), orientation)
@@ -408,7 +411,7 @@ def exact_split_sign_task(args) -> dict:
             counts["not_applicable"] += 1
             example_na = example_na or {**desc, "reason": reduction.reason}
     return {
-        "counts": counts,
+        **counts,
         "failures": failures,
         "example_with_additions": example_add,
         "example_not_applicable": example_na,
@@ -418,7 +421,7 @@ def exact_split_sign_task(args) -> dict:
 def split_sign_tasks(n):
     v = n + 1
     return [
-        (v, idx, tree.edges, bits)
+        (v, idx, tree.edges, (bits,))
         for idx, tree in enumerate(trees_for(v))
         for bits in range(1 << n)
     ]
@@ -429,10 +432,11 @@ class TestSplitSignKernel:
 
     @staticmethod
     def batched(task):
-        from arbormat.harness import _split_sign_worker
+        from arbormat import harness
 
-        (out,) = _split_sign_worker(task)  # one sub-result: one orientation per task
-        del out["key"]
+        # one sub-result: one orientation per task
+        (out,) = harness._sweep_worker(harness._SPLIT_SIGN, task)
+        del out["key"], out["quotient"]
         return out
 
     def test_every_task_small_n(self):
@@ -453,7 +457,7 @@ class TestSplitSignKernel:
         operations no longer rebuild A; "extend" gives a row without additions
         one more entry of its own sign, so A is rebuilt but |det B| != 1."""
         for task in split_sign_tasks(4):
-            v, _, edges, bits = task
+            v, _, edges, (bits,) = task
             tree, n = Tree(edges), v - 1
             table = _fast.orient_table(_fast.signed_path_table(tree), bits, n)
             images = _fast.cycle_images(v)
@@ -490,7 +494,7 @@ class TestSplitSignKernel:
         from arbormat import dynamics, theorems
 
         task, image, row, col, value = self.corruption(kind)
-        v, _, edges, bits = task
+        v, _, edges, (bits,) = task
         tree, n = Tree(edges), v - 1
         build = _fast.build_oriented_batch
 
@@ -593,29 +597,30 @@ class TestCycleChunks:
         # orientation 5 is derived from 0 through the quotient in every chunk
         trees = list(enumerate(trees_for(5)))
         tasks = [(5, idx, tree.edges, (0, 5)) for idx, tree in trees]
-        workers = {
-            harness._theorem_worker: [t + (True,) for t in tasks],
-            harness._witness_worker: tasks,
-            harness._det_search_worker: tasks,
-            harness._path_image_worker: tasks,
-            harness._split_sign_worker: [
-                (5, idx, tree.edges, bits) for idx, tree in trees for bits in (0, 5)
+        sweeps = {
+            "theorem": tasks,
+            "witness": tasks,
+            "det_search": tasks,
+            "path_image": tasks,
+            "path_graph": [(5, idx, tree.edges, (0,)) for idx, tree in trees],
+            "split_sign": [
+                (5, idx, tree.edges, (bits,)) for idx, tree in trees for bits in (0, 5)
             ],
         }
-        def run(w, ts):
+        def run(name, ts):
             # the transport split depends on the chunk size: chunks of at
             # most AUDIT_ROWS rows are audited whole
-            subs = [sub for t in ts for sub in w(t)]
+            sweep = getattr(harness, f"_{name.upper()}")
+            subs = [sub for t in ts for sub in harness._sweep_worker(sweep, t)]
             for sub in subs:
-                if "quotient" in sub:
-                    q = sub.pop("quotient")
-                    sub["orientation_quotient"] = (q.computed, q.derived, q.fallbacks)
+                q = sub.pop("quotient")
+                sub["orientation_quotient"] = (q.computed, q.derived, q.fallbacks)
             return subs
 
-        base = {w: run(w, ts) for w, ts in workers.items()}
+        base = {name: run(name, ts) for name, ts in sweeps.items()}
         monkeypatch.setattr(harness, "CYCLE_CHUNK", 7)  # 24 cycles -> 4 chunks
-        for w, ts in workers.items():
-            assert run(w, ts) == base[w], w.__name__
+        for name, ts in sweeps.items():
+            assert run(name, ts) == base[name], name
 
 
 class TestExactRouteBudget:
@@ -776,10 +781,10 @@ class TestOrientationQuotient:
             assert set(quotient.histogram) == {1, 3}
 
     def test_sampled_duplicates_are_repeated(self):
-        from arbormat.harness import _theorem_worker
+        from arbormat import harness
 
         tree = trees_for(5)[1]
-        subs = _theorem_worker((5, 1, tree.edges, (0, 6, 0, 6, 9), True))
+        subs = harness._sweep_worker(harness._THEOREM, (5, 1, tree.edges, (0, 6, 0, 6, 9)))
         assert [s["key"] for s in subs] == [(5, 1, b) for b in (0, 6, 0, 6, 9)]
         # 24 cycles: 16 audited, 8 certified, on the representative only
         assert [astuple(s["quotient"]) for s in subs] == [
@@ -796,9 +801,8 @@ class TestOrientationQuotient:
         one-row chunk it is audited whole on the direct route."""
         from arbormat import harness
 
-        fn = getattr(harness, f"_{worker}_worker")
+        fn = partial(harness._sweep_worker, getattr(harness, f"_{worker.upper()}"))
         idx, tree = 2, trees_for(5)[2]
-        extra = (True,) if worker == "theorem" else ()
         target = _fast.oriented_endpoint_arrays(tree, 5)
         row = 17
         build = _fast.build_oriented_batch
@@ -812,8 +816,8 @@ class TestOrientationQuotient:
             return out
 
         monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
-        quotient = fn((5, idx, tree.edges, (0, 5)) + extra)
-        brute = [fn((5, idx, tree.edges, (bits,)) + extra)[0] for bits in (0, 5)]
+        quotient = fn((5, idx, tree.edges, (0, 5)))
+        brute = [fn((5, idx, tree.edges, (bits,)))[0] for bits in (0, 5)]
         # 24 cycles: 16 audited and 8 certified, then the recomputed row
         transport = [(0, 0, 0, 0)] * 2
         if worker != "path_image":
@@ -826,8 +830,8 @@ class TestOrientationQuotient:
             assert got == want
         if worker == "theorem":
             clean, flipped = quotient
-            assert clean["failed_instances"] == 0 and not clean["failures"]
-            assert flipped["failed_instances"] == 1
+            assert clean["per_n"][4]["failures"] == 0 and not clean["failures"]
+            assert flipped["per_n"][4]["failures"] == 1
             want_map = ",".join(map(str, _fast.cycle_images(5)[row, 1:]))
             assert [(f["orientation"], f["map"]) for f in flipped["failures"]] == [
                 ("1010", want_map)
@@ -875,9 +879,20 @@ def test_pool_workers_reuse_their_heap():
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before < 15_000
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_serial_sweep_reuses_its_heap():
+    """A serial sweep sets the same thresholds in the calling process: about
+    25k minor page faults with glibc's adaptive ones, about 2k without."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    res = run_theorem_sweep([7], OrientationPolicy("canonical"), workers=1)
+    assert res.all_pass
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 15_000
+
+
 def start_vertex_route(v, tree, bits, corrupt=None):
     """Both start-vertex routes of one tree under one orientation: the
-    quotient and the direct witness and determinant claims, with counts."""
+    quotient and the direct witness claims, which the determinant search
+    shares, with counts."""
     from arbormat import harness
     from arbormat.harness import QuotientCounts, _Oriented
 
@@ -888,12 +903,7 @@ def start_vertex_route(v, tree, bits, corrupt=None):
         corrupt(a)
     counts = QuotientCounts()
     witness = harness._witness_claims(o, images, a, counts)
-    det = harness._det_claims(o, images, a, counts)
-    direct = (
-        harness._witness_claims_direct(o, images, a),
-        harness._det_claims_direct(o, images, a),
-    )
-    return (witness, det), direct, counts
+    return witness, harness._witness_claims_direct(o, images, a), counts
 
 
 class TestStartVertexQuotient:
@@ -907,17 +917,13 @@ class TestStartVertexQuotient:
         rows = len(_fast.cycle_images(v))
         for tree in trees_for(v):
             for bits in (0, (1 << (v - 1)) - 2):
-                (witness, det), (witness_direct, det_direct), counts = start_vertex_route(
-                    v, tree, bits
-                )
+                witness, witness_direct, counts = start_vertex_route(v, tree, bits)
                 assert (witness["ok"] == witness_direct["ok"]).all()
                 assert (witness["det"] == witness_direct["det"]).all()
-                assert (det["det"] == det_direct["det"]).all()
-                assert (det["det"] == witness["det"]).all()
                 assert witness["ok"].all()
-                # each of the two claims functions audits and certifies once
+                # the claims function audits and certifies once
                 audited = min(rows, AUDIT_ROWS)
-                assert astuple(counts)[3:] == (2 * (rows - audited), 2 * audited, 0, 0)
+                assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
 
     def test_signed_dets_match_exact_route(self):
         from arbormat.theorems import iter_witness_determinants
@@ -930,7 +936,7 @@ class TestStartVertexQuotient:
         images = _fast.cycle_images(v)
         for tree in trees_for(v):
             for bits in (0, 6, 13):
-                (witness, _), _, _ = start_vertex_route(v, tree, bits)
+                witness, _, _ = start_vertex_route(v, tree, bits)
                 oriented = _Oriented.of(tree, bits)
                 closed, certified = closed_form_dets(oriented, images, oriented.build(images))
                 assert certified.all()
@@ -959,20 +965,17 @@ class TestStartVertexQuotient:
             return real(o, images, a)
 
         monkeypatch.setattr(harness, "_witness_claims_direct", spy)
-        (witness, det), (witness_direct, det_direct), counts = start_vertex_route(
-            v, tree, 9, corrupt
-        )
+        witness, witness_direct, counts = start_vertex_route(v, tree, 9, corrupt)
         # the direct reference call is the second one; the first holds the
         # audit rows and the flipped row, which alone fails transport
         assert len(recomputed) == 2
         audit = audit_rows(120).tolist()
         assert row not in audit
         assert (recomputed[0] == _fast.cycle_images(v)[sorted(audit + [row])]).all()
-        assert counts.uncertified == 2  # one row, once per claims function
-        assert counts.certified == 2 * (120 - 16 - 1)
+        assert counts.uncertified == 1  # one row
+        assert counts.certified == 120 - 16 - 1
         assert (witness["ok"] == witness_direct["ok"]).all()
         assert (witness["det"] == witness_direct["det"]).all()
-        assert (det["det"] == det_direct["det"]).all()
         assert not witness["ok"][row].all() and witness["ok"][np.arange(120) != row].all()
 
     def test_certificate_failing_everywhere_gives_direct_documents(self, monkeypatch):
@@ -1021,17 +1024,13 @@ class TestStartVertexQuotient:
 
 
 def closed_form_routes():
-    """(derived, direct) claims functions of the theorem, witness and
-    determinant claims."""
+    """(derived, direct) claims functions of the theorem claims and of the
+    witness claims, which the determinant search shares."""
     from arbormat import harness
 
     return [
-        (
-            partial(harness._theorem_claims_derived, with_path_image=True),
-            partial(harness._theorem_claims_direct, with_path_image=True),
-        ),
+        (harness._theorem_claims_derived, harness._theorem_claims_direct),
         (harness._witness_claims_derived, harness._witness_claims_direct),
-        (harness._det_claims_derived, harness._det_claims_direct),
     ]
 
 
@@ -1103,21 +1102,16 @@ class TestClosedForm:
         audit = audit_rows(images.shape[0]).tolist()
         assert row not in audit and len(audit) == AUDIT_ROWS
         for (derived, direct), claims in zip(
-            closed_form_routes(),
-            [
-                partial(harness._theorem_claims, with_path_image=True),
-                harness._witness_claims,
-                harness._det_claims,
-            ],
+            closed_form_routes(), [harness._theorem_claims, harness._witness_claims]
         ):
             _, certified = derived(o, images, a)
             assert np.nonzero(~certified)[0].tolist() == [row]
-            name = direct.func.__name__ if isinstance(direct, partial) else direct.__name__
+            name = direct.__name__
             sent = []
 
-            def spy(o, images, a, real=getattr(harness, name), **kw):
+            def spy(o, images, a, real=getattr(harness, name)):
                 sent.append(images)
-                return real(o, images, a, **kw)
+                return real(o, images, a)
 
             monkeypatch.setattr(harness, name, spy)
             counts = QuotientCounts()
