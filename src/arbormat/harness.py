@@ -602,16 +602,17 @@ def _witness_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
 def _witness_tally(res, quotient, bits, images, claims) -> None:
     ok = claims["ok"] & claims[AUDIT_AGREEMENT][:, None]
     res["total_witnesses"] += ok.size
-    _capped(res["failures"], _pair_records(quotient, bits, images, ~ok, det=claims["det"]))
+    if not ok.all():
+        _capped(res["failures"], _pair_records(quotient, bits, images, ~ok, det=claims["det"]))
 
 
 def _det_tally(res, quotient, bits, images, claims) -> None:
     dets = np.abs(claims["det"])
     values, counts = np.unique(dets, return_counts=True)
     _merge(res["histogram"], dict(zip(values.tolist(), counts.tolist())))
-    _capped(
-        res["nonunit_witnesses"], _pair_records(quotient, bits, images, dets != 1, abs_det=dets)
-    )
+    if values.tolist() != [1]:
+        nonunit = _pair_records(quotient, bits, images, dets != 1, abs_det=dets)
+        _capped(res["nonunit_witnesses"], nonunit)
 
 
 _WITNESS = _Sweep(

@@ -1,9 +1,9 @@
 """Sweep documents against recorded golden copies.
 
 Each golden file in tests/data/ is the ``dataclasses.asdict`` document of one
-library sweep, serialized with sorted keys and gzipped.  Regenerating it must give the
-same bytes: every count, histogram, example and failure record, in order.
-The injected runs fail a fixed third of the instances (see
+library sweep, serialized with sorted keys and gzipped.  Regenerating it must
+give the same bytes: every count, histogram, example and failure record, in
+order.  The injected runs fail a fixed third of the instances (see
 ``test_harness.inject_failures``) with the record cap lifted, so the whole
 order of the failure records is compared.
 
