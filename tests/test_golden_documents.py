@@ -69,9 +69,26 @@ def document(name: str) -> str:
     return json.dumps(asdict(result), sort_keys=True, indent=1) + "\n"
 
 
+def golden(name: str) -> str:
+    return gzip.decompress((DATA / f"{name}.json.gz").read_bytes()).decode()
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_document_is_unchanged(name):
-    assert document(name) == gzip.decompress((DATA / f"{name}.json.gz").read_bytes()).decode()
+    assert document(name) == golden(name)
+
+
+@pytest.mark.parametrize("sweep", INJECTED)
+def test_capped_records_are_a_prefix(monkeypatch, sweep):
+    """Under the default cap, the document is the uncapped golden one with
+    its failure records cut to the first MAX_FAILURE_RECORDS."""
+    inject_failures(monkeypatch, sweep)
+    capped = json.loads(json.dumps(asdict(SWEEPS[sweep]())))
+    full = json.loads(golden(f"{sweep}_injected"))
+    records = "nonunit_witnesses" if sweep == "det" else "failures"
+    assert len(full[records]) > harness.MAX_FAILURE_RECORDS
+    full[records] = full[records][: harness.MAX_FAILURE_RECORDS]
+    assert capped == full
 
 
 if __name__ == "__main__":
