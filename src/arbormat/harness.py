@@ -374,6 +374,11 @@ class _Sweep(NamedTuple):
     empty: dict
     tally: Callable
 
+    def __reduce__(self):
+        # pickled by the name of the module attribute holding it, so a pool
+        # task carries a reference instead of the record
+        return next(name for name, x in globals().items() if x is self)
+
 
 def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
     """The sub-results of one (v, tree index, edges, orientations) task."""
