@@ -170,47 +170,74 @@ def batched_path_image_ok(
     return np.all(lhs == rhs, axis=(1, 2))
 
 
-def batched_split_sign(paths, table_o, images, first, second, mats):
-    """The one-sign-change reduction of theorems.split_sign_check, per instance.
+def instance_path_image_ok(instances) -> np.ndarray:
+    """Path-transport verdicts of (vertex map, orientation) pairs of any
+    size, one batched_path_image_ok call per vertex count."""
+    ok = np.zeros(len(instances), dtype=bool)
+    by_v: dict[int, list[int]] = {}
+    for k, (f, _) in enumerate(instances):
+        by_v.setdefault(f.tree.vertex_count, []).append(k)
+    for group in by_v.values():
+        pairs = [instances[k] for k in group]
+        roots = np.stack([root_vectors(f.tree) * o.sign_vector() for f, o in pairs])
+        images = np.array([(0,) + f.image for f, _ in pairs], dtype=np.int64)
+        ends = np.array([f.tree.oriented_endpoints(o) for f, o in pairs], dtype=np.int64)
+        b, n, _ = ends.shape
+        image_ends = np.take_along_axis(images, ends.reshape(b, 2 * n), axis=1)
+        image_ends = image_ends.reshape(b, n, 2)
+        batch = np.arange(b)[:, None]
+        # row i: the signed path vector f(first_i) -> f(second_i)
+        mats = roots[batch, image_ends[..., 1]] - roots[batch, image_ends[..., 0]]
+        ok[group] = batched_path_image_ok(roots, images, mats)
+    return ok
 
-    paths: path_table of the tree, table_o: its oriented signed path table,
-    images: (B, v+1), first/second: oriented edge endpoints, mats: the
-    oriented matrices A of the batch.  As in the exact route, the step signs
-    of row i come from the image path f(first_i) -> f(second_i) and A enters
-    only the final comparison, so a corrupted A fails the rebuild there.
+
+def batched_split_sign(paths, tables, images, first, second, mats):
+    """The one-sign-change reduction of theorems.split_sign_check, per
+    orientation and instance.
+
+    paths: path_table of the tree, tables: its oriented signed path tables
+    (O, v+1, v+1, n), images: (B, v+1), first/second: oriented edge
+    endpoints (O, n), mats: the oriented matrices A (O, B, n, n), one stack
+    per orientation.  As in the exact route, the step signs of row i come
+    from the image path f(first_i) -> f(second_i) and A enters only the
+    final comparison, so a corrupted A fails the rebuild there.
 
     A mixed row changes sign once, at split vertex s; with p = f^-1(s) and
     near the endpoint of edge i on p's side, the row is rebuilt as
     sf.B[i] + 2.delta.(spv(near, p) . A'), where A' holds the single-signed
     rows and sf, delta follow the walk rules of the exact route.
 
-    Returns (applicable, mixed, holds): the hypothesis holds (no row changes
-    sign twice, no correction row is mixed); some row is mixed; the row
-    operations rebuild A and det |A| = +-1.  ``holds`` is only meaningful
-    where ``applicable`` is set."""
+    Returns (applicable, mixed, holds), each (O, B): the hypothesis holds
+    (no row changes sign twice, no correction row is mixed); some row is
+    mixed; the row operations rebuild A and det |A| = +-1, from one charpoly
+    call over all O.B matrices.  ``holds`` is only meaningful where
+    ``applicable`` is set."""
     vertices, edges, lengths = paths
-    n = mats.shape[1]
+    o, b, n = mats.shape[:3]
     v = images.shape[1] - 1
-    steps = np.take_along_axis(table_o, edges, axis=2)
+    each = np.arange(o)[:, None, None]
+    steps = np.take_along_axis(tables, edges[None], axis=3)
     steps = np.where(np.arange(n) < lengths[..., None], steps, 0)
 
-    fa, fb = images[:, first], images[:, second]
-    signs = steps[fa, fb].astype(np.int64)  # (B, n, n): step t of row i
+    fa, fb = images[:, first].swapaxes(0, 1), images[:, second].swapaxes(0, 1)
+    signs = steps[each, fa, fb].astype(np.int64)  # (O, B, n, n): step t of row i
     change = (signs[..., 1:] != signs[..., :-1]) & (signs[..., 1:] != 0)
-    changes = change.sum(axis=2)
+    changes = change.sum(axis=3)
     mixed = changes == 1
-    applicable = (changes <= 1).all(axis=1)
+    applicable = (changes <= 1).all(axis=2)
 
-    split = vertices[fa, fb, change.argmax(axis=2) + 1]
+    split = vertices[fa, fb, change.argmax(axis=3) + 1]
     inverse = np.zeros_like(images)
     np.put_along_axis(inverse, images[:, 1:], np.arange(1, v + 1)[None, :], axis=1)
-    pre = np.take_along_axis(inverse, split, axis=1)
+    pre = inverse[np.arange(b)[:, None], split]
     # p lies past edge i iff the path first_i -> p starts with second_i
-    beyond = vertices[first[:, None], np.arange(v + 1), 1] == second[:, None]
-    far = beyond[np.arange(n), pre]
-    corrections = table_o[np.where(far, second, first), pre].astype(np.int64)
+    beyond = vertices[first[..., None], np.arange(v + 1), 1] == second[..., None]
+    far = beyond[each, np.arange(n), pre]
+    near = np.where(far, second[:, None, :], first[:, None, :])
+    corrections = tables[each, near, pre].astype(np.int64)
     corrections[~mixed] = 0
-    applicable &= ~((corrections != 0) & mixed[:, None, :]).any(axis=(1, 2))
+    applicable &= ~((corrections != 0) & mixed[..., None, :]).any(axis=(2, 3))
 
     unoriented = np.abs(mats)
     s1 = signs[..., 0]
@@ -218,9 +245,10 @@ def batched_split_sign(paths, table_o, images, first, second, mats):
     delta = np.where(far, -1, 1)
     single = np.where(mixed[..., None], 0, s1[..., None] * unoriented)
     rebuilt = sign[..., None] * unoriented + 2 * delta[..., None] * (corrections @ single)
-    holds = np.all(rebuilt == mats, axis=(1, 2))
-    holds &= np.abs(batched_charpoly(unoriented)[:, 0]) == 1
-    return applicable, mixed.any(axis=1), holds
+    holds = np.all(rebuilt == mats, axis=(2, 3))
+    det_b = batched_charpoly(unoriented.reshape(o * b, n, n))[:, 0].reshape(o, b)
+    holds &= np.abs(det_b) == 1
+    return applicable, mixed.any(axis=2), holds
 
 
 def batched_uniform_sign(mats: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""The path-transport certificate behind the theorem, witness and
-determinant claims of the sweeps.
+"""The path-transport certificate behind the theorem, witness, determinant
+and path-graph claims of the sweeps.
 
 Let f be a single (n+1)-cycle vertex map, A its oriented transition matrix,
 x_k = f^k(1), and r(x) the oriented root vector (the signed path vector of
@@ -23,6 +23,11 @@ det T(n, j) = 1 for j coprime to n + 1, and R_{2..v} is unimodular
 (triangular in breadth-first order).  So every Mf is unimodular, and A =
 Mf^-1.C.Mf over Z: A has the charpoly, the determinant and the vanishing
 geometric sum of C, and B = |A| == A mod 2 is similar to C over GF(2).
+Every row of every Mf is a signed path vector, so Mf is a Petrie matrix
+when every signed path vector of the oriented tree is a contiguous
+single-signed block (a path tree oriented along the line); and when each
+row of A has one sign, B = S.A for the diagonal S of those signs, so
+|det B| = |det A| = 1.
 
 A row is certified when it passes path transport and the exact
 determinants det R_{2..v} and det T(n, j) of its tree, orientation and

@@ -3,22 +3,21 @@
 An instance is (tree, orientation, single-cycle vertex map).  A task is one
 tree with a tuple of orientations, covering all cycles at once via the
 batched kernels in :mod:`arbormat._fast`.  A sweep is a claims function,
-which decides per-row claims of one cycle chunk under one orientation, plus
-a tally, which folds them into that orientation's sub-result (see
-:class:`_Sweep`); one worker runs the tasks of every sweep and one reducer
-folds the sub-results into the sweep's result.  The theorem, witness,
-determinant and exhaustive path-transport claims are invariant under the
-similarity A_o = D.A_0.D that reversing edges induces, so they are computed
-once per tree and carried to every other orientation by a certificate (see
-:class:`_OrientationQuotient`); the split-sign and path-graph tasks hold one
-orientation each.  Within a computed row, the theorem, witness and
-determinant claims follow from the closed form of det Mf once the row
-passes path transport; the direct kernels decide the rows that fail it and
-a fixed audit set of every chunk (see :mod:`arbormat.certificate`).  Tasks
-are distributed over a process pool and sub-results are reduced in sorted
-(v, tree, orientation) order, so output is identical for any worker count.
-Orientation sampling is counter-based, keyed by (seed, tree code), hence
-schedule-independent.
+which decides per-row claims of one cycle chunk, plus a tally, which folds
+them into one orientation's sub-result (see :class:`_Sweep`); one worker
+runs the tasks of every sweep and one reducer folds the sub-results into
+the sweep's result.  Claims invariant under the similarity A_o = D.A_0.D
+that reversing edges induces are computed once per tree and carried to the
+other orientations by a certificate (see :class:`_OrientationQuotient`);
+the split-sign claims are not, so all orientations of a split-sign task go
+to its kernel together.  Within a computed row, the theorem, witness,
+determinant and path-graph claims follow from the closed form of det Mf
+once the row passes path transport; the direct kernels decide the rows that
+fail it and a fixed audit set of every chunk (see
+:mod:`arbormat.certificate`).  Tasks are distributed over a process pool
+and sub-results are reduced in sorted (v, tree, orientation) order, so
+output is identical for any worker count.  Orientation sampling is
+counter-based, keyed by (seed, tree code), hence schedule-independent.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .certificate import (
     AUDIT_AGREEMENT,
     certified_rows,
     closed_form_dets,
+    coprime_steps,
     decide,
     start_vertex_orbit,
     witness_pairs,
@@ -184,17 +184,13 @@ def _keep_heap() -> None:
     """Keep freed memory in this process's heap.
 
     Every chunk of a sweep allocates the same megabyte-sized numpy
-    temporaries.  glibc's adaptive thresholds serve the largest of them by
-    mmap and trim the heap top after the rest, so each chunk faults its
-    pages in anew: about 23k extra minor faults and a quarter of the
-    workers' CPU in a `verify --n 7 --orientations canonical` run, and
-    run-to-run time that follows the kernel's page-fault cost.  Fixed
-    thresholds let the heap serve them: mmap from 32 MiB, the ceiling of
-    glibc's own adaptive rule on 64-bit, and trim from 64 MiB.  They are set
-    before the pool forks, so every worker inherits them, and a worker
-    returns what it keeps when it exits with its sweep; a serial sweep
-    leaves the thresholds set in the calling process.  Without glibc this
-    does nothing."""
+    temporaries.  glibc's adaptive thresholds mmap the largest and trim the
+    heap after the rest, so each chunk faults its pages in anew: about 23k
+    extra minor faults and a quarter of the workers' CPU in `verify --n 7
+    --orientations canonical`.  Fixed thresholds, mmap from 32 MiB (glibc's
+    own adaptive ceiling on 64-bit) and trim from 64 MiB, are set before the
+    pool forks, so workers inherit them; a serial sweep leaves them set in
+    the calling process.  Without glibc this does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -209,18 +205,16 @@ def _keep_heap() -> None:
 class QuotientCounts:
     """How the instances of a quotiented sweep were decided.
 
-    Orientation quotient, in instances: computed by the claims function, on
-    the representative orientation or as a certificate fallback; derived:
-    carried over from the representative through the certificate, or
-    repeated from a sampled duplicate; fallbacks: rows whose matrix failed
-    the certificate (also computed).
+    Orientation quotient, in instances: computed by the claims function;
+    derived: carried over from the representative through the certificate,
+    or repeated from a sampled duplicate; fallbacks: computed rows whose
+    matrix failed the certificate.
 
-    Transport certificate of the theorem, witness and determinant claims,
-    splitting the computed rows: certified, claims taken from the closed
-    form; audited, decided on the direct route as a chunk's audit set;
-    uncertified, failed the certificate and decided on the direct route.
-    disagreements counts the certified audit rows whose direct values
-    differ from the closed form."""
+    Transport certificate, splitting the computed rows: certified, claims
+    taken from the closed form; audited, decided on the direct route as a
+    chunk's audit set; uncertified, failed the certificate and decided on
+    the direct route.  disagreements counts the certified audit rows whose
+    direct values differ from the closed form."""
 
     computed: int = 0
     derived: int = 0
@@ -270,13 +264,12 @@ class _OrientationQuotient:
 
     Reversing edge k negates row k and coordinate k of the oriented matrix,
     so A_o = D.A_r.D with D = diag(signs of o ^ r) for the representative
-    r = orientations[0].  The claims a sweep decides here are invariant
-    under that similarity, except for ``signed`` values such as det Mf that
-    pick up the factor det D = +-1.  So the claims function runs on r, and
-    every other orientation takes r's flags for the rows whose built matrix
+    r = orientations[0].  An invariant sweep's claims hold under that
+    similarity, except for ``signed`` values such as det Mf that pick up
+    the factor det D = +-1.  So its claims function runs on r, and every
+    other orientation takes r's flags for the rows whose built matrix
     passes the certificate A_o == D.A_r.D; a row that fails it is
-    recomputed directly by the same claims function.  Claims functions take
-    (oriented tree, images, matrices, counts) and may add their own
+    recomputed by the same claims function, which may add its own
     transport-certificate tallies to the orientation's QuotientCounts."""
 
     def __init__(self, v: int, edges: tuple, orientations: tuple):
@@ -289,28 +282,35 @@ class _OrientationQuotient:
         self.rows = 0
         self.counts = {bits: QuotientCounts() for bits in self.oriented}
 
-    def chunks(self, claims, signed=()):
+    def chunks(self, sweep: "_Sweep"):
         """Per cycle chunk: the images and, per distinct orientation, the
-        claims' per-row arrays."""
+        claims' per-row arrays; a sweep that is not invariant takes chunks
+        of at most CYCLE_CHUNK rows over all orientations together."""
         rep, *others = self.oriented.values()
         cycles = _fast.cycle_images(self.v)
-        for start in range(0, cycles.shape[0], CYCLE_CHUNK):
-            images = cycles[start : start + CYCLE_CHUNK]
+        size = CYCLE_CHUNK if sweep.invariant else max(1, CYCLE_CHUNK // len(self.oriented))
+        for start in range(0, cycles.shape[0], size):
+            images = cycles[start : start + size]
             batch = images.shape[0]
             self.rows += batch
+            if not sweep.invariant:
+                for counts in self.counts.values():
+                    counts.computed += batch
+                yield images, sweep.claims(list(self.oriented.values()), images)
+                continue
             a_rep = rep.build(images)
-            base = claims(rep, images, a_rep, self.counts[rep.bits])
+            base = sweep.claims(rep, images, a_rep, self.counts[rep.bits])
             self.counts[rep.bits].computed += batch
             flags = {rep.bits: base}
             for o in others:
                 d = _fast.orientation_signs(o.bits ^ rep.bits, a_rep.shape[1])
                 det_d = int(d.prod())
-                own = {k: x * det_d if k in signed else x for k, x in base.items()}
+                own = {k: x * det_d if k in sweep.signed else x for k, x in base.items()}
                 a = o.build(images)
                 bad = np.nonzero(~np.all(a == d[:, None] * a_rep * d, axis=(1, 2)))[0]
                 if bad.size:
                     counts = self.counts[o.bits]
-                    redo = claims(o, images[bad], a[bad], counts)
+                    redo = sweep.claims(o, images[bad], a[bad], counts)
                     own = {k: x.copy() for k, x in own.items()}
                     for k, x in own.items():
                         x[bad] = redo[k]
@@ -364,15 +364,18 @@ class _Sweep(NamedTuple):
 
     ``claims(o, images, a, counts)`` returns per-row arrays for one cycle
     chunk under one orientation; values under a ``signed`` key change sign
-    with det D from one orientation to another.  ``empty`` is the sub-result
-    of one orientation before its first chunk, its containers empty, and
-    ``tally(res, quotient, bits, images, claims)`` folds one chunk's arrays
-    into it.  Sub-result entries are named after the result's fields."""
+    with det D from one orientation to another.  Claims not ``invariant``
+    under that similarity are never carried: ``claims(oriented, images)``
+    returns the claims of every oriented tree of the task, by orientation.
+    ``empty`` is the sub-result of one orientation before its first chunk,
+    and ``tally(res, quotient, bits, images, claims)`` folds one chunk's
+    arrays into it.  Sub-result entries are named after the result's fields."""
 
     claims: Callable
     signed: tuple
     empty: dict
     tally: Callable
+    invariant: bool = True
 
     def __reduce__(self):
         # pickled by the name of the module attribute holding it, so a pool
@@ -385,7 +388,7 @@ def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
     v, tree_idx, edges, orientations = task
     quotient = _OrientationQuotient(v, edges, orientations)
     out = {bits: {k: copy.copy(x) for k, x in sweep.empty.items()} for bits in quotient.oriented}
-    for images, flags in quotient.chunks(sweep.claims, sweep.signed):
+    for images, flags in quotient.chunks(sweep):
         for bits, claims in flags.items():
             sweep.tally(out[bits], quotient, bits, images, claims)
     return quotient.results(tree_idx, out)
@@ -719,28 +722,6 @@ def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
         )
 
 
-def _random_path_image_ok(instances) -> np.ndarray:
-    """Batched path-transport verdicts of (vertex map, orientation) pairs,
-    one kernel call per vertex count."""
-    ok = np.zeros(len(instances), dtype=bool)
-    by_v: dict[int, list[int]] = {}
-    for k, (f, _) in enumerate(instances):
-        by_v.setdefault(f.tree.vertex_count, []).append(k)
-    for group in by_v.values():
-        pairs = [instances[k] for k in group]
-        roots = np.stack([_fast.root_vectors(f.tree) * o.sign_vector() for f, o in pairs])
-        images = np.array([(0,) + f.image for f, _ in pairs], dtype=np.int64)
-        ends = np.array([f.tree.oriented_endpoints(o) for f, o in pairs], dtype=np.int64)
-        b, n, _ = ends.shape
-        image_ends = np.take_along_axis(images, ends.reshape(b, 2 * n), axis=1)
-        image_ends = image_ends.reshape(b, n, 2)
-        batch = np.arange(b)[:, None]
-        # row i: the signed path vector f(first_i) -> f(second_i)
-        mats = roots[batch, image_ends[..., 1]] - roots[batch, image_ends[..., 0]]
-        ok[group] = _fast.batched_path_image_ok(roots, images, mats)
-    return ok
-
-
 @dataclass
 class PathImageResult:
     exhaustive_instances: int = 0
@@ -758,6 +739,8 @@ def run_path_image_sweep(
     cap: int = DEFAULT_N_CAP,
     counts: QuotientCounts | None = None,
 ) -> PathImageResult:
+    if not 2 <= random_n[0] <= random_n[1]:
+        raise CapExceeded(f"random_n = {tuple(random_n)} needs 2 <= n_lo <= n_hi")
     tasks = _tree_tasks(_check_cap(ns_exhaustive, cap), OrientationPolicy("all"), seed)
     out = _sweep(_PATH_IMAGE, PathImageResult(), tasks, workers, counts)
     # the first PATH_IMAGE_AUDIT instances are also decided on the exact
@@ -765,7 +748,7 @@ def run_path_image_sweep(
     stream = random_instances(seed, random_count, *random_n)
     for start in range(0, random_count, RANDOM_CHUNK):
         chunk = list(itertools.islice(stream, RANDOM_CHUNK))
-        ok = _random_path_image_ok(chunk)
+        ok = _fast.instance_path_image_ok(chunk)
         for k, (f, orientation) in enumerate(chunk[: max(0, PATH_IMAGE_AUDIT - start)]):
             ok[k] &= path_image_check(f, orientation) == ok[k]
         out.random_instances += len(chunk)
@@ -781,9 +764,9 @@ def run_path_image_sweep(
 # path graphs: Petrie structure of witness matrices and uniform row signs
 
 
-def _path_graph_claims(o: _Oriented, images, a, counts) -> dict:
-    """Per row: every oriented row single-signed, |det B| = 1, and every
-    witness matrix a Petrie matrix with |det| = 1."""
+def _path_graph_claims_direct(o: _Oriented, images, a) -> dict:
+    """Per row: every oriented row single-signed, every witness matrix a
+    Petrie matrix, and all that with |det B| = 1 and every |det Mf| = 1."""
     uniform = _fast.batched_uniform_sign(a)
     petrie = np.ones(images.shape[0], dtype=bool)
     ok = np.abs(_fast.batched_charpoly(np.abs(a))[:, 0]) == 1
@@ -794,6 +777,25 @@ def _path_graph_claims(o: _Oriented, images, a, counts) -> dict:
         cp_mf = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
         ok &= gate & (np.abs(cp_mf[:, 0]) == 1)
     return {"uniform_sign": uniform, "petrie": petrie, "ok": ok & uniform & petrie}
+
+
+def _path_graph_claims_derived(o: _Oriented, images, a):
+    """On a row passing transport every row of every Mf is a signed path
+    vector, so every Mf is a Petrie matrix once each row of the oriented
+    path table is one: a contiguous single-signed block, as on a path tree
+    oriented along the line.  |det Mf| = 1 by the closed form, and with
+    uniform row signs S, B = S.A, so |det B| = |det A| = 1."""
+    uniform = _fast.batched_uniform_sign(a)
+    certified = certified_rows(o, images, a, coprime_steps(images.shape[1] - 1))
+    certified &= _fast.batched_petrie(o.table.reshape(-1, 1, a.shape[1])).all()
+    claims = {"uniform_sign": uniform, "petrie": np.ones_like(uniform), "ok": uniform.copy()}
+    return claims, certified
+
+
+def _path_graph_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
+    claims = decide(_path_graph_claims_derived, _path_graph_claims_direct, o, images, a, counts)
+    claims["ok"] &= claims.pop(AUDIT_AGREEMENT)
+    return claims
 
 
 _PATH_GRAPH = _Sweep(
@@ -820,8 +822,7 @@ def run_path_graph_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> Path
     paths = _tree_tasks(_check_cap(ns, cap), OrientationPolicy("canonical"), 0, paths_only=True)
     for v, tree_idx, edges, _ in paths:
         tree = path_edge_ordered(Tree(edges))
-        orientation = same_direction_orientation(tree)
-        bits = sum(1 << k for k, flag in enumerate(orientation.bits) if flag)
+        bits = sum(1 << k for k, flag in enumerate(same_direction_orientation(tree).bits) if flag)
         tasks.append((v, tree_idx, tree.edges, (bits,)))
     out = _sweep(_PATH_GRAPH, PathGraphResult(), tasks, workers)
     out.all_pass = not out.failures
@@ -860,18 +861,21 @@ def _exact_split_sign(tree: Tree, orientation: Orientation, image_row):
     return ("with_additions" if reduction.mixed_rows else "applicable"), None
 
 
-def _split_sign_claims(o: _Oriented, images, a, counts) -> dict:
-    applicable, mixed, holds = _fast.batched_split_sign(
-        _path_table_cached(o.tree.edges), o.table, images, o.first, o.second, a
-    )
-    return {"applicable": applicable, "mixed": mixed, "holds": holds}
+def _split_sign_claims(oriented: list, images) -> dict:
+    """Per orientation of the task: (applicable, mixed, holds), in one call."""
+    # oriented tables and edge endpoints, stacked on an orientation axis
+    table, first, second = (np.stack(x) for x in zip(*(o[2:] for o in oriented)))
+    a = np.stack([o.build(images) for o in oriented])
+    paths = _path_table_cached(oriented[0].tree.edges)
+    flags = _fast.batched_split_sign(paths, table, images, first, second, a)
+    return {o.bits: tuple(x[k] for x in flags) for k, o in enumerate(oriented)}
 
 
 def _split_sign_tally(res, quotient, bits, images, claims) -> None:
-    """Count the chunk's batched verdicts.  The exact route audits the
-    task's first applicable and first not-applicable instance, supplies the
-    not-applicable reason, and names the identity of every failure."""
-    applicable, mixed, holds = claims["applicable"], claims["mixed"], claims["holds"]
+    """Count the chunk's batched verdicts.  The exact route audits the first
+    applicable and first not-applicable instance of the orientation,
+    supplies the not-applicable reason, and names every failure's identity."""
+    applicable, mixed, holds = claims
     passed = applicable & holds
     res["instances"] += images.shape[0]
     res["with_additions"] += int((passed & mixed).sum())
@@ -907,14 +911,12 @@ _SPLIT_SIGN = _Sweep(
     _split_sign_claims, (),
     {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0,
      "failures": [], "example_with_additions": None, "example_not_applicable": None},
-    _split_sign_tally,
+    _split_sign_tally, invariant=False,
 )
 
 
 def run_split_sign_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> SplitSignResult:
-    tasks = []
-    for v, tree_idx, edges, every in _tree_tasks(_check_cap(ns, cap), OrientationPolicy("all"), 0):
-        tasks += [(v, tree_idx, edges, (bits,)) for bits in every]
+    tasks = _tree_tasks(_check_cap(ns, cap), OrientationPolicy("all"), 0)
     out = _sweep(_SPLIT_SIGN, SplitSignResult(), tasks, workers)
     out.all_pass = not out.failures
     return out

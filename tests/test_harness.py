@@ -302,6 +302,16 @@ class TestSweeps:
         with pytest.raises(CapExceeded):
             run_theorem_sweep([12], OrientationPolicy("all"))
 
+    @pytest.mark.parametrize("random_n", [(1, 3), (5, 3)])
+    def test_path_image_random_n_checked_first(self, monkeypatch, random_n):
+        from arbormat import harness
+
+        ran = []
+        monkeypatch.setattr(harness, "_run_tasks", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(CapExceeded):
+            run_path_image_sweep([2, 3], random_count=5, random_n=random_n)
+        assert not ran
+
     def test_witness_sweep_small(self):
         res = run_witness_sweep([2, 3], OrientationPolicy("all"))
         assert res.all_pass
@@ -378,16 +388,20 @@ class TestWitnessFallback:
         assert _exact_witness(tree, 0, np.array([0, 2, 3, 1]), 1, 1) == (True, 1)
 
 
-def exact_split_sign_task(args) -> dict:
-    """Split-sign outcome of one (tree, orientation) task, every cycle on the
-    exact route: the reference for the batched worker."""
+def exact_split_sign_task(args) -> list[dict]:
+    """Split-sign outcome of one (tree, orientations) task per orientation,
+    every cycle on the exact route: the reference for the batched worker."""
+    v, _, edges, orientations = args
+    tree = Tree(edges)
+    return [exact_split_sign(tree, Orientation.from_int(bits, v - 1)) for bits in orientations]
+
+
+def exact_split_sign(tree, orientation) -> dict:
+    """The split-sign sub-result of one orientation on the exact route."""
     from arbormat.errors import WitnessFailed
     from arbormat.theorems import ClaimStatus, split_sign_check
 
-    v, _, edges, (bits,) = args
-    n = v - 1
-    tree = Tree(edges)
-    orientation = Orientation.from_int(bits, n)
+    v = tree.vertex_count
     counts = {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0}
     failures, example_add, example_na = [], None, None
     for row in _fast.cycle_images(v):
@@ -419,12 +433,9 @@ def exact_split_sign_task(args) -> dict:
 
 
 def split_sign_tasks(n):
+    """The per-tree tasks of run_split_sign_sweep: every orientation."""
     v = n + 1
-    return [
-        (v, idx, tree.edges, (bits,))
-        for idx, tree in enumerate(trees_for(v))
-        for bits in range(1 << n)
-    ]
+    return [(v, idx, tree.edges, tuple(range(1 << n))) for idx, tree in enumerate(trees_for(v))]
 
 
 class TestSplitSignKernel:
@@ -434,9 +445,11 @@ class TestSplitSignKernel:
     def batched(task):
         from arbormat import harness
 
-        # one sub-result: one orientation per task
-        (out,) = harness._sweep_worker(harness._SPLIT_SIGN, task)
-        del out["key"], out["quotient"]
+        # one sub-result per orientation of the task
+        out = harness._sweep_worker(harness._SPLIT_SIGN, task)
+        assert [sub["key"][2] for sub in out] == list(task[3])
+        for sub in out:
+            del sub["key"], sub["quotient"]
         return out
 
     def test_every_task_small_n(self):
@@ -445,42 +458,50 @@ class TestSplitSignKernel:
                 assert self.batched(task) == exact_split_sign_task(task), task
 
     def test_seeded_tasks_n5_n6(self):
+        # seeded (tree, orientation) pairs, run as per-tree tasks
         rng = random.Random(2024)
         for n, count in ((5, 6), (6, 3)):
-            for task in rng.sample(split_sign_tasks(n), count):
+            pairs = [(task, bits) for task in split_sign_tasks(n) for bits in task[3]]
+            picked = {}
+            for (v, idx, edges, _), bits in rng.sample(pairs, count):
+                picked.setdefault((v, idx, edges), []).append(bits)
+            for key, orientations in sorted(picked.items()):
+                task = key + (tuple(sorted(orientations)),)
                 assert self.batched(task) == exact_split_sign_task(task), task
 
     @staticmethod
     def corruption(kind):
-        """A task, one reduction in it that no audit picks, and an entry of its
-        A to corrupt: "flip" negates an entry of a mixed row, so the row
-        operations no longer rebuild A; "extend" gives a row without additions
-        one more entry of its own sign, so A is rebuilt but |det B| != 1."""
+        """A task, an orientation and one reduction under it that no audit
+        picks, and an entry of its A to corrupt: "flip" negates an entry of a
+        mixed row, so the row operations no longer rebuild A; "extend" gives a
+        row without additions one more entry of its own sign, so A is rebuilt
+        but |det B| != 1."""
         for task in split_sign_tasks(4):
-            v, _, edges, (bits,) = task
+            v, _, edges, orientations = task
             tree, n = Tree(edges), v - 1
-            table = _fast.orient_table(_fast.signed_path_table(tree), bits, n)
             images = _fast.cycle_images(v)
-            first, second = _fast.oriented_endpoint_arrays(tree, bits)
-            a = _fast.build_oriented_batch(table, images, first, second)
-            applicable, mixed, holds = _fast.batched_split_sign(
-                _fast.path_table(tree), table, images, first, second, a
-            )
-            passed = applicable & holds
-            chosen = passed & (mixed if kind == "flip" else ~mixed)
-            chosen[np.argmax(passed)] = False  # the audited one
-            for target in np.nonzero(chosen)[0][::-1]:
-                m = a[target]
-                image = tuple(int(x) for x in images[target, 1:])
-                if kind == "flip":
-                    row = int(np.nonzero((m > 0).any(1) & (m < 0).any(1))[0][0])
-                    col = int(np.nonzero(m[row])[0][0])
-                    return task, image, row, col, -m[row, col]
-                for row, col in zip(*np.nonzero(m == 0)):
-                    b = np.abs(m)
-                    b[row, col] = 1
-                    if round(abs(np.linalg.det(b))) != 1:
-                        return task, image, row, col, np.sign(m[row].sum())
+            for bits in orientations:
+                table = _fast.orient_table(_fast.signed_path_table(tree), bits, n)
+                first, second = _fast.oriented_endpoint_arrays(tree, bits)
+                a = _fast.build_oriented_batch(table, images, first, second)
+                applicable, mixed, holds = (x[0] for x in _fast.batched_split_sign(
+                    _fast.path_table(tree), table[None], images, first[None], second[None], a[None]
+                ))
+                passed = applicable & holds
+                chosen = passed & (mixed if kind == "flip" else ~mixed)
+                chosen[np.argmax(passed)] = False  # the audited one
+                for target in np.nonzero(chosen)[0][::-1]:
+                    m = a[target]
+                    image = tuple(int(x) for x in images[target, 1:])
+                    if kind == "flip":
+                        row = int(np.nonzero((m > 0).any(1) & (m < 0).any(1))[0][0])
+                        col = int(np.nonzero(m[row])[0][0])
+                        return task, bits, image, row, col, -m[row, col]
+                    for row, col in zip(*np.nonzero(m == 0)):
+                        b = np.abs(m)
+                        b[row, col] = 1
+                        if round(abs(np.linalg.det(b))) != 1:
+                            return task, bits, image, row, col, np.sign(m[row].sum())
         raise AssertionError(f"no {kind} corruption found")
 
     @pytest.mark.parametrize(
@@ -493,21 +514,23 @@ class TestSplitSignKernel:
     def test_corrupted_entry_fails_with_exact_identity(self, monkeypatch, kind, identity):
         from arbormat import dynamics, theorems
 
-        task, image, row, col, value = self.corruption(kind)
-        v, _, edges, (bits,) = task
+        task, bits, image, row, col, value = self.corruption(kind)
+        v, _, edges, orientations = task
         tree, n = Tree(edges), v - 1
+        target = _fast.oriented_endpoint_arrays(tree, bits)
         build = _fast.build_oriented_batch
 
         def corrupt_batch(table_o, imgs, fst, snd):
             out = build(table_o, imgs, fst, snd)
-            out[(imgs[:, 1:] == image).all(axis=1), row, col] = value
+            if (fst == target[0]).all() and (snd == target[1]).all():
+                out[(imgs[:, 1:] == image).all(axis=1), row, col] = value
             return out
 
         exact = theorems.oriented_matrix
 
         def corrupt_exact(f, o):
             tm = exact(f, o)
-            if f.image != image:
+            if f.image != image or o != Orientation.from_int(bits, n):
                 return tm
             rows = [list(r) for r in tm.oriented.rows]
             rows[row][col] = int(value)
@@ -516,33 +539,38 @@ class TestSplitSignKernel:
         monkeypatch.setattr(_fast, "build_oriented_batch", corrupt_batch)
         monkeypatch.setattr(theorems, "oriented_matrix", corrupt_exact)
         got = self.batched(task)
-        assert got["failures"] == [
-            {
-                "tree": tree.edge_list_str(),
-                "orientation": "".join(str((bits >> k) & 1) for k in range(n)),
-                "map": ",".join(map(str, image)),
-                "identity": identity,
-            }
+        assert [sub["failures"] for sub in got] == [
+            [
+                {
+                    "tree": tree.edge_list_str(),
+                    "orientation": "".join(str((bits >> k) & 1) for k in range(n)),
+                    "map": ",".join(map(str, image)),
+                    "identity": identity,
+                }
+            ] if b == bits else []
+            for b in orientations
         ]
         assert got == exact_split_sign_task(task)
 
     def test_disagreement_is_a_failure(self, monkeypatch):
         from arbormat.harness import SPLIT_SIGN_AGREEMENT
 
-        task = split_sign_tasks(4)[9]
+        task, bits = split_sign_tasks(4)[0], 9
         kernel = _fast.batched_split_sign
         flipped = []
 
         def wrong(*args):
             applicable, mixed, holds = kernel(*args)
-            flipped.append(np.nonzero(applicable)[0][-1])
+            flipped.append(np.nonzero(applicable[bits])[0][-1])
             holds = holds.copy()
-            holds[flipped[-1]] = False
+            holds[bits, flipped[-1]] = False
             return applicable, mixed, holds
 
         monkeypatch.setattr(_fast, "batched_split_sign", wrong)
-        failures = self.batched(task)["failures"]
+        others = [sub["failures"] for sub in self.batched(task)]
+        failures = others.pop(bits)
         assert [f["identity"] for f in failures] == [SPLIT_SIGN_AGREEMENT]
+        assert not any(others)
         want = _fast.cycle_images(5)[flipped[0], 1:]
         assert failures[0]["map"] == ",".join(map(str, want))
 
@@ -565,11 +593,10 @@ class TestRootVectors:
 
     def test_root_transport_matches_exact_route(self):
         from arbormat import path_image_check
-        from arbormat.harness import _random_path_image_ok
 
         instances = list(random_instances(17, 300, 2, 9))
         assert {f.tree.edge_count for f, _ in instances} == set(range(2, 10))
-        got = _random_path_image_ok(instances)
+        got = _fast.instance_path_image_ok(instances)
         assert got.all()
         assert got.tolist() == [path_image_check(f, o) for f, o in instances]
 
@@ -603,9 +630,7 @@ class TestCycleChunks:
             "det_search": tasks,
             "path_image": tasks,
             "path_graph": [(5, idx, tree.edges, (0,)) for idx, tree in trees],
-            "split_sign": [
-                (5, idx, tree.edges, (bits,)) for idx, tree in trees for bits in (0, 5)
-            ],
+            "split_sign": tasks,  # every orientation decided directly
         }
         def run(name, ts):
             # the transport split depends on the chunk size: chunks of at
@@ -635,9 +660,10 @@ class TestExactRouteBudget:
             harness, "split_sign_check", lambda f, o: calls.append(f) or real(f, o)
         )
         res = run_split_sign_sweep([2, 3, 4])
-        tasks = sum(len(split_sign_tasks(n)) for n in (2, 3, 4))
+        # one or two audits per (tree, orientation)
+        pairs = sum(len(task[3]) for n in (2, 3, 4) for task in split_sign_tasks(n))
         assert res.all_pass and res.instances == 1256
-        assert tasks <= len(calls) <= 2 * tasks
+        assert pairs <= len(calls) <= 2 * pairs
 
     def test_path_image_audit_only(self, monkeypatch):
         from arbormat import harness
@@ -698,7 +724,8 @@ def inject_failures(monkeypatch, sweep):
     """Fail the marked instances of `sweep`, so failure records, witness
     determinant signs and non-unit histogram entries occur.  Transport
     refuses the marked rows, which sends them to the direct kernels, and
-    one kernel of `sweep` fails them there."""
+    one kernel of `sweep` fails them there (the path-graph sweep: the
+    uniform-sign kernel, which both of its routes call)."""
     refuse_transport(monkeypatch)
     if sweep == "theorem":
         real = _fast.batched_geometric_sum_zero
@@ -714,6 +741,10 @@ def inject_failures(monkeypatch, sweep):
             return gate, det, companion_ok & ~marked(a)
 
         monkeypatch.setattr(_fast, "batched_witness", witness)
+    elif sweep == "path_graph":
+        # the direct and the derived route both take uniform signs from it
+        real = _fast.batched_uniform_sign
+        monkeypatch.setattr(_fast, "batched_uniform_sign", lambda a: real(a) & ~marked(a))
 
 
 def quotiented_sweep(sweep, policy, counts):
@@ -1162,3 +1193,154 @@ class TestClosedForm:
         code = cli.main(["search-detmf", "--n", "5", "--out", str(tmp_path / "d.json")])
         assert code == 1
         assert f"{audited} audit disagreements" in capsys.readouterr().err
+
+
+def path_graph_oriented(tree, flip=0):
+    """A path tree as run_path_graph_sweep hands it to its claims: edges in
+    path order, every edge oriented along the path, then the edges of the
+    bitmask ``flip`` reversed."""
+    from arbormat.harness import _Oriented
+    from arbormat.trees import path_edge_ordered, same_direction_orientation
+
+    tree = path_edge_ordered(tree)
+    along = sum(1 << k for k, flag in enumerate(same_direction_orientation(tree).bits) if flag)
+    return _Oriented.of(tree, along ^ flip)
+
+
+class TestPathGraphCertificate:
+    """Path-graph claims derived from path transport and a Petrie path
+    table equal the direct route, which builds every witness matrix."""
+
+    @pytest.mark.parametrize("v", range(3, 8))
+    def test_derived_equals_direct_every_path_tree(self, v):
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts
+
+        images = _fast.cycle_images(v)
+        rows = images.shape[0]
+        paths = [tree for tree in trees_for(v) if tree.is_path()]
+        assert paths
+        for tree in paths:
+            o = path_graph_oriented(tree)
+            a = o.build(images)
+            claims, certified = harness._path_graph_claims_derived(o, images, a)
+            want = harness._path_graph_claims_direct(o, images, a)
+            assert certified.all() and want["ok"].all()
+            assert claims.keys() == want.keys()
+            for name, x in want.items():
+                assert (claims[name] == x).all(), (tree, name)
+            # every row outside the audit set is certified
+            counts = QuotientCounts()
+            got = harness._path_graph_claims(o, images, a, counts)
+            audited = min(rows, AUDIT_ROWS)
+            assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
+            assert got["ok"].all()
+
+    def test_flipped_entry_sends_that_row_to_the_direct_route(self, monkeypatch):
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts
+
+        v, row = 7, 300
+        o = path_graph_oriented(next(t for t in trees_for(v) if t.is_path()))
+        images = _fast.cycle_images(v)
+        a = o.build(images)
+        i = int(np.argmax((a[row] != 0).sum(axis=1) >= 2))  # the flip mixes its signs
+        a[row, i, int(np.nonzero(a[row, i])[0][0])] *= -1
+        audit = audit_rows(images.shape[0]).tolist()
+        assert row not in audit and len(audit) == AUDIT_ROWS
+        _, certified = harness._path_graph_claims_derived(o, images, a)
+        assert np.nonzero(~certified)[0].tolist() == [row]
+        sent = []
+        real = harness._path_graph_claims_direct
+        monkeypatch.setattr(
+            harness, "_path_graph_claims_direct",
+            lambda o, images, a: sent.append(images) or real(o, images, a),
+        )
+        counts = QuotientCounts()
+        got = harness._path_graph_claims(o, images, a, counts)
+        (rows,) = sent
+        assert (rows == images[sorted(audit + [row])]).all()
+        assert astuple(counts)[3:] == (720 - AUDIT_ROWS - 1, AUDIT_ROWS, 1, 0)
+        want = real(o, images, a)
+        assert got.keys() == want.keys()
+        for key, x in want.items():
+            assert (got[key] == x).all()
+        assert np.nonzero(~got["ok"])[0].tolist() == [row]
+
+    def test_audit_disagreement_fails_the_row(self, monkeypatch):
+        """With |det| read as 0 on the direct route, every certified audit
+        row disagrees with the derived claims and fails; the rest pass."""
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts
+
+        monkeypatch.setattr(
+            _fast, "batched_charpoly",
+            lambda m: np.zeros((m.shape[0], m.shape[1] + 1), dtype=np.int64),
+        )
+        v = 6
+        images = _fast.cycle_images(v)
+        audit = audit_rows(images.shape[0])
+        o = path_graph_oriented(next(t for t in trees_for(v) if t.is_path()))
+        counts = QuotientCounts()
+        got = harness._path_graph_claims(o, images, o.build(images), counts)
+        assert counts.disagreements == AUDIT_ROWS
+        assert np.nonzero(~got["ok"])[0].tolist() == audit.tolist()
+        assert got["uniform_sign"].all() and got["petrie"].all()
+
+        monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
+        res = run_path_graph_sweep([v - 1])
+        assert not res.all_pass and res.instances == images.shape[0]
+        assert [f["map"] for f in res.failures] == [
+            ",".join(map(str, images[k, 1:])) for k in audit
+        ]
+        assert all(f["uniform_sign"] and f["petrie"] for f in res.failures)
+
+    def test_disagreeing_audit_row_fails_though_direct_values_pass(self, monkeypatch):
+        """Derived claims that read every Petrie flag as false disagree with
+        the direct values on the audit rows: those rows fail on the audit
+        alone, and the other certified rows keep their derived verdicts."""
+        from arbormat import harness
+
+        real = harness._path_graph_claims_derived
+
+        def wrong(o, images, a):
+            claims, certified = real(o, images, a)
+            claims["petrie"][:] = False
+            return claims, certified
+
+        monkeypatch.setattr(harness, "_path_graph_claims_derived", wrong)
+        monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
+        images = _fast.cycle_images(6)
+        res = run_path_graph_sweep([5])
+        assert [f["map"] for f in res.failures] == [
+            ",".join(map(str, images[k, 1:])) for k in audit_rows(images.shape[0])
+        ]
+        assert all(f["uniform_sign"] and f["petrie"] for f in res.failures)
+
+    @pytest.mark.parametrize("v", [5, 6])
+    def test_non_path_tree_certifies_nothing(self, v):
+        """Transport holds, but the path table of a non-path tree, or of a
+        path tree with an edge against the line, has a row that is not a
+        contiguous single-signed block: every row goes to the direct route."""
+        from arbormat import harness
+        from arbormat.certificate import certified_rows, coprime_steps
+        from arbormat.harness import QuotientCounts, _Oriented
+
+        images = _fast.cycle_images(v)
+        cases = []
+        for tree in trees_for(v):
+            if tree.is_path():
+                cases += [path_graph_oriented(tree, flip) for flip in (1, 1 << (v - 2))]
+            else:
+                cases += [_Oriented.of(tree, bits) for bits in (0, (1 << (v - 1)) - 1)]
+        assert len(cases) > 4
+        for o in cases:
+            a = o.build(images)
+            assert certified_rows(o, images, a, coprime_steps(v)).all()
+            claims, certified = harness._path_graph_claims_derived(o, images, a)
+            assert not certified.any()
+            counts = QuotientCounts()
+            got = harness._path_graph_claims(o, images, a, counts)
+            assert counts.certified == 0 and counts.uncertified + counts.audited == len(images)
+            for key, x in harness._path_graph_claims_direct(o, images, a).items():
+                assert (got[key] == x).all()
