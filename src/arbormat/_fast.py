@@ -20,16 +20,11 @@ the same answers as arbitrary-precision arithmetic:
 * Root-vector transport products r(w).A have |entries| <= n, so a batch
   sharing one root table computes them exactly in float32.
 
-The GF(2) nonderogatory test works on bit-packed rows instead, in the style
-of M4RI (Albrecht, Bard & Hart, ACM TOMS 37, 2010): each Krylov power of
-M mod 2 is kept row-major in uint64 words holding ``64 // n`` whole n-bit
-rows (one word for n <= 8, two for n = 9, 10), multiplied by M with shifts,
-masks and XOR, and eliminated by batched XOR; there is no per-instance
-Python loop.
+The GF(2) nonderogatory test is a plain batched row reduction; since the
+closed form decides the Z_2 claim, it only audits.
 
-Capacity is one model: ``SWEEP_N_CAP`` is the largest n for which both the
-int64 bound above and the cycle-image materialization limit hold, and the
-sweep driver checks it before any work starts.
+Capacity is one limit, ``SWEEP_N_CAP``, which the sweep driver checks
+before any work starts.
 
 The sister implementations in :mod:`arbormat.algebra` are arbitrary
 precision; the test suite asserts agreement between both routes.
@@ -42,9 +37,10 @@ from functools import lru_cache
 import numpy as np
 
 _BATCH_N_CAP = 10  # int64 bound argument above holds through n = 10
-MAX_CYCLE_VERTICES = 10  # cycle_images materializes at most 9! rows (about 32 MB)
-# Largest n a sweep can run: its kernels and its cycle images must both fit.
-SWEEP_N_CAP = min(_BATCH_N_CAP, MAX_CYCLE_VERTICES - 1)
+# Largest n a sweep can run: each worker materializes all n! cycle images of
+# a tree (9! rows, about 32 MB, at n = 9), and the int64 kernels hold
+# through n = 10.
+SWEEP_N_CAP = 9
 
 
 def _check_small(n: int):
@@ -101,47 +97,24 @@ def batched_gf2_nonderogatory(mats: np.ndarray) -> np.ndarray:
     Together with an all-ones mod-2 characteristic polynomial this pins the
     invariant factor list to the single polynomial 1 + x + ... + x^n.
 
-    Bit-packed and batched: row c of M mod 2 becomes the n-bit mask
-    ``rows[:, c]`` (bit j = column j), and each Krylov power is stored
-    row-major in ``words`` uint64 words of ``64 // n`` whole rows, row i in
-    the n-bit slot at bit ``n * (i % per)`` of word ``i // per``.  Row i of
-    P.M is the XOR of the rows c of M with P[i, c] = 1, so for all slots of
-    a word at once P.M = XOR_c ((P >> c) & E) * rows[:, c], where E has the
-    lowest bit of every slot set.  The product cannot carry: each term is a
-    row mask below 2**n placed on one slot.  The powers are then reduced in
-    insertion order against the earlier ones by batched XOR, each basis
-    vector's pivot being its lowest set bit; an instance fails when a
-    reduced power is zero.
-    """
+    The flattened powers mod 2 are reduced in order against the earlier
+    ones, each pivot at its first set entry; an instance fails when a
+    reduced power is zero."""
     b, n, _ = mats.shape
     _check_small(n)
-    per = 64 // n
-    words = -(-n // per)
-    lows = np.zeros(words, dtype=np.uint64)
-    identity = np.zeros(words, dtype=np.uint64)
-    for i in range(n):
-        word, slot = divmod(i, per)
-        lows[word] |= np.uint64(1 << (n * slot))
-        identity[word] |= np.uint64(1 << (n * slot + i))
-
-    rows = ((mats & 1) @ (1 << np.arange(n, dtype=np.int64))).astype(np.uint64)
-    cols = np.arange(n, dtype=np.uint64)
-    power = np.broadcast_to(identity, (b, words))
-    basis, pivots = [], []
+    m = (mats & 1).astype(np.uint8)
+    power = np.broadcast_to(np.eye(n, dtype=np.uint8), (b, n, n))
+    each = np.arange(b)
     ok = np.ones(b, dtype=bool)
-    for k in range(n):
-        if k:
-            terms = ((power[:, :, None] >> cols) & lows[:, None]) * rows[:, None, :]
-            power = np.bitwise_xor.reduce(terms, axis=2)
-        vec = power.copy()
+    basis, pivots = [], []
+    for _ in range(n):
+        vec = power.reshape(b, n * n).copy()
         for known, pivot in zip(basis, pivots):
-            hit = ((vec & pivot) != 0).any(axis=1)
-            vec ^= known * hit[:, None]
-        nonzero = vec != 0
-        ok &= nonzero.any(axis=1)
-        first = nonzero & (np.cumsum(nonzero, axis=1) == 1)
+            vec ^= known * vec[each, pivot][:, None]
+        ok &= vec.any(axis=1)
         basis.append(vec)
-        pivots.append(np.where(first, vec & (~vec + np.uint64(1)), np.uint64(0)))
+        pivots.append(vec.argmax(axis=1))
+        power = (power @ m) & 1
     return ok
 
 
@@ -328,10 +301,8 @@ def _lex_permutations(m: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def cycle_images(v: int) -> np.ndarray:
     """All single v-cycles as image arrays: out[b, u] = f(u); column 0 unused."""
-    if v > MAX_CYCLE_VERTICES:
-        raise ValueError(
-            f"refusing to materialize more than {MAX_CYCLE_VERTICES - 1}! cycle images"
-        )
+    if v > SWEEP_N_CAP + 1:
+        raise ValueError(f"refusing to materialize more than {SWEEP_N_CAP}! cycle images")
     perms = _lex_permutations(v - 1) + 2  # the cycle 1 -> perm[0] -> ...
     b = perms.shape[0]
     seq = np.concatenate([np.ones((b, 1), dtype=np.int64), perms], axis=1)

@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ArbormatError, MismatchAgainstCaption, WitnessFailed
+from .errors import ArbormatError, CapExceeded, MismatchAgainstCaption, WitnessFailed
 from .fixtures import FIGURE_IDS, check_fixture, load_fixture, reconstruct_instance
 from .harness import (
     DEFAULT_N_CAP,
@@ -44,6 +44,18 @@ def _cap() -> int:
         return int(raw)
     except ValueError as exc:
         raise ArbormatError(f"ARBOR_CAP_N must be an integer, got {raw!r}") from exc
+
+
+def _sweep_ns(text: str) -> list[int]:
+    """The ns of --n, each at most ARBOR_CAP_N.  An n above the sweep limit
+    (DEFAULT_N_CAP) is left to the sweep's own check, which names that
+    limit whatever ARBOR_CAP_N says."""
+    ns = _parse_range(text)
+    cap = _cap()
+    for n in ns:
+        if cap < n <= DEFAULT_N_CAP:
+            raise CapExceeded(f"n = {n} exceeds the cap ARBOR_CAP_N = {cap}")
+    return ns
 
 
 def _parse_range(text: str) -> list[int]:
@@ -141,17 +153,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     policy = OrientationPolicy.parse(args.orientations)
-    ns = _parse_range(args.n)
+    ns = _sweep_ns(args.n)
     counts = QuotientCounts()
     started = time.perf_counter()
-    result = run_theorem_sweep(
-        ns,
-        policy,
-        seed=args.seed,
-        workers=args.workers,
-        cap=_cap(),
-        counts=counts,
-    )
+    result = run_theorem_sweep(ns, policy, seed=args.seed, workers=args.workers, counts=counts)
     elapsed = time.perf_counter() - started
     doc = {
         "command": "verify",
@@ -210,7 +215,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_search_detmf(args) -> int:
     policy = OrientationPolicy.parse(args.orientations)
-    ns = _parse_range(args.n)
+    ns = _sweep_ns(args.n)
     counts = QuotientCounts()
     started = time.perf_counter()
     result = run_det_search(
@@ -218,7 +223,6 @@ def cmd_search_detmf(args) -> int:
         policy,
         seed=args.seed,
         workers=args.workers,
-        cap=_cap(),
         paths_only=args.paths_only,
         counts=counts,
     )

@@ -118,10 +118,6 @@ class TransitionMatrices:
         self.oriented = oriented
         self.unoriented = oriented.abs()
 
-    @property
-    def n(self) -> int:
-        return self.oriented.nrows
-
 
 def oriented_matrix(f: VertexMap, orientation: Orientation) -> TransitionMatrices:
     """Build the transition matrices of f under the given edge orientation.

@@ -33,6 +33,7 @@ from .dynamics import VertexMap, oriented_matrix
 from .errors import FixtureMissing, MismatchAgainstCaption, ParseError
 from .rings import ZZ
 from .theorems import (
+    _witness_rows,
     geometric_sum_is_zero,
     odd_coefficients_check,
     z2_similarity_to_companion,
@@ -239,7 +240,7 @@ def reconstruct_instance(fixture: Fixture, max_results: int = 4) -> list[dict]:
                     "tree": new_tree.edge_list_str(),
                     "map": f.image_str(),
                     "orientation": orientation.bitstring(),
-                    "seed_charpolys": _seed_charpolys(new_tree, f, orientation),
+                    "seed_charpolys": _seed_charpolys(f, orientation),
                 }
                 results.append(entry)
                 break
@@ -248,23 +249,15 @@ def reconstruct_instance(fixture: Fixture, max_results: int = 4) -> list[dict]:
     return results[:max_results]
 
 
-def _seed_charpolys(tree: Tree, f: VertexMap, orientation: Orientation) -> list[list[str]]:
+def _seed_charpolys(f: VertexMap, orientation: Orientation) -> list[list[str]]:
     """Distinct witness-matrix charpolys over all coprime seed paths.
 
     The printed panels carry no vertex labels, so a pinned witness value can
     only be matched up to relabeling: it must appear in this list."""
-    v = tree.vertex_count
-    n = tree.edge_count
-    a = oriented_matrix(f, orientation).oriented
+    v = f.tree.vertex_count
     seen = set()
     for u in range(1, v + 1):
-        for j in range(1, n + 1):
-            if gcd(j, v) != 1:
-                continue
-            w = tree.signed_path_vector(orientation, u, f.iterate(u, j))
-            rows = [w]
-            for _ in range(n - 1):
-                w = a.vec_mul(w)
-                rows.append(w)
-            seen.add(ExactMatrix(ZZ, rows).charpoly().coeffs)
+        for j in range(1, v):
+            if gcd(j, v) == 1:
+                seen.add(_witness_rows(f, orientation, u, j)[1].charpoly().coeffs)
     return [[str(c) for c in coeffs] for coeffs in sorted(seen)]

@@ -48,7 +48,6 @@ from .errors import CapExceeded, WitnessFailed
 from .dynamics import VertexMap, path_image_check
 from .theorems import ClaimStatus, _witness_rows, basis_witness, split_sign_check
 from .trees import (
-    DEFAULT_VERTEX_CAP,
     Orientation,
     Tree,
     canonical_form,
@@ -76,7 +75,7 @@ __all__ = [
     "DEFAULT_N_CAP",
 ]
 
-DEFAULT_N_CAP = DEFAULT_VERTEX_CAP - 1
+DEFAULT_N_CAP = _fast.SWEEP_N_CAP
 MAX_FAILURE_RECORDS = 20
 # A quarter of the 8! cycles of one n = 8 task: its (B, n, n) int64
 # temporaries stay near 45 MB instead of 175 MB, and n <= 7 is never split.
@@ -130,7 +129,7 @@ def orientations_for(
 
 @lru_cache(maxsize=64)
 def trees_for(v: int) -> tuple[Tree, ...]:
-    return tuple(enumerate_trees(v, cap=max(v, DEFAULT_VERTEX_CAP)))
+    return tuple(enumerate_trees(v))
 
 
 @lru_cache(maxsize=256)
@@ -143,17 +142,15 @@ def _path_table_cached(edges: tuple):
     return _fast.path_table(Tree(edges))
 
 
-def _check_cap(ns, cap) -> list[int]:
+def _check_cap(ns) -> list[int]:
     """The distinct ns in ascending order; rejects every n a sweep cannot
     finish, before any tree is enumerated."""
     ns = sorted(set(ns))
     for n in ns:
-        if n > cap:
-            raise CapExceeded(f"n = {n} exceeds cap {cap} (set ARBOR_CAP_N to raise)")
         if n > _fast.SWEEP_N_CAP:
             raise CapExceeded(
-                f"n = {n} exceeds the sweep limit of n <= {_fast.SWEEP_N_CAP}: "
-                f"{n}! cycle images per tree would be materialized"
+                f"n = {n} exceeds the sweep limit of n <= {_fast.SWEEP_N_CAP}, a fixed "
+                f"cap: {n}! cycle images per tree would be materialized"
             )
         if n < 2:
             raise CapExceeded(f"n = {n} below the minimum of 2")
@@ -548,12 +545,11 @@ def run_theorem_sweep(
     policy: OrientationPolicy,
     seed: int = 0,
     workers: int = 1,
-    cap: int = DEFAULT_N_CAP,
     counts: QuotientCounts | None = None,
 ) -> TheoremSweepResult:
     """Run the per-instance matrix claims over whole instance spaces; the
     quotient counters of the run are added to ``counts`` when given."""
-    ns = _check_cap(ns, cap)
+    ns = _check_cap(ns)
     out = TheoremSweepResult(ns=ns, policy=policy.describe(), seed=seed)
     _sweep(_THEOREM, out, _tree_tasks(ns, policy, seed, out.per_n), workers, counts)
     out.total_instances = sum(stats["instances"] for stats in out.per_n.values())
@@ -646,10 +642,9 @@ def run_witness_sweep(
     policy: OrientationPolicy,
     seed: int = 0,
     workers: int = 1,
-    cap: int = DEFAULT_N_CAP,
     counts: QuotientCounts | None = None,
 ) -> WitnessSweepResult:
-    ns = _check_cap(ns, cap)
+    ns = _check_cap(ns)
     out = WitnessSweepResult(ns=ns, policy=policy.describe(), seed=seed)
     _sweep(_WITNESS, out, _tree_tasks(ns, policy, seed), workers, counts)
     out.all_pass = not out.failures
@@ -672,12 +667,11 @@ def run_det_search(
     policy: OrientationPolicy,
     seed: int = 0,
     workers: int = 1,
-    cap: int = DEFAULT_N_CAP,
     paths_only: bool = False,
     counts: QuotientCounts | None = None,
 ) -> DetSearchResult:
     """Tabulate |det| of every witness matrix over the instance space."""
-    ns = _check_cap(ns, cap)
+    ns = _check_cap(ns)
     out = DetSearchResult(ns=ns, policy=policy.describe(), seed=seed)
     tasks = _tree_tasks(ns, policy, seed, paths_only=paths_only)
     _sweep(_DET_SEARCH, out, tasks, workers, counts)
@@ -736,12 +730,11 @@ def run_path_image_sweep(
     random_n: tuple[int, int] = (6, 9),
     seed: int = 0,
     workers: int = 1,
-    cap: int = DEFAULT_N_CAP,
     counts: QuotientCounts | None = None,
 ) -> PathImageResult:
     if not 2 <= random_n[0] <= random_n[1]:
         raise CapExceeded(f"random_n = {tuple(random_n)} needs 2 <= n_lo <= n_hi")
-    tasks = _tree_tasks(_check_cap(ns_exhaustive, cap), OrientationPolicy("all"), seed)
+    tasks = _tree_tasks(_check_cap(ns_exhaustive), OrientationPolicy("all"), seed)
     out = _sweep(_PATH_IMAGE, PathImageResult(), tasks, workers, counts)
     # the first PATH_IMAGE_AUDIT instances are also decided on the exact
     # route; a disagreement fails the instance
@@ -811,7 +804,7 @@ class PathGraphResult:
     all_pass: bool = True
 
 
-def run_path_graph_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> PathGraphResult:
+def run_path_graph_sweep(ns, workers: int = 1) -> PathGraphResult:
     """Path trees under the along-the-path orientation: every oriented row is
     single-signed, the unoriented determinant is +-1, and every witness
     matrix is a Petrie matrix with determinant +-1.
@@ -819,7 +812,7 @@ def run_path_graph_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> Path
     Edges are reindexed along the path first: the Petrie contiguity claim is
     relative to interval-style edge order."""
     tasks = []
-    paths = _tree_tasks(_check_cap(ns, cap), OrientationPolicy("canonical"), 0, paths_only=True)
+    paths = _tree_tasks(_check_cap(ns), OrientationPolicy("canonical"), 0, paths_only=True)
     for v, tree_idx, edges, _ in paths:
         tree = path_edge_ordered(Tree(edges))
         bits = sum(1 << k for k, flag in enumerate(same_direction_orientation(tree).bits) if flag)
@@ -915,8 +908,8 @@ _SPLIT_SIGN = _Sweep(
 )
 
 
-def run_split_sign_sweep(ns, workers: int = 1, cap: int = DEFAULT_N_CAP) -> SplitSignResult:
-    tasks = _tree_tasks(_check_cap(ns, cap), OrientationPolicy("all"), 0)
+def run_split_sign_sweep(ns, workers: int = 1) -> SplitSignResult:
+    tasks = _tree_tasks(_check_cap(ns), OrientationPolicy("all"), 0)
     out = _sweep(_SPLIT_SIGN, SplitSignResult(), tasks, workers)
     out.all_pass = not out.failures
     return out

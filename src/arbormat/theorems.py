@@ -402,10 +402,6 @@ class InstanceReport:
     det_unoriented: int = 0
     witness: Optional[dict] = None
 
-    @property
-    def instance_key(self) -> tuple:
-        return (self.n, self.tree_canonical, self.tree_edges, self.orientation, self.image)
-
     def all_pass(self) -> bool:
         for name in MANDATORY_CLAIMS:
             if self.claims[name].status is not ClaimStatus.PASS:
@@ -414,14 +410,6 @@ class InstanceReport:
             self.claims[name].status is not ClaimStatus.FAIL
             for name in CONDITIONAL_CLAIMS
         )
-
-    def failures(self) -> dict:
-        return {
-            name: result
-            for name, result in self.claims.items()
-            if result.status is ClaimStatus.FAIL
-            or (name in MANDATORY_CLAIMS and result.status is not ClaimStatus.PASS)
-        }
 
 
 def verify_instance(
@@ -465,10 +453,8 @@ def verify_instance(
                 if gcd(j, v) != 1:
                     continue
                 for i in range(1, v + 1):
-                    w = basis_witness(f, orientation, i, j)
-            w = basis_witness(f, orientation, 1, 1)
-        else:
-            w = basis_witness(f, orientation, 1, 1)
+                    basis_witness(f, orientation, i, j)
+        w = basis_witness(f, orientation, 1, 1)
         witness_info = {
             "i": w.i,
             "j": w.j,

@@ -11,7 +11,6 @@ chosen direction.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -42,7 +41,7 @@ DEFAULT_VERTEX_CAP = 10
 class Tree:
     """Tree on vertices 1..v given as an ordered list of n = v-1 edges."""
 
-    __slots__ = ("edges", "vertex_count", "adjacency")
+    __slots__ = ("edges", "vertex_count", "adjacency", "parent", "depth")
 
     def __init__(self, edges: Iterable[Sequence[int]]):
         norm = []
@@ -69,20 +68,22 @@ class Tree:
         for idx, (a, b) in enumerate(norm):
             adj[a].append((b, idx))
             adj[b].append((a, idx))
-        # connected with v-1 edges => acyclic
-        reached = {1}
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
+        # connected with v-1 edges => acyclic; the search from vertex 1 also
+        # roots the tree there for path_vertices
+        parent, depth = [0] * (v + 1), [-1] * (v + 1)
+        depth[1] = 0
+        queue = [1]
+        for u in queue:
             for w, _ in adj[u]:
-                if w not in reached:
-                    reached.add(w)
+                if depth[w] < 0:
+                    parent[w], depth[w] = u, depth[u] + 1
                     queue.append(w)
-        if len(reached) != v:
+        if len(queue) != v:
             raise InvalidTree("edge list is not connected")
         self.edges = tuple(norm)
         self.vertex_count = v
         self.adjacency = tuple(tuple(nbrs) for nbrs in adj)
+        self.parent, self.depth = tuple(parent), tuple(depth)
 
     @property
     def edge_count(self) -> int:
@@ -99,14 +100,14 @@ class Tree:
         """The unique simple path from u to v, inclusive."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if u == v:
-            return (u,)
-        parent = self._bfs_parents(u)
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return tuple(path)
+        # walk the deeper end up until both ends meet at their common ancestor
+        head, tail = [u], [v]
+        while head[-1] != tail[-1]:
+            if self.depth[head[-1]] >= self.depth[tail[-1]]:
+                head.append(self.parent[head[-1]])
+            else:
+                tail.append(self.parent[tail[-1]])
+        return tuple(head + tail[-2::-1])
 
     def signed_path_vector(self, orientation: "Orientation", u: int, v: int) -> tuple[int, ...]:
         """Edge-indexed vector of the path u -> v: +1 along, -1 against, 0 off."""
@@ -137,17 +138,6 @@ class Tree:
         for (a, b), rev in zip(self.edges, orientation.bits):
             out.append((b, a) if rev else (a, b))
         return tuple(out)
-
-    def _bfs_parents(self, root: int) -> dict[int, int]:
-        parent = {root: 0}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for w, _ in self.adjacency[x]:
-                if w not in parent:
-                    parent[w] = x
-                    queue.append(w)
-        return parent
 
     def _check_vertex(self, u: int):
         if not (isinstance(u, int) and 1 <= u <= self.vertex_count):

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from arbormat import cli
 
@@ -68,6 +69,12 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--vertices", "99")
         assert code == 2
 
+    def test_env_cap_raises_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARBOR_CAP_N", "12")
+        code, doc, _ = run_json(capsys, "enumerate", "--vertices", "12")
+        assert code == 0
+        assert doc["count"] == "551"
+
 
 class TestVerify:
     def test_small_sweep(self, capsys):
@@ -117,6 +124,27 @@ class TestVerify:
         monkeypatch.setenv("ARBOR_CAP_N", "2")
         code, _, err = run_cli(capsys, "verify", "--n", "3")
         assert code == 2
+
+    def test_sweep_limit_error_gives_no_env_advice(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "12")
+        assert code == 2
+        assert out == ""
+        assert "sweep limit of n <= 9" in err
+        assert "ARBOR_CAP_N" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "search-detmf"])
+    def test_env_cap_checked_before_enumeration(self, capsys, monkeypatch, command):
+        from arbormat import harness
+
+        def no_trees(v):
+            raise AssertionError(f"trees on {v} vertices enumerated")
+
+        monkeypatch.setattr(harness, "trees_for", no_trees)
+        monkeypatch.setenv("ARBOR_CAP_N", "5")
+        code, out, err = run_cli(capsys, command, "--n", "2..6")
+        assert code == 2
+        assert out == ""
+        assert "ARBOR_CAP_N = 5" in err
 
     def test_byte_determinism_across_workers(self, tmp_path):
         paths = []

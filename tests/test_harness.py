@@ -135,10 +135,10 @@ class TestKernelAgreement:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_gf2_kernel_every_n(self, n):
-        # n = 9, 10 pack each Krylov power into two uint64 words
+        # every n the int64 kernels support, past the sweep limit of n = 9
         rng = np.random.default_rng(n)
         mats = [np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)]
-        # sparse draws give reduced powers whose first packed word is zero
+        # sparse draws give reduced powers that vanish or pivot late
         for low, density in ((0, 0.1), (0, 0.2), (0, 0.5), (-1, 0.1), (-1, 0.3), (-1, 0.7)):
             for _ in range(12):
                 draw = rng.random((n, n)) < density
@@ -301,6 +301,12 @@ class TestSweeps:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             run_theorem_sweep([12], OrientationPolicy("all"))
+
+    def test_sweep_limit_names_no_environment_variable(self):
+        # the library never reads ARBOR_CAP_N, so its error must not cite it
+        with pytest.raises(CapExceeded, match=r"sweep limit of n <= 9") as exc:
+            run_path_graph_sweep([10])
+        assert "ARBOR_CAP_N" not in str(exc.value)
 
     @pytest.mark.parametrize("random_n", [(1, 3), (5, 3)])
     def test_path_image_random_n_checked_first(self, monkeypatch, random_n):
