@@ -1,9 +1,12 @@
 """Batched integer kernels for the sweep harness.
 
-Everything here is exact int64 arithmetic vectorized over an instance batch
-(axis 0).  Inputs are transition matrices with entries in {-1, 0, 1}; all
-intermediate magnitudes are bounded well below 2**63, so numpy int64 gives
-the same answers as arbitrary-precision arithmetic:
+Everything here is exact integer arithmetic vectorized over an instance
+batch (axis 0).  Transition matrices are built and stored as int8, with
+entries in {-1, 0, 1}; a kernel widens to int64 where it does arithmetic.
+Every {-1, 0, 1} guard is the bound comparison of unit_entries, since
+np.abs maps an int8 -128 to itself.  All intermediate magnitudes are
+bounded well below 2**63, so numpy int64 gives the same answers as
+arbitrary-precision arithmetic:
 
 * Berkowitz intermediates: Toeplitz entries are R . M^k . C with |entries|<=1,
   so at most n**(n-1); the running vector holds characteristic-polynomial
@@ -17,8 +20,18 @@ the same answers as arbitrary-precision arithmetic:
 * Split-sign rebuilt rows are sf.B[i] + 2.delta.(c . A') with sf, delta,
   the entries of B and A' in {-1,0,1} and c a signed path vector, so
   |entries| <= 1 + 2n.
-* Root-vector transport products r(w).A have |entries| <= n, so a batch
-  sharing one root table computes them exactly in float32.
+* Path transport r(w).A = r(f(w)) - r(f(1)) is compared per vertex as one
+  integer: both sides dotted with the digit weights z = (2n+1)^k, k < n.
+  Once every entry of A is in {-1, 0, 1}, both sides have coordinates in
+  [-n, n], so their difference has digits of magnitude at most 2n < 2n+1
+  and its code is zero only when the difference is; every code is below
+  (2n+1)^n / 2 < 2**43 for n <= 10.  The entry check changes no verdict of
+  the coordinate-wise identity: R_{2..v} is invertible, so the identity has
+  one solution, the instance's transition matrix (path transport holds for
+  it), and its entries are in {-1, 0, 1}.
+* Chunk-sized products stay out of BLAS (einsum and integer matmul only):
+  sweep workers run one per core, and BLAS threads in each of them would
+  oversubscribe the cores.
 
 The GF(2) nonderogatory test is a plain batched row reduction; since the
 closed form decides the Z_2 claim, it only audits.
@@ -48,6 +61,11 @@ def _check_small(n: int):
         raise ValueError(f"batched kernels support n <= {_BATCH_N_CAP}, got {n}")
 
 
+def unit_entries(mats: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: every entry is in {-1, 0, 1}."""
+    return ~((mats < -1) | (mats > 1)).any(axis=(-2, -1))
+
+
 def batched_charpoly(mats: np.ndarray) -> np.ndarray:
     """Characteristic polynomials det(xI - M) of a stack of small integer
     matrices; returns coefficients ascending (constant term first).
@@ -55,7 +73,7 @@ def batched_charpoly(mats: np.ndarray) -> np.ndarray:
     Requires |entries| <= 1 (see module bound analysis)."""
     b, n, _ = mats.shape
     _check_small(n)
-    if np.abs(mats).max(initial=0) > 1:
+    if not unit_entries(mats).all():
         raise ValueError("batched charpoly requires entries in {-1,0,1}")
     mats = mats.astype(np.int64, copy=False)
     vec = np.ones((b, 1), dtype=np.int64)
@@ -83,6 +101,7 @@ def batched_geometric_sum_zero(mats: np.ndarray) -> np.ndarray:
     """Whether I + A + ... + A^n vanishes, per batch element."""
     b, n, _ = mats.shape
     _check_small(n)
+    mats = mats.astype(np.int64, copy=False)
     acc = np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n)).copy()
     diag = np.arange(n)
     for _ in range(n):
@@ -128,19 +147,24 @@ def batched_path_image_ok(
     batch or (B, v+1, n) per instance; images: (B, v+1) with images[b, u] =
     f(u); mats: (B, n, n).  Since spv(u, w) = r(w) - r(u), the identity for
     every pair holds iff r(w).A = r(f(w)) - r(f(1)) for every w, which costs
-    O(v n^2) per instance instead of O(v^2 n^2)."""
+    O(v n^2) per instance instead of O(v^2 n^2).
+
+    Both sides are compared as one integer per w, their dot product with the
+    digit weights z = (2n+1)^k; A must have entries in {-1, 0, 1} (see the
+    module notes on why this decides the same identity)."""
+    n = mats.shape[1]
+    _check_small(n)
+    z = (2 * n + 1) ** np.arange(n, dtype=np.int64)
+    code_a = np.einsum("bij,j->bi", mats, z)  # (B, n): row i of A as one number
+    code_r = np.einsum("...i,i->...", roots, z)  # r(x).z per vertex x
     if roots.ndim == 2:
-        # float32 (BLAS) is exact here: every product and partial sum is an
-        # integer of magnitude at most n (see the module bounds), far below 2**24
-        roots = roots.astype(np.float32)
-        lhs = roots[1:] @ mats.astype(np.float32)
-        image_roots = roots[images[:, 1:]]
+        lhs = code_a @ roots[1:].T.astype(np.int64)
+        image_codes = code_r[images[:, 1:]]
     else:
-        roots = roots.astype(np.int64)
-        lhs = roots[:, 1:] @ mats
-        image_roots = np.take_along_axis(roots, images[:, 1:, None], axis=1)
-    rhs = image_roots - image_roots[:, :1]  # images[:, 1] = f(1)
-    return np.all(lhs == rhs, axis=(1, 2))
+        lhs = np.einsum("bi,bwi->bw", code_a, roots[:, 1:].astype(np.int64))
+        image_codes = np.take_along_axis(code_r, images[:, 1:], axis=1)
+    rhs = image_codes - image_codes[:, :1]  # images[:, 1] = f(1)
+    return unit_entries(mats) & np.all(lhs == rhs, axis=1)
 
 
 def instance_path_image_ok(instances) -> np.ndarray:
@@ -235,7 +259,7 @@ def batched_petrie(mats: np.ndarray) -> np.ndarray:
     """Per instance: all entries in {-1,0,1}, each row's nonzero support is
     contiguous and single-signed."""
     b, r, n = mats.shape
-    small = (np.abs(mats) <= 1).all(axis=(1, 2))
+    small = unit_entries(mats)
     nz = mats != 0
     has = nz.any(axis=2)
     first = nz.argmax(axis=2)
@@ -259,7 +283,7 @@ def batched_witness_matrix(mats: np.ndarray, seeds: np.ndarray):
         w = np.einsum("bi,bij->bj", w, mats)
         rows.append(w)
     mf = np.stack(rows, axis=1)
-    return mf, np.abs(mf).max(axis=(1, 2)) <= 1
+    return mf, unit_entries(mf)
 
 
 def batched_witness(mats: np.ndarray, seeds: np.ndarray):
@@ -385,7 +409,9 @@ def build_oriented_batch(
 ) -> np.ndarray:
     """Stack of oriented transition matrices: row i of instance b is the
     signed path vector from f_b(first_i) to f_b(second_i)."""
-    return table_o[images[:, first], images[:, second], :].astype(np.int64)
+    v1, n = table_o.shape[1:]
+    pairs = images[:, first] * v1 + images[:, second]
+    return np.take(table_o.reshape(v1 * v1, n), pairs, axis=0)
 
 
 def iterate_images(images: np.ndarray, start: int, steps: int) -> np.ndarray:

@@ -732,8 +732,11 @@ def run_path_image_sweep(
     workers: int = 1,
     counts: QuotientCounts | None = None,
 ) -> PathImageResult:
-    if not 2 <= random_n[0] <= random_n[1]:
-        raise CapExceeded(f"random_n = {tuple(random_n)} needs 2 <= n_lo <= n_hi")
+    # the batched transport kernel is exact through n = _BATCH_N_CAP
+    if not 2 <= random_n[0] <= random_n[1] <= _fast._BATCH_N_CAP:
+        raise CapExceeded(
+            f"random_n = {tuple(random_n)} needs 2 <= n_lo <= n_hi <= {_fast._BATCH_N_CAP}"
+        )
     tasks = _tree_tasks(_check_cap(ns_exhaustive), OrientationPolicy("all"), seed)
     out = _sweep(_PATH_IMAGE, PathImageResult(), tasks, workers, counts)
     # the first PATH_IMAGE_AUDIT instances are also decided on the exact

@@ -1,5 +1,7 @@
 """Independent oracles: deliberately different algorithms from the package."""
 
+import numpy as np
+
 from arbormat.trees import canonical_form, decode_prufer
 
 
@@ -147,3 +149,18 @@ def similar_bruteforce(m1, m2, p) -> bool:
         if m1g == gm2:
             return True
     return False
+
+
+def transport_per_vertex(roots, images, mats):
+    """Path transport r(w).A == r(f(w)) - r(f(1)) of every vertex w, checked
+    coordinate by coordinate in int64 for any integer A: the per-vertex
+    formulation the digit-coded kernel replaced.  roots: (v+1, n) shared by
+    the batch or (B, v+1, n) per instance; images: (B, v+1); mats: (B, n, n)."""
+    roots = np.asarray(roots, dtype=np.int64)
+    mats = np.asarray(mats, dtype=np.int64)
+    if roots.ndim == 2:
+        roots = np.broadcast_to(roots, (mats.shape[0],) + roots.shape)
+    lhs = np.einsum("bwi,bij->bwj", roots[:, 1:], mats)
+    image_roots = np.take_along_axis(roots, images[:, 1:, None], axis=1)
+    rhs = image_roots - image_roots[:, :1]  # images[:, 1] = f(1)
+    return np.all(lhs == rhs, axis=(1, 2))

@@ -91,6 +91,26 @@ def instance_batch(seed, count, v):
     return out, mats
 
 
+def matrix_consumer_outputs(tree, table, images, first, second, a) -> dict:
+    """The outputs, as tuples of arrays, of every batched kernel that reads
+    the oriented matrices ``a`` of one oriented tree, witnesses on (1, 1)."""
+    b = np.abs(a)
+    seeds = table[1, images[:, 1]].astype(np.int64)  # spv(1, f(1))
+    paths = _fast.path_table(tree)
+    return {
+        "charpoly": (_fast.batched_charpoly(a), _fast.batched_charpoly(b)),
+        "geometric_sum_zero": (_fast.batched_geometric_sum_zero(a),),
+        "gf2_nonderogatory": (_fast.batched_gf2_nonderogatory(b),),
+        "witness": _fast.batched_witness(a, seeds),
+        "witness_matrix": _fast.batched_witness_matrix(a, seeds),
+        "split_sign": _fast.batched_split_sign(
+            paths, table[None], images, first[None], second[None], a[None]
+        ),
+        "uniform_sign": (_fast.batched_uniform_sign(a),),
+        "petrie": (_fast.batched_petrie(a),),
+    }
+
+
 class TestKernelAgreement:
     """The int64 batched route must coincide with the exact object route."""
 
@@ -196,7 +216,7 @@ class TestKernelAgreement:
 
     def test_matrix_build_matches_api(self):
         rng = random.Random(55)
-        for v in (4, 5, 6):
+        for v in range(3, 8):
             n = v - 1
             tree = rng.choice(trees_for(v))
             bits = rng.randrange(1 << n)
@@ -204,11 +224,19 @@ class TestKernelAgreement:
             images = _fast.cycle_images(v)
             first, second = _fast.oriented_endpoint_arrays(tree, bits)
             batch = _fast.build_oriented_batch(table, images, first, second)
+            assert batch.dtype == np.int8
             o = Orientation.from_int(bits, n)
             for idx in range(0, images.shape[0], 7):
                 f = VertexMap(tree, [int(x) for x in images[idx][1:]])
                 want = oriented_matrix(f, o).oriented.rows
                 assert tuple(tuple(int(e) for e in row) for row in batch[idx]) == want
+            # every kernel reading A gives the same output on its int64 copy
+            args = tree, table, images, first, second
+            narrow = matrix_consumer_outputs(*args, batch)
+            wide = matrix_consumer_outputs(*args, batch.astype(np.int64))
+            for name in narrow:
+                for x, y in zip(narrow[name], wide[name]):
+                    assert np.array_equal(x, y), (v, name)
 
     def test_witness_kernel_matches_api(self):
         instances, mats = instance_batch(77, 25, 5)
@@ -308,7 +336,7 @@ class TestSweeps:
             run_path_graph_sweep([10])
         assert "ARBOR_CAP_N" not in str(exc.value)
 
-    @pytest.mark.parametrize("random_n", [(1, 3), (5, 3)])
+    @pytest.mark.parametrize("random_n", [(1, 3), (5, 3), (6, 11)])
     def test_path_image_random_n_checked_first(self, monkeypatch, random_n):
         from arbormat import harness
 
@@ -621,6 +649,84 @@ class TestRootVectors:
                 mats[0, i, j] = rng.choice([x for x in (-1, 0, 1) if x != mats[0, i, j]])
                 assert not _fast.batched_path_image_ok(roots, images, mats).any()
                 assert not _path_image_check_matrix(f, o, ExactMatrix(ZZ, mats[0].tolist()))
+
+
+def transport_batches(n, count, seed):
+    """Valid path-transport inputs (roots, images, int8 A) of ``count``
+    random instances with n edges, in both root shapes: the first
+    instance's oriented tree shared by every map, roots (v+1, n), and each
+    instance's own, roots (count, v+1, n)."""
+    instances = list(random_instances(seed, count, n, n))
+    images = np.array([(0,) + f.image for f, _ in instances], dtype=np.int64)
+
+    def oriented(f, o):
+        bits = sum(1 << k for k, flag in enumerate(o.bits) if flag)
+        return _fast.orient_table(_fast.signed_path_table(f.tree), bits, n), bits
+
+    table, bits = oriented(*instances[0])
+    ends = _fast.oriented_endpoint_arrays(instances[0][0].tree, bits)
+    shared = table[1], images, _fast.build_oriented_batch(table, images, *ends)
+    roots, mats = [], []
+    for k, (f, o) in enumerate(instances):
+        table, bits = oriented(f, o)
+        ends = _fast.oriented_endpoint_arrays(f.tree, bits)
+        roots.append(table[1])
+        mats.append(_fast.build_oriented_batch(table, images[k : k + 1], *ends)[0])
+    return shared, (np.stack(roots), images, np.stack(mats))
+
+
+def transport_variants(mats, rng) -> dict:
+    """A valid int8 batch and its corruptions, one entry or row pair per
+    matrix: another value in {-1, 0, 1}; +-2 and -128; and an aliasing
+    change, +(2n+1) at column k and -1 at column k+1 of one row, which
+    leaves the row's digit code A.z unchanged."""
+    b, n, _ = mats.shape
+    rows, i, j = np.arange(b), rng.integers(0, n, b), rng.integers(0, n, b)
+    out = {"valid": mats}
+    other = mats.copy()
+    other[rows, i, j] = (mats[rows, i, j] + 2) % 3 - 1
+    out["other value"] = other
+    for value in (2, -2, -128):
+        bad = mats.copy()
+        bad[rows, i, j] = value
+        out[f"entry {value}"] = bad
+    k = rng.integers(0, n - 1, b)
+    alias = mats.copy()
+    alias[rows, i, k] += 2 * n + 1
+    alias[rows, i, k + 1] -= 1
+    out["aliasing"] = alias
+    return out
+
+
+class TestTransportDigitCode:
+    """The digit-coded transport kernel against the per-vertex int64
+    formulation it replaced."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_per_vertex_oracle(self, n):
+        from oracles import transport_per_vertex
+
+        rng = np.random.default_rng(n)
+        z = (2 * n + 1) ** np.arange(n, dtype=np.int64)
+        for roots, images, mats in transport_batches(n, 12, 300 + n):
+            assert mats.dtype == np.int8
+            for name, batch in transport_variants(mats, rng).items():
+                got = _fast.batched_path_image_ok(roots, images, batch)
+                assert got.tolist() == transport_per_vertex(roots, images, batch).tolist(), name
+                assert got.all() if name == "valid" else not got.any(), name
+                if name == "aliasing":  # only the entry check can reject it
+                    assert (batch.astype(np.int64) @ z == mats.astype(np.int64) @ z).all()
+
+    def test_int8_minus_128_is_rejected(self):
+        # np.abs(-128) is -128 in int8, so an abs-based guard would pass it
+        (roots, images, mats), _ = transport_batches(4, 3, 5)
+        mats = mats.copy()
+        mats[1, 2, 3] = -128
+        assert np.abs(mats).max() <= 1
+        with pytest.raises(ValueError):
+            _fast.batched_charpoly(mats)
+        assert _fast.batched_path_image_ok(roots, images, mats).tolist() == [True, False, True]
+        assert not _fast.batched_petrie(mats)[1]
 
 
 class TestCycleChunks:
