@@ -14,20 +14,25 @@ to its kernel together.  Within a computed row, the theorem, witness,
 determinant and path-graph claims follow from the closed form of det Mf
 once the row passes path transport; the direct kernels decide the rows that
 fail it and a fixed audit set of every chunk (see
-:mod:`arbormat.certificate`).  Tasks are distributed over a process pool
-and sub-results are reduced in sorted (v, tree, orientation) order, so
-output is identical for any worker count.  Orientation sampling is
-counter-based, keyed by (seed, tree code), hence schedule-independent.
+:mod:`arbormat.certificate`).  With more than one worker, forked children
+take tasks from a shared pipe (see :func:`_fork_join`), and sub-results are
+reduced in sorted (v, tree, orientation) order, so output is identical for
+any worker count.  Orientation sampling is counter-based, keyed by (seed,
+tree code), hence schedule-independent.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import ctypes
 import hashlib
 import itertools
-import multiprocessing
+import os
+import pickle
 import random
+import signal
+import traceback
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -51,6 +56,7 @@ from .trees import (
     Orientation,
     Tree,
     canonical_form,
+    decode_prufer,
     enumerate_trees,
     path_edge_ordered,
     same_direction_orientation,
@@ -159,21 +165,102 @@ def _check_cap(ns) -> list[int]:
 
 def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
     """Run every task, flatten the sub-results each returns and sort them by
-    key; a QuotientCounts given as ``counts`` sums their quotient counters."""
+    key; a QuotientCounts given as ``counts`` sums their quotient counters.
+    More than one worker forks min(workers, tasks) children (see
+    :func:`_fork_join`)."""
     _keep_heap()
     workers = min(workers, len(tasks))
-    if workers <= 1:
-        outputs = [worker(t) for t in tasks]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            outputs = pool.map(worker, tasks, chunksize=1)
+    outputs = _fork_join(worker, tasks, workers) if workers > 1 else [worker(t) for t in tasks]
     results = [res for subs in outputs for res in subs]
     if counts is not None:
         for res in results:
             counts.add(res["quotient"])
     results.sort(key=lambda r: r["key"])
     return results
+
+
+def _fork_join(worker, tasks, processes: int) -> list:
+    """``[worker(t) for t in tasks]``, computed by ``processes`` forked children.
+
+    Children inherit the worker and the tasks, so nothing is pickled on the
+    way in.  They take task indices, in task order, from one shared pipe
+    that the parent fills after forking; each index is a 4-byte record, so
+    every write is atomic and every read takes one whole index.  A child
+    pickles its (index, output) pairs, and the first exception a task
+    raised, back through its own pipe and leaves through os._exit, so it
+    runs no atexit handler and flushes none of the parent's stdio buffers.
+    The parent reads and reaps every child, so RUSAGE_CHILDREN counts them,
+    re-raises the exception of the earliest failed task, and raises
+    RuntimeError when a child ends without a result; on any exception it
+    kills and reaps the children still running."""
+    outputs = [None] * len(tasks)
+    errors = []
+    children = {}  # pid -> read end of its result pipe, until reaped
+    with contextlib.ExitStack() as stack:
+
+        def pipe(write_buffering):
+            r, w = os.pipe()
+            return (stack.enter_context(open(r, "rb", buffering=0)),
+                    stack.enter_context(open(w, "wb", buffering=write_buffering)))
+
+        queue_r, queue_w = pipe(0)
+        try:
+            for _ in range(processes):
+                result_r, result_w = pipe(-1)
+                pid = os.fork()
+                if pid == 0:
+                    _fork_child(worker, tasks, queue_r, queue_w, result_w)
+                result_w.close()
+                children[pid] = result_r
+            queue_r.close()
+            try:
+                for idx in range(len(tasks)):
+                    queue_w.write(idx.to_bytes(4, "little"))
+            except BrokenPipeError:
+                pass  # every child has ended; its result pipe says why
+            queue_w.close()
+            for pid, result_r in list(children.items()):
+                blob = result_r.readall()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                if code != 0:
+                    raise RuntimeError(
+                        f"sweep worker {pid} ended without a result (exit code {code})"
+                    )
+                done, error = pickle.loads(blob)
+                for idx, output in done:
+                    outputs[idx] = output
+                if error is not None:
+                    errors.append(error)
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if errors:
+        _, exc, trace = min(errors)  # task indices differ
+        raise exc from RuntimeError(f"in a sweep worker:\n{trace}")
+    return outputs
+
+
+def _fork_child(worker, tasks, queue_r, queue_w, result_w) -> None:
+    """The body of a child of _fork_join: run the tasks whose indices it
+    reads, send the outputs, and leave; it never returns."""
+    code = 1
+    try:
+        queue_w.close()  # else the queue never reaches end of file
+        done, error = [], None
+        while record := queue_r.read(4):
+            idx = int.from_bytes(record, "little")
+            try:
+                done.append((idx, worker(tasks[idx])))
+            except Exception as exc:
+                error = (idx, exc, traceback.format_exc())
+                break
+        pickle.dump((done, error), result_w, pickle.HIGHEST_PROTOCOL)
+        result_w.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @lru_cache(maxsize=None)
@@ -185,9 +272,9 @@ def _keep_heap() -> None:
     heap after the rest, so each chunk faults its pages in anew: about 23k
     extra minor faults and a quarter of the workers' CPU in `verify --n 7
     --orientations canonical`.  Fixed thresholds, mmap from 32 MiB (glibc's
-    own adaptive ceiling on 64-bit) and trim from 64 MiB, are set before the
-    pool forks, so workers inherit them; a serial sweep leaves them set in
-    the calling process.  Without glibc this does nothing."""
+    own adaptive ceiling on 64-bit) and trim from 64 MiB, are set before
+    _fork_join forks, so its children inherit them; a serial sweep leaves
+    them set in the calling process.  Without glibc this does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -374,11 +461,6 @@ class _Sweep(NamedTuple):
     tally: Callable
     invariant: bool = True
 
-    def __reduce__(self):
-        # pickled by the name of the module attribute holding it, so a pool
-        # task carries a reference instead of the record
-        return next(name for name, x in globals().items() if x is self)
-
 
 def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
     """The sub-results of one (v, tree index, edges, orientations) task."""
@@ -392,11 +474,16 @@ def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
 
 
 def _sweep(sweep: _Sweep, out, tasks, workers: int, counts=None):
-    """Run a sweep's tasks and fold their sub-results, in key order, into
-    the result ``out``: counts add up, dicts of counts merge key by key,
-    failure lists concatenate up to MAX_FAILURE_RECORDS, and the first
-    example found is kept."""
-    for res in _run_tasks(partial(_sweep_worker, sweep), tasks, workers, counts):
+    """Run a sweep's tasks and fold their sub-results into the result
+    ``out`` (see :func:`_fold`)."""
+    return _fold(out, _run_tasks(partial(_sweep_worker, sweep), tasks, workers, counts))
+
+
+def _fold(out, results):
+    """Fold sub-results, in key order, into the result ``out``: counts add
+    up, dicts of counts merge key by key, failure lists concatenate up to
+    MAX_FAILURE_RECORDS, and the first example found is kept."""
+    for res in results:
         for name, value in res.items():
             if name.startswith("example_"):
                 if getattr(out, name) is None:
@@ -594,9 +681,11 @@ def _witness_claims_direct(o: _Oriented, images, a) -> dict:
 
 def _witness_claims_derived(o: _Oriented, images, a):
     """On a certified row every Mf(i, j) is a unimodular {-1, 0, 1} matrix
-    with Mf.A == C.Mf, so its verdict is its closed-form det odd."""
+    with Mf.A == C.Mf, so every pair passes: certified_rows has required
+    each factor of its closed-form det to be +-1, so the det is odd.  The
+    verdicts of the other rows are void, as their dets are."""
     det, certified = closed_form_dets(o, images, a)
-    return {"ok": det % 2 == 1, "det": det}, certified
+    return {"ok": np.ones(det.shape, dtype=bool), "det": det}, certified
 
 
 def _witness_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
@@ -695,25 +784,42 @@ _PATH_IMAGE = _Sweep(
 )
 
 
-def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
-    """Seeded stream of (tree, map, orientation) with n in [n_lo, n_hi]."""
-    from .trees import decode_prufer
+def _random_instance(seed: int, idx: int, n_lo: int, n_hi: int):
+    """Instance ``idx`` of the seeded stream: (vertex map, orientation) with
+    n in [n_lo, n_hi], drawn from its own generator."""
+    rng = random.Random(f"{seed}|instance|{idx}")
+    n = rng.randint(n_lo, n_hi)
+    v = n + 1
+    tree = decode_prufer([rng.randint(1, v) for _ in range(v - 2)])
+    rest = list(range(2, v + 1))
+    rng.shuffle(rest)
+    cycle = [1] + rest
+    image = [0] * v
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        image[x - 1] = y
+    return VertexMap(tree, image), Orientation.from_int(rng.getrandbits(n), n)
 
-    for idx in range(count):
-        rng = random.Random(f"{seed}|instance|{idx}")
-        n = rng.randint(n_lo, n_hi)
-        v = n + 1
-        tree = decode_prufer([rng.randint(1, v) for _ in range(v - 2)])
-        rest = list(range(2, v + 1))
-        rng.shuffle(rest)
-        cycle = [1] + rest
-        image = [0] * v
-        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-            image[x - 1] = y
-        yield (
-            VertexMap(tree, image),
-            Orientation.from_int(rng.getrandbits(n), n),
-        )
+
+def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
+    """Seeded stream of (vertex map, orientation) with n in [n_lo, n_hi]."""
+    return (_random_instance(seed, idx, n_lo, n_hi) for idx in range(count))
+
+
+def _random_chunk(task) -> list[dict]:
+    """The sub-result of the random instances start..stop-1, keyed by start.
+    The first PATH_IMAGE_AUDIT instances of the stream are also decided on
+    the exact route; a disagreement fails the instance."""
+    seed, start, stop, random_n = task
+    chunk = [_random_instance(seed, idx, *random_n) for idx in range(start, stop)]
+    ok = _fast.instance_path_image_ok(chunk)
+    for k, (f, orientation) in enumerate(chunk[: max(0, PATH_IMAGE_AUDIT - start)]):
+        ok[k] &= path_image_check(f, orientation) == ok[k]
+    failures = []
+    _capped(failures, (
+        {"tree": f.tree.edge_list_str(), "orientation": o.bitstring(), "map": f.image_str()}
+        for (f, o), good in zip(chunk, ok) if not good
+    ))
+    return [{"key": start, "random_instances": len(chunk), "failures": failures}]
 
 
 @dataclass
@@ -739,19 +845,11 @@ def run_path_image_sweep(
         )
     tasks = _tree_tasks(_check_cap(ns_exhaustive), OrientationPolicy("all"), seed)
     out = _sweep(_PATH_IMAGE, PathImageResult(), tasks, workers, counts)
-    # the first PATH_IMAGE_AUDIT instances are also decided on the exact
-    # route; a disagreement fails the instance
-    stream = random_instances(seed, random_count, *random_n)
-    for start in range(0, random_count, RANDOM_CHUNK):
-        chunk = list(itertools.islice(stream, RANDOM_CHUNK))
-        ok = _fast.instance_path_image_ok(chunk)
-        for k, (f, orientation) in enumerate(chunk[: max(0, PATH_IMAGE_AUDIT - start)]):
-            ok[k] &= path_image_check(f, orientation) == ok[k]
-        out.random_instances += len(chunk)
-        _capped(out.failures, (
-            {"tree": f.tree.edge_list_str(), "orientation": o.bitstring(), "map": f.image_str()}
-            for (f, o), good in zip(chunk, ok) if not good
-        ))
+    chunks = [
+        (seed, start, min(start + RANDOM_CHUNK, random_count), tuple(random_n))
+        for start in range(0, random_count, RANDOM_CHUNK)
+    ]
+    _fold(out, _run_tasks(_random_chunk, chunks, workers))
     out.all_pass = not out.failures
     return out
 

@@ -1,9 +1,16 @@
+import contextlib
 import itertools
+import os
 import platform
 import random
 import resource
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import astuple
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +30,7 @@ from arbormat import (
     z2_similarity_to_companion,
 )
 from arbormat import _fast
-from arbormat.errors import CapExceeded
+from arbormat.errors import CapExceeded, WitnessFailed
 from arbormat.certificate import AUDIT_AGREEMENT, AUDIT_ROWS, audit_rows
 from arbormat.harness import (
     OrientationPolicy,
@@ -981,29 +988,15 @@ class TestOrientationQuotient:
             ]
 
     def test_pool_never_exceeds_tasks(self, monkeypatch):
-        import types
-
         from arbormat import harness
 
         sizes = []
 
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
+        def serial_fork_join(worker, tasks, processes):
+            sizes.append(processes)
+            return [worker(t) for t in tasks]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(
-            harness.multiprocessing, "get_context",
-            lambda method: types.SimpleNamespace(Pool=SerialPool),
-        )
+        monkeypatch.setattr(harness, "_fork_join", serial_fork_join)
         res = run_theorem_sweep([3], OrientationPolicy("all"), workers=8)
         assert res.all_pass and res.total_instances == 96
         assert sizes == [2]  # one task per tree
@@ -1013,7 +1006,7 @@ class TestOrientationQuotient:
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
 def test_pool_workers_reuse_their_heap():
-    """Pool workers keep chunk temporaries in the heap: with glibc's
+    """Forked workers keep chunk temporaries in the heap: with glibc's
     adaptive thresholds this sweep's two workers take about 29k minor page
     faults, about 6.5k without them."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
@@ -1030,6 +1023,112 @@ def test_serial_sweep_reuses_its_heap():
     res = run_theorem_sweep([7], OrientationPolicy("canonical"), workers=1)
     assert res.all_pass
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 15_000
+
+
+@contextlib.contextmanager
+def no_hang(seconds=60):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_all_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def keyed(task):
+    return [{"key": task, "pid": os.getpid()}]
+
+
+class TestForkJoin:
+    """Sweep tasks on two forked children: results, failures and clean-up."""
+
+    def test_sweep_reaps_its_children(self):
+        with no_hang():
+            two = run_theorem_sweep([2, 3, 4], OrientationPolicy("all"), workers=2)
+        assert two == run_theorem_sweep([2, 3, 4], OrientationPolicy("all"))
+        assert_all_reaped()
+
+    def test_more_tasks_than_the_queue_holds(self):
+        """80,000 bytes of task indices outgrow a 64 KiB pipe; both children
+        take some of them."""
+        from arbormat import harness
+
+        tasks = list(range(20_000))
+        with no_hang():
+            results = harness._run_tasks(keyed, tasks, 2)
+        assert [r["key"] for r in results] == tasks
+        assert len({r["pid"] for r in results}) == 2
+        assert_all_reaped()
+
+    def test_task_exception_is_raised_in_the_parent(self):
+        from arbormat import harness
+
+        def fail(task):
+            if task in (5, 7):
+                raise WitnessFailed(f"identity {task}")
+            return keyed(task)
+
+        with no_hang(), pytest.raises(WitnessFailed, match="^identity 5$") as exc:
+            harness._run_tasks(fail, list(range(12)), 2)
+        assert exc.value.identity == "identity 5"
+        assert "in a sweep worker" in str(exc.value.__cause__)
+        assert_all_reaped()
+
+    @pytest.mark.parametrize("killed", [(3,), range(20_000)])
+    def test_killed_child_raises_instead_of_hanging(self, killed):
+        """One child killed while the other finishes, and both killed while
+        the parent still writes task indices."""
+        from arbormat import harness
+
+        def die(task):
+            if task in killed:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return keyed(task)
+
+        with no_hang(), pytest.raises(RuntimeError, match="without a result .exit code -9."):
+            harness._run_tasks(die, list(range(20_000)), 2)
+        assert_all_reaped()
+
+    def test_parent_exception_kills_the_children(self):
+        from arbormat import harness
+
+        def stall(task):
+            time.sleep(60)
+            return keyed(task)
+
+        started = time.monotonic()
+        with pytest.raises(TimeoutError), no_hang(1):
+            harness._run_tasks(stall, [0, 1], 2)
+        assert time.monotonic() - started < 30
+        assert_all_reaped()
+
+    def test_no_multiprocessing_pool_imported(self, tmp_path):
+        import arbormat
+
+        out = str(tmp_path / "verify.json")
+        code = (
+            "import sys\n"
+            "from arbormat import cli\n"
+            f"status = cli.main(['verify', '--n', '3', '--workers', '2', '--out', {out!r}])\n"
+            "print(status, 'multiprocessing.pool' in sys.modules)\n"
+        )
+        path = [str(Path(arbormat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def start_vertex_route(v, tree, bits, corrupt=None):
@@ -1232,6 +1331,35 @@ class TestClosedForm:
                     assert claims.keys() == want.keys()
                     for name, x in want.items():
                         assert (claims[name] == x).all(), (tree, bits, name)
+
+    def test_refused_rows_keep_their_direct_witness_verdicts(self, monkeypatch):
+        """The closed form passes every pair of a certified row; the rows
+        transport refuses take the direct verdicts, failing here, since
+        their direct determinants are doubled."""
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts, _Oriented
+
+        real = _fast.batched_witness
+
+        def even(a, seeds):
+            gate, det, companion_ok = real(a, seeds)
+            return gate, det * np.where(marked(a), 2, 1), companion_ok
+
+        monkeypatch.setattr(_fast, "batched_witness", even)
+        refuse_transport(monkeypatch)
+        o = _Oriented.of(trees_for(7)[4], 5)
+        images = _fast.cycle_images(7)
+        a = o.build(images)
+        refused = marked(a)
+        unaudited = np.ones(refused.size, dtype=bool)
+        unaudited[audit_rows(refused.size)] = False
+        counts = QuotientCounts()
+        got = harness._witness_claims(o, images, a, counts)
+        assert counts.uncertified == (refused & unaudited).sum() > 0
+        assert got.pop(AUDIT_AGREEMENT).all()
+        want = harness._witness_claims_direct(o, images, a)
+        assert (got["ok"] == want["ok"]).all() and (got["det"] == want["det"]).all()
+        assert not want["ok"][refused].any() and want["ok"][~refused].all()
 
     def test_flipped_entry_sends_that_row_to_the_direct_route(self, monkeypatch):
         from arbormat import harness
