@@ -1060,14 +1060,24 @@ class TestForkJoin:
         assert_all_reaped()
 
     def test_more_tasks_than_the_queue_holds(self):
-        """80,000 bytes of task indices outgrow a 64 KiB pipe; both children
-        take some of them."""
+        """80,000 bytes of task indices outgrow a 64 KiB pipe."""
         from arbormat import harness
 
         tasks = list(range(20_000))
         with no_hang():
             results = harness._run_tasks(keyed, tasks, 2)
         assert [r["key"] for r in results] == tasks
+        assert_all_reaped()
+
+    def test_a_busy_child_leaves_the_next_task_to_the_other(self):
+        from arbormat import harness
+
+        def nap(task):
+            time.sleep(0.5)
+            return keyed(task)
+
+        with no_hang():
+            results = harness._run_tasks(nap, [0, 1], 2)
         assert len({r["pid"] for r in results}) == 2
         assert_all_reaped()
 
