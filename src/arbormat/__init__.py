@@ -13,8 +13,6 @@ from .algebra import (
     companion,
     geometric_poly,
     invariant_factors,
-    matrix_from_obj,
-    matrix_to_obj,
     reduce_mod,
 )
 from .dynamics import (
@@ -47,7 +45,6 @@ from .trees import (
     Tree,
     canonical_form,
     decode_prufer,
-    encode_prufer,
     enumerate_trees,
     parse_tree,
     same_direction_orientation,
@@ -61,8 +58,6 @@ __all__ = [
     "companion",
     "geometric_poly",
     "invariant_factors",
-    "matrix_from_obj",
-    "matrix_to_obj",
     "reduce_mod",
     "TransitionMatrices",
     "VertexMap",
@@ -91,7 +86,6 @@ __all__ = [
     "Tree",
     "canonical_form",
     "decode_prufer",
-    "encode_prufer",
     "enumerate_trees",
     "parse_tree",
     "same_direction_orientation",

@@ -9,7 +9,6 @@ rationals, and every prime field.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -17,10 +16,9 @@ from .errors import (
     DimensionMismatch,
     NotField,
     NotSquare,
-    ParseError,
     Singular,
 )
-from .rings import GF, QQ, ZZ, PrimeField
+from .rings import GF, ZZ, PrimeField
 
 __all__ = [
     "ExactPolynomial",
@@ -29,16 +27,16 @@ __all__ = [
     "geometric_poly",
     "reduce_mod",
     "invariant_factors",
-    "matrix_to_obj",
-    "matrix_from_obj",
 ]
 
 
 class ExactPolynomial:
-    """Univariate polynomial with coefficients in an exact ring.
+    """Univariate polynomial with coefficients in an exact ring, as a value.
 
-    Coefficients are stored constant term first; the zero polynomial has an
-    empty coefficient tuple and degree -1.
+    Coefficients are stored constant term first, without trailing zeros; the
+    zero polynomial has an empty coefficient tuple.  Polynomials are compared,
+    never combined: the polynomial arithmetic of :func:`invariant_factors`
+    works on its own coefficient lists.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -51,13 +49,6 @@ class ExactPolynomial:
         self.ring = ring
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactPolynomial)
@@ -68,46 +59,6 @@ class ExactPolynomial:
     def __hash__(self):
         return hash((self.ring, self.coeffs))
 
-    def __add__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.ring.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return ExactPolynomial(self.ring, out)
-
-    def __neg__(self):
-        neg = self.ring.neg
-        return ExactPolynomial(self.ring, [neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        ring = self.ring
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ExactPolynomial(ring, ())
-        out = [ring.zero] * (len(a) + len(b) - 1)
-        add, mul = ring.add, ring.mul
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ai, bj))
-        return ExactPolynomial(ring, out)
-
-    def evaluate(self, x):
-        """Horner evaluation at a ring element."""
-        ring = self.ring
-        x = ring.coerce(x)
-        acc = ring.zero
-        for c in reversed(self.coeffs):
-            acc = ring.add(ring.mul(acc, x), c)
-        return acc
-
     def reduce_mod(self, p: int) -> "ExactPolynomial":
         """Entrywise reduction of an integer polynomial into GF(p)."""
         if self.ring != ZZ:
@@ -117,11 +68,7 @@ class ExactPolynomial:
 
     def to_strings(self) -> list[str]:
         """Coefficients as decimal strings, constant term first."""
-        return [self.ring.to_str(c) for c in self.coeffs]
-
-    def _check(self, other):
-        if not isinstance(other, ExactPolynomial) or other.ring != self.ring:
-            raise DimensionMismatch("polynomial rings differ")
+        return [str(c) for c in self.coeffs]
 
     def __repr__(self):
         return f"ExactPolynomial({self.ring!r}, {list(self.coeffs)!r})"
@@ -182,13 +129,6 @@ class ExactMatrix:
             [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
-    def __neg__(self):
-        neg = self.ring.neg
-        return ExactMatrix(self.ring, [[neg(e) for e in row] for row in self.rows])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __matmul__(self, other):
         self._compat(other)
         if self.ncols != other.nrows:
@@ -207,11 +147,6 @@ class ExactMatrix:
                 orow.append(s)
             out.append(orow)
         return ExactMatrix(self.ring, out)
-
-    def scale(self, c) -> "ExactMatrix":
-        c = self.ring.coerce(c)
-        mul = self.ring.mul
-        return ExactMatrix(self.ring, [[mul(c, e) for e in row] for row in self.rows])
 
     def vec_mul(self, w: Sequence) -> tuple:
         """Row vector times matrix: returns w . M as a tuple of payloads."""
@@ -308,11 +243,6 @@ class ExactMatrix:
                     aug[r] = [sub(a, mul(factor, b)) for a, b in zip(aug[r], aug[col])]
         return ExactMatrix(ring, [row[n:] for row in aug])
 
-    def to_int_rows(self) -> tuple[tuple[int, ...], ...]:
-        if self.ring != ZZ:
-            raise NotField("integer row extraction is defined over ZZ")
-        return self.rows
-
     def _compat(self, other):
         if not isinstance(other, ExactMatrix) or other.ring != self.ring:
             raise DimensionMismatch("matrix rings differ")
@@ -328,23 +258,21 @@ def _dot(xs, ys, add, mul, zero):
     return s
 
 
-def companion(n: int, ring=ZZ) -> ExactMatrix:
+def companion(n: int) -> ExactMatrix:
     """n x n companion matrix of 1 + x + ... + x^n.
 
     Ones on the superdiagonal, last row all -1.
     """
     if n < 2:
         raise BadDimension(f"companion matrix needs n >= 2, got {n}")
-    zero, one = ring.zero, ring.one
-    neg_one = ring.neg(one)
-    rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
-    rows.append([neg_one] * n)
-    return ExactMatrix(ring, rows)
+    rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)]
+    rows.append([-1] * n)
+    return ExactMatrix(ZZ, rows)
 
 
-def geometric_poly(n: int, ring=ZZ) -> ExactPolynomial:
+def geometric_poly(n: int) -> ExactPolynomial:
     """The polynomial 1 + x + x^2 + ... + x^n."""
-    return ExactPolynomial(ring, [ring.one] * (n + 1))
+    return ExactPolynomial(ZZ, [1] * (n + 1))
 
 
 def reduce_mod(m: ExactMatrix, p: int) -> ExactMatrix:
@@ -504,30 +432,3 @@ def invariant_factors(m: ExactMatrix) -> list[ExactPolynomial]:
             raise AssertionError("invariant factor chain broken")  # algorithm bug guard
     return result
 
-
-# --- JSON-facing serialization ------------------------------------------------
-
-_GF_RE = re.compile(r"^GF\((\d+)\)$")
-
-
-def _ring_from_name(name: str):
-    if name == "ZZ":
-        return ZZ
-    if name == "QQ":
-        return QQ
-    match = _GF_RE.match(name)
-    if match:
-        return GF(int(match.group(1)))
-    raise ParseError(f"unknown ring {name!r}")
-
-
-def matrix_to_obj(m: ExactMatrix) -> dict:
-    """JSON-ready dict; every entry is a decimal (or a/b) string."""
-    to_str = m.ring.to_str
-    return {"ring": m.ring.name, "rows": [[to_str(e) for e in row] for row in m.rows]}
-
-
-def matrix_from_obj(obj: dict) -> ExactMatrix:
-    ring = _ring_from_name(obj["ring"])
-    from_str = ring.from_str
-    return ExactMatrix(ring, [[from_str(e) for e in row] for row in obj["rows"]])

@@ -40,28 +40,19 @@ of every chunk, to the direct kernels, which stay the referee.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 from . import _fast
 from .algebra import ExactMatrix
 from .rings import ZZ
+from .theorems import coprime_steps
 from .trees import Tree
 
 AUDIT_ROWS = 16  # rows of every chunk also decided on the direct route
 # the claim an audit row fails when its direct values differ from the
 # closed form
 AUDIT_AGREEMENT = "derived_claims_agree"
-
-
-def coprime_steps(v: int) -> list[int]:
-    return [j for j in range(1, v) if gcd(j, v) == 1]
-
-
-def witness_pairs(v: int) -> list[tuple[int, int]]:
-    """Every (start i, step j coprime to v) witness pair, j outermost."""
-    return [(i, j) for j in coprime_steps(v) for i in range(1, v + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -84,9 +84,5 @@ class FixtureMissing(ArbormatError):
     """No bundled or user-supplied fixture with the requested id."""
 
 
-class MismatchAgainstCaption(ArbormatError):
-    """Fixture data disagrees with its recorded expected polynomial."""
-
-
 class ParseError(ArbormatError):
     """Malformed textual input (tree, map, orientation, or fixture)."""

@@ -15,13 +15,15 @@ File grammar (whitespace separated)::
     oriented
     <size lines of integers>
     unoriented_charpoly <coefficients, constant first>
+
+:func:`check_fixture` returns one named verdict per check and raises on none
+of them; ``arbormat reproduce`` reports a failed caption check on stderr.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd
 from pathlib import Path
 from typing import Optional
 
@@ -30,12 +32,13 @@ import numpy as np
 from . import _fast
 from .algebra import ExactMatrix, ExactPolynomial, geometric_poly
 from .dynamics import VertexMap, oriented_matrix
-from .errors import FixtureMissing, MismatchAgainstCaption, ParseError
+from .errors import FixtureMissing, ParseError
 from .rings import ZZ
 from .theorems import (
     _witness_rows,
     geometric_sum_is_zero,
     odd_coefficients_check,
+    witness_pairs,
     z2_similarity_to_companion,
 )
 from .trees import Orientation, Tree, enumerate_trees
@@ -121,17 +124,16 @@ def load_fixture(figure: str, directory: Optional[Path] = None) -> Fixture:
     )
 
 
-def check_fixture(fixture: Fixture, raise_on_mismatch: bool = False) -> dict[str, bool]:
+def check_fixture(fixture: Fixture) -> dict[str, bool]:
     """Every matrix-level claim checkable without knowing the source tree."""
     a = fixture.oriented
     b = a.abs()
     n = fixture.n
-    cp_b = b.charpoly()
     checks = {
         "oriented_charpoly_geometric": a.charpoly() == geometric_poly(n),
         "oriented_determinant": a.determinant() == (-1) ** n,
         "geometric_sum_zero": geometric_sum_is_zero(a),
-        "unoriented_charpoly_caption": cp_b == fixture.caption_charpoly,
+        "unoriented_charpoly_caption": b.charpoly() == fixture.caption_charpoly,
         "unoriented_charpoly_odd": odd_coefficients_check(b),
         "z2_companion_similar": z2_similarity_to_companion(b),
     }
@@ -140,11 +142,6 @@ def check_fixture(fixture: Fixture, raise_on_mismatch: bool = False) -> dict[str
     if fixture.row_ops is not None and fixture.unoriented_printed is not None:
         checks["printed_product_identity"] = (
             fixture.row_ops @ fixture.unoriented_printed == a
-        )
-    if raise_on_mismatch and not checks["unoriented_charpoly_caption"]:
-        raise MismatchAgainstCaption(
-            f"figure {fixture.figure}: computed {cp_b.to_strings()} "
-            f"vs recorded {fixture.caption_charpoly.to_strings()}"
         )
     return checks
 
@@ -254,10 +251,8 @@ def _seed_charpolys(f: VertexMap, orientation: Orientation) -> list[list[str]]:
 
     The printed panels carry no vertex labels, so a pinned witness value can
     only be matched up to relabeling: it must appear in this list."""
-    v = f.tree.vertex_count
-    seen = set()
-    for u in range(1, v + 1):
-        for j in range(1, v):
-            if gcd(j, v) == 1:
-                seen.add(_witness_rows(f, orientation, u, j)[1].charpoly().coeffs)
+    seen = {
+        _witness_rows(f, orientation, i, j)[1].charpoly().coeffs
+        for i, j in witness_pairs(f.tree.vertex_count)
+    }
     return [[str(c) for c in coeffs] for coeffs in sorted(seen)]

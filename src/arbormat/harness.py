@@ -44,14 +44,19 @@ from .certificate import (
     AUDIT_AGREEMENT,
     certified_rows,
     closed_form_dets,
-    coprime_steps,
     decide,
     start_vertex_orbit,
-    witness_pairs,
 )
 from .errors import CapExceeded, WitnessFailed
 from .dynamics import VertexMap, path_image_check
-from .theorems import ClaimStatus, _witness_rows, basis_witness, split_sign_check
+from .theorems import (
+    ClaimStatus,
+    _witness_rows,
+    basis_witness,
+    coprime_steps,
+    split_sign_check,
+    witness_pairs,
+)
 from .trees import (
     Orientation,
     Tree,
@@ -650,24 +655,32 @@ def run_theorem_sweep(
 # determinant search over the same witness matrices
 
 
-def _witness_verdicts(o: _Oriented, images, a, pairs) -> dict:
-    """Per row and (start, step) pair: whether the basis claims hold, and
-    signed det Mf, building every Mf(i, j) with batched_witness.  Rows go in
-    blocks whose stacked witnesses number about CYCLE_CHUNK; a pair whose
-    iterates leave {-1, 0, 1} is decided on the exact route."""
+def _witness_blocks(o: _Oriented, images, a, pairs):
+    """The rows in blocks whose stacked witnesses number about CYCLE_CHUNK:
+    per block, its slice of rows, each row's A repeated once per (start,
+    step) pair, and the seed rows, the signed path vector of i -> f^j(i),
+    pair within row."""
     v = images.shape[1] - 1
     starts = np.array([i for i, _ in pairs])
     steps = np.array([j for _, j in pairs])
-    out = [np.empty((images.shape[0], len(pairs)), dtype=t) for t in (bool, np.int64, bool)]
     block = max(1, CYCLE_CHUNK // len(pairs))
     for lo in range(0, images.shape[0], block):
         part = images[lo : lo + block]
         orbit, position = start_vertex_orbit(part)
         ends = np.take_along_axis(orbit, (position[:, starts] + steps) % v, axis=1)
-        seeds = o.table[starts, ends].reshape(-1, v - 1)  # row-major: pair within row
+        seeds = o.table[starts, ends].reshape(-1, v - 1)
         mats = np.repeat(a[lo : lo + block], len(pairs), axis=0)
+        yield slice(lo, lo + part.shape[0]), mats, seeds
+
+
+def _witness_verdicts(o: _Oriented, images, a, pairs) -> dict:
+    """Per row and (start, step) pair: whether the basis claims hold, and
+    signed det Mf, building every Mf(i, j) with batched_witness; a pair
+    whose iterates leave {-1, 0, 1} is decided on the exact route."""
+    out = [np.empty((images.shape[0], len(pairs)), dtype=t) for t in (bool, np.int64, bool)]
+    for rows, mats, seeds in _witness_blocks(o, images, a, pairs):
         for dst, x in zip(out, _fast.batched_witness(mats, seeds)):
-            dst[lo : lo + part.shape[0]] = x.reshape(part.shape[0], -1)
+            dst[rows] = x.reshape(-1, len(pairs))
     gate, det, companion_ok = out
     ok = gate & (det % 2 == 1) & companion_ok
     for idx, p in zip(*np.nonzero(~gate)):
@@ -860,16 +873,18 @@ def run_path_image_sweep(
 
 def _path_graph_claims_direct(o: _Oriented, images, a) -> dict:
     """Per row: every oriented row single-signed, every witness matrix a
-    Petrie matrix, and all that with |det B| = 1 and every |det Mf| = 1."""
+    Petrie matrix, and all that with |det B| = 1 and every |det Mf| = 1.
+    Every Mf of a block is built, Petrie-tested and charpolyed in one call."""
     uniform = _fast.batched_uniform_sign(a)
-    petrie = np.ones(images.shape[0], dtype=bool)
+    petrie = np.empty(images.shape[0], dtype=bool)
     ok = np.abs(_fast.batched_charpoly(np.abs(a))[:, 0]) == 1
-    for i, j in witness_pairs(images.shape[1] - 1):
-        seeds = o.table[i, _fast.iterate_images(images, i, j), :].astype(np.int64)
-        mf, gate = _fast.batched_witness_matrix(a, seeds)
-        petrie &= _fast.batched_petrie(mf)
+    pairs = witness_pairs(images.shape[1] - 1)
+    for rows, mats, seeds in _witness_blocks(o, images, a, pairs):
+        mf, gate = _fast.batched_witness_matrix(mats, seeds)
         cp_mf = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
-        ok &= gate & (np.abs(cp_mf[:, 0]) == 1)
+        petrie[rows] = _fast.batched_petrie(mf).reshape(-1, len(pairs)).all(axis=1)
+        unit = gate & (np.abs(cp_mf[:, 0]) == 1)
+        ok[rows] &= unit.reshape(-1, len(pairs)).all(axis=1)
     return {"uniform_sign": uniform, "petrie": petrie, "ok": ok & uniform & petrie}
 
 

@@ -45,7 +45,6 @@ def is_prime(n: int) -> bool:
 class IntegerRing:
     """Arbitrary-precision integers."""
 
-    name = "ZZ"
     is_field = False
     zero = 0
     one = 1
@@ -65,12 +64,6 @@ class IntegerRing:
     def invert(self, x):
         raise NotField("integers form a ring, not a field; lift to QQ")
 
-    def to_str(self, x) -> str:
-        return str(x)
-
-    def from_str(self, s: str):
-        return int(s)
-
     def __repr__(self):
         return "ZZ"
 
@@ -84,7 +77,6 @@ class IntegerRing:
 class RationalField:
     """Exact rationals; payloads are `fractions.Fraction` (always reduced)."""
 
-    name = "QQ"
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
@@ -103,12 +95,6 @@ class RationalField:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(x)
-
-    def to_str(self, x) -> str:
-        return str(x)
-
-    def from_str(self, s: str):
-        return Fraction(s)
 
     def __repr__(self):
         return "QQ"
@@ -154,12 +140,6 @@ class PrimeField:
         if x % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, -1, self.p)
-
-    def to_str(self, x) -> str:
-        return str(x)
-
-    def from_str(self, s: str):
-        return int(s) % self.p
 
     def __repr__(self):
         return self.name

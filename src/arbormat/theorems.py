@@ -40,6 +40,8 @@ __all__ = [
     "InstanceReport",
     "geometric_sum_is_zero",
     "step_residues",
+    "coprime_steps",
+    "witness_pairs",
     "basis_witness",
     "iter_witness_determinants",
     "z2_similarity_to_companion",
@@ -100,6 +102,16 @@ def step_residues(j: int, n: int) -> set[int]:
             "step residue identity", {"j": j, "n": n, "got": sorted(residues)}
         )
     return residues
+
+
+def coprime_steps(v: int) -> list[int]:
+    """The steps j in 1..v-1 coprime to v."""
+    return [j for j in range(1, v) if gcd(j, v) == 1]
+
+
+def witness_pairs(v: int) -> list[tuple[int, int]]:
+    """Every (start i, step j coprime to v) witness pair, j outermost."""
+    return [(i, j) for j in coprime_steps(v) for i in range(1, v + 1)]
 
 
 @dataclass(frozen=True)
@@ -169,14 +181,9 @@ def iter_witness_determinants(
     """Yield (i, j, det(Mf)) over all start vertices and coprime steps.
 
     Probes determinants without asserting anything about them."""
-    tree = f.tree
-    n = tree.edge_count
-    for j in range(1, n + 1):
-        if gcd(j, n + 1) != 1:
-            continue
-        for i in range(1, n + 2):
-            _, mf = _witness_rows(f, orientation, i, j)
-            yield i, j, mf.determinant()
+    for i, j in witness_pairs(f.tree.vertex_count):
+        _, mf = _witness_rows(f, orientation, i, j)
+        yield i, j, mf.determinant()
 
 
 def z2_similarity_to_companion(b: ExactMatrix) -> bool:
@@ -448,12 +455,8 @@ def verify_instance(
     witness_info = None
     try:
         if all_witnesses:
-            v = n + 1
-            for j in range(1, n + 1):
-                if gcd(j, v) != 1:
-                    continue
-                for i in range(1, v + 1):
-                    basis_witness(f, orientation, i, j)
+            for i, j in witness_pairs(n + 1):
+                basis_witness(f, orientation, i, j)
         w = basis_witness(f, orientation, 1, 1)
         witness_info = {
             "i": w.i,

@@ -6,6 +6,11 @@ endpoint to its larger one; an :class:`Orientation` records which edges are
 reversed.  A signed path vector is a plain tuple of n ints in {-1, 0, 1}
 recording, per edge, whether the unique path crosses it along or against its
 chosen direction.
+
+A tree comes from an edge list or from a Prufer code (:func:`decode_prufer`,
+which :func:`parse_tree` uses for codes).  :func:`enumerate_trees` lists one
+tree per isomorphism class and sets no size limit of its own: the command
+line and the sweeps bound the vertex count before they call it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadDimension,
-    CapExceeded,
     DimensionMismatch,
     InvalidTree,
     OutOfRangeLabel,
@@ -27,15 +31,11 @@ __all__ = [
     "Tree",
     "Orientation",
     "decode_prufer",
-    "encode_prufer",
     "enumerate_trees",
     "canonical_form",
     "parse_tree",
     "same_direction_orientation",
-    "DEFAULT_VERTEX_CAP",
 ]
-
-DEFAULT_VERTEX_CAP = 10
 
 
 class Tree:
@@ -182,13 +182,6 @@ class Orientation:
     def bitstring(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
 
-    def flip(self, i: int) -> "Orientation":
-        if not 0 <= i < len(self.bits):
-            raise DimensionMismatch(f"edge index {i} out of range")
-        bits = list(self.bits)
-        bits[i] = not bits[i]
-        return Orientation(bits)
-
     def sign_vector(self) -> tuple[int, ...]:
         return tuple(-1 if b else 1 for b in self.bits)
 
@@ -231,37 +224,10 @@ def decode_prufer(code: Sequence[int]) -> Tree:
     return Tree(edges)
 
 
-def encode_prufer(tree: Tree) -> tuple[int, ...]:
-    """Prufer code of a tree; inverse of :func:`decode_prufer`."""
-    v = tree.vertex_count
-    degree = [0] * (v + 1)
-    alive: list[set[int]] = [set() for _ in range(v + 1)]
-    for a, b in tree.edges:
-        degree[a] += 1
-        degree[b] += 1
-        alive[a].add(b)
-        alive[b].add(a)
-    leaves = [u for u in range(1, v + 1) if degree[u] == 1]
-    heapq.heapify(leaves)
-    code = []
-    for _ in range(v - 2):
-        leaf = heapq.heappop(leaves)
-        nbr = next(iter(alive[leaf]))
-        code.append(nbr)
-        alive[nbr].discard(leaf)
-        alive[leaf].clear()
-        degree[nbr] -= 1
-        if degree[nbr] == 1:
-            heapq.heappush(leaves, nbr)
-    return tuple(code)
-
-
-def enumerate_trees(v: int, cap: int = DEFAULT_VERTEX_CAP) -> Iterator[Tree]:
+def enumerate_trees(v: int) -> Iterator[Tree]:
     """One representative per unlabeled tree on v vertices, deterministic order."""
     if v < 3:
         raise BadDimension("tree enumeration starts at 3 vertices")
-    if v > cap:
-        raise CapExceeded(f"vertex count {v} exceeds cap {cap}")
     for layout in _free_tree_layouts(v):
         parents = []  # vertices of the current root path
         edges = []

@@ -1,5 +1,7 @@
 """Independent oracles: deliberately different algorithms from the package."""
 
+import heapq
+
 import numpy as np
 
 from arbormat.trees import canonical_form, decode_prufer
@@ -87,6 +89,27 @@ def prufer_class_count(v: int) -> int:
 
     codes = product(range(1, v + 1), repeat=v - 2)
     return len({canonical_form(decode_prufer(list(code))) for code in codes})
+
+
+def encode_prufer(tree) -> tuple[int, ...]:
+    """Prufer code of a tree: remove the smallest leaf v - 2 times, noting
+    its neighbour each time; the inverse of decode_prufer."""
+    v = tree.vertex_count
+    alive = [set() for _ in range(v + 1)]
+    for a, b in tree.edges:
+        alive[a].add(b)
+        alive[b].add(a)
+    leaves = [u for u in range(1, v + 1) if len(alive[u]) == 1]
+    heapq.heapify(leaves)
+    code = []
+    for _ in range(v - 2):
+        leaf = heapq.heappop(leaves)
+        nbr = alive[leaf].pop()
+        code.append(nbr)
+        alive[nbr].discard(leaf)
+        if len(alive[nbr]) == 1:
+            heapq.heappush(leaves, nbr)
+    return tuple(code)
 
 
 def residue_set_oracle(j: int, n: int) -> set[int]:

@@ -69,6 +69,20 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--vertices", "99")
         assert code == 2
 
+    def test_cap_messages(self, capsys, monkeypatch):
+        """The command line bounds the vertex count at ARBOR_CAP_N + 1 and
+        leaves fewer than 3 vertices to the enumeration's own check."""
+        assert run_cli(capsys, "enumerate", "--vertices", "11") == (
+            2, "", "error: vertex count 11 exceeds cap 10\n"
+        )
+        assert run_cli(capsys, "enumerate", "--vertices", "2") == (
+            2, "", "error: tree enumeration starts at 3 vertices\n"
+        )
+        monkeypatch.setenv("ARBOR_CAP_N", "12")
+        assert run_cli(capsys, "enumerate", "--vertices", "14") == (
+            2, "", "error: vertex count 14 exceeds cap 13\n"
+        )
+
     def test_env_cap_raises_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("ARBOR_CAP_N", "12")
         code, doc, _ = run_json(capsys, "enumerate", "--vertices", "12")
@@ -205,6 +219,24 @@ class TestReproduce:
         assert code == 1
         assert doc["all_match"] is False
         assert "mismatch" in err
+
+    def test_corrupted_fixture_stderr_line(self, capsys, tmp_path):
+        from arbormat.fixtures import default_fixture_dir
+
+        text = (default_fixture_dir() / "figure1a.txt").read_text()
+        (tmp_path / "figure1a.txt").write_text(
+            text.replace("unoriented_charpoly 1 -3 1 1 -3 1",
+                         "unoriented_charpoly 1 -3 1 1 -3 -1")
+        )
+        code, doc, err = run_json(
+            capsys, "reproduce", "--figure", "1a", "--fixtures", str(tmp_path)
+        )
+        assert code == 1
+        assert doc["figures"]["1a"]["checks"]["unoriented_charpoly_caption"] is False
+        assert err == (
+            "caption mismatch: figure 1a: computed ['1', '-3', '1', '1', '-3', '1'] "
+            "vs recorded ['1', '-3', '1', '1', '-3', '-1']\n"
+        )
 
     def test_missing_fixture_dir_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -3,7 +3,7 @@ import shutil
 import pytest
 
 from arbormat import invariant_factors, reduce_mod, zp_similarity
-from arbormat.errors import FixtureMissing, MismatchAgainstCaption
+from arbormat.errors import FixtureMissing
 from arbormat.fixtures import (
     FIGURE_IDS,
     check_fixture,
@@ -26,7 +26,7 @@ class TestLoading:
         for figure in FIGURE_IDS:
             fix = load_fixture(figure)
             assert fix.n in (5, 11)
-            assert fix.caption_charpoly.degree == fix.n
+            assert len(fix.caption_charpoly.coeffs) == fix.n + 1
 
     def test_bit_exact_reemission(self):
         assert load_fixture("1a").oriented.rows == FIGURE_1A_PRINTED
@@ -55,18 +55,16 @@ class TestChecks:
         assert checks["printed_product_identity"]
         assert checks["printed_unoriented_is_abs"]
 
-    def test_caption_mismatch_raises(self, tmp_path):
+    def test_caption_mismatch_fails_its_check(self, tmp_path):
         text = (default_fixture_dir() / "figure1a.txt").read_text()
         corrupted = text.replace(
             "unoriented_charpoly 1 -3 1 1 -3 1",
             "unoriented_charpoly 1 -3 1 1 -3 -1",
         )
         (tmp_path / "figure1a.txt").write_text(corrupted)
-        fix = load_fixture("1a", tmp_path)
-        with pytest.raises(MismatchAgainstCaption):
-            check_fixture(fix, raise_on_mismatch=True)
-        checks = check_fixture(fix)
+        checks = check_fixture(load_fixture("1a", tmp_path))
         assert not checks["unoriented_charpoly_caption"]
+        assert all(ok for name, ok in checks.items() if name != "unoriented_charpoly_caption")
 
 
 class TestPanelPairs:

@@ -1567,13 +1567,46 @@ class TestPathGraphCertificate:
         ]
         assert all(f["uniform_sign"] and f["petrie"] for f in res.failures)
 
+    def test_direct_claims_do_not_depend_on_the_block_size(self, monkeypatch):
+        """The direct route stacks the witnesses of about CYCLE_CHUNK (row,
+        pair) entries per block.  With transport refused on a pattern of
+        rows, the direct claims and the claims a chunk takes from them are
+        the same from one block as from blocks of 7 rows."""
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts
+
+        refuse_transport(monkeypatch)
+        v, pairs = 6, 12  # 6 start vertices, steps 1 and 5
+        images = _fast.cycle_images(v)
+        tree = next(t for t in trees_for(v) if t.is_path())
+        cases = [path_graph_oriented(tree, flip) for flip in (0, 1, 0b1010)]
+
+        def claims():
+            out = []
+            for o in cases:
+                a = o.build(images)
+                out.append(harness._path_graph_claims_direct(o, images, a))
+                out.append(harness._path_graph_claims(o, images, a, QuotientCounts()))
+            return out
+
+        assert images.shape[0] * pairs <= harness.CYCLE_CHUNK
+        one_block = claims()
+        monkeypatch.setattr(harness, "CYCLE_CHUNK", 7 * pairs)
+        for want, got in zip(one_block, claims()):
+            assert want.keys() == got.keys()
+            for key, x in want.items():
+                assert (got[key] == x).all(), key
+        ok = np.concatenate([c["ok"] for c in one_block])
+        assert ok.any() and not ok.all()
+
     @pytest.mark.parametrize("v", [5, 6])
     def test_non_path_tree_certifies_nothing(self, v):
         """Transport holds, but the path table of a non-path tree, or of a
         path tree with an edge against the line, has a row that is not a
         contiguous single-signed block: every row goes to the direct route."""
         from arbormat import harness
-        from arbormat.certificate import certified_rows, coprime_steps
+        from arbormat.certificate import certified_rows
+        from arbormat.theorems import coprime_steps
         from arbormat.harness import QuotientCounts, _Oriented
 
         images = _fast.cycle_images(v)
