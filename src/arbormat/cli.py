@@ -2,9 +2,12 @@
 
 Subcommands: analyze, enumerate, verify, reproduce, search-detmf.  Output is
 a single JSON document on stdout (or --out); every numeric leaf is a decimal
-string so values never depend on native integer width.  Timing goes to
-stderr only, keeping documents byte-stable for fixed (config, seed) across
-reruns and worker counts.
+string so values never depend on native integer width.  Each command builds
+its document from plain values (a sweep's document is its library result)
+and returns it with its exit code; ``main`` emits it through :func:`_emit`,
+the one place where integer leaves and keys become decimal strings.  Timing
+goes to stderr only, keeping documents byte-stable for fixed (config, seed)
+across reruns and worker counts.
 
 Exit codes: 0 all checks pass; 1 a mathematical claim failed (the document
 carries the witness); 2 usage or input errors.
@@ -13,7 +16,9 @@ carries the witness); 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import numbers
 import os
 import sys
 import time
@@ -68,27 +73,27 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _s(x) -> str:
-    return str(int(x))
+def _strings(value):
+    """``value`` with every integer leaf and integer dict key, Python or
+    numpy, as a decimal string; bools stay bools."""
+    if isinstance(value, dict):
+        return {_strings(k): _strings(x) for k, x in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strings(x) for x in value]
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return str(int(value))
+    return value
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_strings(doc), sort_keys=True, indent=2) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _matrix_strings(rows) -> list[list[str]]:
-    return [[str(e) for e in row] for row in rows]
-
-
-def _coeff_strings(coeffs) -> list[str]:
-    return [str(c) for c in coeffs]
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict, int]:
     tree = parse_tree(args.tree)
     f = parse_map(args.map, tree)
     if args.orientation is not None:
@@ -100,6 +105,7 @@ def cmd_analyze(args) -> int:
     else:
         orientation = Orientation.canonical(tree.edge_count)
     report = verify_instance(f, orientation, all_witnesses=args.all_witnesses)
+    w = report.witness
     doc = {
         "command": "analyze",
         "instance": {
@@ -107,36 +113,24 @@ def cmd_analyze(args) -> int:
             "tree_canonical": report.tree_canonical,
             "orientation": report.orientation,
             "map": report.image,
-            "n": _s(report.n),
+            "n": report.n,
         },
-        "matrices": {
-            "oriented": _matrix_strings(report.oriented_rows),
-            "unoriented": _matrix_strings(report.unoriented_rows),
-        },
+        "matrices": {"oriented": report.oriented_rows, "unoriented": report.unoriented_rows},
         "charpolys": {
-            "oriented": _coeff_strings(report.oriented_charpoly),
-            "unoriented": _coeff_strings(report.unoriented_charpoly),
-            "unoriented_mod2": _coeff_strings(report.unoriented_charpoly_mod2),
+            "oriented": report.oriented_charpoly,
+            "unoriented": report.unoriented_charpoly,
+            "unoriented_mod2": report.unoriented_charpoly_mod2,
         },
-        "determinants": {
-            "oriented": _s(report.det_oriented),
-            "unoriented": _s(report.det_unoriented),
-        },
+        "determinants": {"oriented": report.det_oriented, "unoriented": report.det_unoriented},
         "claims": {name: res.status.value for name, res in sorted(report.claims.items())},
-        "witness": None,
+        "witness": None if w is None else {
+            "i": w["i"], "j": w["j"], "matrix": w["rows"], "determinant": w["determinant"]
+        },
     }
-    if report.witness:
-        doc["witness"] = {
-            "i": _s(report.witness["i"]),
-            "j": _s(report.witness["j"]),
-            "matrix": _matrix_strings(report.witness["rows"]),
-            "determinant": _s(report.witness["determinant"]),
-        }
-    _emit(doc, args.out)
-    return 0 if report.all_pass() else CLAIM_ERROR
+    return doc, 0 if report.all_pass() else CLAIM_ERROR
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[dict, int]:
     cap = _cap() + 1
     # fewer than 3 vertices is left to enumerate_trees, which rejects it first
     if args.vertices > max(cap, 2):
@@ -144,49 +138,46 @@ def cmd_enumerate(args) -> int:
     trees = list(enumerate_trees(args.vertices))
     doc = {
         "command": "enumerate",
-        "vertex_count": _s(args.vertices),
-        "count": _s(len(trees)),
+        "vertex_count": args.vertices,
+        "count": len(trees),
         "trees": [
             {"edges": t.edge_list_str(), "canonical": canonical_form(t)} for t in trees
         ],
     }
-    _emit(doc, args.out)
-    return 0
+    return doc, 0
 
 
-def cmd_verify(args) -> int:
+def _run_sweep(args, run, noun, count, **options) -> tuple[dict, QuotientCounts]:
+    """Run a sweep command: ``run`` over the parsed --n and --orientations
+    with a fresh QuotientCounts, the summary line on stderr with ``count``
+    of the result in ``noun``, and the document, which is the result with
+    its ns, policy and seed moved into the config beside ``options``.
+    Returns the document and the counts."""
     policy = OrientationPolicy.parse(args.orientations)
     ns = _sweep_ns(args.n)
     counts = QuotientCounts()
     started = time.perf_counter()
-    result = run_theorem_sweep(ns, policy, seed=args.seed, workers=args.workers, counts=counts)
+    result = run(ns, policy, seed=args.seed, workers=args.workers, counts=counts, **options)
     elapsed = time.perf_counter() - started
-    doc = {
-        "command": "verify",
-        "config": {
-            "n": [_s(n) for n in result.ns],
-            "orientations": result.policy,
-            "seed": _s(result.seed),
-        },
-        "per_n": {
-            _s(n): {key: _s(val) for key, val in stats.items()}
-            for n, stats in result.per_n.items()
-        },
-        "claim_failures": {k: _s(v) for k, v in result.claim_failures.items()},
-        "failures": result.failures,
-        "total_instances": _s(result.total_instances),
-        "all_pass": result.all_pass,
-    }
     print(
-        f"verify: {result.total_instances} instances in {elapsed:.2f}s, "
+        f"{args.command}: {count(result)} {noun} in {elapsed:.2f}s, "
         f"{counts.transport()} ({counts})",
         file=sys.stderr,
     )
-    _emit(doc, args.out)
-    return 0 if result.all_pass else CLAIM_ERROR
+    fields = dataclasses.asdict(result)
+    config = {
+        "n": fields.pop("ns"), "orientations": fields.pop("policy"),
+        "seed": fields.pop("seed"), **options,
+    }
+    return {"command": args.command, "config": config, **fields}, counts
 
 
-def cmd_reproduce(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
+    doc, _ = _run_sweep(args, run_theorem_sweep, "instances", lambda r: r.total_instances)
+    return doc, 0 if doc["all_pass"] else CLAIM_ERROR
+
+
+def cmd_reproduce(args) -> tuple[dict, int]:
     figures = list(FIGURE_IDS) if args.figure == "all" else [args.figure]
     directory = Path(args.fixtures) if args.fixtures else None
     out_figures = {}
@@ -202,59 +193,29 @@ def cmd_reproduce(args) -> int:
                 f"vs recorded {fixture.caption_charpoly.to_strings()}"
             )
         entry = {
-            "n": _s(fixture.n),
+            "n": fixture.n,
             "checks": checks,
             "match": all(checks.values()),
-            "unoriented_charpoly": fixture.caption_charpoly.to_strings(),
+            "unoriented_charpoly": fixture.caption_charpoly.coeffs,
         }
         if args.reconstruct:
             entry["reconstructions"] = reconstruct_instance(fixture)
         out_figures[figure] = entry
         all_match &= entry["match"]
     doc = {"command": "reproduce", "figures": out_figures, "all_match": all_match}
-    _emit(doc, args.out)
     if mismatch_message:
         print(f"caption mismatch: {mismatch_message}", file=sys.stderr)
-    return 0 if all_match else CLAIM_ERROR
+    return doc, 0 if all_match else CLAIM_ERROR
 
 
-def cmd_search_detmf(args) -> int:
-    policy = OrientationPolicy.parse(args.orientations)
-    ns = _sweep_ns(args.n)
-    counts = QuotientCounts()
-    started = time.perf_counter()
-    result = run_det_search(
-        ns,
-        policy,
-        seed=args.seed,
-        workers=args.workers,
+def cmd_search_detmf(args) -> tuple[dict, int]:
+    doc, counts = _run_sweep(
+        args, run_det_search, "witnesses", lambda r: sum(r.histogram.values()),
         paths_only=args.paths_only,
-        counts=counts,
     )
-    elapsed = time.perf_counter() - started
-    doc = {
-        "command": "search-detmf",
-        "config": {
-            "n": [_s(n) for n in result.ns],
-            "orientations": result.policy,
-            "seed": _s(result.seed),
-            "paths_only": args.paths_only,
-        },
-        "histogram": {_s(k): _s(v) for k, v in result.histogram.items()},
-        "nonunit_witnesses": result.nonunit_witnesses,
-        "all_odd": result.all_odd,
-        "all_unit": result.all_unit,
-    }
-    witnesses = sum(result.histogram.values())
-    print(
-        f"search-detmf: {witnesses} witnesses in {elapsed:.2f}s, "
-        f"{counts.transport()} ({counts})",
-        file=sys.stderr,
-    )
-    _emit(doc, args.out)
     # non-unit determinants are a reportable discovery, not a failure; a
     # closed-form determinant the direct route contradicts is one
-    return 0 if result.all_odd and not counts.disagreements else CLAIM_ERROR
+    return doc, 0 if doc["all_odd"] and not counts.disagreements else CLAIM_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +272,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        _emit(doc, args.out)
+        return code
     except WitnessFailed as exc:
         print(f"claim failure: {exc}", file=sys.stderr)
         return CLAIM_ERROR

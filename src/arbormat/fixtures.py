@@ -10,7 +10,7 @@ File grammar (whitespace separated)::
 
     figure <id>
     n <size>
-    [edge_order <comma separated>]      # only when known
+    [edge_order <comma separated>]      # accepted, not used
     [row_ops / unoriented sections]     # panel 4 only
     oriented
     <size lines of integers>
@@ -64,7 +64,6 @@ class Fixture:
     caption_charpoly: ExactPolynomial
     row_ops: Optional[ExactMatrix] = None
     unoriented_printed: Optional[ExactMatrix] = None
-    edge_order: Optional[str] = None
 
 
 def default_fixture_dir() -> Path:
@@ -120,7 +119,6 @@ def load_fixture(figure: str, directory: Optional[Path] = None) -> Fixture:
         caption_charpoly=caption,
         row_ops=fields.get("row_ops"),
         unoriented_printed=fields.get("unoriented"),
-        edge_order=fields.get("edge_order"),
     )
 
 
@@ -246,7 +244,7 @@ def reconstruct_instance(fixture: Fixture, max_results: int = 4) -> list[dict]:
     return results[:max_results]
 
 
-def _seed_charpolys(f: VertexMap, orientation: Orientation) -> list[list[str]]:
+def _seed_charpolys(f: VertexMap, orientation: Orientation) -> list[list[int]]:
     """Distinct witness-matrix charpolys over all coprime seed paths.
 
     The printed panels carry no vertex labels, so a pinned witness value can
@@ -255,4 +253,4 @@ def _seed_charpolys(f: VertexMap, orientation: Orientation) -> list[list[str]]:
         _witness_rows(f, orientation, i, j)[1].charpoly().coeffs
         for i, j in witness_pairs(f.tree.vertex_count)
     }
-    return [[str(c) for c in coeffs] for coeffs in sorted(seen)]
+    return [list(coeffs) for coeffs in sorted(seen)]

@@ -818,11 +818,15 @@ def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
     return (_random_instance(seed, idx, n_lo, n_hi) for idx in range(count))
 
 
-def _random_chunk(task) -> list[dict]:
-    """The sub-result of the random instances start..stop-1, keyed by start.
-    The first PATH_IMAGE_AUDIT instances of the stream are also decided on
-    the exact route; a disagreement fails the instance."""
-    seed, start, stop, random_n = task
+def _path_image_worker(task) -> list[dict]:
+    """The sub-results of a tree task, or of the random chunk ("random",
+    seed, start, stop, random_n): instances start..stop-1, keyed by
+    (inf, start) to follow every tree.  The first PATH_IMAGE_AUDIT instances
+    of the stream are also decided on the exact route; a disagreement fails
+    the instance."""
+    if task[0] != "random":
+        return _sweep_worker(_PATH_IMAGE, task)
+    _, seed, start, stop, random_n = task
     chunk = [_random_instance(seed, idx, *random_n) for idx in range(start, stop)]
     ok = _fast.instance_path_image_ok(chunk)
     for k, (f, orientation) in enumerate(chunk[: max(0, PATH_IMAGE_AUDIT - start)]):
@@ -832,7 +836,8 @@ def _random_chunk(task) -> list[dict]:
         {"tree": f.tree.edge_list_str(), "orientation": o.bitstring(), "map": f.image_str()}
         for (f, o), good in zip(chunk, ok) if not good
     ))
-    return [{"key": start, "random_instances": len(chunk), "failures": failures}]
+    return [{"key": (float("inf"), start), "random_instances": len(chunk),
+             "failures": failures, "quotient": QuotientCounts()}]
 
 
 @dataclass
@@ -856,13 +861,11 @@ def run_path_image_sweep(
         raise CapExceeded(
             f"random_n = {tuple(random_n)} needs 2 <= n_lo <= n_hi <= {_fast._BATCH_N_CAP}"
         )
-    tasks = _tree_tasks(_check_cap(ns_exhaustive), OrientationPolicy("all"), seed)
-    out = _sweep(_PATH_IMAGE, PathImageResult(), tasks, workers, counts)
-    chunks = [
-        (seed, start, min(start + RANDOM_CHUNK, random_count), tuple(random_n))
+    tasks = _tree_tasks(_check_cap(ns_exhaustive), OrientationPolicy("all"), seed) + [
+        ("random", seed, start, min(start + RANDOM_CHUNK, random_count), tuple(random_n))
         for start in range(0, random_count, RANDOM_CHUNK)
     ]
-    _fold(out, _run_tasks(_random_chunk, chunks, workers))
+    out = _fold(PathImageResult(), _run_tasks(_path_image_worker, tasks, workers, counts))
     out.all_pass = not out.failures
     return out
 

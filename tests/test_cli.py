@@ -2,9 +2,11 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from arbormat import cli
+from test_harness import inject_failures
 
 
 SCHEMA = json.loads(
@@ -23,6 +25,15 @@ def run_json(capsys, *argv):
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMA)
     return code, doc, err
+
+
+def leaves(value):
+    """Every leaf of a JSON document."""
+    if isinstance(value, dict):
+        return [leaf for x in value.values() for leaf in leaves(x)]
+    if isinstance(value, list):
+        return [leaf for x in value for leaf in leaves(x)]
+    return [value]
 
 
 class TestAnalyze:
@@ -97,6 +108,15 @@ class TestVerify:
         assert doc["all_pass"] is True
         assert doc["per_n"]["2"]["instances"] == "8"
         assert doc["per_n"]["3"]["instances"] == "96"
+
+    def test_failure_records_have_string_leaves(self, capsys, monkeypatch):
+        # transport refused and the geometric sum failed on the marked rows
+        inject_failures(monkeypatch, "theorem")
+        code, doc, _ = run_json(capsys, "verify", "--n", "4", "--orientations", "all")
+        assert code == 1
+        assert doc["all_pass"] is False
+        assert "geometric_sum_zero" in doc["failures"][0]["claims"]
+        assert all(isinstance(leaf, (str, bool)) for leaf in leaves(doc))
 
     def test_stderr_reports_quotient_split(self, capsys):
         # n = 2, 3: 1 + 2 trees, 2 and 6 cycles, 4 and 8 orientations
@@ -278,6 +298,18 @@ class TestSearchDetmf:
         assert code == 0
         assert doc["all_unit"] is True
 
+    def test_nonunit_records_have_string_leaves(self, capsys, monkeypatch):
+        # transport refused and |det Mf| tripled on the marked rows, which
+        # n = 4 has and n = 3 has not (see test_harness.marked)
+        inject_failures(monkeypatch, "det")
+        code, doc, _ = run_json(capsys, "search-detmf", "--n", "4")
+        assert code == 0
+        assert set(doc["histogram"]) == {"1", "3"}
+        assert doc["all_odd"] is True and doc["all_unit"] is False
+        assert doc["nonunit_witnesses"]
+        assert {r["abs_det"] for r in doc["nonunit_witnesses"]} == {"3"}
+        assert all(isinstance(leaf, (str, bool)) for leaf in leaves(doc))
+
     def test_seed_rerun_identical(self, tmp_path):
         outs = []
         for idx in range(2):
@@ -299,6 +331,13 @@ class TestOutput:
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, SCHEMA)
         assert doc["count"] == "2"
+
+    def test_integers_become_strings_at_emit(self, capsys):
+        doc = {1: [np.int64(-2), True, (3, "x")], "k": {np.int32(4): False, "n": None}}
+        cli._emit(doc, None)
+        assert json.loads(capsys.readouterr().out) == {
+            "1": ["-2", True, ["3", "x"]], "k": {"4": False, "n": None}
+        }
 
     def test_usage_error(self, capsys):
         assert cli.main(["bogus"]) == 2

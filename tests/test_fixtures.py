@@ -41,6 +41,16 @@ class TestLoading:
         with pytest.raises(FixtureMissing):
             load_fixture("1b", tmp_path)
 
+    def test_edge_order_line_is_accepted(self, tmp_path):
+        for figure in ("1a", "4"):
+            text = (default_fixture_dir() / f"figure{figure}.txt").read_text()
+            with_line = text.replace("\nn 5\n", "\nn 5\nedge_order 1-2,2-3,3-4,4-5,5-6\n", 1)
+            assert "edge_order" not in text and "edge_order" in with_line
+            (tmp_path / f"figure{figure}.txt").write_text(with_line)
+            fixture = load_fixture(figure, tmp_path)
+            assert fixture == load_fixture(figure)
+            assert check_fixture(fixture) == check_fixture(load_fixture(figure))
+
 
 class TestChecks:
     def test_all_panels_pass(self):
@@ -91,5 +101,5 @@ class TestReconstruction:
         # some coprime seed path of a reconstructed instance (the printed
         # panel carries no vertex labels, so matching is up to relabeling)
         recs = reconstruct_instance(load_fixture("1a"), max_results=8)
-        pinned = ["1", "-1", "0", "0", "-1", "1"]
+        pinned = [1, -1, 0, 0, -1, 1]
         assert any(pinned in r["seed_charpolys"] for r in recs)

@@ -1059,6 +1059,22 @@ class TestForkJoin:
         assert two == run_theorem_sweep([2, 3, 4], OrientationPolicy("all"))
         assert_all_reaped()
 
+    def test_path_image_sweep_forks_once(self, monkeypatch):
+        """The exhaustive trees and the random chunks share one fork-join."""
+        from arbormat import harness
+
+        sizes = []
+        real = harness._fork_join
+        monkeypatch.setattr(
+            harness, "_fork_join", lambda w, tasks, p: sizes.append(len(tasks)) or real(w, tasks, p)
+        )
+        with no_hang():
+            two = run_path_image_sweep([2, 3], random_count=300, seed=5, workers=2)
+        assert sizes == [3 + 3]  # 1 + 2 trees, 3 chunks of at most 128 instances
+        assert two == run_path_image_sweep([2, 3], random_count=300, seed=5)
+        assert two.exhaustive_instances == 104 and two.random_instances == 300
+        assert_all_reaped()
+
     def test_more_tasks_than_the_queue_holds(self):
         """80,000 bytes of task indices outgrow a 64 KiB pipe."""
         from arbormat import harness
