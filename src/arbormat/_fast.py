@@ -273,23 +273,25 @@ def batched_petrie(mats: np.ndarray) -> np.ndarray:
 def batched_witness_matrix(mats: np.ndarray, seeds: np.ndarray):
     """Stack the seed rows w and their iterates w.A, ..., w.A^(n-1) into Mf.
 
-    Returns (mf, gate): gate marks the instances whose iterate coordinates
-    all stayed in {-1,0,1}, the precondition of batched_charpoly on Mf."""
+    mats: (B, n, n); seeds: (B, P, n), P seed rows per matrix, each iterated
+    under its own matrix.  Returns (mf, gate), (B, P, n, n) and (B, P):
+    gate marks the witnesses whose iterate coordinates all stayed in
+    {-1,0,1}, the precondition of batched_charpoly on Mf."""
     n = mats.shape[1]
     _check_small(n)
+    mats = mats.astype(np.int64, copy=False)
     rows = [seeds.astype(np.int64)]
-    w = rows[0]
     for _ in range(n - 1):
-        w = np.einsum("bi,bij->bj", w, mats)
-        rows.append(w)
-    mf = np.stack(rows, axis=1)
+        rows.append(rows[-1] @ mats)
+    mf = np.stack(rows, axis=2)
     return mf, unit_entries(mf)
 
 
 def batched_witness(mats: np.ndarray, seeds: np.ndarray):
     """Iterate seed row vectors under w -> w.A and check the basis claims.
 
-    Returns (gate, det, companion_ok):
+    mats: (B, n, n); seeds: (B, P, n).  Returns (gate, det, companion_ok),
+    each (B, P):
       gate          all iterate coordinates stayed in {-1,0,1}; the other
                     outputs are only meaningful where gate holds
       det           determinant of the stacked iterate matrix Mf
@@ -300,12 +302,13 @@ def batched_witness(mats: np.ndarray, seeds: np.ndarray):
     checked apart: it follows from Mf.A == C.Mf since Mf.adj(Mf) = det.I.
     """
     n = mats.shape[1]
+    mats = mats.astype(np.int64, copy=False)
     mf, gate = batched_witness_matrix(mats, seeds)
-    w_n = np.einsum("bi,bij->bj", mf[:, -1], mats)
-    companion_ok = np.all(w_n == -mf.sum(axis=1), axis=1)
-    cp = batched_charpoly(np.where(gate[:, None, None], mf, 0))
+    w_n = mf[:, :, -1] @ mats
+    companion_ok = np.all(w_n == -mf.sum(axis=2), axis=2)
+    cp = batched_charpoly(np.where(gate[..., None, None], mf, 0).reshape(-1, n, n))
     det = cp[:, 0] if n % 2 == 0 else -cp[:, 0]
-    return gate, det, companion_ok
+    return gate, det.reshape(gate.shape), companion_ok
 
 
 def _lex_permutations(m: int) -> np.ndarray:
@@ -314,25 +317,32 @@ def _lex_permutations(m: int) -> np.ndarray:
     perms = np.zeros((1, 0), dtype=np.int64)
     for k in range(1, m + 1):
         # first entry f, then the permutations of 0..k-2 relabelled onto
-        # 0..k-1 without f, which keeps their order
-        perms = np.concatenate([
-            np.hstack([np.full((perms.shape[0], 1), f), perms + (perms >= f)])
-            for f in range(k)
-        ])
+        # 0..k-1 without f, which keeps their order; filled in place, so a
+        # level holds its rows once
+        p = perms.shape[0]
+        out = np.empty((k * p, k), dtype=np.int64)
+        for f in range(k):
+            out[f * p : (f + 1) * p, 0] = f
+            out[f * p : (f + 1) * p, 1:] = perms + (perms >= f)
+        perms = out
     return perms
 
 
 @lru_cache(maxsize=8)
 def cycle_images(v: int) -> np.ndarray:
-    """All single v-cycles as image arrays: out[b, u] = f(u); column 0 unused."""
+    """All single v-cycles as image arrays: out[b, u] = f(u); column 0 unused.
+    The table is written one column of the cycle at a time, so building it
+    holds little more than the table and the permutations."""
     if v > SWEEP_N_CAP + 1:
         raise ValueError(f"refusing to materialize more than {SWEEP_N_CAP}! cycle images")
-    perms = _lex_permutations(v - 1) + 2  # the cycle 1 -> perm[0] -> ...
-    b = perms.shape[0]
-    seq = np.concatenate([np.ones((b, 1), dtype=np.int64), perms], axis=1)
-    nxt = np.roll(seq, -1, axis=1)
-    images = np.zeros((b, v + 1), dtype=np.int64)
-    np.put_along_axis(images, seq, nxt, axis=1)
+    perms = _lex_permutations(v - 1)
+    perms += 2  # the cycle 1 -> perms[:, 0] -> ... -> perms[:, -1] -> 1
+    rows = np.arange(perms.shape[0])
+    images = np.zeros((perms.shape[0], v + 1), dtype=np.int64)
+    images[:, 1] = perms[:, 0]
+    for k in range(v - 2):
+        images[rows, perms[:, k]] = perms[:, k + 1]
+    images[rows, perms[:, -1]] = 1
     return images
 
 

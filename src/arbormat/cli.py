@@ -182,15 +182,15 @@ def cmd_reproduce(args) -> tuple[dict, int]:
     directory = Path(args.fixtures) if args.fixtures else None
     out_figures = {}
     all_match = True
-    mismatch_message = None
+    mismatches = []
     for figure in figures:
         fixture = load_fixture(figure, directory)
         checks = check_fixture(fixture)
         if not checks["unoriented_charpoly_caption"]:
             computed = fixture.oriented.abs().charpoly().to_strings()
-            mismatch_message = (
-                f"figure {fixture.figure}: computed {computed} "
-                f"vs recorded {fixture.caption_charpoly.to_strings()}"
+            mismatches.append(
+                f"caption mismatch: figure {fixture.figure}: computed {computed} "
+                f"vs recorded {fixture.caption_charpoly.to_strings()}\n"
             )
         entry = {
             "n": fixture.n,
@@ -203,8 +203,7 @@ def cmd_reproduce(args) -> tuple[dict, int]:
         out_figures[figure] = entry
         all_match &= entry["match"]
     doc = {"command": "reproduce", "figures": out_figures, "all_match": all_match}
-    if mismatch_message:
-        print(f"caption mismatch: {mismatch_message}", file=sys.stderr)
+    sys.stderr.write("".join(mismatches))
     return doc, 0 if all_match else CLAIM_ERROR
 
 

@@ -12,8 +12,10 @@ other orientations by a certificate (see :class:`_OrientationQuotient`);
 the split-sign claims are not, so all orientations of a split-sign task go
 to its kernel together.  Within a computed row, the theorem, witness,
 determinant and path-graph claims follow from the closed form of det Mf
-once the row passes path transport; the direct kernels decide the rows that
-fail it and a fixed audit set of every chunk (see
+once the row passes path transport, and certified rows are kept as counts;
+the direct kernels decide the rows that fail it and a fixed audit set of
+every chunk.  Those direct rows are queued across the worker's tasks and
+decided in batches, and a task's chunks are tallied once its rows are (see
 :mod:`arbormat.certificate`).  With more than one worker, forked children
 take tasks from a shared pipe (see :func:`_fork_join`), and sub-results are
 reduced in sorted (v, tree, orientation) order, so output is identical for
@@ -42,6 +44,9 @@ import numpy as np
 from . import _fast
 from .certificate import (
     AUDIT_AGREEMENT,
+    CYCLE_CHUNK,
+    QUEUE,
+    Decided,
     certified_rows,
     closed_form_dets,
     decide,
@@ -88,9 +93,6 @@ __all__ = [
 
 DEFAULT_N_CAP = _fast.SWEEP_N_CAP
 MAX_FAILURE_RECORDS = 20
-# A quarter of the 8! cycles of one n = 8 task: its (B, n, n) int64
-# temporaries stay near 45 MB instead of 175 MB, and n <= 7 is never split.
-CYCLE_CHUNK = 10_080
 RANDOM_CHUNK = 128  # random instances held at once by the path-transport sweep
 PATH_IMAGE_AUDIT = 16  # random instances also checked on the exact route
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
@@ -172,10 +174,16 @@ def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
     """Run every task, flatten the sub-results each returns and sort them by
     key; a QuotientCounts given as ``counts`` sums their quotient counters.
     More than one worker forks min(workers, tasks) children (see
-    :func:`_fork_join`)."""
+    :func:`_fork_join`); one worker runs them here and then decides the rows
+    they queued (see :data:`arbormat.certificate.QUEUE`)."""
     _keep_heap()
     workers = min(workers, len(tasks))
-    outputs = _fork_join(worker, tasks, workers) if workers > 1 else [worker(t) for t in tasks]
+    try:
+        outputs = _fork_join(worker, tasks, workers) if workers > 1 else [worker(t) for t in tasks]
+        QUEUE.flush()
+    except BaseException:
+        QUEUE.clear()
+        raise
     results = [res for subs in outputs for res in subs]
     if counts is not None:
         for res in results:
@@ -191,8 +199,9 @@ def _fork_join(worker, tasks, processes: int) -> list:
     way in.  They take task indices, in task order, from one shared pipe
     that the parent fills after forking; each index is a 4-byte record, so
     every write is atomic and every read takes one whole index.  A child
-    pickles its (index, output) pairs, and the first exception a task
-    raised, back through its own pipe and leaves through os._exit, so it
+    decides the rows its tasks queued, then pickles its (index, output)
+    pairs, and the first exception a task or that decision raised, back
+    through its own pipe and leaves through os._exit, so it
     runs no atexit handler and flushes none of the parent's stdio buffers.
     The parent reads and reaps every child, so RUSAGE_CHILDREN counts them,
     re-raises the exception of the earliest failed task, and raises
@@ -254,13 +263,13 @@ def _fork_child(worker, tasks, queue_r, queue_w, result_w) -> None:
     try:
         queue_w.close()  # else the queue never reaches end of file
         done, error = [], None
-        while record := queue_r.read(4):
-            idx = int.from_bytes(record, "little")
-            try:
-                done.append((idx, worker(tasks[idx])))
-            except Exception as exc:
-                error = (idx, exc, traceback.format_exc())
-                break
+        try:
+            while record := queue_r.read(4):
+                QUEUE.task = int.from_bytes(record, "little")
+                done.append((QUEUE.task, worker(tasks[QUEUE.task])))
+            QUEUE.flush()
+        except Exception as exc:
+            error = (QUEUE.task, exc, traceback.format_exc())
         pickle.dump((done, error), result_w, pickle.HIGHEST_PROTOCOL)
         result_w.flush()
         code = 0
@@ -356,10 +365,11 @@ class _OrientationQuotient:
     r = orientations[0].  An invariant sweep's claims hold under that
     similarity, except for ``signed`` values such as det Mf that pick up
     the factor det D = +-1.  So its claims function runs on r, and every
-    other orientation takes r's flags for the rows whose built matrix
-    passes the certificate A_o == D.A_r.D; a row that fails it is
-    recomputed by the same claims function, which may add its own
-    transport-certificate tallies to the orientation's QuotientCounts."""
+    other orientation takes r's verdicts, once they are decided, for the
+    rows whose built matrix passes the certificate A_o == D.A_r.D; a row
+    that fails it is recomputed by the same claims function, which may add
+    its own transport-certificate tallies to the orientation's
+    QuotientCounts."""
 
     def __init__(self, v: int, edges: tuple, orientations: tuple):
         self.v = v
@@ -372,9 +382,10 @@ class _OrientationQuotient:
         self.counts = {bits: QuotientCounts() for bits in self.oriented}
 
     def chunks(self, sweep: "_Sweep"):
-        """Per cycle chunk: the images and, per distinct orientation, the
-        claims' per-row arrays; a sweep that is not invariant takes chunks
-        of at most CYCLE_CHUNK rows over all orientations together."""
+        """Per cycle chunk: the images and a function that returns, once the
+        chunk's direct rows are decided, the claims per distinct
+        orientation; a sweep that is not invariant takes chunks of at most
+        CYCLE_CHUNK rows over all orientations together."""
         rep, *others = self.oriented.values()
         cycles = _fast.cycle_images(self.v)
         size = CYCLE_CHUNK if sweep.invariant else max(1, CYCLE_CHUNK // len(self.oriented))
@@ -385,28 +396,32 @@ class _OrientationQuotient:
             if not sweep.invariant:
                 for counts in self.counts.values():
                     counts.computed += batch
-                yield images, sweep.claims(list(self.oriented.values()), images)
+                flags = sweep.claims(list(self.oriented.values()), images)
+                yield images, lambda flags=flags: flags
                 continue
             a_rep = rep.build(images)
             base = sweep.claims(rep, images, a_rep, self.counts[rep.bits])
             self.counts[rep.bits].computed += batch
-            flags = {rep.bits: base}
+            carried = []
             for o in others:
                 d = _fast.orientation_signs(o.bits ^ rep.bits, a_rep.shape[1])
-                det_d = int(d.prod())
-                own = {k: x * det_d if k in sweep.signed else x for k, x in base.items()}
                 a = o.build(images)
                 bad = np.nonzero(~np.all(a == d[:, None] * a_rep * d, axis=(1, 2)))[0]
+                redo = None
                 if bad.size:
                     counts = self.counts[o.bits]
                     redo = sweep.claims(o, images[bad], a[bad], counts)
-                    own = {k: x.copy() for k, x in own.items()}
-                    for k, x in own.items():
-                        x[bad] = redo[k]
                     counts.computed += bad.size
                     counts.fallbacks += bad.size
-                flags[o.bits] = own
-            yield images, flags
+                carried.append((o.bits, int(d.prod()), bad, redo))
+            yield images, partial(self._settled, sweep, rep.bits, base, carried)
+
+    @staticmethod
+    def _settled(sweep, rep_bits, base, carried) -> dict:
+        flags = {rep_bits: base}
+        for bits, det_d, bad, redo in carried:
+            flags[bits] = base.carried(det_d, sweep.signed, bad, redo)
+        return flags
 
     def descriptor(self, bits: int, image_row) -> dict:
         return {
@@ -451,14 +466,15 @@ def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only
 class _Sweep(NamedTuple):
     """What a sweep decides and what it keeps.
 
-    ``claims(o, images, a, counts)`` returns per-row arrays for one cycle
-    chunk under one orientation; values under a ``signed`` key change sign
-    with det D from one orientation to another.  Claims not ``invariant``
-    under that similarity are never carried: ``claims(oriented, images)``
-    returns the claims of every oriented tree of the task, by orientation.
-    ``empty`` is the sub-result of one orientation before its first chunk,
-    and ``tally(res, quotient, bits, images, claims)`` folds one chunk's
-    arrays into it.  Sub-result entries are named after the result's fields."""
+    ``claims(o, images, a, counts)`` returns the :class:`Decided` claims of
+    one cycle chunk under one orientation; values under a ``signed`` key
+    change sign with det D from one orientation to another.  Claims not
+    ``invariant`` under that similarity are never carried:
+    ``claims(oriented, images)`` returns the claims of every oriented tree
+    of the task, by orientation.  ``empty`` is the sub-result of one
+    orientation before its first chunk, and ``tally(res, quotient, bits,
+    images, claims)`` folds one chunk's claims into it.  Sub-result entries
+    are named after the result's fields."""
 
     claims: Callable
     signed: tuple
@@ -468,14 +484,22 @@ class _Sweep(NamedTuple):
 
 
 def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
-    """The sub-results of one (v, tree index, edges, orientations) task."""
+    """The sub-results of one (v, tree index, edges, orientations) task.
+    The list is filled once QUEUE has decided the task's direct rows: the
+    chunks are tallied then, in order."""
     v, tree_idx, edges, orientations = task
     quotient = _OrientationQuotient(v, edges, orientations)
     out = {bits: {k: copy.copy(x) for k, x in sweep.empty.items()} for bits in quotient.oriented}
-    for images, flags in quotient.chunks(sweep):
-        for bits, claims in flags.items():
+
+    def tally(images, flags):
+        for bits, claims in flags().items():
             sweep.tally(out[bits], quotient, bits, images, claims)
-    return quotient.results(tree_idx, out)
+
+    for images, flags in quotient.chunks(sweep):
+        QUEUE.then(partial(tally, images, flags))
+    results = []
+    QUEUE.then(lambda: results.extend(quotient.results(tree_idx, out)))
+    return results
 
 
 def _sweep(sweep: _Sweep, out, tasks, workers: int, counts=None):
@@ -519,11 +543,13 @@ def _capped(failures: list, records) -> None:
 
 def _row_tally(count: str, extras: tuple, res, quotient, bits, images, claims) -> None:
     """Count the chunk's rows under ``count`` and record every row failing
-    the claim "ok", with its verdicts of the ``extras`` claims."""
-    res[count] += images.shape[0]
+    the claim "ok" or the audit, with its verdicts of the ``extras`` claims."""
+    res[count] += claims.size
+    values, images = claims.values, images[claims.rows]
+    ok = values["ok"] & values.get(AUDIT_AGREEMENT, True)
     _capped(res["failures"], (
-        {**quotient.descriptor(bits, images[idx]), **{k: bool(claims[k][idx]) for k in extras}}
-        for idx in np.nonzero(~claims["ok"])[0]
+        {**quotient.descriptor(bits, images[idx]), **{k: bool(values[k][idx]) for k in extras}}
+        for idx in np.nonzero(~ok)[0]
     ))
 
 
@@ -552,9 +578,10 @@ THEOREM_CLAIMS = (
 )
 
 
-def _theorem_claims_direct(o: _Oriented, images, a) -> dict:
-    """Per-row verdicts of every theorem-sweep claim from the kernels; the
-    witness is the single pair (1, 1)."""
+def _theorem_claims_direct(o, images, a) -> dict:
+    """Per-row verdicts of every theorem-sweep claim from the kernels, each
+    row under its oriented tree in ``o`` (an OrientedRows); the witness is
+    the single pair (1, 1)."""
     rows, n = a.shape[:2]
     sign = 1 if n % 2 == 0 else -1
     b = np.abs(a)
@@ -565,7 +592,7 @@ def _theorem_claims_direct(o: _Oriented, images, a) -> dict:
         "oriented_determinant": (sign * cp_a[:, 0]) == sign,
         "geometric_sum_zero": _fast.batched_geometric_sum_zero(a),
         "unoriented_charpoly_odd": np.all(cp_b % 2 == 1, axis=1),
-        "path_image_identity": _fast.batched_path_image_ok(o.table[1], images, a),
+        "path_image_identity": _fast.batched_path_image_ok(o.tables[o.index, 1], images, a),
     }
     ok["z2_companion_similar"] = (
         ok["unoriented_charpoly_odd"] & _fast.batched_gf2_nonderogatory(b)
@@ -574,32 +601,33 @@ def _theorem_claims_direct(o: _Oriented, images, a) -> dict:
     return ok
 
 
-def _theorem_claims_derived(o: _Oriented, images, a):
+def _theorem_claims_derived(o: _Oriented, images, a, audit):
     """Every theorem claim holds on a row where Mf = Mf(1, 1) is certified:
     A = Mf^-1.C.Mf over Z gives the charpoly, the determinant and the
     geometric sum of C, and B = |A| == A mod 2 is similar to C over GF(2),
     so its charpoly is odd.  Path transport is the certificate itself."""
-    claims = {name: np.ones(images.shape[0], dtype=bool) for name in THEOREM_CLAIMS}
-    return claims, certified_rows(o, images, a, (1,))
+    claims = dict.fromkeys(THEOREM_CLAIMS, np.ones(audit.size, dtype=bool))
+    return certified_rows(o, images, a, (1,)), audit, claims
 
 
-def _theorem_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
+def _theorem_claims(o: _Oriented, images, a, counts: QuotientCounts) -> Decided:
     return decide(_theorem_claims_derived, _theorem_claims_direct, o, images, a, counts)
 
 
 def _theorem_tally(res, quotient, bits, images, claims) -> None:
-    failed = ~np.logical_and.reduce(list(claims.values()))
+    values, images = claims.values, images[claims.rows]
+    failed = ~np.logical_and.reduce(list(values.values()))
     stats = res["per_n"].setdefault(quotient.v - 1, {"instances": 0, "failures": 0})
-    stats["instances"] += images.shape[0]
+    stats["instances"] += claims.size
     if not failed.any():
         return
     stats["failures"] += int(failed.sum())
     _merge(res["claim_failures"], {
-        name: int((~ok).sum()) for name, ok in claims.items() if not ok.all()
+        name: int((~ok).sum()) for name, ok in values.items() if not ok.all()
     })
     _capped(res["failures"], (
         {**quotient.descriptor(bits, images[idx]),
-         "claims": sorted(name for name, ok in claims.items() if not ok[idx])}
+         "claims": sorted(name for name, ok in values.items() if not ok[idx])}
         for idx in np.nonzero(failed)[0]
     ))
 
@@ -655,11 +683,11 @@ def run_theorem_sweep(
 # determinant search over the same witness matrices
 
 
-def _witness_blocks(o: _Oriented, images, a, pairs):
-    """The rows in blocks whose stacked witnesses number about CYCLE_CHUNK:
-    per block, its slice of rows, each row's A repeated once per (start,
-    step) pair, and the seed rows, the signed path vector of i -> f^j(i),
-    pair within row."""
+def _witness_blocks(o, images, a, pairs):
+    """The rows in blocks whose witnesses number about CYCLE_CHUNK: per
+    block, its slice of rows, their A in int64, and their seed rows
+    (rows, pairs, n), the signed path vector of i -> f^j(i) under the row's
+    oriented tree in ``o`` (an OrientedRows)."""
     v = images.shape[1] - 1
     starts = np.array([i for i, _ in pairs])
     steps = np.array([j for _, j in pairs])
@@ -668,56 +696,67 @@ def _witness_blocks(o: _Oriented, images, a, pairs):
         part = images[lo : lo + block]
         orbit, position = start_vertex_orbit(part)
         ends = np.take_along_axis(orbit, (position[:, starts] + steps) % v, axis=1)
-        seeds = o.table[starts, ends].reshape(-1, v - 1)
-        mats = np.repeat(a[lo : lo + block], len(pairs), axis=0)
+        seeds = o.tables[o.index[lo : lo + block, None], starts, ends]
+        mats = a[lo : lo + block].astype(np.int64)
         yield slice(lo, lo + part.shape[0]), mats, seeds
 
 
-def _witness_verdicts(o: _Oriented, images, a, pairs) -> dict:
+def _witness_verdicts(o, images, a, pairs) -> dict:
     """Per row and (start, step) pair: whether the basis claims hold, and
     signed det Mf, building every Mf(i, j) with batched_witness; a pair
     whose iterates leave {-1, 0, 1} is decided on the exact route."""
     out = [np.empty((images.shape[0], len(pairs)), dtype=t) for t in (bool, np.int64, bool)]
     for rows, mats, seeds in _witness_blocks(o, images, a, pairs):
         for dst, x in zip(out, _fast.batched_witness(mats, seeds)):
-            dst[rows] = x.reshape(-1, len(pairs))
+            dst[rows] = x
     gate, det, companion_ok = out
     ok = gate & (det % 2 == 1) & companion_ok
     for idx, p in zip(*np.nonzero(~gate)):
-        ok[idx, p], det[idx, p] = _exact_witness(o.tree, o.bits, images[idx], *pairs[p])
+        k = o.oriented[o.index[idx]]
+        ok[idx, p], det[idx, p] = _exact_witness(k.tree, k.bits, images[idx], *pairs[p])
     return {"ok": ok, "det": det}
 
 
-def _witness_claims_direct(o: _Oriented, images, a) -> dict:
+def _witness_claims_direct(o, images, a) -> dict:
     return _witness_verdicts(o, images, a, witness_pairs(images.shape[1] - 1))
 
 
-def _witness_claims_derived(o: _Oriented, images, a):
+def _witness_claims_derived(o: _Oriented, images, a, audit):
     """On a certified row every Mf(i, j) is a unimodular {-1, 0, 1} matrix
     with Mf.A == C.Mf, so every pair passes: certified_rows has required
     each factor of its closed-form det to be +-1, so the det is odd.  The
-    verdicts of the other rows are void, as their dets are."""
-    det, certified = closed_form_dets(o, images, a)
-    return {"ok": np.ones(det.shape, dtype=bool), "det": det}, certified
+    signed closed-form det is evaluated on the audit rows only, for the
+    audit to compare."""
+    certified = certified_rows(o, images, a, coprime_steps(images.shape[1] - 1))
+    det = closed_form_dets(o, images[audit])
+    return certified, audit, {"ok": np.ones(det.shape, dtype=bool), "det": det}
 
 
-def _witness_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
+def _witness_claims(o: _Oriented, images, a, counts: QuotientCounts) -> Decided:
     return decide(_witness_claims_derived, _witness_claims_direct, o, images, a, counts)
 
 
 def _witness_tally(res, quotient, bits, images, claims) -> None:
-    ok = claims["ok"] & claims[AUDIT_AGREEMENT][:, None]
-    res["total_witnesses"] += ok.size
+    values = claims.values
+    ok = values["ok"] & values[AUDIT_AGREEMENT][:, None]
+    res["total_witnesses"] += claims.size * len(witness_pairs(quotient.v))
     if not ok.all():
-        _capped(res["failures"], _pair_records(quotient, bits, images, ~ok, det=claims["det"]))
+        records = _pair_records(quotient, bits, images[claims.rows], ~ok, det=values["det"])
+        _capped(res["failures"], records)
 
 
 def _det_tally(res, quotient, bits, images, claims) -> None:
-    dets = np.abs(claims["det"])
+    """Histogram the |det Mf| of the chunk: the decided rows' values, and
+    1 for every pair of a certified row."""
+    dets = np.abs(claims.values["det"])
     values, counts = np.unique(dets, return_counts=True)
-    _merge(res["histogram"], dict(zip(values.tolist(), counts.tolist())))
-    if values.tolist() != [1]:
-        nonunit = _pair_records(quotient, bits, images, dets != 1, abs_det=dets)
+    histogram = dict(zip(values.tolist(), counts.tolist()))
+    certified = (claims.size - claims.rows.size) * len(witness_pairs(quotient.v))
+    if certified:
+        histogram[1] = histogram.get(1, 0) + certified
+    _merge(res["histogram"], histogram)
+    if (dets != 1).any():
+        nonunit = _pair_records(quotient, bits, images[claims.rows], dets != 1, abs_det=dets)
         _capped(res["nonunit_witnesses"], nonunit)
 
 
@@ -787,8 +826,9 @@ def run_det_search(
 # path-transport sweep: exhaustive small n plus seeded random large n
 
 
-def _path_image_claims(o: _Oriented, images, a, counts) -> dict:
-    return {"ok": _fast.batched_path_image_ok(o.table[1], images, a)}
+def _path_image_claims(o: _Oriented, images, a, counts) -> Decided:
+    b = images.shape[0]
+    return Decided(b, np.arange(b), {"ok": _fast.batched_path_image_ok(o.table[1], images, a)})
 
 
 _PATH_IMAGE = _Sweep(
@@ -874,7 +914,7 @@ def run_path_image_sweep(
 # path graphs: Petrie structure of witness matrices and uniform row signs
 
 
-def _path_graph_claims_direct(o: _Oriented, images, a) -> dict:
+def _path_graph_claims_direct(o, images, a) -> dict:
     """Per row: every oriented row single-signed, every witness matrix a
     Petrie matrix, and all that with |det B| = 1 and every |det Mf| = 1.
     Every Mf of a block is built, Petrie-tested and charpolyed in one call."""
@@ -884,14 +924,15 @@ def _path_graph_claims_direct(o: _Oriented, images, a) -> dict:
     pairs = witness_pairs(images.shape[1] - 1)
     for rows, mats, seeds in _witness_blocks(o, images, a, pairs):
         mf, gate = _fast.batched_witness_matrix(mats, seeds)
-        cp_mf = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
-        petrie[rows] = _fast.batched_petrie(mf).reshape(-1, len(pairs)).all(axis=1)
-        unit = gate & (np.abs(cp_mf[:, 0]) == 1)
-        ok[rows] &= unit.reshape(-1, len(pairs)).all(axis=1)
+        mf = mf.reshape(-1, *mf.shape[2:])
+        cp_mf = _fast.batched_charpoly(np.where(gate.reshape(-1, 1, 1), mf, 0))
+        petrie[rows] = _fast.batched_petrie(mf).reshape(gate.shape).all(axis=1)
+        unit = gate & (np.abs(cp_mf[:, 0]) == 1).reshape(gate.shape)
+        ok[rows] &= unit.all(axis=1)
     return {"uniform_sign": uniform, "petrie": petrie, "ok": ok & uniform & petrie}
 
 
-def _path_graph_claims_derived(o: _Oriented, images, a):
+def _path_graph_claims_derived(o: _Oriented, images, a, audit):
     """On a row passing transport every row of every Mf is a signed path
     vector, so every Mf is a Petrie matrix once each row of the oriented
     path table is one: a contiguous single-signed block, as on a path tree
@@ -901,13 +942,11 @@ def _path_graph_claims_derived(o: _Oriented, images, a):
     certified = certified_rows(o, images, a, coprime_steps(images.shape[1] - 1))
     certified &= _fast.batched_petrie(o.table.reshape(-1, 1, a.shape[1])).all()
     claims = {"uniform_sign": uniform, "petrie": np.ones_like(uniform), "ok": uniform.copy()}
-    return claims, certified
+    return certified, np.arange(images.shape[0]), claims
 
 
-def _path_graph_claims(o: _Oriented, images, a, counts: QuotientCounts) -> dict:
-    claims = decide(_path_graph_claims_derived, _path_graph_claims_direct, o, images, a, counts)
-    claims["ok"] &= claims.pop(AUDIT_AGREEMENT)
-    return claims
+def _path_graph_claims(o: _Oriented, images, a, counts: QuotientCounts) -> Decided:
+    return decide(_path_graph_claims_derived, _path_graph_claims_direct, o, images, a, counts)
 
 
 _PATH_GRAPH = _Sweep(

@@ -187,3 +187,25 @@ def transport_per_vertex(roots, images, mats):
     image_roots = np.take_along_axis(roots, images[:, 1:, None], axis=1)
     rhs = image_roots - image_roots[:, :1]  # images[:, 1] = f(1)
     return np.all(lhs == rhs, axis=(1, 2))
+
+
+def witness_per_pair(mats, seeds):
+    """The witness kernels' outputs, (rows, pairs) each, by the route that
+    stacks every (row, pair) witness apart: each row's A repeated once per
+    seed, the iterates taken one seed row at a time with einsum.  Returns
+    (gate, det, companion_ok, mf)."""
+    from arbormat import _fast
+
+    b, p, n = seeds.shape
+    mats = np.repeat(mats, p, axis=0)
+    rows = [seeds.reshape(-1, n).astype(np.int64)]
+    for _ in range(n - 1):
+        rows.append(np.einsum("bi,bij->bj", rows[-1], mats))
+    mf = np.stack(rows, axis=1)
+    gate = np.abs(mf).max(axis=(1, 2)) <= 1
+    w_n = np.einsum("bi,bij->bj", mf[:, -1], mats)
+    companion_ok = np.all(w_n == -mf.sum(axis=1), axis=1)
+    cp = _fast.batched_charpoly(np.where(gate[:, None, None], mf, 0))
+    det = cp[:, 0] if n % 2 == 0 else -cp[:, 0]
+    return (gate.reshape(b, p), det.reshape(b, p), companion_ok.reshape(b, p),
+            mf.reshape(b, p, n, n))

@@ -36,6 +36,33 @@ def leaves(value):
     return [value]
 
 
+@pytest.mark.parametrize("bound", [1, 7])
+def test_flush_bound_leaves_injected_runs_unchanged(capsys, monkeypatch, bound):
+    """The injected-failure runs of verify and search-detmf print the same
+    documents, counts and exit codes whether the queued direct rows are
+    decided in calls of at most ``bound`` rows or in one call."""
+    import re
+
+    from arbormat import certificate
+
+    runs = [("theorem", ["verify", "--n", "4", "--orientations", "all"]),
+            ("det", ["search-detmf", "--n", "4"])]
+
+    def outputs():
+        out = []
+        for sweep, argv in runs:
+            with monkeypatch.context() as m:
+                inject_failures(m, sweep)
+                code, stdout, err = run_cli(capsys, *argv)
+            out.append((code, stdout, re.sub(r" in [0-9.]+s,", " in Xs,", err)))
+        return out
+
+    want = outputs()
+    assert [code for code, _, _ in want] == [1, 0]
+    monkeypatch.setattr(certificate, "CYCLE_CHUNK", bound)
+    assert outputs() == want
+
+
 class TestAnalyze:
     def test_hand_instance(self, capsys):
         code, doc, _ = run_json(
@@ -256,6 +283,30 @@ class TestReproduce:
         assert err == (
             "caption mismatch: figure 1a: computed ['1', '-3', '1', '1', '-3', '1'] "
             "vs recorded ['1', '-3', '1', '1', '-3', '-1']\n"
+        )
+
+    def test_every_mismatching_figure_is_named(self, capsys, tmp_path):
+        import shutil
+
+        from arbormat.fixtures import default_fixture_dir
+
+        for path in default_fixture_dir().glob("figure*.txt"):
+            shutil.copy(path, tmp_path)
+        for name, old, new in [
+            ("figure1b.txt", "-1 1 -3 -3 -1 1", "-1 1 -3 -3 -1 -1"),
+            ("figure1a.txt", "1 -3 1 1 -3 1", "1 -3 1 1 -3 -1"),
+        ]:
+            path = tmp_path / name
+            path.write_text(path.read_text().replace(f"unoriented_charpoly {old}",
+                                                     f"unoriented_charpoly {new}"))
+        code, doc, err = run_json(capsys, "reproduce", "--fixtures", str(tmp_path))
+        assert code == 1
+        assert [f for f, e in doc["figures"].items() if not e["match"]] == ["1a", "1b"]
+        assert err == (
+            "caption mismatch: figure 1a: computed ['1', '-3', '1', '1', '-3', '1'] "
+            "vs recorded ['1', '-3', '1', '1', '-3', '-1']\n"
+            "caption mismatch: figure 1b: computed ['-1', '1', '-3', '-3', '-1', '1'] "
+            "vs recorded ['-1', '1', '-3', '-3', '-1', '-1']\n"
         )
 
     def test_missing_fixture_dir_exit_2(self, capsys, tmp_path):

@@ -78,6 +78,17 @@ def test_document_is_unchanged(name):
     assert document(name) == golden(name)
 
 
+@pytest.mark.parametrize("bound", [1, 7])
+@pytest.mark.parametrize("name", NAMES)
+def test_flush_bound_leaves_documents_unchanged(monkeypatch, name, bound):
+    """Direct rows decided a few at a time, in calls of at most ``bound``
+    rows, give the same documents as one call per worker."""
+    from arbormat import certificate
+
+    monkeypatch.setattr(certificate, "CYCLE_CHUNK", bound)
+    assert document(name) == golden(name)
+
+
 @pytest.mark.parametrize("sweep", INJECTED)
 def test_capped_records_are_a_prefix(monkeypatch, sweep):
     """Under the default cap, the document is the uncapped golden one with

@@ -31,7 +31,7 @@ from arbormat import (
 )
 from arbormat import _fast
 from arbormat.errors import CapExceeded, WitnessFailed
-from arbormat.certificate import AUDIT_AGREEMENT, AUDIT_ROWS, audit_rows
+from arbormat.certificate import AUDIT_AGREEMENT, AUDIT_ROWS, QUEUE, OrientedRows, audit_rows
 from arbormat.harness import (
     OrientationPolicy,
     _sample_orientation,
@@ -102,7 +102,7 @@ def matrix_consumer_outputs(tree, table, images, first, second, a) -> dict:
     """The outputs, as tuples of arrays, of every batched kernel that reads
     the oriented matrices ``a`` of one oriented tree, witnesses on (1, 1)."""
     b = np.abs(a)
-    seeds = table[1, images[:, 1]].astype(np.int64)  # spv(1, f(1))
+    seeds = table[1, images[:, 1], None].astype(np.int64)  # spv(1, f(1)), one per matrix
     paths = _fast.path_table(tree)
     return {
         "charpoly": (_fast.batched_charpoly(a), _fast.batched_charpoly(b)),
@@ -195,17 +195,19 @@ class TestKernelAgreement:
     def test_witness_matrix_helper_matches_witness_kernel(self):
         rng = np.random.default_rng(5)
         mats = rng.integers(-1, 1, (300, 5, 5), endpoint=True)
-        seeds = rng.integers(-1, 1, (300, 5), endpoint=True)
+        seeds = rng.integers(-1, 1, (300, 3, 5), endpoint=True)  # 3 seeds per matrix
         _, real = instance_batch(13, 40, 6)
         mats = np.concatenate([mats, real])
-        seeds = np.concatenate([seeds, real[:, 0]])
+        seeds = np.concatenate([seeds, real[:, :3]])
         gate, det, _ = _fast.batched_witness(mats, seeds)
         mf, helper_gate = _fast.batched_witness_matrix(mats, seeds)
-        assert (mf[:, 0] == seeds).all()
-        assert (mf[:, 1:] == np.einsum("bki,bij->bkj", mf[:, :-1], mats)).all()
+        assert mf.shape == (340, 3, 5, 5) and gate.shape == det.shape == (340, 3)
+        assert (mf[:, :, 0] == seeds).all()
+        assert (mf[:, :, 1:] == np.einsum("bpki,bij->bpkj", mf[:, :, :-1], mats)).all()
         assert (helper_gate == gate).all() and gate.any() and not gate.all()
-        cp = _fast.batched_charpoly(np.where(helper_gate[:, None, None], mf, 0))
-        assert (-cp[:, 0] == det).all()  # det = (-1)^n cp(0) with n = 5
+        flat = np.where(helper_gate[..., None, None], mf, 0).reshape(-1, 5, 5)
+        cp = _fast.batched_charpoly(flat)
+        assert (-cp[:, 0] == det.ravel()).all()  # det = (-1)^n cp(0) with n = 5
 
     def test_cycle_images_in_permutation_order(self):
         # row b is the cycle 1 -> p[0] -> p[1] -> ... -> 1 of the b-th
@@ -245,6 +247,43 @@ class TestKernelAgreement:
                 for x, y in zip(narrow[name], wide[name]):
                     assert np.array_equal(x, y), (v, name)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_grouped_witness_matches_per_pair_route(self, n):
+        """Witnesses iterated per row, (rows, pairs, n) @ (rows, n, n) in
+        int64, equal the route that repeats A once per (start, step) pair:
+        every cycle chunk's seeds under two orientations of each tree, plus
+        random {-1, 0, 1} stacks whose iterates leave the gate."""
+        from oracles import witness_per_pair
+
+        from arbormat import harness
+        from arbormat.harness import _Oriented
+        from arbormat.theorems import witness_pairs
+
+        v = n + 1
+        images = _fast.cycle_images(v)[:: max(1, len(_fast.cycle_images(v)) // 240)]
+        pairs = witness_pairs(v)
+        cases = []
+        for tree in (trees_for(v)[0], trees_for(v)[-1]):
+            for bits in (0, (1 << n) - 2):
+                o = _Oriented.of(tree, bits)
+                a = o.build(images)
+                cases += [(m, s) for _, m, s in
+                          harness._witness_blocks(rows_of(o, len(a)), images, a, pairs)]
+        rng = np.random.default_rng(n)
+        cases.append((rng.integers(-1, 1, (50, n, n), endpoint=True),
+                      rng.integers(-1, 1, (50, len(pairs), n), endpoint=True)))
+        gates = []
+        for mats, seeds in cases:
+            gate, det, companion_ok, mf = witness_per_pair(mats, seeds)
+            got = _fast.batched_witness(mats, seeds)
+            for x, y in zip(got, (gate, det, companion_ok)):
+                assert x.shape == y.shape and (x == y).all()
+            got_mf, got_gate = _fast.batched_witness_matrix(mats, seeds)
+            assert (got_mf == mf).all() and (got_gate == gate).all()
+            gates.append(gate.all())
+        # the sweep's witnesses pass the gate, the random ones do not all
+        assert all(gates[:-1]) and not gates[-1]
+
     def test_witness_kernel_matches_api(self):
         instances, mats = instance_batch(77, 25, 5)
         seeds = np.array(
@@ -254,7 +293,7 @@ class TestKernelAgreement:
             ],
             dtype=np.int64,
         )
-        gate, det, companion_ok = _fast.batched_witness(mats, seeds)
+        gate, det, companion_ok = (x[:, 0] for x in _fast.batched_witness(mats, seeds[:, None]))
         for k, (f, o, tm) in enumerate(instances):
             assert bool(gate[k])
             w = basis_witness(f, o, 1, 1)
@@ -755,7 +794,9 @@ class TestCycleChunks:
             # the transport split depends on the chunk size: chunks of at
             # most AUDIT_ROWS rows are audited whole
             sweep = getattr(harness, f"_{name.upper()}")
-            subs = [sub for t in ts for sub in harness._sweep_worker(sweep, t)]
+            outputs = decided_now(lambda: [harness._sweep_worker(sweep, t) for t in ts])
+            subs = [sub for out in outputs for sub in out]
+            assert len(subs) == sum(len(t[3]) for t in ts)
             for sub in subs:
                 q = sub.pop("quotient")
                 sub["orientation_quotient"] = (q.computed, q.derived, q.fallbacks)
@@ -809,6 +850,20 @@ class TestExactRouteBudget:
         assert [f["map"] for f in res.failures] == [audited.image_str()]
 
 
+def decided_now(fn, *args):
+    """``fn(*args)`` with the direct rows it queued decided: what a sweep
+    worker or a claims function returns is complete once QUEUE flushes."""
+    out = fn(*args)
+    QUEUE.flush()
+    return out
+
+
+def rows_of(o, b):
+    """The oriented tree ``o`` for each row of a b-row batch, as the direct
+    claims functions take it."""
+    return OrientedRows((o,), o.table[None], np.zeros(b, dtype=np.int64))
+
+
 def one_orientation_per_task(monkeypatch):
     """Route every quotiented sweep through the brute-force reference: the
     same workers, each task handed a single orientation."""
@@ -855,9 +910,10 @@ def inject_failures(monkeypatch, sweep):
         def witness(a, seeds):
             # keyed on |A| alone: a marked row fails at every start vertex
             gate, det, companion_ok = real(a, seeds)
+            hit = marked(a)[:, None]  # outputs are (rows, pairs)
             if sweep == "det":
-                return gate, det * np.where(marked(a), 3, 1), companion_ok
-            return gate, det, companion_ok & ~marked(a)
+                return gate, det * np.where(hit, 3, 1), companion_ok
+            return gate, det, companion_ok & ~hit
 
         monkeypatch.setattr(_fast, "batched_witness", witness)
     elif sweep == "path_graph":
@@ -934,7 +990,7 @@ class TestOrientationQuotient:
         from arbormat import harness
 
         tree = trees_for(5)[1]
-        subs = harness._sweep_worker(harness._THEOREM, (5, 1, tree.edges, (0, 6, 0, 6, 9)))
+        subs = decided_now(harness._sweep_worker, harness._THEOREM, (5, 1, tree.edges, (0, 6, 0, 6, 9)))
         assert [s["key"] for s in subs] == [(5, 1, b) for b in (0, 6, 0, 6, 9)]
         # 24 cycles: 16 audited, 8 certified, on the representative only
         assert [astuple(s["quotient"]) for s in subs] == [
@@ -951,7 +1007,7 @@ class TestOrientationQuotient:
         one-row chunk it is audited whole on the direct route."""
         from arbormat import harness
 
-        fn = partial(harness._sweep_worker, getattr(harness, f"_{worker.upper()}"))
+        fn = partial(decided_now, harness._sweep_worker, getattr(harness, f"_{worker.upper()}"))
         idx, tree = 2, trees_for(5)[2]
         target = _fast.oriented_endpoint_arrays(tree, 5)
         row = 17
@@ -1157,11 +1213,96 @@ class TestForkJoin:
         assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
+def corrupt_one_row(monkeypatch, tree, bits, row, v=5):
+    """Flip an entry of one cycle row of the matrices built under one
+    orientation of one tree: A_o == D.A_0.D then fails on that row alone."""
+    target = _fast.oriented_endpoint_arrays(tree, bits)
+    build = _fast.build_oriented_batch
+
+    def corrupt(table_o, images, first, second):
+        out = build(table_o, images, first, second)
+        if images.shape[1] != v + 1 or first.shape != target[0].shape:
+            return out
+        hit = (images[:, 1:] == _fast.cycle_images(v)[row, 1:]).all(axis=1)
+        if hit.any() and (first == target[0]).all() and (second == target[1]).all():
+            col = int(np.nonzero(out[hit][0, 0])[0][0])
+            out[hit, 0, col] *= -1
+        return out
+
+    monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
+
+
+class TestAuditQueue:
+    """Direct rows queued per worker and decided in batches: documents and
+    counts do not depend on the worker count, and failures keep their type."""
+
+    @pytest.mark.parametrize("policy, ns", [("all", [2, 3, 4, 5]), ("sample:16", [2, 3, 4, 5, 6])])
+    @pytest.mark.parametrize("corrupted", [False, True])
+    def test_workers_agree(self, monkeypatch, policy, ns, corrupted):
+        from arbormat.harness import QuotientCounts
+
+        policy = OrientationPolicy.parse(policy)
+        if corrupted:
+            # a carried row failing the similarity is queued as its own chunk
+            corrupt_one_row(monkeypatch, trees_for(5)[2], 5, 17)
+        runs = []
+        for workers in (1, 2, 3):
+            docs, counts = [], []
+            for run in (run_theorem_sweep, run_witness_sweep, run_det_search):
+                counts.append(QuotientCounts())
+                with no_hang():
+                    docs.append(run(ns, policy, seed=3, workers=workers, counts=counts[-1]))
+            runs.append((docs, [astuple(c) for c in counts]))
+        assert runs[0] == runs[1] == runs[2]
+        assert_all_reaped()
+        if policy.mode == "all":  # orientation 5 of that tree is swept
+            (theorem, _, _), counts = runs[0]
+            assert [c[2] for c in counts] == [int(corrupted)] * 3  # fallbacks
+            assert theorem.all_pass != corrupted
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flush_exception_keeps_its_type(self, monkeypatch, workers):
+        def fail(a):
+            raise WitnessFailed("geometric sum kernel")
+
+        # the kernel runs on the direct route only, so inside a flush
+        monkeypatch.setattr(_fast, "batched_geometric_sum_zero", fail)
+        with no_hang(), pytest.raises(WitnessFailed, match="^geometric sum kernel$") as exc:
+            run_theorem_sweep([2, 3, 4, 5], OrientationPolicy("all"), workers=workers)
+        if workers > 1:
+            assert "in a sweep worker" in str(exc.value.__cause__)
+        assert not QUEUE.entries and not QUEUE.waiting
+        assert_all_reaped()
+
+    def test_flush_exception_names_its_lowest_task(self):
+        from arbormat.certificate import decide
+        from arbormat.harness import QuotientCounts, _Oriented, _theorem_claims_derived
+
+        def fail(o, images, a):
+            raise WitnessFailed("direct route")
+
+        images = _fast.cycle_images(5)
+        o = _Oriented.of(trees_for(5)[0], 0)
+        try:
+            for task in (7, 4, 9):
+                QUEUE.task = task
+                decide(_theorem_claims_derived, fail, o, images, o.build(images), QuotientCounts())
+            QUEUE.task = 12
+            with pytest.raises(WitnessFailed, match="^direct route$"):
+                QUEUE.flush()
+            assert QUEUE.task == 4 and not QUEUE.entries
+        finally:
+            QUEUE.clear()
+            QUEUE.task = 0
+
+
 def start_vertex_route(v, tree, bits, corrupt=None):
     """Both start-vertex routes of one tree under one orientation: the
-    quotient and the direct witness claims, which the determinant search
-    shares, with counts."""
+    decided witness claims, which the determinant search shares, the
+    direct claims of every row, the closed-form dets of every row, and the
+    counts."""
     from arbormat import harness
+    from arbormat.certificate import closed_form_dets
     from arbormat.harness import QuotientCounts, _Oriented
 
     o = _Oriented.of(tree, bits)
@@ -1170,8 +1311,9 @@ def start_vertex_route(v, tree, bits, corrupt=None):
     if corrupt is not None:
         corrupt(a)
     counts = QuotientCounts()
-    witness = harness._witness_claims(o, images, a, counts)
-    return witness, harness._witness_claims_direct(o, images, a), counts
+    witness = decided_now(harness._witness_claims, o, images, a, counts)
+    direct = harness._witness_claims_direct(rows_of(o, len(images)), images, a)
+    return witness, direct, closed_form_dets(o, images), counts
 
 
 class TestStartVertexQuotient:
@@ -1181,14 +1323,17 @@ class TestStartVertexQuotient:
     @pytest.mark.parametrize("v", range(3, 8))
     def test_equals_direct_every_tree(self, v):
         # n = v - 1 of both parities; orientation 0 and a non-canonical one
-        steps = sum(1 for j in range(1, v) if np.gcd(j, v) == 1)
         rows = len(_fast.cycle_images(v))
         for tree in trees_for(v):
             for bits in (0, (1 << (v - 1)) - 2):
-                witness, witness_direct, counts = start_vertex_route(v, tree, bits)
-                assert (witness["ok"] == witness_direct["ok"]).all()
-                assert (witness["det"] == witness_direct["det"]).all()
-                assert witness["ok"].all()
+                witness, witness_direct, closed, counts = start_vertex_route(v, tree, bits)
+                # only the audit rows are decided; the rest pass as a count
+                assert witness.rows.tolist() == audit_rows(rows).tolist()
+                for key in ("ok", "det"):
+                    assert (witness.values[key] == witness_direct[key][witness.rows]).all()
+                assert witness.values[AUDIT_AGREEMENT].all()
+                assert witness_direct["ok"].all()
+                assert (closed == witness_direct["det"]).all()
                 # the claims function audits and certifies once
                 audited = min(rows, AUDIT_ROWS)
                 assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
@@ -1196,23 +1341,18 @@ class TestStartVertexQuotient:
     def test_signed_dets_match_exact_route(self):
         from arbormat.theorems import iter_witness_determinants
 
-        from arbormat.certificate import closed_form_dets
-        from arbormat.harness import _Oriented
-
         v, n = 5, 4
         pairs = [(i, j) for j in range(1, v) if np.gcd(j, v) == 1 for i in range(1, v + 1)]
         images = _fast.cycle_images(v)
         for tree in trees_for(v):
             for bits in (0, 6, 13):
-                witness, _, _ = start_vertex_route(v, tree, bits)
-                oriented = _Oriented.of(tree, bits)
-                closed, certified = closed_form_dets(oriented, images, oriented.build(images))
-                assert certified.all()
+                witness, direct, closed, counts = start_vertex_route(v, tree, bits)
+                assert counts.uncertified == 0
                 o = Orientation.from_int(bits, n)
                 for row, img in enumerate(images):
                     f = VertexMap(tree, [int(x) for x in img[1:]])
                     exact = {(i, j): d for i, j, d in iter_witness_determinants(f, o)}
-                    assert [exact[p] for p in pairs] == witness["det"][row].tolist()
+                    assert [exact[p] for p in pairs] == direct["det"][row].tolist()
                     assert [exact[p] for p in pairs] == closed[row].tolist()
 
     def test_corrupted_row_is_recomputed(self, monkeypatch):
@@ -1233,7 +1373,7 @@ class TestStartVertexQuotient:
             return real(o, images, a)
 
         monkeypatch.setattr(harness, "_witness_claims_direct", spy)
-        witness, witness_direct, counts = start_vertex_route(v, tree, 9, corrupt)
+        witness, witness_direct, _, counts = start_vertex_route(v, tree, 9, corrupt)
         # the direct reference call is the second one; the first holds the
         # audit rows and the flipped row, which alone fails transport
         assert len(recomputed) == 2
@@ -1242,9 +1382,11 @@ class TestStartVertexQuotient:
         assert (recomputed[0] == _fast.cycle_images(v)[sorted(audit + [row])]).all()
         assert counts.uncertified == 1  # one row
         assert counts.certified == 120 - 16 - 1
-        assert (witness["ok"] == witness_direct["ok"]).all()
-        assert (witness["det"] == witness_direct["det"]).all()
-        assert not witness["ok"][row].all() and witness["ok"][np.arange(120) != row].all()
+        assert witness.rows.tolist() == sorted(audit + [row])
+        for key in ("ok", "det"):
+            assert (witness.values[key] == witness_direct[key][witness.rows]).all()
+        assert not witness_direct["ok"][row].all()
+        assert witness_direct["ok"][np.arange(120) != row].all()
 
     def test_certificate_failing_everywhere_gives_direct_documents(self, monkeypatch):
         """With transport refused on every row, every pair comes from the
@@ -1259,7 +1401,7 @@ class TestStartVertexQuotient:
 
         def even(a, seeds):
             gate, det, companion_ok = real(a, seeds)
-            return gate, det * np.where(marked(a), 2, 1), companion_ok
+            return gate, det * np.where(marked(a)[:, None], 2, 1), companion_ok
 
         monkeypatch.setattr(_fast, "batched_witness", even)
         refuse_transport(monkeypatch)
@@ -1350,10 +1492,12 @@ class TestClosedForm:
             for bits in (0, (1 << (v - 1)) - 2):
                 o = _Oriented.of(tree, bits)
                 a = o.build(images)
+                every = np.arange(len(images))
                 for derived, direct in closed_form_routes():
-                    claims, certified = derived(o, images, a)
-                    want = direct(o, images, a)
-                    assert certified.all()
+                    # the closed form evaluated on every row, not just the audit rows
+                    certified, kept, claims = derived(o, images, a, every)
+                    want = direct(rows_of(o, len(images)), images, a)
+                    assert certified.all() and (kept == every).all()
                     assert claims.keys() == want.keys()
                     for name, x in want.items():
                         assert (claims[name] == x).all(), (tree, bits, name)
@@ -1369,7 +1513,7 @@ class TestClosedForm:
 
         def even(a, seeds):
             gate, det, companion_ok = real(a, seeds)
-            return gate, det * np.where(marked(a), 2, 1), companion_ok
+            return gate, det * np.where(marked(a)[:, None], 2, 1), companion_ok
 
         monkeypatch.setattr(_fast, "batched_witness", even)
         refuse_transport(monkeypatch)
@@ -1380,11 +1524,13 @@ class TestClosedForm:
         unaudited = np.ones(refused.size, dtype=bool)
         unaudited[audit_rows(refused.size)] = False
         counts = QuotientCounts()
-        got = harness._witness_claims(o, images, a, counts)
+        got = decided_now(harness._witness_claims, o, images, a, counts)
         assert counts.uncertified == (refused & unaudited).sum() > 0
-        assert got.pop(AUDIT_AGREEMENT).all()
-        want = harness._witness_claims_direct(o, images, a)
-        assert (got["ok"] == want["ok"]).all() and (got["det"] == want["det"]).all()
+        assert got.rows.tolist() == np.nonzero(refused | ~unaudited)[0].tolist()
+        assert got.values.pop(AUDIT_AGREEMENT).all()
+        want = harness._witness_claims_direct(rows_of(o, len(images)), images, a)
+        for key in ("ok", "det"):
+            assert (got.values[key] == want[key][got.rows]).all()
         assert not want["ok"][refused].any() and want["ok"][~refused].all()
 
     def test_flipped_entry_sends_that_row_to_the_direct_route(self, monkeypatch):
@@ -1401,7 +1547,7 @@ class TestClosedForm:
         for (derived, direct), claims in zip(
             closed_form_routes(), [harness._theorem_claims, harness._witness_claims]
         ):
-            _, certified = derived(o, images, a)
+            certified, _, _ = derived(o, images, a, np.array(audit))
             assert np.nonzero(~certified)[0].tolist() == [row]
             name = direct.__name__
             sent = []
@@ -1412,15 +1558,16 @@ class TestClosedForm:
 
             monkeypatch.setattr(harness, name, spy)
             counts = QuotientCounts()
-            got = claims(o, images, a, counts)
+            got = decided_now(claims, o, images, a, counts)
             (rows,) = sent
             assert (rows == images[sorted(audit + [row])]).all()
+            assert got.rows.tolist() == sorted(audit + [row])
             assert astuple(counts)[3:] == (720 - AUDIT_ROWS - 1, AUDIT_ROWS, 1, 0)
-            assert got.pop(AUDIT_AGREEMENT).all()
-            want = direct(o, images, a)
-            assert got.keys() == want.keys()
+            assert got.values.pop(AUDIT_AGREEMENT).all()
+            want = direct(rows_of(o, len(images)), images, a)
+            assert got.values.keys() == want.keys()
             for key, x in want.items():
-                assert (got[key] == x).all()
+                assert (got.values[key] == x[got.rows]).all()
 
     def test_audit_disagreement_is_counted_and_fails(self, monkeypatch, capsys, tmp_path):
         from arbormat import cli
@@ -1489,18 +1636,21 @@ class TestPathGraphCertificate:
         for tree in paths:
             o = path_graph_oriented(tree)
             a = o.build(images)
-            claims, certified = harness._path_graph_claims_derived(o, images, a)
-            want = harness._path_graph_claims_direct(o, images, a)
+            certified, kept, claims = harness._path_graph_claims_derived(
+                o, images, a, audit_rows(rows)
+            )
+            want = harness._path_graph_claims_direct(rows_of(o, rows), images, a)
             assert certified.all() and want["ok"].all()
+            assert kept.tolist() == list(range(rows))  # uniform signs of every row
             assert claims.keys() == want.keys()
             for name, x in want.items():
                 assert (claims[name] == x).all(), (tree, name)
             # every row outside the audit set is certified
             counts = QuotientCounts()
-            got = harness._path_graph_claims(o, images, a, counts)
+            got = decided_now(harness._path_graph_claims, o, images, a, counts)
             audited = min(rows, AUDIT_ROWS)
             assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
-            assert got["ok"].all()
+            assert got.values["ok"].all() and got.values[AUDIT_AGREEMENT].all()
 
     def test_flipped_entry_sends_that_row_to_the_direct_route(self, monkeypatch):
         from arbormat import harness
@@ -1514,7 +1664,7 @@ class TestPathGraphCertificate:
         a[row, i, int(np.nonzero(a[row, i])[0][0])] *= -1
         audit = audit_rows(images.shape[0]).tolist()
         assert row not in audit and len(audit) == AUDIT_ROWS
-        _, certified = harness._path_graph_claims_derived(o, images, a)
+        certified, _, _ = harness._path_graph_claims_derived(o, images, a, np.array(audit))
         assert np.nonzero(~certified)[0].tolist() == [row]
         sent = []
         real = harness._path_graph_claims_direct
@@ -1523,15 +1673,16 @@ class TestPathGraphCertificate:
             lambda o, images, a: sent.append(images) or real(o, images, a),
         )
         counts = QuotientCounts()
-        got = harness._path_graph_claims(o, images, a, counts)
+        got = decided_now(harness._path_graph_claims, o, images, a, counts)
         (rows,) = sent
         assert (rows == images[sorted(audit + [row])]).all()
         assert astuple(counts)[3:] == (720 - AUDIT_ROWS - 1, AUDIT_ROWS, 1, 0)
-        want = real(o, images, a)
-        assert got.keys() == want.keys()
+        assert got.values.pop(AUDIT_AGREEMENT).all()
+        want = real(rows_of(o, len(images)), images, a)
+        assert got.values.keys() == want.keys()
         for key, x in want.items():
-            assert (got[key] == x).all()
-        assert np.nonzero(~got["ok"])[0].tolist() == [row]
+            assert (got.values[key] == x).all()
+        assert np.nonzero(~got.values["ok"])[0].tolist() == [row]
 
     def test_audit_disagreement_fails_the_row(self, monkeypatch):
         """With |det| read as 0 on the direct route, every certified audit
@@ -1548,10 +1699,11 @@ class TestPathGraphCertificate:
         audit = audit_rows(images.shape[0])
         o = path_graph_oriented(next(t for t in trees_for(v) if t.is_path()))
         counts = QuotientCounts()
-        got = harness._path_graph_claims(o, images, o.build(images), counts)
+        got = decided_now(harness._path_graph_claims, o, images, o.build(images), counts)
         assert counts.disagreements == AUDIT_ROWS
-        assert np.nonzero(~got["ok"])[0].tolist() == audit.tolist()
-        assert got["uniform_sign"].all() and got["petrie"].all()
+        assert np.nonzero(~got.values[AUDIT_AGREEMENT])[0].tolist() == audit.tolist()
+        assert np.nonzero(~got.values["ok"])[0].tolist() == audit.tolist()
+        assert got.values["uniform_sign"].all() and got.values["petrie"].all()
 
         monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
         res = run_path_graph_sweep([v - 1])
@@ -1569,10 +1721,10 @@ class TestPathGraphCertificate:
 
         real = harness._path_graph_claims_derived
 
-        def wrong(o, images, a):
-            claims, certified = real(o, images, a)
+        def wrong(o, images, a, audit):
+            certified, kept, claims = real(o, images, a, audit)
             claims["petrie"][:] = False
-            return claims, certified
+            return certified, kept, claims
 
         monkeypatch.setattr(harness, "_path_graph_claims_derived", wrong)
         monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
@@ -1601,9 +1753,10 @@ class TestPathGraphCertificate:
             out = []
             for o in cases:
                 a = o.build(images)
-                out.append(harness._path_graph_claims_direct(o, images, a))
-                out.append(harness._path_graph_claims(o, images, a, QuotientCounts()))
-            return out
+                out.append(harness._path_graph_claims_direct(rows_of(o, len(images)), images, a))
+                out.append(decided_now(harness._path_graph_claims, o, images, a, QuotientCounts()))
+            # a decided chunk's values, on every row here: path-graph claims stay per row
+            return [x if isinstance(x, dict) else x.values for x in out]
 
         assert images.shape[0] * pairs <= harness.CYCLE_CHUNK
         one_block = claims()
@@ -1636,10 +1789,12 @@ class TestPathGraphCertificate:
         for o in cases:
             a = o.build(images)
             assert certified_rows(o, images, a, coprime_steps(v)).all()
-            claims, certified = harness._path_graph_claims_derived(o, images, a)
+            certified, _, _ = harness._path_graph_claims_derived(o, images, a, audit_rows(len(a)))
             assert not certified.any()
             counts = QuotientCounts()
-            got = harness._path_graph_claims(o, images, a, counts)
+            got = decided_now(harness._path_graph_claims, o, images, a, counts)
             assert counts.certified == 0 and counts.uncertified + counts.audited == len(images)
-            for key, x in harness._path_graph_claims_direct(o, images, a).items():
-                assert (got[key] == x).all()
+            assert got.rows.tolist() == list(range(len(images)))
+            want = harness._path_graph_claims_direct(rows_of(o, len(images)), images, a)
+            for key, x in want.items():
+                assert (got.values[key] == x).all()
