@@ -233,8 +233,10 @@ class _Queue:
     """The direct rows of the chunks a worker has claimed, and the work that
     waits on their verdicts (see the module notes).
 
-    ``task`` is the index of the task being run, which tags what it queues;
-    after a flush raised, it is the lowest task index of that flush."""
+    It is one per process, like the worker it serves: a forked child
+    inherits it empty and decides its own rows.  ``task`` is the index of
+    the task being run, which tags the rows it queues; after a flush raised,
+    it is the lowest task index with rows in that flush."""
 
     def __init__(self):
         self.task = 0
@@ -254,11 +256,12 @@ class _Queue:
     def then(self, work) -> None:
         """Run ``work()`` once every row queued so far is decided."""
         if self.entries:
-            self.waiting.append((self.task, work))
+            self.waiting.append(work)
         else:
             work()
 
     def flush(self) -> None:
+        """Decide every queued row, then run the waiting work in order."""
         entries, waiting = self.entries, self.waiting
         self.clear()
         try:
@@ -267,10 +270,10 @@ class _Queue:
                 groups.setdefault((direct, images.shape[1]), []).append((o, images, a, settle))
             for (direct, _), group in groups.items():
                 _decide_group(direct, group)
-            for _, work in waiting:
+            for work in waiting:
                 work()
         except Exception:
-            self.task = min(task for task, *_ in entries + waiting)
+            self.task = min(task for task, *_ in entries)
             raise
 
 
