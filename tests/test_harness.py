@@ -850,6 +850,25 @@ class TestExactRouteBudget:
         assert [f["map"] for f in res.failures] == [audited.image_str()]
 
 
+def corrupt_one_row(monkeypatch, tree, bits, row, v=5):
+    """Flip an entry of one cycle row of the matrices built under one
+    orientation of one tree: A_o == D.A_0.D then fails on that row alone."""
+    target = _fast.oriented_endpoint_arrays(tree, bits)
+    build = _fast.build_oriented_batch
+
+    def corrupt(table_o, images, first, second):
+        out = build(table_o, images, first, second)
+        if images.shape[1] != v + 1 or first.shape != target[0].shape:
+            return out
+        hit = (images[:, 1:] == _fast.cycle_images(v)[row, 1:]).all(axis=1)
+        if hit.any() and (first == target[0]).all() and (second == target[1]).all():
+            col = int(np.nonzero(out[hit][0, 0])[0][0])
+            out[hit, 0, col] *= -1
+        return out
+
+    monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
+
+
 def decided_now(fn, *args):
     """``fn(*args)`` with the direct rows it queued decided: what a sweep
     worker or a claims function returns is complete once QUEUE flushes."""
@@ -1009,19 +1028,8 @@ class TestOrientationQuotient:
 
         fn = partial(decided_now, harness._sweep_worker, getattr(harness, f"_{worker.upper()}"))
         idx, tree = 2, trees_for(5)[2]
-        target = _fast.oriented_endpoint_arrays(tree, 5)
         row = 17
-        build = _fast.build_oriented_batch
-
-        def corrupt(table_o, images, first, second):
-            out = build(table_o, images, first, second)
-            hit = (images[:, 1:] == _fast.cycle_images(5)[row, 1:]).all(axis=1)
-            if hit.any() and (first == target[0]).all() and (second == target[1]).all():
-                col = int(np.nonzero(out[hit][0, 0])[0][0])
-                out[hit, 0, col] *= -1
-            return out
-
-        monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
+        corrupt_one_row(monkeypatch, tree, 5, row)
         quotient = fn((5, idx, tree.edges, (0, 5)))
         brute = [fn((5, idx, tree.edges, (bits,)))[0] for bits in (0, 5)]
         # 24 cycles: 16 audited and 8 certified, then the recomputed row
@@ -1211,25 +1219,6 @@ class TestForkJoin:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         )
         assert proc.stdout.split() == ["0", "False"], proc.stderr
-
-
-def corrupt_one_row(monkeypatch, tree, bits, row, v=5):
-    """Flip an entry of one cycle row of the matrices built under one
-    orientation of one tree: A_o == D.A_0.D then fails on that row alone."""
-    target = _fast.oriented_endpoint_arrays(tree, bits)
-    build = _fast.build_oriented_batch
-
-    def corrupt(table_o, images, first, second):
-        out = build(table_o, images, first, second)
-        if images.shape[1] != v + 1 or first.shape != target[0].shape:
-            return out
-        hit = (images[:, 1:] == _fast.cycle_images(v)[row, 1:]).all(axis=1)
-        if hit.any() and (first == target[0]).all() and (second == target[1]).all():
-            col = int(np.nonzero(out[hit][0, 0])[0][0])
-            out[hit, 0, col] *= -1
-        return out
-
-    monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
 
 
 class TestAuditQueue:
