@@ -1,10 +1,14 @@
 """The path-transport certificate behind the theorem, witness, determinant
 and path-graph claims of the sweeps.
 
-Let f be a single (n+1)-cycle vertex map, A its oriented transition matrix,
-x_k = f^k(1), and r(x) the oriented root vector (the signed path vector of
-1 -> x, so r(1) = 0).  Path transport r(w).A = r(f(w)) - r(f(1)) for every
-vertex w makes every iterate of a seed a signed path vector: row k of the
+Let A be the oriented transition matrix of a vertex map f of a tree, and
+r(x) the oriented root vector (the signed path vector of 1 -> x, so r(1) =
+0).  Row i of A is entry (f(a_i), f(b_i)) of the oriented signed path table,
+a_i -> b_i the oriented edge i.  When every entry (x, y) of that table is
+r(y) - r(x), the rows along the path 1 -> w telescope, and r(w).A = r(f(w))
+- r(f(1)) for every vertex w: path transport is a property of the (tree,
+orientation) table, not of f.  For a single (n+1)-cycle f, with x_k =
+f^k(1), it makes every iterate of a seed a signed path vector: row k of the
 witness matrix Mf(x_m, j) is r(x_{m+k+j}) - r(x_{m+k}), indices mod n + 1.
 Hence
 
@@ -29,15 +33,21 @@ single-signed block (a path tree oriented along the line); and when each
 row of A has one sign, B = S.A for the diagonal S of those signs, so
 |det B| = |det A| = 1.
 
-A row is certified when it passes path transport and the exact
-determinants det R_{2..v} and det T(n, j) of its tree, orientation and
-steps are +-1; both are computed by :class:`arbormat.algebra.ExactMatrix`
-once per process and key.  Certified rows pass every claim with |det Mf| =
-1, so they are kept as a count, not as per-row arrays.  :func:`decide`
-sends every other row, and a fixed audit set of every chunk, to the direct
-kernels, which stay the referee: on a certified audit row the direct values
-must equal the closed form, whose signed det Mf is evaluated on those rows
-only.
+A (tree, orientation) is certified (:func:`certified`) when its oriented
+table equals Tree.signed_path_vector on every pair, every entry (x, y) of
+it is r(y) - r(x), and the exact determinants det R_{2..v} and det T(n, j)
+of every step j the sweep uses are +-1.  The exact table and determinants
+are computed once per process and key, by the exact route of
+:mod:`arbormat.trees` and :class:`arbormat.algebra.ExactMatrix`; the
+comparisons with the table run on every chunk.  On a certified tree every
+row passes every claim with |det Mf| = 1, so :func:`decide` keeps its rows
+as a count and builds only a fixed audit set of every chunk, which the
+direct kernels decide: those are the referee, and on an audit row their
+values must equal the closed form, whose signed det Mf is evaluated on
+those rows only.  A tree that fails the certificate sends every row to the
+direct kernels.  What this gives up: the rows of a certified tree outside
+the audit set are neither built nor checked one by one; the argument above
+covers them, and the audit samples it.
 
 The direct rows are not decided at once.  :data:`QUEUE` holds the direct
 rows of every chunk a worker has claimed, each row with an index into the
@@ -59,7 +69,7 @@ from . import _fast
 from .algebra import ExactMatrix
 from .rings import ZZ
 from .theorems import coprime_steps
-from .trees import Tree
+from .trees import Orientation, Tree
 
 # A quarter of the 8! cycles of one n = 8 task: its (B, n, n) int64
 # temporaries stay near 45 MB instead of 175 MB, and n <= 7 is never split.
@@ -84,12 +94,56 @@ def step_det(n: int, j: int) -> int:
     return ExactMatrix(ZZ, [row[1:] for row in rows]).determinant()
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
+def exact_table(edges: tuple, bits: int) -> np.ndarray:
+    """Tree.signed_path_vector of every pair x -> y of a tree under an
+    orientation bitmask, as a (v+1, v+1, n) table with row and column 0
+    zero, the layout of the sweeps' oriented tables."""
+    tree = Tree(edges)
+    v, n = tree.vertex_count, tree.edge_count
+    orientation = Orientation.from_int(bits, n)
+    table = np.zeros((v + 1, v + 1, n), dtype=np.int8)
+    table[1:, 1:] = [
+        [tree.signed_path_vector(orientation, x, y) for y in range(1, v + 1)]
+        for x in range(1, v + 1)
+    ]
+    return table
+
+
+@lru_cache(maxsize=1024)
 def root_det(edges: tuple, bits: int) -> int:
     """Exact det R_{2..v} of a tree under an orientation bitmask: its rows
     are the oriented root vectors r(2), ..., r(v)."""
-    roots = _fast.root_vectors(Tree(edges))[2:] * _fast.orientation_signs(bits, len(edges))
-    return ExactMatrix(ZZ, roots.tolist()).determinant()
+    return ExactMatrix(ZZ, exact_table(edges, bits)[1, 2:].tolist()).determinant()
+
+
+def certified(o, steps) -> bool:
+    """Whether the oriented tree ``o`` passes the certificate (see the module
+    notes) for a sweep whose witnesses take the steps ``steps``."""
+    r = o.table[1]
+    return (
+        np.array_equal(o.table, exact_table(o.tree.edges, o.bits))
+        and np.array_equal(o.table[1:, 1:], r[None, 1:] - r[1:, None])
+        and abs(root_det(o.tree.edges, o.bits)) == 1
+        and all(abs(step_det(o.table.shape[2], j)) == 1 for j in steps)
+    )
+
+
+def similar(r, o) -> bool:
+    """Whether every matrix under the oriented tree ``o`` is D.A_r.D, with
+    A_r the same map's matrix under ``r`` and D = diag(signs of o ^ r): o's
+    table is r's times D, r's table is antisymmetric, and o swaps the
+    endpoints of the edges D reverses and only those.  Row k of A_o is then
+    entry (f(a_k), f(b_k)) of r's table times D, negated when D reverses
+    edge k, a_k -> b_k being edge k under r."""
+    flip = _fast.orientation_signs(o.bits ^ r.bits, r.first.size)
+    swap = flip < 0
+    return (
+        np.array_equal(o.table, r.table * flip)
+        and np.array_equal(r.table, -r.table.swapaxes(0, 1))
+        and np.array_equal(o.first, np.where(swap, r.second, r.first))
+        and np.array_equal(o.second, np.where(swap, r.first, r.second))
+    )
 
 
 def start_vertex_orbit(images: np.ndarray):
@@ -111,18 +165,6 @@ def permutation_sign(seq: np.ndarray) -> np.ndarray:
     for k in range(seq.shape[1] - 1):
         inversions += (seq[:, k, None] > seq[:, k + 1 :]).sum(axis=1)
     return 1 - 2 * (inversions % 2)
-
-
-def certified_rows(o, images, a, steps) -> np.ndarray:
-    """Rows of the oriented tree ``o`` that pass path transport, all False
-    unless det R_{2..v} and det T(n, j) of every step j are +-1."""
-    n = a.shape[1]
-    certified = _fast.batched_path_image_ok(o.table[1], images, a)
-    if abs(root_det(o.tree.edges, o.bits)) != 1 or any(
-        abs(step_det(n, j)) != 1 for j in steps
-    ):
-        certified[:] = False
-    return certified
 
 
 def closed_form_dets(o, images):
@@ -156,42 +198,29 @@ class Decided:
     def __init__(self, size: int, rows: np.ndarray, values: dict):
         self.size, self.rows, self.values = size, rows, values
 
-    def settle(self, rows, checked, counts, direct: dict) -> None:
-        """Take the direct values of the chunk rows ``rows``.  A ``checked``
-        one (a certified audit row) whose direct values differ from the
-        closed form fails AUDIT_AGREEMENT and is counted in ``counts``."""
-        mask = np.zeros(self.size, dtype=bool)
-        mask[self.rows] = mask[rows] = True
-        union = np.nonzero(mask)[0]
-        kept, at = np.searchsorted(union, self.rows), np.searchsorted(union, rows)
-        agrees = np.ones(union.size, dtype=bool)
-        values = {}
-        for k, x in direct.items():
-            out = np.empty((union.size,) + x.shape[1:], dtype=x.dtype)
-            if k in self.values:
-                out[kept] = self.values[k]
-                agrees[at] &= (out[at] == x).reshape(rows.size, -1).all(axis=1) | ~checked
-            out[at] = x
-            values[k] = out
-        counts.disagreements += int((~agrees).sum())
-        values[AUDIT_AGREEMENT] = agrees
-        self.rows, self.values = union, values
+    def settle(self, rows, checked: bool, counts, direct: dict) -> None:
+        """Take the direct values of the chunk rows ``rows``.  On a
+        ``checked`` chunk (a certified one: ``rows`` is its audit set, and
+        it keeps derived values for those rows at least) a row whose direct
+        values differ from the derived ones fails AUDIT_AGREEMENT and is
+        counted in ``counts``; any other chunk takes the direct values."""
+        if not checked:
+            self.rows, self.values = rows, dict(direct)
+        agrees = np.ones(self.rows.size, dtype=bool)
+        if checked:
+            at = np.searchsorted(self.rows, rows)
+            for k, x in direct.items():
+                kept = self.values[k]
+                agrees[at] &= (kept[at] == x).reshape(rows.size, -1).all(axis=1)
+                kept[at] = x
+            counts.disagreements += int((~agrees).sum())
+        self.values[AUDIT_AGREEMENT] = agrees
 
-    def carried(self, det_d: int, signed: tuple, bad, redo) -> "Decided":
+    def carried(self, det_d: int, signed: tuple) -> "Decided":
         """These claims under another orientation A_o = D.A.D: values under
-        a ``signed`` key times det D, and the rows ``bad``, which fail that
-        similarity, replaced by ``redo``, their claims as a chunk of their
-        own (None when there are none)."""
-        keep = ~np.isin(self.rows, bad)
-        parts = [(self.rows[keep], {
-            k: x[keep] * det_d if k in signed else x[keep] for k, x in self.values.items()
-        })]
-        if redo is not None:
-            parts.append((bad[redo.rows], redo.values))
-        rows = np.concatenate([r for r, _ in parts])
-        order = np.argsort(rows)
-        values = {k: np.concatenate([x[k] for _, x in parts])[order] for k in self.values}
-        return Decided(self.size, rows[order], values)
+        a ``signed`` key times det D."""
+        values = {k: x * det_d if k in signed else x for k, x in self.values.items()}
+        return Decided(self.size, self.rows, values)
 
 
 class OrientedRows(NamedTuple):
@@ -203,12 +232,15 @@ class OrientedRows(NamedTuple):
     index: np.ndarray
 
 
-def decide(derived, direct, o, images, a, counts) -> Decided:
-    """Claims of one chunk: the closed form on certified rows, the direct
-    route on the rows that fail the certificate and on the audit rows.
+def decide(derived, direct, steps, o, images, counts) -> Decided:
+    """Claims of one chunk of rows under the oriented tree ``o``: on a
+    certified tree (see :func:`certified`, ``steps`` the steps its
+    witnesses take) a count, with only the audit rows built and decided on
+    the direct route; on any other tree the direct route on every row.
 
-    ``derived(o, images, a, audit)`` returns the certified rows, the rows it
-    keeps values for (the audit rows at least) and those values;
+    ``derived(o, images, audit)`` returns the rows it keeps values for (the
+    audit rows at least) and those values, or None when a condition of its
+    own on the tree fails, which sends every row direct too;
     ``direct(oriented_rows, images, a)`` returns the claims of its rows,
     both as dicts of per-row arrays.  The direct rows go to QUEUE, so the
     result is complete once it has decided them.  A chunk the audit covers
@@ -216,16 +248,17 @@ def decide(derived, direct, o, images, a, counts) -> Decided:
     b = images.shape[0]
     audit = audit_rows(b)
     counts.audited += audit.size
-    certified, kept, claims = np.zeros(b, dtype=bool), audit[:0], {}
-    if audit.size < b:
-        certified, kept, claims = derived(o, images, a, audit)
-    redo = ~certified
-    counts.certified += int(certified.sum() - certified[audit].sum())
-    counts.uncertified += int(redo.sum() - redo[audit].sum())
-    redo[audit] = True
-    rows = np.nonzero(redo)[0]
-    out = Decided(b, kept, claims)
-    QUEUE.push(direct, o, images[rows], a[rows], partial(out.settle, rows, certified[rows], counts))
+    kept = derived(o, images, audit) if audit.size < b and certified(o, steps) else None
+    checked = kept is not None
+    if checked:
+        counts.certified += b - audit.size
+        rows = audit
+    else:
+        counts.uncertified += b - audit.size
+        rows, kept = np.arange(b), (audit[:0], {})
+    out = Decided(b, *kept)
+    images = images[rows]
+    QUEUE.push(direct, o, images, o.build(images), partial(out.settle, rows, checked, counts))
     return out
 
 

@@ -8,14 +8,16 @@ them into one orientation's sub-result (see :class:`_Sweep`); one worker
 runs the tasks of every sweep and one reducer folds the sub-results into
 the sweep's result.  Claims invariant under the similarity A_o = D.A_0.D
 that reversing edges induces are computed once per tree and carried to the
-other orientations by a certificate (see :class:`_OrientationQuotient`);
-the split-sign claims are not, so all orientations of a split-sign task go
-to its kernel together.  Within a computed row, the theorem, witness,
-determinant and path-graph claims follow from the closed form of det Mf
-once the row passes path transport, and certified rows are kept as counts;
-the direct kernels decide the rows that fail it and a fixed audit set of
-every chunk.  Those direct rows are queued across the worker's tasks and
-decided in batches, and a task's chunks are tallied once its rows are (see
+other orientations by a check of their tables (see
+:class:`_OrientationQuotient`); the split-sign claims are not, so all
+orientations of a split-sign task go to its kernel together.  On a (tree,
+orientation) that passes the path-transport certificate, the theorem,
+witness, determinant and path-graph claims of every row follow from the
+closed form of det Mf, so its rows are kept as counts and only a fixed
+audit set of every chunk is built and decided by the direct kernels; a
+tree that fails the certificate sends every row to them.  Those direct
+rows are queued across the worker's tasks and decided in batches, and a
+task's chunks are tallied once its rows are (see
 :mod:`arbormat.certificate`).  With more than one worker, forked children
 take tasks from a shared pipe (see :func:`_fork_join`), and sub-results are
 reduced in sorted (v, tree, orientation) order, so output is identical for
@@ -47,9 +49,9 @@ from .certificate import (
     CYCLE_CHUNK,
     QUEUE,
     Decided,
-    certified_rows,
     closed_form_dets,
     decide,
+    similar,
     start_vertex_orbit,
 )
 from .errors import CapExceeded, WitnessFailed
@@ -304,15 +306,16 @@ class QuotientCounts:
     """How the instances of a quotiented sweep were decided.
 
     Orientation quotient, in instances: computed by the claims function;
-    derived: carried over from the representative through the certificate,
-    or repeated from a sampled duplicate; fallbacks: computed rows whose
-    matrix failed the certificate.
+    derived: carried over from the representative, whose table passed the
+    similarity check, or repeated from a sampled duplicate; fallbacks:
+    computed rows of an orientation whose table failed that check.
 
-    Transport certificate, splitting the computed rows: certified, claims
-    taken from the closed form; audited, decided on the direct route as a
-    chunk's audit set; uncertified, failed the certificate and decided on
-    the direct route.  disagreements counts the certified audit rows whose
-    direct values differ from the closed form."""
+    Transport certificate, splitting the computed rows: certified, rows of
+    a certified (tree, orientation) outside the audit sets, counted without
+    being built; audited, decided on the direct route as a chunk's audit
+    set; uncertified, the other rows of a tree that failed the certificate,
+    decided on the direct route.  disagreements counts the certified audit
+    rows whose direct values differ from the closed form."""
 
     computed: int = 0
     derived: int = 0
@@ -362,14 +365,13 @@ class _OrientationQuotient:
 
     Reversing edge k negates row k and coordinate k of the oriented matrix,
     so A_o = D.A_r.D with D = diag(signs of o ^ r) for the representative
-    r = orientations[0].  An invariant sweep's claims hold under that
-    similarity, except for ``signed`` values such as det Mf that pick up
-    the factor det D = +-1.  So its claims function runs on r, and every
-    other orientation takes r's verdicts, once they are decided, for the
-    rows whose built matrix passes the certificate A_o == D.A_r.D; a row
-    that fails it is recomputed by the same claims function, which may add
-    its own transport-certificate tallies to the orientation's
-    QuotientCounts."""
+    r = orientations[0], for every map once the two tables pass
+    :func:`arbormat.certificate.similar`.  An invariant sweep's claims hold
+    under that similarity, except for ``signed`` values such as det Mf that
+    pick up the factor det D = +-1.  So its claims function runs on r, and
+    every other orientation takes r's verdicts once they are decided; an
+    orientation that fails the check is computed on its own, every row
+    counted as a fallback in its QuotientCounts."""
 
     def __init__(self, v: int, edges: tuple, orientations: tuple):
         self.v = v
@@ -386,42 +388,35 @@ class _OrientationQuotient:
         chunk's direct rows are decided, the claims per distinct
         orientation; a sweep that is not invariant takes chunks of at most
         CYCLE_CHUNK rows over all orientations together."""
-        rep, *others = self.oriented.values()
         cycles = _fast.cycle_images(self.v)
-        size = CYCLE_CHUNK if sweep.invariant else max(1, CYCLE_CHUNK // len(self.oriented))
+        rep, *others = self.oriented.values()
+        own, carried = [rep], []
+        for o in others:
+            if sweep.invariant and similar(rep, o):
+                det_d = 1 - 2 * (bin(o.bits ^ rep.bits).count("1") % 2)
+                carried.append((o.bits, det_d))
+            else:
+                own.append(o)
+        size = CYCLE_CHUNK if sweep.invariant else max(1, CYCLE_CHUNK // len(own))
         for start in range(0, cycles.shape[0], size):
             images = cycles[start : start + size]
             batch = images.shape[0]
             self.rows += batch
+            for o in own:
+                self.counts[o.bits].computed += batch
             if not sweep.invariant:
-                for counts in self.counts.values():
-                    counts.computed += batch
-                flags = sweep.claims(list(self.oriented.values()), images)
+                flags = sweep.claims(own, images)
                 yield images, lambda flags=flags: flags
                 continue
-            a_rep = rep.build(images)
-            base = sweep.claims(rep, images, a_rep, self.counts[rep.bits])
-            self.counts[rep.bits].computed += batch
-            carried = []
-            for o in others:
-                d = _fast.orientation_signs(o.bits ^ rep.bits, a_rep.shape[1])
-                a = o.build(images)
-                bad = np.nonzero(~np.all(a == d[:, None] * a_rep * d, axis=(1, 2)))[0]
-                redo = None
-                if bad.size:
-                    counts = self.counts[o.bits]
-                    redo = sweep.claims(o, images[bad], a[bad], counts)
-                    counts.computed += bad.size
-                    counts.fallbacks += bad.size
-                carried.append((o.bits, int(d.prod()), bad, redo))
+            base = {o.bits: sweep.claims(o, images, self.counts[o.bits]) for o in own}
+            for o in own[1:]:
+                self.counts[o.bits].fallbacks += batch
             yield images, partial(self._settled, sweep, rep.bits, base, carried)
 
     @staticmethod
     def _settled(sweep, rep_bits, base, carried) -> dict:
-        flags = {rep_bits: base}
-        for bits, det_d, bad, redo in carried:
-            flags[bits] = base.carried(det_d, sweep.signed, bad, redo)
-        return flags
+        rep = base[rep_bits]
+        return {**base, **{bits: rep.carried(det_d, sweep.signed) for bits, det_d in carried}}
 
     def descriptor(self, bits: int, image_row) -> dict:
         return {
@@ -466,7 +461,7 @@ def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only
 class _Sweep(NamedTuple):
     """What a sweep decides and what it keeps.
 
-    ``claims(o, images, a, counts)`` returns the :class:`Decided` claims of
+    ``claims(o, images, counts)`` returns the :class:`Decided` claims of
     one cycle chunk under one orientation; values under a ``signed`` key
     change sign with det D from one orientation to another.  Claims not
     ``invariant`` under that similarity are never carried:
@@ -601,17 +596,17 @@ def _theorem_claims_direct(o, images, a) -> dict:
     return ok
 
 
-def _theorem_claims_derived(o: _Oriented, images, a, audit):
-    """Every theorem claim holds on a row where Mf = Mf(1, 1) is certified:
-    A = Mf^-1.C.Mf over Z gives the charpoly, the determinant and the
-    geometric sum of C, and B = |A| == A mod 2 is similar to C over GF(2),
-    so its charpoly is odd.  Path transport is the certificate itself."""
-    claims = dict.fromkeys(THEOREM_CLAIMS, np.ones(audit.size, dtype=bool))
-    return certified_rows(o, images, a, (1,)), audit, claims
+def _theorem_claims_derived(o: _Oriented, images, audit):
+    """Every theorem claim holds on a row of a tree certified for Mf =
+    Mf(1, 1): A = Mf^-1.C.Mf over Z gives the charpoly, the determinant and
+    the geometric sum of C, and B = |A| == A mod 2 is similar to C over
+    GF(2), so its charpoly is odd.  Path transport follows from the
+    certified table."""
+    return audit, {name: np.ones(audit.size, dtype=bool) for name in THEOREM_CLAIMS}
 
 
-def _theorem_claims(o: _Oriented, images, a, counts: QuotientCounts) -> Decided:
-    return decide(_theorem_claims_derived, _theorem_claims_direct, o, images, a, counts)
+def _theorem_claims(o: _Oriented, images, counts: QuotientCounts) -> Decided:
+    return decide(_theorem_claims_derived, _theorem_claims_direct, (1,), o, images, counts)
 
 
 def _theorem_tally(res, quotient, bits, images, claims) -> None:
@@ -721,19 +716,19 @@ def _witness_claims_direct(o, images, a) -> dict:
     return _witness_verdicts(o, images, a, witness_pairs(images.shape[1] - 1))
 
 
-def _witness_claims_derived(o: _Oriented, images, a, audit):
-    """On a certified row every Mf(i, j) is a unimodular {-1, 0, 1} matrix
-    with Mf.A == C.Mf, so every pair passes: certified_rows has required
-    each factor of its closed-form det to be +-1, so the det is odd.  The
-    signed closed-form det is evaluated on the audit rows only, for the
-    audit to compare."""
-    certified = certified_rows(o, images, a, coprime_steps(images.shape[1] - 1))
+def _witness_claims_derived(o: _Oriented, images, audit):
+    """On a row of a certified tree every Mf(i, j) is a unimodular
+    {-1, 0, 1} matrix with Mf.A == C.Mf, so every pair passes: the
+    certificate has required each factor of its closed-form det to be +-1,
+    so the det is odd.  The signed closed-form det is evaluated on the
+    audit rows only, for the audit to compare."""
     det = closed_form_dets(o, images[audit])
-    return certified, audit, {"ok": np.ones(det.shape, dtype=bool), "det": det}
+    return audit, {"ok": np.ones(det.shape, dtype=bool), "det": det}
 
 
-def _witness_claims(o: _Oriented, images, a, counts: QuotientCounts) -> Decided:
-    return decide(_witness_claims_derived, _witness_claims_direct, o, images, a, counts)
+def _witness_claims(o: _Oriented, images, counts: QuotientCounts) -> Decided:
+    steps = coprime_steps(images.shape[1] - 1)
+    return decide(_witness_claims_derived, _witness_claims_direct, steps, o, images, counts)
 
 
 def _witness_tally(res, quotient, bits, images, claims) -> None:
@@ -826,9 +821,9 @@ def run_det_search(
 # path-transport sweep: exhaustive small n plus seeded random large n
 
 
-def _path_image_claims(o: _Oriented, images, a, counts) -> Decided:
-    b = images.shape[0]
-    return Decided(b, np.arange(b), {"ok": _fast.batched_path_image_ok(o.table[1], images, a)})
+def _path_image_claims(o: _Oriented, images, counts) -> Decided:
+    ok = _fast.batched_path_image_ok(o.table[1], images, o.build(images))
+    return Decided(ok.size, np.arange(ok.size), {"ok": ok})
 
 
 _PATH_IMAGE = _Sweep(
@@ -932,21 +927,23 @@ def _path_graph_claims_direct(o, images, a) -> dict:
     return {"uniform_sign": uniform, "petrie": petrie, "ok": ok & uniform & petrie}
 
 
-def _path_graph_claims_derived(o: _Oriented, images, a, audit):
-    """On a row passing transport every row of every Mf is a signed path
-    vector, so every Mf is a Petrie matrix once each row of the oriented
-    path table is one: a contiguous single-signed block, as on a path tree
-    oriented along the line.  |det Mf| = 1 by the closed form, and with
-    uniform row signs S, B = S.A, so |det B| = |det A| = 1."""
-    uniform = _fast.batched_uniform_sign(a)
-    certified = certified_rows(o, images, a, coprime_steps(images.shape[1] - 1))
-    certified &= _fast.batched_petrie(o.table.reshape(-1, 1, a.shape[1])).all()
+def _path_graph_claims_derived(o: _Oriented, images, audit):
+    """On a certified tree every row of every Mf is a signed path vector,
+    so every Mf is a Petrie matrix once each entry of the oriented path
+    table is one: a contiguous single-signed block, as on a path tree
+    oriented along the line (None otherwise).  |det Mf| = 1 by the closed
+    form, and with uniform row signs S, B = S.A, so |det B| = |det A| = 1.
+    The uniform signs are taken on every row."""
+    if not _fast.batched_petrie(o.table.reshape(-1, 1, o.table.shape[2])).all():
+        return None
+    uniform = _fast.batched_uniform_sign(o.build(images))
     claims = {"uniform_sign": uniform, "petrie": np.ones_like(uniform), "ok": uniform.copy()}
-    return certified, np.arange(images.shape[0]), claims
+    return np.arange(images.shape[0]), claims
 
 
-def _path_graph_claims(o: _Oriented, images, a, counts: QuotientCounts) -> Decided:
-    return decide(_path_graph_claims_derived, _path_graph_claims_direct, o, images, a, counts)
+def _path_graph_claims(o: _Oriented, images, counts: QuotientCounts) -> Decided:
+    steps = coprime_steps(images.shape[1] - 1)
+    return decide(_path_graph_claims_derived, _path_graph_claims_direct, steps, o, images, counts)
 
 
 _PATH_GRAPH = _Sweep(

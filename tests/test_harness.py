@@ -850,23 +850,21 @@ class TestExactRouteBudget:
         assert [f["map"] for f in res.failures] == [audited.image_str()]
 
 
-def corrupt_one_row(monkeypatch, tree, bits, row, v=5):
-    """Flip an entry of one cycle row of the matrices built under one
-    orientation of one tree: A_o == D.A_0.D then fails on that row alone."""
-    target = _fast.oriented_endpoint_arrays(tree, bits)
-    build = _fast.build_oriented_batch
+def corrupt_table(monkeypatch, tree, bits):
+    """Flip one entry (x, y >= 2) of the oriented signed path table of
+    ``tree`` under the orientation bitmask ``bits``: the table then fails
+    the certificate and the similarity with every other orientation, and
+    the matrices that gather that entry fail path transport."""
+    orient = _fast.orient_table
+    canonical = _fast.signed_path_table(tree)
 
-    def corrupt(table_o, images, first, second):
-        out = build(table_o, images, first, second)
-        if images.shape[1] != v + 1 or first.shape != target[0].shape:
-            return out
-        hit = (images[:, 1:] == _fast.cycle_images(v)[row, 1:]).all(axis=1)
-        if hit.any() and (first == target[0]).all() and (second == target[1]).all():
-            col = int(np.nonzero(out[hit][0, 0])[0][0])
-            out[hit, 0, col] *= -1
+    def corrupt(table, b, n):
+        out = orient(table, b, n)
+        if b == bits and table.shape == canonical.shape and (table == canonical).all():
+            out[2, 3, int(np.nonzero(out[2, 3])[0][0])] *= -1
         return out
 
-    monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
+    monkeypatch.setattr(_fast, "orient_table", corrupt)
 
 
 def decided_now(fn, *args):
@@ -903,23 +901,29 @@ def marked(mats):
     return np.abs(mats).sum(axis=tuple(range(1, mats.ndim))) % 3 == 0
 
 
-def refuse_transport(monkeypatch, refused=marked):
-    """Make path transport fail the refused matrices, so the theorem,
-    witness and determinant claims of those rows come from the direct
-    kernels instead of the closed form."""
-    real = _fast.batched_path_image_ok
-    monkeypatch.setattr(
-        _fast, "batched_path_image_ok", lambda r, i, m: real(r, i, m) & ~refused(m)
-    )
+def refuse_certificate(monkeypatch):
+    """Fail the certificate of every (tree, orientation), so every row of
+    the theorem, witness, determinant and path-graph claims is built and
+    decided by the direct kernels."""
+    from arbormat import certificate
+
+    monkeypatch.setattr(certificate, "certified", lambda o, steps: False)
 
 
 def inject_failures(monkeypatch, sweep):
     """Fail the marked instances of `sweep`, so failure records, witness
-    determinant signs and non-unit histogram entries occur.  Transport
-    refuses the marked rows, which sends them to the direct kernels, and
-    one kernel of `sweep` fails them there (the path-graph sweep: the
-    uniform-sign kernel, which both of its routes call)."""
-    refuse_transport(monkeypatch)
+    determinant signs and non-unit histogram entries occur.  Every tree's
+    certificate is refused, which sends every row to the direct kernels,
+    and kernels of `sweep` fail the marked rows there: path transport (the
+    theorem and path-transport sweeps), the geometric sum (theorem), the
+    witness kernel (witness and determinant sweeps) and the uniform-sign
+    kernel (path graphs)."""
+    refuse_certificate(monkeypatch)
+    if sweep in ("theorem", "path_image"):
+        transport = _fast.batched_path_image_ok
+        monkeypatch.setattr(
+            _fast, "batched_path_image_ok", lambda r, i, m: transport(r, i, m) & ~marked(m)
+        )
     if sweep == "theorem":
         real = _fast.batched_geometric_sum_zero
         monkeypatch.setattr(_fast, "batched_geometric_sum_zero", lambda a: real(a) & ~marked(a))
@@ -936,7 +940,6 @@ def inject_failures(monkeypatch, sweep):
 
         monkeypatch.setattr(_fast, "batched_witness", witness)
     elif sweep == "path_graph":
-        # the direct and the derived route both take uniform signs from it
         real = _fast.batched_uniform_sign
         monkeypatch.setattr(_fast, "batched_uniform_sign", lambda a: real(a) & ~marked(a))
 
@@ -990,9 +993,10 @@ class TestOrientationQuotient:
         if sweep == "path_image":  # its claim is transport itself
             assert transport == (0, 0, 0, 0)
         else:
-            assert counts.certified > counts.audited > 0 and counts.disagreements == 0
+            assert counts.audited > 0 and counts.disagreements == 0
             assert counts.certified + counts.audited + counts.uncertified == counts.computed
-            # marked rows fail the certificate
+            # injected failures refuse every certificate
+            assert (counts.certified > counts.audited) != injected
             assert (counts.uncertified > 0) == injected
         failures = quotient.nonunit_witnesses if sweep == "det" else quotient.failures
         if not injected:
@@ -1021,35 +1025,35 @@ class TestOrientationQuotient:
 
     @pytest.mark.parametrize("worker", ["theorem", "witness", "det_search", "path_image"])
     def test_corrupted_row_is_recomputed(self, monkeypatch, worker):
-        """A matrix entry flipped in one row of a non-canonical orientation
-        fails the certificate; that row alone is recomputed, and as a
-        one-row chunk it is audited whole on the direct route."""
+        """An entry flipped in the table of a non-canonical orientation fails
+        table_o == table_r.D: every row of that orientation is recomputed
+        and counted as a fallback, and, its table failing the certificate
+        too, decided on the direct route."""
         from arbormat import harness
 
         fn = partial(decided_now, harness._sweep_worker, getattr(harness, f"_{worker.upper()}"))
         idx, tree = 2, trees_for(5)[2]
-        row = 17
-        corrupt_one_row(monkeypatch, tree, 5, row)
+        corrupt_table(monkeypatch, tree, 5)
         quotient = fn((5, idx, tree.edges, (0, 5)))
         brute = [fn((5, idx, tree.edges, (bits,)))[0] for bits in (0, 5)]
-        # 24 cycles: 16 audited and 8 certified, then the recomputed row
+        # 24 cycles: 16 audited, and 8 certified or uncertified
         transport = [(0, 0, 0, 0)] * 2
         if worker != "path_image":
-            transport = [(8, 16, 0, 0), (0, 1, 0, 0)]
+            transport = [(8, 16, 0, 0), (0, 16, 8, 0)]
         assert [astuple(s["quotient"]) for s in quotient] == [
-            (24, 0, 0) + transport[0], (1, 23, 1) + transport[1]
+            (24, 0, 0) + transport[0], (24, 0, 24) + transport[1]
         ]
         for got, want in zip(quotient, brute):
             del got["quotient"], want["quotient"]
             assert got == want
-        if worker == "theorem":
+        if worker in ("theorem", "path_image"):
             clean, flipped = quotient
-            assert clean["per_n"][4]["failures"] == 0 and not clean["failures"]
-            assert flipped["per_n"][4]["failures"] == 1
-            want_map = ",".join(map(str, _fast.cycle_images(5)[row, 1:]))
-            assert [(f["orientation"], f["map"]) for f in flipped["failures"]] == [
-                ("1010", want_map)
-            ]
+            assert not clean["failures"] and flipped["failures"]
+            # the matrices that gather the flipped entry fail path transport
+            assert {f["orientation"] for f in flipped["failures"]} == {"1010"}
+        if worker == "theorem":
+            assert clean["per_n"][4]["failures"] == 0
+            assert all("path_image_identity" in f["claims"] for f in flipped["failures"])
 
     def test_pool_never_exceeds_tasks(self, monkeypatch):
         from arbormat import harness
@@ -1232,8 +1236,8 @@ class TestAuditQueue:
 
         policy = OrientationPolicy.parse(policy)
         if corrupted:
-            # a carried row failing the similarity is queued as its own chunk
-            corrupt_one_row(monkeypatch, trees_for(5)[2], 5, 17)
+            # an orientation failing the similarity is queued on its own
+            corrupt_table(monkeypatch, trees_for(5)[2], 5)
         runs = []
         for workers in (1, 2, 3):
             docs, counts = [], []
@@ -1246,7 +1250,7 @@ class TestAuditQueue:
         assert_all_reaped()
         if policy.mode == "all":  # orientation 5 of that tree is swept
             (theorem, _, _), counts = runs[0]
-            assert [c[2] for c in counts] == [int(corrupted)] * 3  # fallbacks
+            assert [c[2] for c in counts] == [24 * corrupted] * 3  # fallbacks
             assert theorem.all_pass != corrupted
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1275,7 +1279,7 @@ class TestAuditQueue:
         try:
             for task in (7, 4, 9):
                 QUEUE.task = task
-                decide(_theorem_claims_derived, fail, o, images, o.build(images), QuotientCounts())
+                decide(_theorem_claims_derived, fail, (1,), o, images, QuotientCounts())
             QUEUE.task = 12
             with pytest.raises(WitnessFailed, match="^direct route$"):
                 QUEUE.flush()
@@ -1285,7 +1289,7 @@ class TestAuditQueue:
             QUEUE.task = 0
 
 
-def start_vertex_route(v, tree, bits, corrupt=None):
+def start_vertex_route(v, tree, bits):
     """Both start-vertex routes of one tree under one orientation: the
     decided witness claims, which the determinant search shares, the
     direct claims of every row, the closed-form dets of every row, and the
@@ -1296,12 +1300,9 @@ def start_vertex_route(v, tree, bits, corrupt=None):
 
     o = _Oriented.of(tree, bits)
     images = _fast.cycle_images(v)
-    a = o.build(images)
-    if corrupt is not None:
-        corrupt(a)
     counts = QuotientCounts()
-    witness = decided_now(harness._witness_claims, o, images, a, counts)
-    direct = harness._witness_claims_direct(rows_of(o, len(images)), images, a)
+    witness = decided_now(harness._witness_claims, o, images, counts)
+    direct = harness._witness_claims_direct(rows_of(o, len(images)), images, o.build(images))
     return witness, direct, closed_form_dets(o, images), counts
 
 
@@ -1344,57 +1345,38 @@ class TestStartVertexQuotient:
                     assert [exact[p] for p in pairs] == direct["det"][row].tolist()
                     assert [exact[p] for p in pairs] == closed[row].tolist()
 
-    def test_corrupted_row_is_recomputed(self, monkeypatch):
-        from arbormat import harness
+    def test_corrupted_audit_row_fails_the_agreement(self, monkeypatch):
+        """An entry flipped in the built matrix of one audit row: its direct
+        values differ from the closed form, so that row alone fails
+        AUDIT_AGREEMENT; the tree stays certified."""
+        v, tree = 6, trees_for(6)[3]  # 120 cycles, steps j = 1 and 5
+        audit = audit_rows(120)
+        target = _fast.cycle_images(v)[audit[5]]
+        build = _fast.build_oriented_batch
 
-        v, row = 6, 57  # 120 cycles, steps j = 1 and 5
-        tree = trees_for(v)[3]
+        def corrupt(table_o, images, first, second):
+            out = build(table_o, images, first, second)
+            for k in np.nonzero((images == target).all(axis=1))[0]:
+                out[k, 2, int(np.nonzero(out[k, 2])[0][0])] *= -1
+            return out
 
-        def corrupt(a):
-            col = int(np.nonzero(a[row, 2])[0][0])
-            a[row, 2, col] *= -1
-
-        recomputed = []
-        real = harness._witness_claims_direct
-
-        def spy(o, images, a):
-            recomputed.append(images.copy())
-            return real(o, images, a)
-
-        monkeypatch.setattr(harness, "_witness_claims_direct", spy)
-        witness, witness_direct, _, counts = start_vertex_route(v, tree, 9, corrupt)
-        # the direct reference call is the second one; the first holds the
-        # audit rows and the flipped row, which alone fails transport
-        assert len(recomputed) == 2
-        audit = audit_rows(120).tolist()
-        assert row not in audit
-        assert (recomputed[0] == _fast.cycle_images(v)[sorted(audit + [row])]).all()
-        assert counts.uncertified == 1  # one row
-        assert counts.certified == 120 - 16 - 1
-        assert witness.rows.tolist() == sorted(audit + [row])
+        monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
+        witness, witness_direct, closed, counts = start_vertex_route(v, tree, 9)
+        assert astuple(counts)[3:] == (120 - AUDIT_ROWS, AUDIT_ROWS, 0, 1)
+        assert witness.rows.tolist() == audit.tolist()
+        assert np.nonzero(~witness.values[AUDIT_AGREEMENT])[0].tolist() == [5]
         for key in ("ok", "det"):
-            assert (witness.values[key] == witness_direct[key][witness.rows]).all()
-        assert not witness_direct["ok"][row].all()
-        assert witness_direct["ok"][np.arange(120) != row].all()
+            assert (witness.values[key] == witness_direct[key][audit]).all()
+        bad = np.zeros(120, dtype=bool)
+        bad[audit[5]] = True
+        agree = witness_direct["ok"].all(axis=1) & (witness_direct["det"] == closed).all(axis=1)
+        assert (agree == ~bad).all()
 
     def test_certificate_failing_everywhere_gives_direct_documents(self, monkeypatch):
-        """With transport refused on every row, every pair comes from the
-        direct route; the documents must not change.  Transport refuses a
-        pattern of |A| first, and the direct witness determinants of those
-        rows are doubled, so failure records with both determinant signs
-        are compared too."""
-        from arbormat import harness
+        """With every tree's certificate refused, every pair comes from the
+        direct route; the documents must not change."""
         from arbormat.harness import QuotientCounts
 
-        real = _fast.batched_witness
-
-        def even(a, seeds):
-            gate, det, companion_ok = real(a, seeds)
-            return gate, det * np.where(marked(a)[:, None], 2, 1), companion_ok
-
-        monkeypatch.setattr(_fast, "batched_witness", even)
-        refuse_transport(monkeypatch)
-        monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
         policy = OrientationPolicy.parse("sample:4")
         ns = [2, 3, 4, 5]
 
@@ -1405,31 +1387,29 @@ class TestStartVertexQuotient:
             )
 
         counts = QuotientCounts()
-        quotient = documents(counts)
-        assert counts.certified > counts.audited > 0 and counts.disagreements == 0
-        assert counts.uncertified > 0
-        dets = {f["det"] for f in quotient[0].failures}
-        assert {2, -2} <= dets and dets <= {2, -2}
-        assert set(quotient[1].histogram) == {1, 2}
-        monkeypatch.setattr(
-            _fast, "batched_path_image_ok", lambda r, i, m: np.zeros(m.shape[0], dtype=bool)
-        )
+        certified = documents(counts)
+        assert counts.certified > counts.audited > 0
+        assert counts.uncertified == counts.disagreements == 0
+        refuse_certificate(monkeypatch)
         forced = QuotientCounts()
-        direct = documents(forced)
-        assert direct == quotient
+        assert documents(forced) == certified
         assert forced.certified == 0
         assert forced.uncertified + forced.audited == forced.computed
         assert forced.audited == counts.audited
 
 
-def closed_form_routes():
-    """(derived, direct) claims functions of the theorem claims and of the
-    witness claims, which the determinant search shares."""
+def closed_form_routes(v):
+    """(steps, derived, direct claims function, claims function) of the
+    theorem claims and of the witness claims, which the determinant search
+    shares."""
     from arbormat import harness
+    from arbormat.theorems import coprime_steps
 
     return [
-        (harness._theorem_claims_derived, harness._theorem_claims_direct),
-        (harness._witness_claims_derived, harness._witness_claims_direct),
+        ((1,), harness._theorem_claims_derived, harness._theorem_claims_direct,
+         harness._theorem_claims),
+        (tuple(coprime_steps(v)), harness._witness_claims_derived,
+         harness._witness_claims_direct, harness._witness_claims),
     ]
 
 
@@ -1474,6 +1454,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("v", range(3, 8))
     def test_derived_equals_direct_every_tree(self, v):
+        from arbormat.certificate import certified
         from arbormat.harness import _Oriented
 
         images = _fast.cycle_images(v)
@@ -1482,19 +1463,20 @@ class TestClosedForm:
                 o = _Oriented.of(tree, bits)
                 a = o.build(images)
                 every = np.arange(len(images))
-                for derived, direct in closed_form_routes():
+                for steps, derived, direct, _ in closed_form_routes(v):
+                    assert certified(o, steps)
                     # the closed form evaluated on every row, not just the audit rows
-                    certified, kept, claims = derived(o, images, a, every)
+                    kept, claims = derived(o, images, every)
                     want = direct(rows_of(o, len(images)), images, a)
-                    assert certified.all() and (kept == every).all()
+                    assert (kept == every).all()
                     assert claims.keys() == want.keys()
                     for name, x in want.items():
                         assert (claims[name] == x).all(), (tree, bits, name)
 
     def test_refused_rows_keep_their_direct_witness_verdicts(self, monkeypatch):
-        """The closed form passes every pair of a certified row; the rows
-        transport refuses take the direct verdicts, failing here, since
-        their direct determinants are doubled."""
+        """A tree whose certificate is refused takes the direct verdicts on
+        every row, failing here where its direct determinants are
+        doubled."""
         from arbormat import harness
         from arbormat.harness import QuotientCounts, _Oriented
 
@@ -1505,58 +1487,77 @@ class TestClosedForm:
             return gate, det * np.where(marked(a)[:, None], 2, 1), companion_ok
 
         monkeypatch.setattr(_fast, "batched_witness", even)
-        refuse_transport(monkeypatch)
+        refuse_certificate(monkeypatch)
         o = _Oriented.of(trees_for(7)[4], 5)
         images = _fast.cycle_images(7)
-        a = o.build(images)
-        refused = marked(a)
-        unaudited = np.ones(refused.size, dtype=bool)
-        unaudited[audit_rows(refused.size)] = False
         counts = QuotientCounts()
-        got = decided_now(harness._witness_claims, o, images, a, counts)
-        assert counts.uncertified == (refused & unaudited).sum() > 0
-        assert got.rows.tolist() == np.nonzero(refused | ~unaudited)[0].tolist()
+        got = decided_now(harness._witness_claims, o, images, counts)
+        assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
+        assert got.rows.tolist() == list(range(720))
         assert got.values.pop(AUDIT_AGREEMENT).all()
+        a = o.build(images)
         want = harness._witness_claims_direct(rows_of(o, len(images)), images, a)
         for key in ("ok", "det"):
-            assert (got.values[key] == want[key][got.rows]).all()
-        assert not want["ok"][refused].any() and want["ok"][~refused].all()
+            assert (got.values[key] == want[key]).all()
+        refused = marked(a)
+        assert refused.any() and not want["ok"][refused].any() and want["ok"][~refused].all()
 
-    def test_flipped_entry_sends_that_row_to_the_direct_route(self, monkeypatch):
+    def test_flipped_table_entry_sends_every_row_to_the_direct_route(self, monkeypatch):
+        """An entry flipped in the oriented table fails the certificate of
+        its tree: every row is built and decided on the direct route, and
+        the rows that gather the entry fail there."""
         from arbormat import harness
+        from arbormat.certificate import certified
         from arbormat.harness import QuotientCounts, _Oriented
 
-        v, row = 7, 300
-        o = _Oriented.of(trees_for(v)[4], 5)
+        v, tree = 7, trees_for(7)[4]
+        corrupt_table(monkeypatch, tree, 5)
+        o = _Oriented.of(tree, 5)
         images = _fast.cycle_images(v)
-        a = o.build(images)
-        a[row, 1, int(np.nonzero(a[row, 1])[0][0])] *= -1
-        audit = audit_rows(images.shape[0]).tolist()
-        assert row not in audit and len(audit) == AUDIT_ROWS
-        for (derived, direct), claims in zip(
-            closed_form_routes(), [harness._theorem_claims, harness._witness_claims]
-        ):
-            certified, _, _ = derived(o, images, a, np.array(audit))
-            assert np.nonzero(~certified)[0].tolist() == [row]
-            name = direct.__name__
+        failing = {"theorem": "path_image_identity", "witness": "ok"}
+        for (steps, derived, direct, claims), name in zip(closed_form_routes(v), failing):
+            assert not certified(o, steps)
             sent = []
 
-            def spy(o, images, a, real=getattr(harness, name)):
+            def spy(o, images, a, real=direct):
                 sent.append(images)
                 return real(o, images, a)
 
-            monkeypatch.setattr(harness, name, spy)
+            monkeypatch.setattr(harness, direct.__name__, spy)
             counts = QuotientCounts()
-            got = decided_now(claims, o, images, a, counts)
+            got = decided_now(claims, o, images, counts)
             (rows,) = sent
-            assert (rows == images[sorted(audit + [row])]).all()
-            assert got.rows.tolist() == sorted(audit + [row])
-            assert astuple(counts)[3:] == (720 - AUDIT_ROWS - 1, AUDIT_ROWS, 1, 0)
+            assert (rows == images).all()
+            assert got.rows.tolist() == list(range(720))
+            assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
             assert got.values.pop(AUDIT_AGREEMENT).all()
-            want = direct(rows_of(o, len(images)), images, a)
+            want = direct(rows_of(o, len(images)), images, o.build(images))
             assert got.values.keys() == want.keys()
             for key, x in want.items():
-                assert (got.values[key] == x[got.rows]).all()
+                assert (got.values[key] == x).all()
+            assert 0 < (~want[failing[name]]).sum() < want[failing[name]].size
+
+    def test_table_with_swapped_edges_certifies_nothing(self):
+        """Two coordinates of the table swapped: every entry is still
+        r(y) - r(x) for the table's own row 1, so only the comparison with
+        Tree.signed_path_vector refuses it.  Every row goes direct, and the
+        matrices, gathered from the wrong table, fail there."""
+        from arbormat import harness
+        from arbormat.certificate import certified
+        from arbormat.harness import QuotientCounts, _Oriented
+
+        v = 6
+        images = _fast.cycle_images(v)
+        o = _Oriented.of(trees_for(v)[3], 0)
+        swapped = o._replace(table=o.table[..., [1, 0, 2, 3, 4]])
+        r = swapped.table[1]
+        assert (swapped.table[1:, 1:] == r[None, 1:] - r[1:, None]).all()
+        assert certified(o, (1,)) and not certified(swapped, (1,))
+        counts = QuotientCounts()
+        got = decided_now(harness._theorem_claims, swapped, images, counts)
+        assert astuple(counts)[3:] == (0, AUDIT_ROWS, 120 - AUDIT_ROWS, 0)
+        assert got.rows.tolist() == list(range(120))
+        assert not np.logical_and.reduce(list(got.values.values())).all()
 
     def test_audit_disagreement_is_counted_and_fails(self, monkeypatch, capsys, tmp_path):
         from arbormat import cli
@@ -1597,6 +1598,78 @@ class TestClosedForm:
         assert f"{audited} audit disagreements" in capsys.readouterr().err
 
 
+class TestTransportCertificate:
+    """The per-tree certificate against the per-row route it replaced:
+    transport holds on every row of a certified tree, for any vertex map,
+    and the direct claims of every row equal what the sweep counts."""
+
+    @staticmethod
+    def orientations(tree, v):
+        """The canonical orientation and two seeded ones."""
+        from arbormat.trees import canonical_form
+
+        code = canonical_form(tree)
+        return [0] + [_sample_orientation(16, code, k, v - 1) for k in range(2)]
+
+    @pytest.mark.parametrize("v", range(3, 10))
+    def test_every_row_of_a_certified_tree_passes_transport(self, v):
+        from arbormat.certificate import certified
+        from arbormat.harness import _Oriented
+        from arbormat.theorems import coprime_steps
+
+        images = _fast.cycle_images(v)
+        for tree in trees_for(v):
+            for bits in self.orientations(tree, v):
+                o = _Oriented.of(tree, bits)
+                assert certified(o, coprime_steps(v))
+                assert _fast.batched_path_image_ok(o.table[1], images, o.build(images)).all()
+
+    @pytest.mark.parametrize("v", range(3, 8))
+    def test_direct_claims_equal_the_counted_verdicts(self, v):
+        """Rows kept as a count pass every direct claim with |det Mf| = 1;
+        the decided rows carry the direct values."""
+        from arbormat.harness import QuotientCounts, _Oriented
+
+        images = _fast.cycle_images(v)
+        for tree in trees_for(v):
+            for bits in self.orientations(tree, v):
+                o = _Oriented.of(tree, bits)
+                a = o.build(images)
+                for _, _, direct, claims in closed_form_routes(v):
+                    got = decided_now(claims, o, images, QuotientCounts())
+                    want = direct(rows_of(o, len(images)), images, a)
+                    counted = np.ones(len(images), dtype=bool)
+                    counted[got.rows] = False
+                    assert counted.any() == (len(images) > AUDIT_ROWS)
+                    for key, x in want.items():
+                        assert (got.values[key] == x[got.rows]).all(), (tree, bits, key)
+                        assert x[counted].all() or key == "det", (tree, bits, key)
+                    if "det" in want:
+                        assert (np.abs(want["det"][counted]) == 1).all()
+
+    def test_random_vertex_maps_pass_transport(self):
+        """1,000 random maps V -> V with f(1) = f(2), so none is a cycle, on
+        random certified trees under random orientations, n = 2..9."""
+        from arbormat.certificate import certified
+        from arbormat.harness import _Oriented
+        from arbormat.theorems import coprime_steps
+
+        rng = np.random.default_rng(2015)
+        checked = 0
+        for v in range(3, 11):
+            trees = trees_for(v)
+            for _ in range(5):
+                tree = trees[rng.integers(len(trees))]
+                o = _Oriented.of(tree, int(rng.integers(1 << (v - 1))))
+                assert certified(o, coprime_steps(v))
+                images = rng.integers(1, v + 1, size=(25, v + 1))
+                images[:, 0] = 0
+                images[:, 2] = images[:, 1]  # f(2) = f(1): not a permutation
+                assert _fast.batched_path_image_ok(o.table[1], images, o.build(images)).all()
+                checked += images.shape[0]
+        assert checked == 1000
+
+
 def path_graph_oriented(tree, flip=0):
     """A path tree as run_path_graph_sweep hands it to its claims: edges in
     path order, every edge oriented along the path, then the edges of the
@@ -1616,7 +1689,9 @@ class TestPathGraphCertificate:
     @pytest.mark.parametrize("v", range(3, 8))
     def test_derived_equals_direct_every_path_tree(self, v):
         from arbormat import harness
+        from arbormat.certificate import certified
         from arbormat.harness import QuotientCounts
+        from arbormat.theorems import coprime_steps
 
         images = _fast.cycle_images(v)
         rows = images.shape[0]
@@ -1625,36 +1700,32 @@ class TestPathGraphCertificate:
         for tree in paths:
             o = path_graph_oriented(tree)
             a = o.build(images)
-            certified, kept, claims = harness._path_graph_claims_derived(
-                o, images, a, audit_rows(rows)
-            )
+            assert certified(o, coprime_steps(v))
+            kept, claims = harness._path_graph_claims_derived(o, images, audit_rows(rows))
             want = harness._path_graph_claims_direct(rows_of(o, rows), images, a)
-            assert certified.all() and want["ok"].all()
+            assert want["ok"].all()
             assert kept.tolist() == list(range(rows))  # uniform signs of every row
             assert claims.keys() == want.keys()
             for name, x in want.items():
                 assert (claims[name] == x).all(), (tree, name)
             # every row outside the audit set is certified
             counts = QuotientCounts()
-            got = decided_now(harness._path_graph_claims, o, images, a, counts)
+            got = decided_now(harness._path_graph_claims, o, images, counts)
             audited = min(rows, AUDIT_ROWS)
             assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
             assert got.values["ok"].all() and got.values[AUDIT_AGREEMENT].all()
 
-    def test_flipped_entry_sends_that_row_to_the_direct_route(self, monkeypatch):
+    def test_flipped_table_entry_sends_every_row_to_the_direct_route(self, monkeypatch):
         from arbormat import harness
         from arbormat.harness import QuotientCounts
 
-        v, row = 7, 300
-        o = path_graph_oriented(next(t for t in trees_for(v) if t.is_path()))
+        v = 7
+        tree = next(t for t in trees_for(v) if t.is_path())
+        along = path_graph_oriented(tree)
+        corrupt_table(monkeypatch, along.tree, along.bits)
+        o = path_graph_oriented(tree)
         images = _fast.cycle_images(v)
-        a = o.build(images)
-        i = int(np.argmax((a[row] != 0).sum(axis=1) >= 2))  # the flip mixes its signs
-        a[row, i, int(np.nonzero(a[row, i])[0][0])] *= -1
-        audit = audit_rows(images.shape[0]).tolist()
-        assert row not in audit and len(audit) == AUDIT_ROWS
-        certified, _, _ = harness._path_graph_claims_derived(o, images, a, np.array(audit))
-        assert np.nonzero(~certified)[0].tolist() == [row]
+        assert harness._path_graph_claims_derived(o, images, audit_rows(720)) is not None
         sent = []
         real = harness._path_graph_claims_direct
         monkeypatch.setattr(
@@ -1662,16 +1733,15 @@ class TestPathGraphCertificate:
             lambda o, images, a: sent.append(images) or real(o, images, a),
         )
         counts = QuotientCounts()
-        got = decided_now(harness._path_graph_claims, o, images, a, counts)
+        got = decided_now(harness._path_graph_claims, o, images, counts)
         (rows,) = sent
-        assert (rows == images[sorted(audit + [row])]).all()
-        assert astuple(counts)[3:] == (720 - AUDIT_ROWS - 1, AUDIT_ROWS, 1, 0)
+        assert (rows == images).all()
+        assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
         assert got.values.pop(AUDIT_AGREEMENT).all()
-        want = real(rows_of(o, len(images)), images, a)
+        want = real(rows_of(o, len(images)), images, o.build(images))
         assert got.values.keys() == want.keys()
         for key, x in want.items():
             assert (got.values[key] == x).all()
-        assert np.nonzero(~got.values["ok"])[0].tolist() == [row]
 
     def test_audit_disagreement_fails_the_row(self, monkeypatch):
         """With |det| read as 0 on the direct route, every certified audit
@@ -1688,7 +1758,7 @@ class TestPathGraphCertificate:
         audit = audit_rows(images.shape[0])
         o = path_graph_oriented(next(t for t in trees_for(v) if t.is_path()))
         counts = QuotientCounts()
-        got = decided_now(harness._path_graph_claims, o, images, o.build(images), counts)
+        got = decided_now(harness._path_graph_claims, o, images, counts)
         assert counts.disagreements == AUDIT_ROWS
         assert np.nonzero(~got.values[AUDIT_AGREEMENT])[0].tolist() == audit.tolist()
         assert np.nonzero(~got.values["ok"])[0].tolist() == audit.tolist()
@@ -1710,10 +1780,10 @@ class TestPathGraphCertificate:
 
         real = harness._path_graph_claims_derived
 
-        def wrong(o, images, a, audit):
-            certified, kept, claims = real(o, images, a, audit)
+        def wrong(o, images, audit):
+            kept, claims = real(o, images, audit)
             claims["petrie"][:] = False
-            return certified, kept, claims
+            return kept, claims
 
         monkeypatch.setattr(harness, "_path_graph_claims_derived", wrong)
         monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
@@ -1726,13 +1796,13 @@ class TestPathGraphCertificate:
 
     def test_direct_claims_do_not_depend_on_the_block_size(self, monkeypatch):
         """The direct route stacks the witnesses of about CYCLE_CHUNK (row,
-        pair) entries per block.  With transport refused on a pattern of
-        rows, the direct claims and the claims a chunk takes from them are
-        the same from one block as from blocks of 7 rows."""
+        pair) entries per block.  With every certificate refused, the direct
+        claims and the claims a chunk takes from them are the same from one
+        block as from blocks of 7 rows."""
         from arbormat import harness
         from arbormat.harness import QuotientCounts
 
-        refuse_transport(monkeypatch)
+        refuse_certificate(monkeypatch)
         v, pairs = 6, 12  # 6 start vertices, steps 1 and 5
         images = _fast.cycle_images(v)
         tree = next(t for t in trees_for(v) if t.is_path())
@@ -1743,7 +1813,7 @@ class TestPathGraphCertificate:
             for o in cases:
                 a = o.build(images)
                 out.append(harness._path_graph_claims_direct(rows_of(o, len(images)), images, a))
-                out.append(decided_now(harness._path_graph_claims, o, images, a, QuotientCounts()))
+                out.append(decided_now(harness._path_graph_claims, o, images, QuotientCounts()))
             # a decided chunk's values, on every row here: path-graph claims stay per row
             return [x if isinstance(x, dict) else x.values for x in out]
 
@@ -1763,7 +1833,7 @@ class TestPathGraphCertificate:
         path tree with an edge against the line, has a row that is not a
         contiguous single-signed block: every row goes to the direct route."""
         from arbormat import harness
-        from arbormat.certificate import certified_rows
+        from arbormat.certificate import certified
         from arbormat.theorems import coprime_steps
         from arbormat.harness import QuotientCounts, _Oriented
 
@@ -1777,11 +1847,10 @@ class TestPathGraphCertificate:
         assert len(cases) > 4
         for o in cases:
             a = o.build(images)
-            assert certified_rows(o, images, a, coprime_steps(v)).all()
-            certified, _, _ = harness._path_graph_claims_derived(o, images, a, audit_rows(len(a)))
-            assert not certified.any()
+            assert certified(o, coprime_steps(v))
+            assert harness._path_graph_claims_derived(o, images, audit_rows(len(a))) is None
             counts = QuotientCounts()
-            got = decided_now(harness._path_graph_claims, o, images, a, counts)
+            got = decided_now(harness._path_graph_claims, o, images, counts)
             assert counts.certified == 0 and counts.uncertified + counts.audited == len(images)
             assert got.rows.tolist() == list(range(len(images)))
             want = harness._path_graph_claims_direct(rows_of(o, len(images)), images, a)
