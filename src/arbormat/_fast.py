@@ -16,7 +16,13 @@ arbitrary-precision arithmetic:
   accumulator adds 1 per step, so entries stay below (n+1) * n**n.
 * Witness kernels additionally gate on observed |entries| <= 1 before any
   charpoly work and report out-of-range batches for the exact fallback
-  path.
+  path.  The iterates of a witness stack may wrap modulo 2**64 once they
+  leave that gate, but products keep that modulus, so a window whose first
+  row equals a {-1,0,1} seed holds that seed's own iterates, which stay at
+  most n**n through the companion row.  The recurrence det Mf_m =
+  det Mf_{m-1} . det A multiplies the det of a gated window, at most
+  n**(n/2) by Hadamard's bound, by det A, at most n**(n/2) as A passes the
+  same gate: the product is at most n**n = 1e10 < 2**63 through n = 10.
 * Split-sign rebuilt rows are sf.B[i] + 2.delta.(c . A') with sf, delta,
   the entries of B and A' in {-1,0,1} and c a signed path vector, so
   |entries| <= 1 + 2n.
@@ -270,45 +276,89 @@ def batched_petrie(mats: np.ndarray) -> np.ndarray:
     return small & (contiguous & single).all(axis=1)
 
 
-def batched_witness_matrix(mats: np.ndarray, seeds: np.ndarray):
-    """Stack the seed rows w and their iterates w.A, ..., w.A^(n-1) into Mf.
-
-    mats: (B, n, n); seeds: (B, P, n), P seed rows per matrix, each iterated
-    under its own matrix.  Returns (mf, gate), (B, P, n, n) and (B, P):
-    gate marks the witnesses whose iterate coordinates all stayed in
-    {-1,0,1}, the precondition of batched_charpoly on Mf."""
-    n = mats.shape[1]
-    _check_small(n)
-    mats = mats.astype(np.int64, copy=False)
-    rows = [seeds.astype(np.int64)]
-    for _ in range(n - 1):
-        rows.append(rows[-1] @ mats)
-    mf = np.stack(rows, axis=2)
-    return mf, unit_entries(mf)
+def _witness_stack(mats: np.ndarray, seeds: np.ndarray, windows: int):
+    """The iterates w.A^k, k < windows + n, of (B, S, n) seed rows w, each
+    under its row's A, iterate-major as (windows + n, B, S, n); and per
+    window m < windows (iterates m..m+n-1, the rows of an Mf), window-major
+    as (windows, B, S), whether its entries are all in {-1,0,1} and whether
+    Mf.A == C.Mf.  The rows of Mf.A are the shifted iterates and the last
+    row of C.Mf is minus the sum of the rows of Mf, so the identity says
+    that iterates m..m+n sum to zero."""
+    n = seeds.shape[-1]
+    its = np.empty((windows + n,) + seeds.shape, dtype=np.int64)
+    its[0] = seeds
+    for k in range(1, windows + n):
+        np.matmul(its[k - 1], mats, out=its[k])
+    unit = ~((its < -1) | (its > 1)).any(axis=3)
+    gate, total = unit[:windows].copy(), its[:windows].copy()
+    for k in range(1, n):
+        gate &= unit[k : k + windows]
+        total += its[k : k + windows]
+    total += its[n:]
+    return its, gate, ~total.any(axis=3)
 
 
 def batched_witness(mats: np.ndarray, seeds: np.ndarray):
-    """Iterate seed row vectors under w -> w.A and check the basis claims.
+    """Witness matrices along the orbit of a start vertex, and their basis
+    claims, from one iterate stack per (row, step).
 
-    mats: (B, n, n); seeds: (B, P, n).  Returns (gate, det, companion_ok),
-    each (B, P):
-      gate          all iterate coordinates stayed in {-1,0,1}; the other
-                    outputs are only meaningful where gate holds
-      det           determinant of the stacked iterate matrix Mf
-      companion_ok  Mf.A == C.Mf, via row shifting (rows of Mf.A are the
-                    shifted iterates; the last row of C.Mf is -sum of rows)
+    mats: (B, n, n); seeds: (B, S, M, n).  Witness m of chain s is the
+    matrix Mf with rows w, w.A, ..., w.A^(n-1) for w = seeds[:, s, m].  In
+    the sweeps chain s is one step j, witness m starts at x_m = f^m(1), and
+    Mf(x_m, j) = Mf(x_{m-1}, j).A, since the seed of (x_m, j) is the
+    transported seed of (x_{m-1}, j).  So chain s is iterated once from its
+    first seed, w_k = seeds[:, s, 0].A^k for k < M + n, and witness m is
+    the window w_m..w_{m+n-1} of that stack wherever seeds[:, s, m] == w_m,
+    which is checked on every pair; any other pair is built on its own from
+    its seed.
+
+    Returns (gate, det, companion_ok, mf), the first three (B, S, M):
+      gate          every entry of Mf is in {-1,0,1}
+      det           det Mf where gate holds, 0 elsewhere
+      companion_ok  Mf.A == C.Mf, C the companion matrix of 1 + ... + x^n
+      mf            the witness matrices, (B, S, M, n, n): read-only windows
+                    of the stacks, unless a pair was built on its own
+    Charpolys are taken of A, when M > 1, and of the gated windows whose
+    det no recurrence gives: det Mf_m = det Mf_{m-1} . det A when both are
+    windows of one stack and Mf_{m-1} and A pass the gate, so a chain whose
+    windows all pass needs the charpoly of its first window only.
 
     Mf.A.adj(Mf) == det(Mf).C, the denominator-cleared conjugation, is not
     checked apart: it follows from Mf.A == C.Mf since Mf.adj(Mf) = det.I.
     """
-    n = mats.shape[1]
+    m, n = seeds.shape[2:]
+    _check_small(n)
     mats = mats.astype(np.int64, copy=False)
-    mf, gate = batched_witness_matrix(mats, seeds)
-    w_n = mf[:, :, -1] @ mats
-    companion_ok = np.all(w_n == -mf.sum(axis=2), axis=2)
-    cp = batched_charpoly(np.where(gate[..., None, None], mf, 0).reshape(-1, n, n))
-    det = cp[:, 0] if n % 2 == 0 else -cp[:, 0]
-    return gate, det.reshape(gate.shape), companion_ok
+    seeds = seeds.transpose(2, 0, 1, 3)  # window-major, like the stack
+    its, gate, companion_ok = _witness_stack(mats, seeds[0], m)
+    chained = np.all(its[:m] == seeds, axis=3)
+    # window m: its[m..m+n-1] as rows, a read-only view
+    stride = its.strides
+    mf = np.lib.stride_tricks.as_strided(
+        its, (m,) + its.shape[1:3] + (n, n), stride[:3] + (stride[0], stride[3]), writeable=False
+    )
+    own = np.nonzero(~chained)
+    if own[0].size:
+        own_its, own_gate, own_ok = _witness_stack(mats[own[1]], seeds[own][:, None], 1)
+        mf = mf.copy()
+        mf[own] = own_its[:n, :, 0].swapaxes(0, 1)
+        gate[own], companion_ok[own] = own_gate[0, :, 0], own_ok[0, :, 0]
+    unit_a = unit_entries(mats)
+    recur = np.zeros_like(gate)
+    recur[1:] = chained[1:] & chained[:-1] & gate[:-1]
+    recur &= gate & unit_a[:, None]
+    solo = gate & ~recur
+    solos, recurs = mf[solo], recur.any()
+    parts = [solos, np.where(unit_a[:, None, None], mats, 0)] if recurs else [solos]
+    cp = batched_charpoly(np.concatenate(parts))[:, 0] * (1 if n % 2 == 0 else -1)
+    det = np.zeros(gate.shape, dtype=np.int64)
+    det[solo] = cp[: len(solos)]
+    if recurs:
+        det_a = cp[len(solos) :, None]
+        for k in range(1, m):
+            det[k] = np.where(recur[k], det[k - 1] * det_a, det[k])
+    gate, det, companion_ok = (x.transpose(1, 2, 0) for x in (gate, det, companion_ok))
+    return gate, det, companion_ok, mf.transpose(1, 2, 0, 3, 4)
 
 
 def _lex_permutations(m: int) -> np.ndarray:

@@ -34,11 +34,12 @@ row of A has one sign, B = S.A for the diagonal S of those signs, so
 |det B| = |det A| = 1.
 
 A (tree, orientation) is certified (:func:`certified`) when its oriented
-table equals Tree.signed_path_vector on every pair, every entry (x, y) of
-it is r(y) - r(x), and the exact determinants det R_{2..v} and det T(n, j)
-of every step j the sweep uses are +-1.  The exact table and determinants
-are computed once per process and key, by the exact route of
-:mod:`arbormat.trees` and :class:`arbormat.algebra.ExactMatrix`; the
+table equals the exact table of signed path vectors on every pair, every
+entry (x, y) of it is r(y) - r(x), and the exact determinants det R_{2..v}
+and det T(n, j) of every step j the sweep uses are +-1.  The exact table
+and determinants are computed once per process and key, by walks over the
+tree with the sign rule of Tree.signed_path_vector (:func:`exact_table`)
+and by :class:`arbormat.algebra.ExactMatrix`; the
 comparisons with the table run on every chunk.  On a certified tree every
 row passes every claim with |det Mf| = 1, so :func:`decide` keeps its rows
 as a count and builds only a fixed audit set of every chunk, which the
@@ -69,7 +70,7 @@ from . import _fast
 from .algebra import ExactMatrix
 from .rings import ZZ
 from .theorems import coprime_steps
-from .trees import Orientation, Tree
+from .trees import Tree
 
 # A quarter of the 8! cycles of one n = 8 task: its (B, n, n) int64
 # temporaries stay near 45 MB instead of 175 MB, and n <= 7 is never split.
@@ -96,17 +97,24 @@ def step_det(n: int, j: int) -> int:
 
 @lru_cache(maxsize=1024)
 def exact_table(edges: tuple, bits: int) -> np.ndarray:
-    """Tree.signed_path_vector of every pair x -> y of a tree under an
+    """The signed path vector of every pair x -> y of a tree under an
     orientation bitmask, as a (v+1, v+1, n) table with row and column 0
-    zero, the layout of the sweeps' oriented tables."""
+    zero, the layout of the sweeps' oriented tables.  Row x is one walk from
+    x over Tree.adjacency: the step a -> b over edge k gives b the vector of
+    a with coordinate k set by the rule of Tree.signed_path_vector, +1 when
+    a < b and -1 otherwise, negated when the bitmask reverses edge k."""
     tree = Tree(edges)
-    v, n = tree.vertex_count, tree.edge_count
-    orientation = Orientation.from_int(bits, n)
-    table = np.zeros((v + 1, v + 1, n), dtype=np.int8)
-    table[1:, 1:] = [
-        [tree.signed_path_vector(orientation, x, y) for y in range(1, v + 1)]
-        for x in range(1, v + 1)
-    ]
+    v = tree.vertex_count
+    table = np.zeros((v + 1, v + 1, tree.edge_count), dtype=np.int8)
+    for x in range(1, v + 1):
+        row = table[x]
+        walk = [(x, 0)]
+        for a, before in walk:
+            for b, k in tree.adjacency[a]:
+                if b != before:
+                    row[b] = row[a]
+                    row[b, k] = (1 if a < b else -1) * (-1 if bits >> k & 1 else 1)
+                    walk.append((b, a))
     return table
 
 

@@ -592,7 +592,7 @@ def _theorem_claims_direct(o, images, a) -> dict:
     ok["z2_companion_similar"] = (
         ok["unoriented_charpoly_odd"] & _fast.batched_gf2_nonderogatory(b)
     )
-    ok["basis_witness"] = _witness_verdicts(o, images, a, [(1, 1)])["ok"][:, 0]
+    ok["basis_witness"] = _witness_verdicts(o, images, a, (1,), 1)["ok"][:, 0]
     return ok
 
 
@@ -678,42 +678,46 @@ def run_theorem_sweep(
 # determinant search over the same witness matrices
 
 
-def _witness_blocks(o, images, a, pairs):
+def _witness_blocks(o, images, a, steps, windows):
     """The rows in blocks whose witnesses number about CYCLE_CHUNK: per
-    block, its slice of rows, their A in int64, and their seed rows
-    (rows, pairs, n), the signed path vector of i -> f^j(i) under the row's
-    oriented tree in ``o`` (an OrientedRows)."""
+    block, its slice of rows, their A in int64, their seed rows (rows,
+    steps, windows, n), the signed path vector of x_m -> x_{m+j} for x_m =
+    f^m(1), j = steps[s] and m < windows under the row's oriented tree in
+    ``o`` (an OrientedRows), and the orbit position of every vertex."""
     v = images.shape[1] - 1
-    starts = np.array([i for i, _ in pairs])
-    steps = np.array([j for _, j in pairs])
-    block = max(1, CYCLE_CHUNK // len(pairs))
+    ahead = (np.arange(windows) + np.array(steps)[:, None]) % v
+    block = max(1, CYCLE_CHUNK // (len(steps) * windows))
     for lo in range(0, images.shape[0], block):
-        part = images[lo : lo + block]
-        orbit, position = start_vertex_orbit(part)
-        ends = np.take_along_axis(orbit, (position[:, starts] + steps) % v, axis=1)
-        seeds = o.tables[o.index[lo : lo + block, None], starts, ends]
-        mats = a[lo : lo + block].astype(np.int64)
-        yield slice(lo, lo + part.shape[0]), mats, seeds
+        rows = slice(lo, lo + block)
+        orbit, position = start_vertex_orbit(images[rows])
+        seeds = o.tables[o.index[rows, None, None], orbit[:, None, :windows], orbit[:, ahead]]
+        yield rows, a[rows].astype(np.int64), seeds, position
 
 
-def _witness_verdicts(o, images, a, pairs) -> dict:
-    """Per row and (start, step) pair: whether the basis claims hold, and
-    signed det Mf, building every Mf(i, j) with batched_witness; a pair
-    whose iterates leave {-1, 0, 1} is decided on the exact route."""
-    out = [np.empty((images.shape[0], len(pairs)), dtype=t) for t in (bool, np.int64, bool)]
-    for rows, mats, seeds in _witness_blocks(o, images, a, pairs):
+def _witness_verdicts(o, images, a, steps, windows) -> dict:
+    """Per row and witness pair (i, j), j in ``steps`` outermost and i =
+    1..windows inner, windows being 1 or v: whether the basis claims hold,
+    and signed det Mf, from batched_witness on the orbit of each seed(1, j);
+    a pair whose iterates leave {-1, 0, 1} is decided on the exact route."""
+    shape = (images.shape[0], len(steps), windows)
+    out = [np.empty(shape, dtype=t) for t in (bool, np.int64, bool)]
+    for rows, mats, seeds, position in _witness_blocks(o, images, a, steps, windows):
+        # orbit positions to start vertices
+        at = np.arange(len(mats))[:, None, None], position[:, None, 1 : windows + 1]
         for dst, x in zip(out, _fast.batched_witness(mats, seeds)):
-            dst[rows] = x
-    gate, det, companion_ok = out
+            dst[rows] = x[at[0], np.arange(len(steps))[:, None], at[1]]
+    gate, det, companion_ok = (x.reshape(images.shape[0], -1) for x in out)
     ok = gate & (det % 2 == 1) & companion_ok
     for idx, p in zip(*np.nonzero(~gate)):
         k = o.oriented[o.index[idx]]
-        ok[idx, p], det[idx, p] = _exact_witness(k.tree, k.bits, images[idx], *pairs[p])
+        s, i = divmod(int(p), windows)
+        ok[idx, p], det[idx, p] = _exact_witness(k.tree, k.bits, images[idx], i + 1, steps[s])
     return {"ok": ok, "det": det}
 
 
 def _witness_claims_direct(o, images, a) -> dict:
-    return _witness_verdicts(o, images, a, witness_pairs(images.shape[1] - 1))
+    v = images.shape[1] - 1
+    return _witness_verdicts(o, images, a, coprime_steps(v), v)
 
 
 def _witness_claims_derived(o: _Oriented, images, audit):
@@ -912,18 +916,16 @@ def run_path_image_sweep(
 def _path_graph_claims_direct(o, images, a) -> dict:
     """Per row: every oriented row single-signed, every witness matrix a
     Petrie matrix, and all that with |det B| = 1 and every |det Mf| = 1.
-    Every Mf of a block is built, Petrie-tested and charpolyed in one call."""
+    The witnesses of a block come from one batched_witness call."""
     uniform = _fast.batched_uniform_sign(a)
     petrie = np.empty(images.shape[0], dtype=bool)
     ok = np.abs(_fast.batched_charpoly(np.abs(a))[:, 0]) == 1
-    pairs = witness_pairs(images.shape[1] - 1)
-    for rows, mats, seeds in _witness_blocks(o, images, a, pairs):
-        mf, gate = _fast.batched_witness_matrix(mats, seeds)
-        mf = mf.reshape(-1, *mf.shape[2:])
-        cp_mf = _fast.batched_charpoly(np.where(gate.reshape(-1, 1, 1), mf, 0))
-        petrie[rows] = _fast.batched_petrie(mf).reshape(gate.shape).all(axis=1)
-        unit = gate & (np.abs(cp_mf[:, 0]) == 1).reshape(gate.shape)
-        ok[rows] &= unit.all(axis=1)
+    v = images.shape[1] - 1
+    for rows, mats, seeds, _ in _witness_blocks(o, images, a, coprime_steps(v), v):
+        gate, det, _, mf = _fast.batched_witness(mats, seeds)
+        # row-wise, so the rows of every Mf of a row are tested together
+        petrie[rows] = _fast.batched_petrie(mf.reshape(mats.shape[0], -1, v - 1))
+        ok[rows] &= (gate & (np.abs(det) == 1)).all(axis=(1, 2))
     return {"uniform_sign": uniform, "petrie": petrie, "ok": ok & uniform & petrie}
 
 

@@ -73,9 +73,49 @@ def golden(name: str) -> str:
     return gzip.decompress((DATA / f"{name}.json.gz").read_bytes()).decode()
 
 
+def first_difference(got, want, path="$"):
+    """The path to the first place, in document order, where two parsed
+    documents differ, with both values there; None when they are equal."""
+    if type(got) is not type(want):
+        return path, got, want
+    if isinstance(got, dict):
+        for key in sorted(got.keys() | want.keys()):
+            if key not in got or key not in want:
+                return f"{path}.{key}", got.get(key), want.get(key)
+            if found := first_difference(got[key], want[key], f"{path}.{key}"):
+                return found
+        return None
+    if isinstance(got, list):
+        for k, (x, y) in enumerate(zip(got, want)):
+            if found := first_difference(x, y, f"{path}[{k}]"):
+                return found
+        if len(got) != len(want):
+            return f"{path} length", len(got), len(want)
+        return None
+    return None if got == want else (path, got, want)
+
+
+def assert_same(got, want) -> None:
+    """Fail, naming the first differing path, unless the parsed documents
+    are equal; pytest's own diff of two long documents can run for
+    minutes."""
+    if found := first_difference(got, want):
+        path, x, y = found
+        pytest.fail(f"documents differ first at {path}: {x!r:.200} != {y!r:.200}", pytrace=False)
+
+
+def assert_unchanged(name: str) -> None:
+    """The document of ``name`` equals its golden copy, parsed and then
+    byte for byte."""
+    got, want = document(name), golden(name)
+    assert_same(json.loads(got), json.loads(want))
+    if got != want:
+        pytest.fail(f"{name}: documents parse equal but differ in bytes", pytrace=False)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_document_is_unchanged(name):
-    assert document(name) == golden(name)
+    assert_unchanged(name)
 
 
 @pytest.mark.parametrize("bound", [1, 7])
@@ -86,7 +126,7 @@ def test_flush_bound_leaves_documents_unchanged(monkeypatch, name, bound):
     from arbormat import certificate
 
     monkeypatch.setattr(certificate, "CYCLE_CHUNK", bound)
-    assert document(name) == golden(name)
+    assert_unchanged(name)
 
 
 @pytest.mark.parametrize("sweep", INJECTED)
@@ -99,7 +139,7 @@ def test_capped_records_are_a_prefix(monkeypatch, sweep):
     records = "nonunit_witnesses" if sweep == "det" else "failures"
     assert len(full[records]) > harness.MAX_FAILURE_RECORDS
     full[records] = full[records][: harness.MAX_FAILURE_RECORDS]
-    assert capped == full
+    assert_same(capped, full)
 
 
 if __name__ == "__main__":

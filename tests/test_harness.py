@@ -98,18 +98,29 @@ def instance_batch(seed, count, v):
     return out, mats
 
 
+def assert_witness_matches_per_pair(mats, seeds):
+    """batched_witness on (rows, chains, starts) seeds equals the oracle
+    that builds every witness apart; returns the kernel's outputs."""
+    from oracles import witness_per_pair
+
+    got = _fast.batched_witness(mats, seeds)
+    b, s, m, n = seeds.shape
+    for x, y in zip(got, witness_per_pair(mats, seeds.reshape(b, s * m, n))):
+        assert x.shape[:3] == (b, s, m) and (x.reshape(y.shape) == y).all()
+    return got
+
+
 def matrix_consumer_outputs(tree, table, images, first, second, a) -> dict:
     """The outputs, as tuples of arrays, of every batched kernel that reads
     the oriented matrices ``a`` of one oriented tree, witnesses on (1, 1)."""
     b = np.abs(a)
-    seeds = table[1, images[:, 1], None].astype(np.int64)  # spv(1, f(1)), one per matrix
+    seeds = table[1, images[:, 1], None, None]  # spv(1, f(1)), one per matrix
     paths = _fast.path_table(tree)
     return {
         "charpoly": (_fast.batched_charpoly(a), _fast.batched_charpoly(b)),
         "geometric_sum_zero": (_fast.batched_geometric_sum_zero(a),),
         "gf2_nonderogatory": (_fast.batched_gf2_nonderogatory(b),),
         "witness": _fast.batched_witness(a, seeds),
-        "witness_matrix": _fast.batched_witness_matrix(a, seeds),
         "split_sign": _fast.batched_split_sign(
             paths, table[None], images, first[None], second[None], a[None]
         ),
@@ -192,21 +203,22 @@ class TestKernelAgreement:
         if derogatory is not None:
             assert np.all(cp[derogatory_idx] % 2 == 1) and not got[derogatory_idx]
 
-    def test_witness_matrix_helper_matches_witness_kernel(self):
+    def test_witness_matrices_match_witness_outputs(self):
+        """The returned Mf are the seeds and their iterates, and gate and
+        det are those of each Mf: random {-1, 0, 1} stacks, some of whose
+        iterates leave the gate, and real matrices with real seeds."""
         rng = np.random.default_rng(5)
         mats = rng.integers(-1, 1, (300, 5, 5), endpoint=True)
-        seeds = rng.integers(-1, 1, (300, 3, 5), endpoint=True)  # 3 seeds per matrix
+        seeds = rng.integers(-1, 1, (300, 3, 2, 5), endpoint=True)  # 3 chains of 2 per matrix
         _, real = instance_batch(13, 40, 6)
         mats = np.concatenate([mats, real])
-        seeds = np.concatenate([seeds, real[:, :3]])
-        gate, det, _ = _fast.batched_witness(mats, seeds)
-        mf, helper_gate = _fast.batched_witness_matrix(mats, seeds)
-        assert mf.shape == (340, 3, 5, 5) and gate.shape == det.shape == (340, 3)
-        assert (mf[:, :, 0] == seeds).all()
-        assert (mf[:, :, 1:] == np.einsum("bpki,bij->bpkj", mf[:, :, :-1], mats)).all()
-        assert (helper_gate == gate).all() and gate.any() and not gate.all()
-        flat = np.where(helper_gate[..., None, None], mf, 0).reshape(-1, 5, 5)
-        cp = _fast.batched_charpoly(flat)
+        seeds = np.concatenate([seeds, real[:, :3, None].repeat(2, axis=2)])
+        gate, det, _, mf = _fast.batched_witness(mats, seeds)
+        assert mf.shape == (340, 3, 2, 5, 5) and gate.shape == det.shape == (340, 3, 2)
+        assert (mf[:, :, :, 0] == seeds).all()
+        assert (mf[..., 1:, :] == np.einsum("bpmki,bij->bpmkj", mf[..., :-1, :], mats)).all()
+        assert (gate == _fast.unit_entries(mf)).all() and gate.any() and not gate.all()
+        cp = _fast.batched_charpoly(np.where(gate[..., None, None], mf, 0).reshape(-1, 5, 5))
         assert (-cp[:, 0] == det.ravel()).all()  # det = (-1)^n cp(0) with n = 5
 
     def test_cycle_images_in_permutation_order(self):
@@ -247,42 +259,70 @@ class TestKernelAgreement:
                 for x, y in zip(narrow[name], wide[name]):
                     assert np.array_equal(x, y), (v, name)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_grouped_witness_matches_per_pair_route(self, n):
-        """Witnesses iterated per row, (rows, pairs, n) @ (rows, n, n) in
-        int64, equal the route that repeats A once per (start, step) pair:
-        every cycle chunk's seeds under two orientations of each tree, plus
-        random {-1, 0, 1} stacks whose iterates leave the gate."""
-        from oracles import witness_per_pair
-
+        """The orbit kernel, one iterate stack per (row, step), equals the
+        route that builds and charpolys every (start, step) witness apart,
+        on the audit rows of every tree under the canonical and one seeded
+        orientation, from at most four evenly spaced chunks (all chunks up to
+        n = 8); and on those rows again with one table entry flipped in the
+        seeds, which breaks the chain at one pair of a row."""
         from arbormat import harness
+        from arbormat.certificate import CYCLE_CHUNK
         from arbormat.harness import _Oriented
-        from arbormat.theorems import witness_pairs
+        from arbormat.theorems import coprime_steps
 
         v = n + 1
-        images = _fast.cycle_images(v)[:: max(1, len(_fast.cycle_images(v)) // 240)]
-        pairs = witness_pairs(v)
-        cases = []
-        for tree in (trees_for(v)[0], trees_for(v)[-1]):
-            for bits in (0, (1 << n) - 2):
+        cycles = _fast.cycle_images(v)
+        chunks = range(0, len(cycles), CYCLE_CHUNK)
+        rows = np.concatenate([lo + audit_rows(len(cycles[lo : lo + CYCLE_CHUNK]))
+                               for lo in chunks[:: -(-len(chunks) // 4)]])
+        images = cycles[rows]
+        steps = coprime_steps(v)
+        rng = random.Random(n)
+        for tree in trees_for(v):
+            for bits in (0, rng.randrange(1 << n)):
                 o = _Oriented.of(tree, bits)
                 a = o.build(images)
-                cases += [(m, s) for _, m, s in
-                          harness._witness_blocks(rows_of(o, len(a)), images, a, pairs)]
-        rng = np.random.default_rng(n)
-        cases.append((rng.integers(-1, 1, (50, n, n), endpoint=True),
-                      rng.integers(-1, 1, (50, len(pairs), n), endpoint=True)))
-        gates = []
-        for mats, seeds in cases:
-            gate, det, companion_ok, mf = witness_per_pair(mats, seeds)
-            got = _fast.batched_witness(mats, seeds)
-            for x, y in zip(got, (gate, det, companion_ok)):
-                assert x.shape == y.shape and (x == y).all()
-            got_mf, got_gate = _fast.batched_witness_matrix(mats, seeds)
-            assert (got_mf == mf).all() and (got_gate == gate).all()
-            gates.append(gate.all())
-        # the sweep's witnesses pass the gate, the random ones do not all
-        assert all(gates[:-1]) and not gates[-1]
+                for _, mats, seeds, _ in harness._witness_blocks(
+                    rows_of(o, len(a)), images, a, steps, v
+                ):
+                    gate = assert_witness_matches_per_pair(mats, seeds)[0]
+                    assert gate.all()  # the sweep's witnesses pass the gate
+        flipped = o.table.copy()
+        flipped[2, 3, np.nonzero(flipped[2, 3])[0][0]] *= -1
+        clean = next(harness._witness_blocks(rows_of(o, len(a)), images, a, steps, v))
+        bad = OrientedRows((o,), flipped[None], np.zeros(len(a), dtype=np.int64))
+        _, mats, seeds, _ = next(harness._witness_blocks(bad, images, a, steps, v))
+        broken = (seeds != clean[2]).any(axis=3)
+        assert broken.sum(axis=(1, 2)).max() == 1 and broken.any()
+        mf = assert_witness_matches_per_pair(mats, seeds)[3]
+        _, _, _, clean_mf = _fast.batched_witness(*clean[1:3])
+        assert ((mf != clean_mf).any(axis=(3, 4)) == broken).all()
+
+    def test_witness_chains_off_the_gate(self):
+        """Chains whose later seeds are the iterates of the first, on random
+        {-1, 0, 1} matrices A: iterates leave the gate, a window after one
+        that left it passes again, and where |det A| is not 1 the
+        determinant recurrence multiplies by it.  A few matrices with an
+        entry of 2 keep A itself out of the charpoly.  Independent random
+        seeds put every pair but the first of a chain off it."""
+        recurred = regated = 0
+        for n in range(2, 6):
+            rng = np.random.default_rng(n)
+            mats = rng.integers(-1, 1, (1000, n, n), endpoint=True)
+            not_unit = np.abs(_fast.batched_charpoly(mats)[:, 0]) != 1
+            mats[:20, 0, 0] = 2
+            chain = [rng.integers(-1, 1, (len(mats), 2, n), endpoint=True)]
+            for _ in range(n):
+                chain.append(chain[-1] @ mats)
+            loose = rng.integers(-1, 1, (len(mats), 2, n + 1, n), endpoint=True)
+            assert_witness_matches_per_pair(mats, loose)
+            gate, det, _, _ = assert_witness_matches_per_pair(mats, np.stack(chain, axis=2))
+            after, nonzero = gate[:, :, 1:], det[:, :, 1:] != 0
+            recurred += (after & gate[:, :, :-1] & nonzero & not_unit[:, None, None]).sum()
+            regated += (after & ~gate[:, :, :-1] & nonzero).sum()
+        assert recurred and regated
 
     def test_witness_kernel_matches_api(self):
         instances, mats = instance_batch(77, 25, 5)
@@ -293,7 +333,9 @@ class TestKernelAgreement:
             ],
             dtype=np.int64,
         )
-        gate, det, companion_ok = (x[:, 0] for x in _fast.batched_witness(mats, seeds[:, None]))
+        gate, det, companion_ok, _ = (
+            x[:, 0, 0] for x in _fast.batched_witness(mats, seeds[:, None, None])
+        )
         for k, (f, o, tm) in enumerate(instances):
             assert bool(gate[k])
             w = basis_witness(f, o, 1, 1)
@@ -932,11 +974,11 @@ def inject_failures(monkeypatch, sweep):
 
         def witness(a, seeds):
             # keyed on |A| alone: a marked row fails at every start vertex
-            gate, det, companion_ok = real(a, seeds)
-            hit = marked(a)[:, None]  # outputs are (rows, pairs)
+            gate, det, companion_ok, mf = real(a, seeds)
+            hit = marked(a)[:, None, None]  # outputs are (rows, steps, starts)
             if sweep == "det":
-                return gate, det * np.where(hit, 3, 1), companion_ok
-            return gate, det, companion_ok & ~hit
+                return gate, det * np.where(hit, 3, 1), companion_ok, mf
+            return gate, det, companion_ok & ~hit, mf
 
         monkeypatch.setattr(_fast, "batched_witness", witness)
     elif sweep == "path_graph":
@@ -1483,8 +1525,8 @@ class TestClosedForm:
         real = _fast.batched_witness
 
         def even(a, seeds):
-            gate, det, companion_ok = real(a, seeds)
-            return gate, det * np.where(marked(a)[:, None], 2, 1), companion_ok
+            gate, det, companion_ok, mf = real(a, seeds)
+            return gate, det * np.where(marked(a)[:, None, None], 2, 1), companion_ok, mf
 
         monkeypatch.setattr(_fast, "batched_witness", even)
         refuse_certificate(monkeypatch)
@@ -1578,8 +1620,8 @@ class TestClosedForm:
         real = _fast.batched_witness
 
         def negated(a, seeds):
-            gate, det, companion_ok = real(a, seeds)
-            return gate, -det, companion_ok
+            gate, det, companion_ok, mf = real(a, seeds)
+            return gate, -det, companion_ok, mf
 
         monkeypatch.setattr(_fast, "batched_witness", negated)
         counts = QuotientCounts()
@@ -1610,6 +1652,22 @@ class TestTransportCertificate:
 
         code = canonical_form(tree)
         return [0] + [_sample_orientation(16, code, k, v - 1) for k in range(2)]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_exact_table_equals_signed_path_vector(self, n):
+        """The exact table, one walk per source vertex, is
+        Tree.signed_path_vector on every pair, with row and column 0 zero."""
+        from arbormat.certificate import exact_table
+
+        v = n + 1
+        for tree in trees_for(v):
+            for bits in self.orientations(tree, v):
+                o = Orientation.from_int(bits, n)
+                table = exact_table(tree.edges, bits)
+                assert table.shape == (v + 1, v + 1, n)
+                assert not table[0].any() and not table[:, 0].any()
+                for x, y in itertools.product(range(1, v + 1), repeat=2):
+                    assert table[x, y].tolist() == list(tree.signed_path_vector(o, x, y))
 
     @pytest.mark.parametrize("v", range(3, 10))
     def test_every_row_of_a_certified_tree_passes_transport(self, v):
