@@ -318,8 +318,8 @@ def batched_witness(mats: np.ndarray, seeds: np.ndarray):
       companion_ok  Mf.A == C.Mf, C the companion matrix of 1 + ... + x^n
       mf            the witness matrices, (B, S, M, n, n): read-only windows
                     of the stacks, unless a pair was built on its own
-    Charpolys are taken of A, when M > 1, and of the gated windows whose
-    det no recurrence gives: det Mf_m = det Mf_{m-1} . det A when both are
+    Charpolys are taken of the gated windows whose det no recurrence gives,
+    and of A when one does: det Mf_m = det Mf_{m-1} . det A when both are
     windows of one stack and Mf_{m-1} and A pass the gate, so a chain whose
     windows all pass needs the charpoly of its first window only.
 

@@ -37,14 +37,14 @@ A (tree, orientation) is certified (:func:`certified`) when its oriented
 table equals the exact table of signed path vectors on every pair, every
 entry (x, y) of it is r(y) - r(x), and the exact determinants det R_{2..v}
 and det T(n, j) of every step j the sweep uses are +-1.  The exact table
-and determinants are computed once per process and key, by walks over the
-tree with the sign rule of Tree.signed_path_vector (:func:`exact_table`)
-and by :class:`arbormat.algebra.ExactMatrix`; the
-comparisons with the table run on every chunk.  On a certified tree every
-row passes every claim with |det Mf| = 1, so :func:`decide` keeps its rows
-as a count and builds only a fixed audit set of every chunk, which the
-direct kernels decide: those are the referee, and on an audit row their
-values must equal the closed form, whose signed det Mf is evaluated on
+(:func:`exact_table`, walks over the tree with the sign rule of
+Tree.signed_path_vector) and the determinants (by
+:class:`arbormat.algebra.ExactMatrix`) are computed once per process and
+key; the comparisons with the table run on every chunk.  On a certified
+tree every row passes every claim with |det Mf| = 1, so :func:`decide`
+keeps its rows as a count and builds only a fixed audit set of every chunk,
+which the direct kernels decide: those are the referee, and on an audit row
+their values must equal the closed form, whose signed det Mf is evaluated on
 those rows only.  A tree that fails the certificate sends every row to the
 direct kernels.  What this gives up: the rows of a certified tree outside
 the audit set are neither built nor checked one by one; the argument above

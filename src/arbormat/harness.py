@@ -679,11 +679,10 @@ def run_theorem_sweep(
 
 
 def _witness_blocks(o, images, a, steps, windows):
-    """The rows in blocks whose witnesses number about CYCLE_CHUNK: per
-    block, its slice of rows, their A in int64, their seed rows (rows,
-    steps, windows, n), the signed path vector of x_m -> x_{m+j} for x_m =
-    f^m(1), j = steps[s] and m < windows under the row's oriented tree in
-    ``o`` (an OrientedRows), and the orbit position of every vertex."""
+    """The rows in blocks of about CYCLE_CHUNK witnesses: per block, its
+    rows, their A in int64, their seeds (rows, steps, windows, n), the signed
+    path vectors x_m -> x_{m+j}, x_m = f^m(1), j = steps[s], m < windows, of
+    each row's tree in ``o`` (an OrientedRows), and each vertex's orbit position."""
     v = images.shape[1] - 1
     ahead = (np.arange(windows) + np.array(steps)[:, None]) % v
     block = max(1, CYCLE_CHUNK // (len(steps) * windows))
@@ -699,14 +698,13 @@ def _witness_verdicts(o, images, a, steps, windows) -> dict:
     1..windows inner, windows being 1 or v: whether the basis claims hold,
     and signed det Mf, from batched_witness on the orbit of each seed(1, j);
     a pair whose iterates leave {-1, 0, 1} is decided on the exact route."""
-    shape = (images.shape[0], len(steps), windows)
-    out = [np.empty(shape, dtype=t) for t in (bool, np.int64, bool)]
+    out = [np.empty((len(images), len(steps), windows), dtype=t) for t in (bool, np.int64, bool)]
+    chain = np.arange(len(steps))[:, None]
     for rows, mats, seeds, position in _witness_blocks(o, images, a, steps, windows):
-        # orbit positions to start vertices
-        at = np.arange(len(mats))[:, None, None], position[:, None, 1 : windows + 1]
+        at = np.arange(len(mats))[:, None, None], chain, position[:, None, 1 : windows + 1]
         for dst, x in zip(out, _fast.batched_witness(mats, seeds)):
-            dst[rows] = x[at[0], np.arange(len(steps))[:, None], at[1]]
-    gate, det, companion_ok = (x.reshape(images.shape[0], -1) for x in out)
+            dst[rows] = x[at]  # orbit positions to start vertices
+    gate, det, companion_ok = (x.reshape(len(images), -1) for x in out)
     ok = gate & (det % 2 == 1) & companion_ok
     for idx, p in zip(*np.nonzero(~gate)):
         k = o.oriented[o.index[idx]]
