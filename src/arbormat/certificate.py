@@ -36,19 +36,20 @@ row of A has one sign, B = S.A for the diagonal S of those signs, so
 A (tree, orientation) is certified (:func:`certified`) when its oriented
 table equals the exact table of signed path vectors on every pair, every
 entry (x, y) of it is r(y) - r(x), and the exact determinants det R_{2..v}
-and det T(n, j) of every step j the sweep uses are +-1.  The exact table
+and det T(n, j) of every step j coprime to n + 1 are +-1.  The exact table
 (:func:`exact_table`, walks over the tree with the sign rule of
 Tree.signed_path_vector) and the determinants (by
 :class:`arbormat.algebra.ExactMatrix`) are computed once per process and
-key; the comparisons with the table run on every chunk.  On a certified
-tree every row passes every claim with |det Mf| = 1, so :func:`decide`
-keeps its rows as a count and builds only a fixed audit set of every chunk,
-which the direct kernels decide: those are the referee, and on an audit row
-their values must equal the closed form, whose signed det Mf is evaluated on
-those rows only.  A tree that fails the certificate sends every row to the
-direct kernels.  What this gives up: the rows of a certified tree outside
-the audit set are neither built nor checked one by one; the argument above
-covers them, and the audit samples it.
+key, and the verdict once per oriented tree of a task.  On a certified tree
+every row passes every claim with |det Mf| = 1, so :func:`decide` keeps its
+rows as a count and builds only a fixed audit set of every chunk, which the
+direct kernels decide: those are the referee, and on an audit row their
+values must equal the closed form.  Of its values only the signed det Mf
+is not a constant, and it is evaluated on those rows only.  A tree that
+fails the certificate sends every row to the direct kernels.  What this
+gives up: the rows of a certified tree outside the audit set are neither
+built nor checked one by one; the argument above covers them, and the
+audit samples it.
 
 The direct rows are not decided at once.  :data:`QUEUE` holds the direct
 rows of every chunk a worker has claimed, each row with an index into the
@@ -125,15 +126,15 @@ def root_det(edges: tuple, bits: int) -> int:
     return ExactMatrix(ZZ, exact_table(edges, bits)[1, 2:].tolist()).determinant()
 
 
-def certified(o, steps) -> bool:
+def certified(o) -> bool:
     """Whether the oriented tree ``o`` passes the certificate (see the module
-    notes) for a sweep whose witnesses take the steps ``steps``."""
-    r = o.table[1]
+    notes)."""
+    r, n = o.table[1], o.table.shape[2]
     return (
         np.array_equal(o.table, exact_table(o.tree.edges, o.bits))
         and np.array_equal(o.table[1:, 1:], r[None, 1:] - r[1:, None])
         and abs(root_det(o.tree.edges, o.bits)) == 1
-        and all(abs(step_det(o.table.shape[2], j)) == 1 for j in steps)
+        and all(abs(step_det(n, j)) == 1 for j in coprime_steps(n + 1))
     )
 
 
@@ -198,36 +199,30 @@ def audit_rows(b: int) -> np.ndarray:
 
 
 class Decided:
-    """The claims of one chunk of ``size`` rows: ``values`` holds per-row
-    arrays over the chunk rows ``rows``, ascending; every other row is
+    """The claims of one chunk of ``size`` rows: ``values`` holds the direct
+    per-row arrays of the chunk rows ``rows``, ascending; every other row is
     certified, so it passes every claim and its |det Mf| is 1.  A chunk
     with direct rows is complete once QUEUE has decided them."""
 
     def __init__(self, size: int, rows: np.ndarray, values: dict):
         self.size, self.rows, self.values = size, rows, values
 
-    def settle(self, rows, checked: bool, counts, direct: dict) -> None:
-        """Take the direct values of the chunk rows ``rows``.  On a
-        ``checked`` chunk (a certified one: ``rows`` is its audit set, and
-        it keeps derived values for those rows at least) a row whose direct
-        values differ from the derived ones fails AUDIT_AGREEMENT and is
-        counted in ``counts``; any other chunk takes the direct values."""
-        if not checked:
-            self.rows, self.values = rows, dict(direct)
+    def settle(self, expected, counts, direct: dict) -> None:
+        """Take the direct values of the rows.  On a certified chunk
+        (``expected`` not None, ``rows`` its audit set) a row whose direct
+        value of a claim differs from ``expected.get(claim, True)`` fails
+        AUDIT_AGREEMENT and is counted in ``counts``."""
         agrees = np.ones(self.rows.size, dtype=bool)
-        if checked:
-            at = np.searchsorted(self.rows, rows)
+        if expected is not None:
             for k, x in direct.items():
-                kept = self.values[k]
-                agrees[at] &= (kept[at] == x).reshape(rows.size, -1).all(axis=1)
-                kept[at] = x
+                agrees &= (x == expected.get(k, True)).reshape(self.rows.size, -1).all(axis=1)
             counts.disagreements += int((~agrees).sum())
-        self.values[AUDIT_AGREEMENT] = agrees
+        self.values = {**direct, AUDIT_AGREEMENT: agrees}
 
-    def carried(self, det_d: int, signed: tuple) -> "Decided":
-        """These claims under another orientation A_o = D.A.D: values under
-        a ``signed`` key times det D."""
-        values = {k: x * det_d if k in signed else x for k, x in self.values.items()}
+    def carried(self, det_d: int) -> "Decided":
+        """These claims under another orientation A_o = D.A.D: det Mf, the
+        one signed value, times det D."""
+        values = {k: x * det_d if k == "det" else x for k, x in self.values.items()}
         return Decided(self.size, self.rows, values)
 
 
@@ -240,33 +235,30 @@ class OrientedRows(NamedTuple):
     index: np.ndarray
 
 
-def decide(derived, direct, steps, o, images, counts) -> Decided:
+def decide(derived, direct, o, images, counts) -> Decided:
     """Claims of one chunk of rows under the oriented tree ``o``: on a
-    certified tree (see :func:`certified`, ``steps`` the steps its
-    witnesses take) a count, with only the audit rows built and decided on
-    the direct route; on any other tree the direct route on every row.
+    certified tree (``o.certified``, see :func:`certified`) a count, with
+    only the audit rows built and decided on the direct route; on any other
+    tree the direct route on every row.
 
-    ``derived(o, images, audit)`` returns the rows it keeps values for (the
-    audit rows at least) and those values, or None when a condition of its
-    own on the tree fails, which sends every row direct too;
-    ``direct(oriented_rows, images, a)`` returns the claims of its rows,
-    both as dicts of per-row arrays.  The direct rows go to QUEUE, so the
-    result is complete once it has decided them.  A chunk the audit covers
-    skips the certificate."""
+    ``derived(o, images)`` returns the closed-form values of the rows
+    ``images`` for the claims whose value is not true on every certified
+    row, or None when a condition of its own on the tree fails, which sends
+    every row direct too; ``direct(oriented_rows, images, a)`` returns the
+    claims of its rows; both as dicts of per-row arrays.  The direct rows go
+    to QUEUE, so the result is complete once it has decided them."""
     b = images.shape[0]
-    audit = audit_rows(b)
-    counts.audited += audit.size
-    kept = derived(o, images, audit) if audit.size < b and certified(o, steps) else None
-    checked = kept is not None
-    if checked:
-        counts.certified += b - audit.size
-        rows = audit
+    rows = audit_rows(b)
+    counts.audited += rows.size
+    expected = derived(o, images[rows]) if o.certified else None
+    if expected is None:
+        counts.uncertified += b - rows.size
+        rows = np.arange(b)
     else:
-        counts.uncertified += b - audit.size
-        rows, kept = np.arange(b), (audit[:0], {})
-    out = Decided(b, *kept)
+        counts.certified += b - rows.size
+    out = Decided(b, rows, {})
     images = images[rows]
-    QUEUE.push(direct, o, images, o.build(images), partial(out.settle, rows, checked, counts))
+    QUEUE.push(direct, o, images, o.build(images), partial(out.settle, expected, counts))
     return out
 
 

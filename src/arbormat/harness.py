@@ -38,12 +38,12 @@ import random
 import signal
 import traceback
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _fast
+from . import _fast, certificate
 from .certificate import (
     AUDIT_AGREEMENT,
     CYCLE_CHUNK,
@@ -342,7 +342,8 @@ class QuotientCounts:
         )
 
 
-class _Oriented(NamedTuple):
+@dataclass
+class _Oriented:
     """One tree under one orientation bitmask, ready for the batched kernels."""
 
     tree: Tree
@@ -359,6 +360,11 @@ class _Oriented(NamedTuple):
     def build(self, images: np.ndarray) -> np.ndarray:
         return _fast.build_oriented_batch(self.table, images, self.first, self.second)
 
+    @cached_property
+    def certified(self) -> bool:
+        """Whether it passes the path-transport certificate, decided once."""
+        return certificate.certified(self)
+
 
 class _OrientationQuotient:
     """One tree under a tuple of orientations, its claims computed once.
@@ -367,11 +373,11 @@ class _OrientationQuotient:
     so A_o = D.A_r.D with D = diag(signs of o ^ r) for the representative
     r = orientations[0], for every map once the two tables pass
     :func:`arbormat.certificate.similar`.  An invariant sweep's claims hold
-    under that similarity, except for ``signed`` values such as det Mf that
-    pick up the factor det D = +-1.  So its claims function runs on r, and
-    every other orientation takes r's verdicts once they are decided; an
-    orientation that fails the check is computed on its own, every row
-    counted as a fallback in its QuotientCounts."""
+    under that similarity, except for det Mf, which picks up the factor det
+    D = +-1.  So its claims function runs on r, and every other orientation
+    takes r's verdicts once they are decided; an orientation that fails the
+    check is computed on its own, every row counted as a fallback in its
+    QuotientCounts."""
 
     def __init__(self, v: int, edges: tuple, orientations: tuple):
         self.v = v
@@ -411,12 +417,12 @@ class _OrientationQuotient:
             base = {o.bits: sweep.claims(o, images, self.counts[o.bits]) for o in own}
             for o in own[1:]:
                 self.counts[o.bits].fallbacks += batch
-            yield images, partial(self._settled, sweep, rep.bits, base, carried)
+            yield images, partial(self._settled, rep.bits, base, carried)
 
     @staticmethod
-    def _settled(sweep, rep_bits, base, carried) -> dict:
+    def _settled(rep_bits, base, carried) -> dict:
         rep = base[rep_bits]
-        return {**base, **{bits: rep.carried(det_d, sweep.signed) for bits, det_d in carried}}
+        return {**base, **{bits: rep.carried(det_d) for bits, det_d in carried}}
 
     def descriptor(self, bits: int, image_row) -> dict:
         return {
@@ -462,9 +468,8 @@ class _Sweep(NamedTuple):
     """What a sweep decides and what it keeps.
 
     ``claims(o, images, counts)`` returns the :class:`Decided` claims of
-    one cycle chunk under one orientation; values under a ``signed`` key
-    change sign with det D from one orientation to another.  Claims not
-    ``invariant`` under that similarity are never carried:
+    one cycle chunk under one orientation.  Claims not ``invariant`` under
+    the similarity A_o = D.A.D are never carried:
     ``claims(oriented, images)`` returns the claims of every oriented tree
     of the task, by orientation.  ``empty`` is the sub-result of one
     orientation before its first chunk, and ``tally(res, quotient, bits,
@@ -472,7 +477,6 @@ class _Sweep(NamedTuple):
     are named after the result's fields."""
 
     claims: Callable
-    signed: tuple
     empty: dict
     tally: Callable
     invariant: bool = True
@@ -562,16 +566,6 @@ def _pair_records(quotient, bits, images, bad, **values):
 # --------------------------------------------------------------------------
 # theorem sweep (charpoly / determinant / geometric sum / oddness / GF(2))
 
-THEOREM_CLAIMS = (
-    "oriented_charpoly_geometric",
-    "oriented_determinant",
-    "geometric_sum_zero",
-    "unoriented_charpoly_odd",
-    "z2_companion_similar",
-    "path_image_identity",
-    "basis_witness",
-)
-
 
 def _theorem_claims_direct(o, images, a) -> dict:
     """Per-row verdicts of every theorem-sweep claim from the kernels, each
@@ -596,17 +590,11 @@ def _theorem_claims_direct(o, images, a) -> dict:
     return ok
 
 
-def _theorem_claims_derived(o: _Oriented, images, audit):
-    """Every theorem claim holds on a row of a tree certified for Mf =
-    Mf(1, 1): A = Mf^-1.C.Mf over Z gives the charpoly, the determinant and
-    the geometric sum of C, and B = |A| == A mod 2 is similar to C over
-    GF(2), so its charpoly is odd.  Path transport follows from the
-    certified table."""
-    return audit, {name: np.ones(audit.size, dtype=bool) for name in THEOREM_CLAIMS}
-
-
-def _theorem_claims(o: _Oriented, images, counts: QuotientCounts) -> Decided:
-    return decide(_theorem_claims_derived, _theorem_claims_direct, (1,), o, images, counts)
+# Every theorem claim holds on a row of a certified tree: A = Mf^-1.C.Mf
+# over Z gives the charpoly, the determinant and the geometric sum of C, and
+# B = |A| == A mod 2 is similar to C over GF(2), so its charpoly is odd.
+# Path transport follows from the certified table.
+_theorem_claims = partial(decide, lambda o, images: {}, _theorem_claims_direct)
 
 
 def _theorem_tally(res, quotient, bits, images, claims) -> None:
@@ -628,7 +616,7 @@ def _theorem_tally(res, quotient, bits, images, claims) -> None:
 
 
 _THEOREM = _Sweep(
-    _theorem_claims, (), {"per_n": {}, "claim_failures": {}, "failures": []}, _theorem_tally
+    _theorem_claims, {"per_n": {}, "claim_failures": {}, "failures": []}, _theorem_tally
 )
 
 
@@ -718,19 +706,16 @@ def _witness_claims_direct(o, images, a) -> dict:
     return _witness_verdicts(o, images, a, coprime_steps(v), v)
 
 
-def _witness_claims_derived(o: _Oriented, images, audit):
+def _witness_dets(o: _Oriented, images) -> dict:
     """On a row of a certified tree every Mf(i, j) is a unimodular
     {-1, 0, 1} matrix with Mf.A == C.Mf, so every pair passes: the
     certificate has required each factor of its closed-form det to be +-1,
-    so the det is odd.  The signed closed-form det is evaluated on the
-    audit rows only, for the audit to compare."""
-    det = closed_form_dets(o, images[audit])
-    return audit, {"ok": np.ones(det.shape, dtype=bool), "det": det}
+    so the det is odd.  The signed closed-form det is the one value left to
+    compare."""
+    return {"det": closed_form_dets(o, images)}
 
 
-def _witness_claims(o: _Oriented, images, counts: QuotientCounts) -> Decided:
-    steps = coprime_steps(images.shape[1] - 1)
-    return decide(_witness_claims_derived, _witness_claims_direct, steps, o, images, counts)
+_witness_claims = partial(decide, _witness_dets, _witness_claims_direct)
 
 
 def _witness_tally(res, quotient, bits, images, claims) -> None:
@@ -757,12 +742,8 @@ def _det_tally(res, quotient, bits, images, claims) -> None:
         _capped(res["nonunit_witnesses"], nonunit)
 
 
-_WITNESS = _Sweep(
-    _witness_claims, ("det",), {"total_witnesses": 0, "failures": []}, _witness_tally
-)
-_DET_SEARCH = _Sweep(
-    _witness_claims, ("det",), {"histogram": {}, "nonunit_witnesses": []}, _det_tally
-)
+_WITNESS = _Sweep(_witness_claims, {"total_witnesses": 0, "failures": []}, _witness_tally)
+_DET_SEARCH = _Sweep(_witness_claims, {"histogram": {}, "nonunit_witnesses": []}, _det_tally)
 
 
 @dataclass
@@ -829,7 +810,7 @@ def _path_image_claims(o: _Oriented, images, counts) -> Decided:
 
 
 _PATH_IMAGE = _Sweep(
-    _path_image_claims, (), {"exhaustive_instances": 0, "failures": []},
+    _path_image_claims, {"exhaustive_instances": 0, "failures": []},
     partial(_row_tally, "exhaustive_instances", ()),
 )
 
@@ -927,27 +908,20 @@ def _path_graph_claims_direct(o, images, a) -> dict:
     return {"uniform_sign": uniform, "petrie": petrie, "ok": ok & uniform & petrie}
 
 
-def _path_graph_claims_derived(o: _Oriented, images, audit):
-    """On a certified tree every row of every Mf is a signed path vector,
-    so every Mf is a Petrie matrix once each entry of the oriented path
-    table is one: a contiguous single-signed block, as on a path tree
-    oriented along the line (None otherwise).  |det Mf| = 1 by the closed
-    form, and with uniform row signs S, B = S.A, so |det B| = |det A| = 1.
-    The uniform signs are taken on every row."""
-    if not _fast.batched_petrie(o.table.reshape(-1, 1, o.table.shape[2])).all():
-        return None
-    uniform = _fast.batched_uniform_sign(o.build(images))
-    claims = {"uniform_sign": uniform, "petrie": np.ones_like(uniform), "ok": uniform.copy()}
-    return np.arange(images.shape[0]), claims
+def _petrie_table(o: _Oriented, images):
+    """Every path-graph claim holds on a row of a certified tree once each
+    entry of the oriented path table is a Petrie row, a contiguous
+    single-signed block, as on a path tree oriented along the line ({};
+    None otherwise).  Row i of A is the entry (f(a_i), f(b_i)), so it has
+    one sign, and so has every row of every Mf, a signed path vector: every
+    Mf is a Petrie matrix.  |det Mf| = 1 by the closed form, and with the
+    row signs S of A, B = S.A, so |det B| = |det A| = 1."""
+    return {} if _fast.batched_petrie(o.table.reshape(-1, 1, o.table.shape[2])).all() else None
 
 
-def _path_graph_claims(o: _Oriented, images, counts: QuotientCounts) -> Decided:
-    steps = coprime_steps(images.shape[1] - 1)
-    return decide(_path_graph_claims_derived, _path_graph_claims_direct, steps, o, images, counts)
-
-
+_path_graph_claims = partial(decide, _petrie_table, _path_graph_claims_direct)
 _PATH_GRAPH = _Sweep(
-    _path_graph_claims, (), {"instances": 0, "failures": []},
+    _path_graph_claims, {"instances": 0, "failures": []},
     partial(_row_tally, "instances", ("uniform_sign", "petrie")),
 )
 
@@ -1012,7 +986,8 @@ def _exact_split_sign(tree: Tree, orientation: Orientation, image_row):
 def _split_sign_claims(oriented: list, images) -> dict:
     """Per orientation of the task: (applicable, mixed, holds), in one call."""
     # oriented tables and edge endpoints, stacked on an orientation axis
-    table, first, second = (np.stack(x) for x in zip(*(o[2:] for o in oriented)))
+    stacked = zip(*((o.table, o.first, o.second) for o in oriented))
+    table, first, second = (np.stack(x) for x in stacked)
     a = np.stack([o.build(images) for o in oriented])
     paths = _path_table_cached(oriented[0].tree.edges)
     flags = _fast.batched_split_sign(paths, table, images, first, second, a)
@@ -1056,7 +1031,7 @@ def _split_sign_tally(res, quotient, bits, images, claims) -> None:
 
 
 _SPLIT_SIGN = _Sweep(
-    _split_sign_claims, (),
+    _split_sign_claims,
     {"instances": 0, "applicable": 0, "with_additions": 0, "not_applicable": 0,
      "failures": [], "example_with_additions": None, "example_not_applicable": None},
     _split_sign_tally, invariant=False,

@@ -8,7 +8,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import partial
 from pathlib import Path
 
@@ -949,7 +949,7 @@ def refuse_certificate(monkeypatch):
     decided by the direct kernels."""
     from arbormat import certificate
 
-    monkeypatch.setattr(certificate, "certified", lambda o, steps: False)
+    monkeypatch.setattr(certificate, "certified", lambda o: False)
 
 
 def inject_failures(monkeypatch, sweep):
@@ -1311,17 +1311,18 @@ class TestAuditQueue:
 
     def test_flush_exception_names_its_lowest_task(self):
         from arbormat.certificate import decide
-        from arbormat.harness import QuotientCounts, _Oriented, _theorem_claims_derived
+        from arbormat.harness import QuotientCounts, _Oriented, _theorem_claims
 
         def fail(o, images, a):
             raise WitnessFailed("direct route")
 
         images = _fast.cycle_images(5)
         o = _Oriented.of(trees_for(5)[0], 0)
+        derived, _ = _theorem_claims.args
         try:
             for task in (7, 4, 9):
                 QUEUE.task = task
-                decide(_theorem_claims_derived, fail, (1,), o, images, QuotientCounts())
+                decide(derived, fail, o, images, QuotientCounts())
             QUEUE.task = 12
             with pytest.raises(WitnessFailed, match="^direct route$"):
                 QUEUE.flush()
@@ -1440,19 +1441,20 @@ class TestStartVertexQuotient:
         assert forced.audited == counts.audited
 
 
-def closed_form_routes(v):
-    """(steps, derived, direct claims function, claims function) of the
-    theorem claims and of the witness claims, which the determinant search
-    shares."""
+def closed_form_routes():
+    """(derived, direct claims function, claims function) of the theorem
+    claims and of the witness claims, which the determinant search shares."""
     from arbormat import harness
-    from arbormat.theorems import coprime_steps
 
-    return [
-        ((1,), harness._theorem_claims_derived, harness._theorem_claims_direct,
-         harness._theorem_claims),
-        (tuple(coprime_steps(v)), harness._witness_claims_derived,
-         harness._witness_claims_direct, harness._witness_claims),
-    ]
+    return [(*claims.args, claims) for claims in (harness._theorem_claims, harness._witness_claims)]
+
+
+def assert_derived_equals_direct(expected, want, where):
+    """Every direct claim of every row equals its derived value, true for a
+    claim the derived values do not name."""
+    assert expected.keys() <= want.keys()
+    for name, x in want.items():
+        assert (x == expected.get(name, True)).all(), (*where, name)
 
 
 class TestClosedForm:
@@ -1503,17 +1505,12 @@ class TestClosedForm:
         for tree in trees_for(v):
             for bits in (0, (1 << (v - 1)) - 2):
                 o = _Oriented.of(tree, bits)
+                assert certified(o)
                 a = o.build(images)
-                every = np.arange(len(images))
-                for steps, derived, direct, _ in closed_form_routes(v):
-                    assert certified(o, steps)
+                for derived, direct, _ in closed_form_routes():
                     # the closed form evaluated on every row, not just the audit rows
-                    kept, claims = derived(o, images, every)
                     want = direct(rows_of(o, len(images)), images, a)
-                    assert (kept == every).all()
-                    assert claims.keys() == want.keys()
-                    for name, x in want.items():
-                        assert (claims[name] == x).all(), (tree, bits, name)
+                    assert_derived_equals_direct(derived(o, images), want, (tree, bits))
 
     def test_refused_rows_keep_their_direct_witness_verdicts(self, monkeypatch):
         """A tree whose certificate is refused takes the direct verdicts on
@@ -1548,8 +1545,7 @@ class TestClosedForm:
         """An entry flipped in the oriented table fails the certificate of
         its tree: every row is built and decided on the direct route, and
         the rows that gather the entry fail there."""
-        from arbormat import harness
-        from arbormat.certificate import certified
+        from arbormat.certificate import certified, decide
         from arbormat.harness import QuotientCounts, _Oriented
 
         v, tree = 7, trees_for(7)[4]
@@ -1557,17 +1553,16 @@ class TestClosedForm:
         o = _Oriented.of(tree, 5)
         images = _fast.cycle_images(v)
         failing = {"theorem": "path_image_identity", "witness": "ok"}
-        for (steps, derived, direct, claims), name in zip(closed_form_routes(v), failing):
-            assert not certified(o, steps)
+        assert not certified(o)
+        for (derived, direct, _), name in zip(closed_form_routes(), failing):
             sent = []
 
             def spy(o, images, a, real=direct):
                 sent.append(images)
                 return real(o, images, a)
 
-            monkeypatch.setattr(harness, direct.__name__, spy)
             counts = QuotientCounts()
-            got = decided_now(claims, o, images, counts)
+            got = decided_now(partial(decide, derived, spy), o, images, counts)
             (rows,) = sent
             assert (rows == images).all()
             assert got.rows.tolist() == list(range(720))
@@ -1591,10 +1586,10 @@ class TestClosedForm:
         v = 6
         images = _fast.cycle_images(v)
         o = _Oriented.of(trees_for(v)[3], 0)
-        swapped = o._replace(table=o.table[..., [1, 0, 2, 3, 4]])
+        swapped = replace(o, table=o.table[..., [1, 0, 2, 3, 4]])
         r = swapped.table[1]
         assert (swapped.table[1:, 1:] == r[None, 1:] - r[1:, None]).all()
-        assert certified(o, (1,)) and not certified(swapped, (1,))
+        assert certified(o) and not certified(swapped)
         counts = QuotientCounts()
         got = decided_now(harness._theorem_claims, swapped, images, counts)
         assert astuple(counts)[3:] == (0, AUDIT_ROWS, 120 - AUDIT_ROWS, 0)
@@ -1673,13 +1668,12 @@ class TestTransportCertificate:
     def test_every_row_of_a_certified_tree_passes_transport(self, v):
         from arbormat.certificate import certified
         from arbormat.harness import _Oriented
-        from arbormat.theorems import coprime_steps
 
         images = _fast.cycle_images(v)
         for tree in trees_for(v):
             for bits in self.orientations(tree, v):
                 o = _Oriented.of(tree, bits)
-                assert certified(o, coprime_steps(v))
+                assert certified(o)
                 assert _fast.batched_path_image_ok(o.table[1], images, o.build(images)).all()
 
     @pytest.mark.parametrize("v", range(3, 8))
@@ -1693,7 +1687,7 @@ class TestTransportCertificate:
             for bits in self.orientations(tree, v):
                 o = _Oriented.of(tree, bits)
                 a = o.build(images)
-                for _, _, direct, claims in closed_form_routes(v):
+                for _, direct, claims in closed_form_routes():
                     got = decided_now(claims, o, images, QuotientCounts())
                     want = direct(rows_of(o, len(images)), images, a)
                     counted = np.ones(len(images), dtype=bool)
@@ -1705,12 +1699,33 @@ class TestTransportCertificate:
                     if "det" in want:
                         assert (np.abs(want["det"][counted]) == 1).all()
 
+    def test_certificate_is_decided_once_per_oriented_tree(self, monkeypatch):
+        """A serial determinant search at n = 8 checks each of its 47 trees
+        once, not once per 10,080-row chunk.  A theorem sweep under every
+        orientation checks the orientations it computes and no carried one:
+        one per tree, and the orientation whose corrupted table fails the
+        similarity."""
+        from arbormat import certificate
+        from arbormat.harness import QuotientCounts
+
+        calls = []
+        real = certificate.certified
+        monkeypatch.setattr(certificate, "certified", lambda o: calls.append(o) or real(o))
+        run_det_search([8], OrientationPolicy("canonical"))
+        assert len(calls) == len(trees_for(9)) == 47
+        calls.clear()
+        corrupt_table(monkeypatch, trees_for(5)[2], 5)
+        counts = QuotientCounts()
+        run_theorem_sweep([2, 3, 4, 5], OrientationPolicy("all"), counts=counts)
+        own = sum(len(trees_for(v)) for v in range(3, 7)) + 1
+        assert counts.fallbacks == 24 and len(calls) == own == 13
+        assert len({(o.tree.edges, o.bits) for o in calls}) == own
+
     def test_random_vertex_maps_pass_transport(self):
         """1,000 random maps V -> V with f(1) = f(2), so none is a cycle, on
         random certified trees under random orientations, n = 2..9."""
         from arbormat.certificate import certified
         from arbormat.harness import _Oriented
-        from arbormat.theorems import coprime_steps
 
         rng = np.random.default_rng(2015)
         checked = 0
@@ -1719,7 +1734,7 @@ class TestTransportCertificate:
             for _ in range(5):
                 tree = trees[rng.integers(len(trees))]
                 o = _Oriented.of(tree, int(rng.integers(1 << (v - 1))))
-                assert certified(o, coprime_steps(v))
+                assert certified(o)
                 images = rng.integers(1, v + 1, size=(25, v + 1))
                 images[:, 0] = 0
                 images[:, 2] = images[:, 1]  # f(2) = f(1): not a permutation
@@ -1749,7 +1764,6 @@ class TestPathGraphCertificate:
         from arbormat import harness
         from arbormat.certificate import certified
         from arbormat.harness import QuotientCounts
-        from arbormat.theorems import coprime_steps
 
         images = _fast.cycle_images(v)
         rows = images.shape[0]
@@ -1758,23 +1772,32 @@ class TestPathGraphCertificate:
         for tree in paths:
             o = path_graph_oriented(tree)
             a = o.build(images)
-            assert certified(o, coprime_steps(v))
-            kept, claims = harness._path_graph_claims_derived(o, images, audit_rows(rows))
+            assert certified(o)
             want = harness._path_graph_claims_direct(rows_of(o, rows), images, a)
             assert want["ok"].all()
-            assert kept.tolist() == list(range(rows))  # uniform signs of every row
-            assert claims.keys() == want.keys()
-            for name, x in want.items():
-                assert (claims[name] == x).all(), (tree, name)
+            # the derived claims of every row, not just the audit rows
+            assert_derived_equals_direct(harness._petrie_table(o, images), want, (tree,))
             # every row outside the audit set is certified
             counts = QuotientCounts()
             got = decided_now(harness._path_graph_claims, o, images, counts)
             audited = min(rows, AUDIT_ROWS)
             assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
+            assert got.rows.tolist() == audit_rows(rows).tolist()
             assert got.values["ok"].all() and got.values[AUDIT_AGREEMENT].all()
+
+    @pytest.mark.parametrize("v", range(3, 10))
+    def test_petrie_table_implies_uniform_row_signs(self, v):
+        """Row i of A is the table entry (f(a_i), f(b_i)): on a Petrie table
+        every row of every A is single-signed, which the derived path-graph
+        claims take without building the rows."""
+        (tree,) = [tree for tree in trees_for(v) if tree.is_path()]
+        o = path_graph_oriented(tree)
+        assert _fast.batched_petrie(o.table.reshape(-1, 1, o.table.shape[2])).all()
+        assert _fast.batched_uniform_sign(o.build(_fast.cycle_images(v))).all()
 
     def test_flipped_table_entry_sends_every_row_to_the_direct_route(self, monkeypatch):
         from arbormat import harness
+        from arbormat.certificate import decide
         from arbormat.harness import QuotientCounts
 
         v = 7
@@ -1783,18 +1806,19 @@ class TestPathGraphCertificate:
         corrupt_table(monkeypatch, along.tree, along.bits)
         o = path_graph_oriented(tree)
         images = _fast.cycle_images(v)
-        assert harness._path_graph_claims_derived(o, images, audit_rows(720)) is not None
+        assert harness._petrie_table(o, images[audit_rows(720)]) is not None
         sent = []
         real = harness._path_graph_claims_direct
-        monkeypatch.setattr(
-            harness, "_path_graph_claims_direct",
+        spy = partial(
+            decide, harness._petrie_table,
             lambda o, images, a: sent.append(images) or real(o, images, a),
         )
         counts = QuotientCounts()
-        got = decided_now(harness._path_graph_claims, o, images, counts)
+        got = decided_now(spy, o, images, counts)
         (rows,) = sent
         assert (rows == images).all()
         assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
+        assert got.rows.tolist() == list(range(720))
         assert got.values.pop(AUDIT_AGREEMENT).all()
         want = real(rows_of(o, len(images)), images, o.build(images))
         assert got.values.keys() == want.keys()
@@ -1818,8 +1842,8 @@ class TestPathGraphCertificate:
         counts = QuotientCounts()
         got = decided_now(harness._path_graph_claims, o, images, counts)
         assert counts.disagreements == AUDIT_ROWS
-        assert np.nonzero(~got.values[AUDIT_AGREEMENT])[0].tolist() == audit.tolist()
-        assert np.nonzero(~got.values["ok"])[0].tolist() == audit.tolist()
+        assert got.rows.tolist() == audit.tolist()
+        assert not got.values[AUDIT_AGREEMENT].any() and not got.values["ok"].any()
         assert got.values["uniform_sign"].all() and got.values["petrie"].all()
 
         monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
@@ -1833,17 +1857,15 @@ class TestPathGraphCertificate:
     def test_disagreeing_audit_row_fails_though_direct_values_pass(self, monkeypatch):
         """Derived claims that read every Petrie flag as false disagree with
         the direct values on the audit rows: those rows fail on the audit
-        alone, and the other certified rows keep their derived verdicts."""
+        alone, and the other certified rows pass as a count."""
         from arbormat import harness
+        from arbormat.certificate import decide
 
-        real = harness._path_graph_claims_derived
+        def wrong(o, images):
+            return {**harness._petrie_table(o, images), "petrie": np.zeros(len(images), bool)}
 
-        def wrong(o, images, audit):
-            kept, claims = real(o, images, audit)
-            claims["petrie"][:] = False
-            return kept, claims
-
-        monkeypatch.setattr(harness, "_path_graph_claims_derived", wrong)
+        claims = partial(decide, wrong, harness._path_graph_claims_direct)
+        monkeypatch.setattr(harness, "_PATH_GRAPH", harness._PATH_GRAPH._replace(claims=claims))
         monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
         images = _fast.cycle_images(6)
         res = run_path_graph_sweep([5])
@@ -1892,7 +1914,6 @@ class TestPathGraphCertificate:
         contiguous single-signed block: every row goes to the direct route."""
         from arbormat import harness
         from arbormat.certificate import certified
-        from arbormat.theorems import coprime_steps
         from arbormat.harness import QuotientCounts, _Oriented
 
         images = _fast.cycle_images(v)
@@ -1905,8 +1926,8 @@ class TestPathGraphCertificate:
         assert len(cases) > 4
         for o in cases:
             a = o.build(images)
-            assert certified(o, coprime_steps(v))
-            assert harness._path_graph_claims_derived(o, images, audit_rows(len(a))) is None
+            assert certified(o)
+            assert harness._petrie_table(o, images[audit_rows(len(a))]) is None
             counts = QuotientCounts()
             got = decided_now(harness._path_graph_claims, o, images, counts)
             assert counts.certified == 0 and counts.uncertified + counts.audited == len(images)
