@@ -42,8 +42,9 @@ arbitrary-precision arithmetic:
 The GF(2) nonderogatory test is a plain batched row reduction; since the
 closed form decides the Z_2 claim, it only audits.
 
-Capacity is one limit, ``SWEEP_N_CAP``, which the sweep driver checks
-before any work starts.
+Capacity is one limit, ``_BATCH_N_CAP``, which the sweep driver checks
+before any work starts; sweeps unrank only the cycles they build (see
+:func:`unrank_cycles`), so n! sets no limit.
 
 The sister implementations in :mod:`arbormat.algebra` are arbitrary
 precision; the test suite asserts agreement between both routes.
@@ -51,15 +52,14 @@ precision; the test suite asserts agreement between both routes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-_BATCH_N_CAP = 10  # int64 bound argument above holds through n = 10
-# Largest n a sweep can run: each worker materializes all n! cycle images of
-# a tree (9! rows, about 32 MB, at n = 9), and the int64 kernels hold
-# through n = 10.
-SWEEP_N_CAP = 9
+# The largest n a kernel or a sweep runs: the int64 bound argument above
+# holds through n = 10.
+_BATCH_N_CAP = 10
 
 
 def _check_small(n: int):
@@ -361,39 +361,38 @@ def batched_witness(mats: np.ndarray, seeds: np.ndarray):
     return gate, det, companion_ok, mf.transpose(1, 2, 0, 3, 4)
 
 
-def _lex_permutations(m: int) -> np.ndarray:
-    """Every permutation of 0..m-1, one per row, in lexicographic order
-    (that of itertools.permutations), built level by level in numpy."""
-    perms = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, m + 1):
-        # first entry f, then the permutations of 0..k-2 relabelled onto
-        # 0..k-1 without f, which keeps their order; filled in place, so a
-        # level holds its rows once
-        p = perms.shape[0]
-        out = np.empty((k * p, k), dtype=np.int64)
-        for f in range(k):
-            out[f * p : (f + 1) * p, 0] = f
-            out[f * p : (f + 1) * p, 1:] = perms + (perms >= f)
-        perms = out
-    return perms
+def unrank_cycles(v: int, ranks: np.ndarray):
+    """The single v-cycles of lexicographic ranks: rank r is the cycle 1 ->
+    p[0] -> ... -> p[-1] -> 1 of the r-th permutation p of 2..v in the
+    order of itertools.permutations.
+
+    Returns (images, orbit, sign): images[b, u] = f(u), column 0 unused;
+    orbit[b, k] = f^k(1), which is [1, p + 2]; and sign[b], the sign of p.
+    p comes from the factorial-base digits of r, its Lehmer code: digit k
+    counts the later entries of p below p[k], so their sum counts the
+    inversions of p."""
+    m = v - 1
+    base = np.arange(m, 0, -1)  # digit k has base m - k and place value (m - k - 1)!
+    place = np.array([math.factorial(b - 1) for b in base])
+    perm = np.asarray(ranks, dtype=np.int64)[:, None] // place % base
+    sign = 1 - 2 * (perm.sum(axis=1) % 2)
+    # Lehmer code to permutation, last entry first: the tail holds the
+    # order of the later entries, lifted past the value of entry k
+    for k in range(m - 2, -1, -1):
+        tail = perm[:, k + 1 :]
+        tail += tail >= perm[:, k, None]
+    ring = np.ones((len(ranks), v + 1), dtype=np.int64)  # the orbit, then 1 again
+    ring[:, 1:-1] = perm + 2
+    images = np.zeros_like(ring)
+    images[np.arange(len(ranks))[:, None], ring[:, :-1]] = ring[:, 1:]
+    return images, ring[:, :-1], sign
 
 
 @lru_cache(maxsize=8)
 def cycle_images(v: int) -> np.ndarray:
-    """All single v-cycles as image arrays: out[b, u] = f(u); column 0 unused.
-    The table is written one column of the cycle at a time, so building it
-    holds little more than the table and the permutations."""
-    if v > SWEEP_N_CAP + 1:
-        raise ValueError(f"refusing to materialize more than {SWEEP_N_CAP}! cycle images")
-    perms = _lex_permutations(v - 1)
-    perms += 2  # the cycle 1 -> perms[:, 0] -> ... -> perms[:, -1] -> 1
-    rows = np.arange(perms.shape[0])
-    images = np.zeros((perms.shape[0], v + 1), dtype=np.int64)
-    images[:, 1] = perms[:, 0]
-    for k in range(v - 2):
-        images[rows, perms[:, k]] = perms[:, k + 1]
-    images[rows, perms[:, -1]] = 1
-    return images
+    """All single v-cycles as image arrays, in rank order: out[b, u] = f(u);
+    column 0 unused.  The sweeps unrank only the rows they build."""
+    return unrank_cycles(v, np.arange(math.factorial(v - 1)))[0]
 
 
 def root_vectors(tree) -> np.ndarray:

@@ -42,14 +42,14 @@ Tree.signed_path_vector) and the determinants (by
 :class:`arbormat.algebra.ExactMatrix`) are computed once per process and
 key, and the verdict once per oriented tree of a task.  On a certified tree
 every row passes every claim with |det Mf| = 1, so :func:`decide` keeps its
-rows as a count and builds only a fixed audit set of every chunk, which the
-direct kernels decide: those are the referee, and on an audit row their
-values must equal the closed form.  Of its values only the signed det Mf
-is not a constant, and it is evaluated on those rows only.  A tree that
-fails the certificate sends every row to the direct kernels.  What this
-gives up: the rows of a certified tree outside the audit set are neither
-built nor checked one by one; the argument above covers them, and the
-audit samples it.
+rows as a count and unranks and builds only a fixed audit set of every
+chunk, which the direct kernels decide: those are the referee, and on an
+audit row their values must equal the closed form.  Of its values only the
+signed det Mf is not a constant, and it is evaluated on those rows only.
+A tree that fails the certificate sends every row to the direct kernels.
+What this gives up: the rows of a certified tree outside the audit set are
+neither built nor checked one by one; the argument above covers them, and
+the audit samples it.
 
 The direct rows are not decided at once.  :data:`QUEUE` holds the direct
 rows of every chunk a worker has claimed, each row with an index into the
@@ -168,24 +168,18 @@ def start_vertex_orbit(images: np.ndarray):
     return orbit, position
 
 
-def permutation_sign(seq: np.ndarray) -> np.ndarray:
-    """(-1)^inversions of every row of distinct values."""
-    inversions = np.zeros(seq.shape[0], dtype=np.int64)
-    for k in range(seq.shape[1] - 1):
-        inversions += (seq[:, k, None] > seq[:, k + 1 :]).sum(axis=1)
-    return 1 - 2 * (inversions % 2)
-
-
-def closed_form_dets(o, images):
+def closed_form_dets(o, orbit, sign):
     """Signed det Mf(i, j) of every witness pair, ordered as witness_pairs
-    orders them, from the closed form; meaningful on certified rows."""
-    b, v = images.shape[0], images.shape[1] - 1
+    orders them, from the closed form, given each row's orbit f^k(1) and
+    sgn(sigma_f) (see _fast.unrank_cycles); meaningful on certified rows."""
+    b, v = orbit.shape
     n = v - 1
-    orbit, position = start_vertex_orbit(images)
+    position = np.zeros((b, v + 1), dtype=np.int64)
+    np.put_along_axis(position, orbit, np.arange(v), axis=1)
     step_dets = np.array([step_det(n, j) for j in coprime_steps(v)], dtype=np.int64)
-    first = root_det(o.tree.edges, o.bits) * permutation_sign(orbit[:, 1:])
-    sign = 1 - 2 * (n * position[:, 1:] % 2)  # (-1)^(n m) for i = x_m = 1..v
-    det = first[:, None, None] * step_dets[None, :, None] * sign[:, None, :]
+    first = root_det(o.tree.edges, o.bits) * sign
+    parity = 1 - 2 * (n * position[:, 1:] % 2)  # (-1)^(n m) for i = x_m = 1..v
+    det = first[:, None, None] * step_dets[None, :, None] * parity[:, None, :]
     return det.reshape(b, -1)
 
 
@@ -200,12 +194,13 @@ def audit_rows(b: int) -> np.ndarray:
 
 class Decided:
     """The claims of one chunk of ``size`` rows: ``values`` holds the direct
-    per-row arrays of the chunk rows ``rows``, ascending; every other row is
-    certified, so it passes every claim and its |det Mf| is 1.  A chunk
-    with direct rows is complete once QUEUE has decided them."""
+    per-row arrays of the chunk rows ``rows``, ascending, whose cycle images
+    are ``images``; every other row is certified, so it passes every claim
+    and its |det Mf| is 1.  A chunk with direct rows is complete once QUEUE
+    has decided them."""
 
-    def __init__(self, size: int, rows: np.ndarray, values: dict):
-        self.size, self.rows, self.values = size, rows, values
+    def __init__(self, size: int, rows: np.ndarray, images: np.ndarray, values: dict):
+        self.size, self.rows, self.images, self.values = size, rows, images, values
 
     def settle(self, expected, counts, direct: dict) -> None:
         """Take the direct values of the rows.  On a certified chunk
@@ -223,7 +218,7 @@ class Decided:
         """These claims under another orientation A_o = D.A.D: det Mf, the
         one signed value, times det D."""
         values = {k: x * det_d if k == "det" else x for k, x in self.values.items()}
-        return Decided(self.size, self.rows, values)
+        return Decided(self.size, self.rows, self.images, values)
 
 
 class OrientedRows(NamedTuple):
@@ -235,29 +230,32 @@ class OrientedRows(NamedTuple):
     index: np.ndarray
 
 
-def decide(derived, direct, o, images, counts) -> Decided:
-    """Claims of one chunk of rows under the oriented tree ``o``: on a
-    certified tree (``o.certified``, see :func:`certified`) a count, with
-    only the audit rows built and decided on the direct route; on any other
-    tree the direct route on every row.
+def decide(derived, direct, o, ranks, counts) -> Decided:
+    """Claims of one chunk, the cycles of lexicographic ranks ``ranks``
+    (see _fast.unrank_cycles), under the oriented tree ``o``: on a certified
+    tree (``o.certified``, see :func:`certified`) a count, with only the
+    audit rows unranked, built and decided on the direct route; on any
+    other tree the direct route on every row.
 
-    ``derived(o, images)`` returns the closed-form values of the rows
-    ``images`` for the claims whose value is not true on every certified
-    row, or None when a condition of its own on the tree fails, which sends
-    every row direct too; ``direct(oriented_rows, images, a)`` returns the
-    claims of its rows; both as dicts of per-row arrays.  The direct rows go
-    to QUEUE, so the result is complete once it has decided them."""
-    b = images.shape[0]
+    ``derived(o, orbit, sign)`` returns the closed-form values of the audit
+    rows, given their orbits and signs, for the claims whose value is not
+    true on every certified row, or None when a condition of its own on the
+    tree fails, which sends every row direct too; ``direct(oriented_rows,
+    images, a)`` returns the claims of its rows; both as dicts of per-row
+    arrays.  The direct rows go to QUEUE, so the result is complete once it
+    has decided them."""
+    b, v = ranks.size, o.tree.vertex_count
     rows = audit_rows(b)
     counts.audited += rows.size
-    expected = derived(o, images[rows]) if o.certified else None
+    images, orbit, sign = _fast.unrank_cycles(v, ranks[rows])
+    expected = derived(o, orbit, sign) if o.certified else None
     if expected is None:
         counts.uncertified += b - rows.size
         rows = np.arange(b)
+        images = _fast.unrank_cycles(v, ranks)[0]
     else:
         counts.certified += b - rows.size
-    out = Decided(b, rows, {})
-    images = images[rows]
+    out = Decided(b, rows, images, {})
     QUEUE.push(direct, o, images, o.build(images), partial(out.settle, expected, counts))
     return out
 

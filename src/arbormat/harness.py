@@ -32,6 +32,7 @@ import copy
 import ctypes
 import hashlib
 import itertools
+import math
 import os
 import pickle
 import random
@@ -93,7 +94,7 @@ __all__ = [
     "DEFAULT_N_CAP",
 ]
 
-DEFAULT_N_CAP = _fast.SWEEP_N_CAP
+DEFAULT_N_CAP = _fast._BATCH_N_CAP
 MAX_FAILURE_RECORDS = 20
 RANDOM_CHUNK = 128  # random instances held at once by the path-transport sweep
 PATH_IMAGE_AUDIT = 16  # random instances also checked on the exact route
@@ -162,11 +163,9 @@ def _check_cap(ns) -> list[int]:
     finish, before any tree is enumerated."""
     ns = sorted(set(ns))
     for n in ns:
-        if n > _fast.SWEEP_N_CAP:
-            raise CapExceeded(
-                f"n = {n} exceeds the sweep limit of n <= {_fast.SWEEP_N_CAP}, a fixed "
-                f"cap: {n}! cycle images per tree would be materialized"
-            )
+        if n > _fast._BATCH_N_CAP:
+            raise CapExceeded(f"n = {n} exceeds the sweep limit of n <= {_fast._BATCH_N_CAP}, "
+                              "a fixed cap at the int64 bound of the kernels")
         if n < 2:
             raise CapExceeded(f"n = {n} below the minimum of 2")
     return ns
@@ -390,11 +389,10 @@ class _OrientationQuotient:
         self.counts = {bits: QuotientCounts() for bits in self.oriented}
 
     def chunks(self, sweep: "_Sweep"):
-        """Per cycle chunk: the images and a function that returns, once the
+        """Per chunk of cycle ranks, a function that returns, once the
         chunk's direct rows are decided, the claims per distinct
         orientation; a sweep that is not invariant takes chunks of at most
         CYCLE_CHUNK rows over all orientations together."""
-        cycles = _fast.cycle_images(self.v)
         rep, *others = self.oriented.values()
         own, carried = [rep], []
         for o in others:
@@ -404,20 +402,20 @@ class _OrientationQuotient:
             else:
                 own.append(o)
         size = CYCLE_CHUNK if sweep.invariant else max(1, CYCLE_CHUNK // len(own))
-        for start in range(0, cycles.shape[0], size):
-            images = cycles[start : start + size]
-            batch = images.shape[0]
-            self.rows += batch
+        cycles = math.factorial(self.v - 1)
+        for start in range(0, cycles, size):
+            ranks = np.arange(start, min(start + size, cycles))
+            self.rows += ranks.size
             for o in own:
-                self.counts[o.bits].computed += batch
+                self.counts[o.bits].computed += ranks.size
             if not sweep.invariant:
-                flags = sweep.claims(own, images)
-                yield images, lambda flags=flags: flags
+                flags = sweep.claims(own, ranks)
+                yield lambda flags=flags: flags
                 continue
-            base = {o.bits: sweep.claims(o, images, self.counts[o.bits]) for o in own}
+            base = {o.bits: sweep.claims(o, ranks, self.counts[o.bits]) for o in own}
             for o in own[1:]:
-                self.counts[o.bits].fallbacks += batch
-            yield images, partial(self._settled, rep.bits, base, carried)
+                self.counts[o.bits].fallbacks += ranks.size
+            yield partial(self._settled, rep.bits, base, carried)
 
     @staticmethod
     def _settled(rep_bits, base, carried) -> dict:
@@ -467,13 +465,13 @@ def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only
 class _Sweep(NamedTuple):
     """What a sweep decides and what it keeps.
 
-    ``claims(o, images, counts)`` returns the :class:`Decided` claims of
-    one cycle chunk under one orientation.  Claims not ``invariant`` under
-    the similarity A_o = D.A.D are never carried:
-    ``claims(oriented, images)`` returns the claims of every oriented tree
-    of the task, by orientation.  ``empty`` is the sub-result of one
-    orientation before its first chunk, and ``tally(res, quotient, bits,
-    images, claims)`` folds one chunk's claims into it.  Sub-result entries
+    ``claims(o, ranks, counts)`` returns the :class:`Decided` claims of
+    the cycles of lexicographic ranks ``ranks`` under one orientation.
+    Claims not ``invariant`` under the similarity A_o = D.A.D are never
+    carried: ``claims(oriented, ranks)`` returns the claims of every
+    oriented tree of the task, by orientation.  ``empty`` is the sub-result
+    of one orientation before its first chunk, and ``tally(res, quotient,
+    bits, claims)`` folds one chunk's claims into it.  Sub-result entries
     are named after the result's fields."""
 
     claims: Callable
@@ -490,12 +488,12 @@ def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
     quotient = _OrientationQuotient(v, edges, orientations)
     out = {bits: {k: copy.copy(x) for k, x in sweep.empty.items()} for bits in quotient.oriented}
 
-    def tally(images, flags):
+    def tally(flags):
         for bits, claims in flags().items():
-            sweep.tally(out[bits], quotient, bits, images, claims)
+            sweep.tally(out[bits], quotient, bits, claims)
 
-    for images, flags in quotient.chunks(sweep):
-        QUEUE.then(partial(tally, images, flags))
+    for flags in quotient.chunks(sweep):
+        QUEUE.then(partial(tally, flags))
     results = []
     QUEUE.then(lambda: results.extend(quotient.results(tree_idx, out)))
     return results
@@ -540,11 +538,11 @@ def _capped(failures: list, records) -> None:
     failures.extend(itertools.islice(records, max(0, MAX_FAILURE_RECORDS - len(failures))))
 
 
-def _row_tally(count: str, extras: tuple, res, quotient, bits, images, claims) -> None:
+def _row_tally(count: str, extras: tuple, res, quotient, bits, claims) -> None:
     """Count the chunk's rows under ``count`` and record every row failing
     the claim "ok" or the audit, with its verdicts of the ``extras`` claims."""
     res[count] += claims.size
-    values, images = claims.values, images[claims.rows]
+    values, images = claims.values, claims.images
     ok = values["ok"] & values.get(AUDIT_AGREEMENT, True)
     _capped(res["failures"], (
         {**quotient.descriptor(bits, images[idx]), **{k: bool(values[k][idx]) for k in extras}}
@@ -594,11 +592,11 @@ def _theorem_claims_direct(o, images, a) -> dict:
 # over Z gives the charpoly, the determinant and the geometric sum of C, and
 # B = |A| == A mod 2 is similar to C over GF(2), so its charpoly is odd.
 # Path transport follows from the certified table.
-_theorem_claims = partial(decide, lambda o, images: {}, _theorem_claims_direct)
+_theorem_claims = partial(decide, lambda o, orbit, sign: {}, _theorem_claims_direct)
 
 
-def _theorem_tally(res, quotient, bits, images, claims) -> None:
-    values, images = claims.values, images[claims.rows]
+def _theorem_tally(res, quotient, bits, claims) -> None:
+    values, images = claims.values, claims.images
     failed = ~np.logical_and.reduce(list(values.values()))
     stats = res["per_n"].setdefault(quotient.v - 1, {"instances": 0, "failures": 0})
     stats["instances"] += claims.size
@@ -706,28 +704,28 @@ def _witness_claims_direct(o, images, a) -> dict:
     return _witness_verdicts(o, images, a, coprime_steps(v), v)
 
 
-def _witness_dets(o: _Oriented, images) -> dict:
+def _witness_dets(o: _Oriented, orbit, sign) -> dict:
     """On a row of a certified tree every Mf(i, j) is a unimodular
     {-1, 0, 1} matrix with Mf.A == C.Mf, so every pair passes: the
     certificate has required each factor of its closed-form det to be +-1,
     so the det is odd.  The signed closed-form det is the one value left to
     compare."""
-    return {"det": closed_form_dets(o, images)}
+    return {"det": closed_form_dets(o, orbit, sign)}
 
 
 _witness_claims = partial(decide, _witness_dets, _witness_claims_direct)
 
 
-def _witness_tally(res, quotient, bits, images, claims) -> None:
+def _witness_tally(res, quotient, bits, claims) -> None:
     values = claims.values
     ok = values["ok"] & values[AUDIT_AGREEMENT][:, None]
     res["total_witnesses"] += claims.size * len(witness_pairs(quotient.v))
     if not ok.all():
-        records = _pair_records(quotient, bits, images[claims.rows], ~ok, det=values["det"])
+        records = _pair_records(quotient, bits, claims.images, ~ok, det=values["det"])
         _capped(res["failures"], records)
 
 
-def _det_tally(res, quotient, bits, images, claims) -> None:
+def _det_tally(res, quotient, bits, claims) -> None:
     """Histogram the |det Mf| of the chunk: the decided rows' values, and
     1 for every pair of a certified row."""
     dets = np.abs(claims.values["det"])
@@ -738,7 +736,7 @@ def _det_tally(res, quotient, bits, images, claims) -> None:
         histogram[1] = histogram.get(1, 0) + certified
     _merge(res["histogram"], histogram)
     if (dets != 1).any():
-        nonunit = _pair_records(quotient, bits, images[claims.rows], dets != 1, abs_det=dets)
+        nonunit = _pair_records(quotient, bits, claims.images, dets != 1, abs_det=dets)
         _capped(res["nonunit_witnesses"], nonunit)
 
 
@@ -804,9 +802,10 @@ def run_det_search(
 # path-transport sweep: exhaustive small n plus seeded random large n
 
 
-def _path_image_claims(o: _Oriented, images, counts) -> Decided:
+def _path_image_claims(o: _Oriented, ranks, counts) -> Decided:
+    images = _fast.unrank_cycles(o.tree.vertex_count, ranks)[0]
     ok = _fast.batched_path_image_ok(o.table[1], images, o.build(images))
-    return Decided(ok.size, np.arange(ok.size), {"ok": ok})
+    return Decided(ok.size, np.arange(ok.size), images, {"ok": ok})
 
 
 _PATH_IMAGE = _Sweep(
@@ -908,7 +907,7 @@ def _path_graph_claims_direct(o, images, a) -> dict:
     return {"uniform_sign": uniform, "petrie": petrie, "ok": ok & uniform & petrie}
 
 
-def _petrie_table(o: _Oriented, images):
+def _petrie_table(o: _Oriented, orbit, sign):
     """Every path-graph claim holds on a row of a certified tree once each
     entry of the oriented path table is a Petrie row, a contiguous
     single-signed block, as on a path tree oriented along the line ({};
@@ -983,22 +982,23 @@ def _exact_split_sign(tree: Tree, orientation: Orientation, image_row):
     return ("with_additions" if reduction.mixed_rows else "applicable"), None
 
 
-def _split_sign_claims(oriented: list, images) -> dict:
-    """Per orientation of the task: (applicable, mixed, holds), in one call."""
+def _split_sign_claims(oriented: list, ranks) -> dict:
+    """Per orientation of the task: (images, applicable, mixed, holds)."""
+    images = _fast.unrank_cycles(oriented[0].tree.vertex_count, ranks)[0]
     # oriented tables and edge endpoints, stacked on an orientation axis
     stacked = zip(*((o.table, o.first, o.second) for o in oriented))
     table, first, second = (np.stack(x) for x in stacked)
     a = np.stack([o.build(images) for o in oriented])
     paths = _path_table_cached(oriented[0].tree.edges)
     flags = _fast.batched_split_sign(paths, table, images, first, second, a)
-    return {o.bits: tuple(x[k] for x in flags) for k, o in enumerate(oriented)}
+    return {o.bits: (images, *(x[k] for x in flags)) for k, o in enumerate(oriented)}
 
 
-def _split_sign_tally(res, quotient, bits, images, claims) -> None:
+def _split_sign_tally(res, quotient, bits, claims) -> None:
     """Count the chunk's batched verdicts.  The exact route audits the first
     applicable and first not-applicable instance of the orientation,
     supplies the not-applicable reason, and names every failure's identity."""
-    applicable, mixed, holds = claims
+    images, applicable, mixed, holds = claims
     passed = applicable & holds
     res["instances"] += images.shape[0]
     res["with_additions"] += int((passed & mixed).sum())

@@ -110,8 +110,8 @@ class TestEnumerate:
     def test_cap_messages(self, capsys, monkeypatch):
         """The command line bounds the vertex count at ARBOR_CAP_N + 1 and
         leaves fewer than 3 vertices to the enumeration's own check."""
-        assert run_cli(capsys, "enumerate", "--vertices", "11") == (
-            2, "", "error: vertex count 11 exceeds cap 10\n"
+        assert run_cli(capsys, "enumerate", "--vertices", "12") == (
+            2, "", "error: vertex count 12 exceeds cap 11\n"
         )
         assert run_cli(capsys, "enumerate", "--vertices", "2") == (
             2, "", "error: tree enumeration starts at 3 vertices\n"
@@ -176,10 +176,10 @@ class TestVerify:
 
         monkeypatch.setattr(harness, "trees_for", no_trees)
         monkeypatch.setenv("ARBOR_CAP_N", "12")
-        code, out, err = run_cli(capsys, "verify", "--n", "10", "--orientations", "canonical")
+        code, out, err = run_cli(capsys, "verify", "--n", "11", "--orientations", "canonical")
         assert code == 2
         assert out == ""
-        assert "sweep limit of n <= 9" in err
+        assert "sweep limit of n <= 10" in err
 
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ARBOR_CAP_N", "2")
@@ -190,7 +190,7 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--n", "12")
         assert code == 2
         assert out == ""
-        assert "sweep limit of n <= 9" in err
+        assert "sweep limit of n <= 10" in err
         assert "ARBOR_CAP_N" not in err
 
     @pytest.mark.parametrize("command", ["verify", "search-detmf"])
@@ -206,6 +206,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "ARBOR_CAP_N = 5" in err
+
+    def test_env_cap_below_the_sweep_limit(self, capsys, monkeypatch):
+        # n = 10 is within the sweep limit, so the environment cap refuses it
+        from arbormat import harness
+
+        def no_trees(v):
+            raise AssertionError(f"trees on {v} vertices enumerated")
+
+        monkeypatch.setattr(harness, "trees_for", no_trees)
+        monkeypatch.setenv("ARBOR_CAP_N", "9")
+        code, out, err = run_cli(capsys, "verify", "--n", "10", "--orientations", "canonical")
+        assert (code, out) == (2, "")
+        assert "n = 10 exceeds the cap ARBOR_CAP_N = 9" in err
 
     def test_byte_determinism_across_workers(self, tmp_path):
         paths = []

@@ -47,6 +47,22 @@ from arbormat.harness import (
 )
 
 
+def cycle_image_row(perm):
+    """The image array of the cycle 1 -> perm[0] -> ... -> perm[-1] -> 1,
+    column 0 unused."""
+    seq = [1, *perm]
+    row = [0] * (len(seq) + 1)
+    for x, y in zip(seq, seq[1:] + seq[:1]):
+        row[x] = y
+    return row
+
+
+def inversion_sign(seq):
+    """(-1)^inversions of a sequence of distinct values."""
+    pairs = itertools.combinations(seq, 2)
+    return -1 if sum(x > y for x, y in pairs) % 2 else 1
+
+
 def random_sign_matrices(seed, count, n):
     rng = random.Random(seed)
     return np.array(
@@ -222,18 +238,33 @@ class TestKernelAgreement:
         assert (-cp[:, 0] == det.ravel()).all()  # det = (-1)^n cp(0) with n = 5
 
     def test_cycle_images_in_permutation_order(self):
-        # row b is the cycle 1 -> p[0] -> p[1] -> ... -> 1 of the b-th
-        # permutation p of 2..v in itertools order; documents index by row
-        for v in range(3, 10):
-            images = _fast.cycle_images(v)
+        # rank b is the cycle 1 -> p[0] -> p[1] -> ... -> 1 of the b-th
+        # permutation p of 2..v in itertools order; documents index by rank
+        for v in range(2, 10):
             perms = list(itertools.permutations(range(2, v + 1)))
+            images, orbit, sign = _fast.unrank_cycles(v, np.arange(len(perms)))
             assert images.shape == (len(perms), v + 1)
-            for b in range(0, len(perms), 97):
-                seq = (1,) + perms[b]
-                want = [0] * (v + 1)
-                for x, y in zip(seq, seq[1:] + seq[:1]):
-                    want[x] = y
-                assert images[b].tolist() == want
+            assert orbit.tolist() == [[1, *p] for p in perms]
+            assert images.tolist() == [cycle_image_row(p) for p in perms]
+            assert (_fast.cycle_images(v) == images).all()
+            assert sign.tolist() == [inversion_sign(p) for p in perms]
+
+    @pytest.mark.parametrize("v", [10, 11])
+    def test_unranked_cycles_match_pure_python(self, v):
+        """200 random ranks past the exhaustive check: each is unranked by
+        picking entry r // (k - 1)! of the values left, k of them."""
+        import math
+
+        ranks = np.random.default_rng(v).integers(math.factorial(v - 1), size=200)
+        images, orbit, sign = _fast.unrank_cycles(v, ranks)
+        for rank, row, seq, s in zip(ranks.tolist(), images, orbit, sign):
+            rest, perm = list(range(2, v + 1)), []
+            for k in range(v - 1, 0, -1):
+                digit, rank = divmod(rank, math.factorial(k - 1))
+                perm.append(rest.pop(digit))
+            assert seq.tolist() == [1, *perm]
+            assert row.tolist() == cycle_image_row(perm)
+            assert s == inversion_sign(perm)
 
     def test_matrix_build_matches_api(self):
         rng = random.Random(55)
@@ -420,8 +451,8 @@ class TestSweeps:
 
     def test_sweep_limit_names_no_environment_variable(self):
         # the library never reads ARBOR_CAP_N, so its error must not cite it
-        with pytest.raises(CapExceeded, match=r"sweep limit of n <= 9") as exc:
-            run_path_graph_sweep([10])
+        with pytest.raises(CapExceeded, match=r"sweep limit of n <= 10") as exc:
+            run_path_graph_sweep([11])
         assert "ARBOR_CAP_N" not in str(exc.value)
 
     @pytest.mark.parametrize("random_n", [(1, 3), (5, 3), (6, 11)])
@@ -848,6 +879,25 @@ class TestCycleChunks:
         monkeypatch.setattr(harness, "CYCLE_CHUNK", 7)  # 24 cycles -> 4 chunks
         for name, ts in sweeps.items():
             assert run(name, ts) == base[name], name
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_sweep_reads_the_cycle_table(self, monkeypatch, workers):
+        """Every sweep unranks the rows it builds and never reads the table
+        of all n! cycles."""
+
+        def no_table(v):
+            raise AssertionError(f"the table of every {v}-cycle was read")
+
+        monkeypatch.setattr(_fast, "cycle_images", no_table)
+        policy, ns = OrientationPolicy("all"), [2, 3, 4]
+        with no_hang():
+            assert run_theorem_sweep(ns, policy, workers=workers).all_pass
+            assert run_witness_sweep(ns, policy, workers=workers).all_pass
+            assert run_det_search(ns, policy, workers=workers).all_unit
+            assert run_path_image_sweep(ns, random_count=20, workers=workers).all_pass
+            assert run_path_graph_sweep(ns, workers=workers).all_pass
+            assert run_split_sign_sweep(ns, workers=workers).all_pass
 
 
 class TestExactRouteBudget:
@@ -1322,7 +1372,7 @@ class TestAuditQueue:
         try:
             for task in (7, 4, 9):
                 QUEUE.task = task
-                decide(derived, fail, o, images, QuotientCounts())
+                decide(derived, fail, o, np.arange(len(images)), QuotientCounts())
             QUEUE.task = 12
             with pytest.raises(WitnessFailed, match="^direct route$"):
                 QUEUE.flush()
@@ -1344,9 +1394,10 @@ def start_vertex_route(v, tree, bits):
     o = _Oriented.of(tree, bits)
     images = _fast.cycle_images(v)
     counts = QuotientCounts()
-    witness = decided_now(harness._witness_claims, o, images, counts)
+    ranks = np.arange(len(images))
+    witness = decided_now(harness._witness_claims, o, ranks, counts)
     direct = harness._witness_claims_direct(rows_of(o, len(images)), images, o.build(images))
-    return witness, direct, closed_form_dets(o, images), counts
+    return witness, direct, closed_form_dets(o, *_fast.unrank_cycles(v, ranks)[1:]), counts
 
 
 class TestStartVertexQuotient:
@@ -1510,7 +1561,8 @@ class TestClosedForm:
                 for derived, direct, _ in closed_form_routes():
                     # the closed form evaluated on every row, not just the audit rows
                     want = direct(rows_of(o, len(images)), images, a)
-                    assert_derived_equals_direct(derived(o, images), want, (tree, bits))
+                    expected = derived(o, *_fast.unrank_cycles(v, np.arange(len(images)))[1:])
+                    assert_derived_equals_direct(expected, want, (tree, bits))
 
     def test_refused_rows_keep_their_direct_witness_verdicts(self, monkeypatch):
         """A tree whose certificate is refused takes the direct verdicts on
@@ -1530,7 +1582,7 @@ class TestClosedForm:
         o = _Oriented.of(trees_for(7)[4], 5)
         images = _fast.cycle_images(7)
         counts = QuotientCounts()
-        got = decided_now(harness._witness_claims, o, images, counts)
+        got = decided_now(harness._witness_claims, o, np.arange(len(images)), counts)
         assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
         assert got.rows.tolist() == list(range(720))
         assert got.values.pop(AUDIT_AGREEMENT).all()
@@ -1562,7 +1614,7 @@ class TestClosedForm:
                 return real(o, images, a)
 
             counts = QuotientCounts()
-            got = decided_now(partial(decide, derived, spy), o, images, counts)
+            got = decided_now(partial(decide, derived, spy), o, np.arange(len(images)), counts)
             (rows,) = sent
             assert (rows == images).all()
             assert got.rows.tolist() == list(range(720))
@@ -1591,7 +1643,7 @@ class TestClosedForm:
         assert (swapped.table[1:, 1:] == r[None, 1:] - r[1:, None]).all()
         assert certified(o) and not certified(swapped)
         counts = QuotientCounts()
-        got = decided_now(harness._theorem_claims, swapped, images, counts)
+        got = decided_now(harness._theorem_claims, swapped, np.arange(len(images)), counts)
         assert astuple(counts)[3:] == (0, AUDIT_ROWS, 120 - AUDIT_ROWS, 0)
         assert got.rows.tolist() == list(range(120))
         assert not np.logical_and.reduce(list(got.values.values())).all()
@@ -1688,7 +1740,7 @@ class TestTransportCertificate:
                 o = _Oriented.of(tree, bits)
                 a = o.build(images)
                 for _, direct, claims in closed_form_routes():
-                    got = decided_now(claims, o, images, QuotientCounts())
+                    got = decided_now(claims, o, np.arange(len(images)), QuotientCounts())
                     want = direct(rows_of(o, len(images)), images, a)
                     counted = np.ones(len(images), dtype=bool)
                     counted[got.rows] = False
@@ -1776,10 +1828,11 @@ class TestPathGraphCertificate:
             want = harness._path_graph_claims_direct(rows_of(o, rows), images, a)
             assert want["ok"].all()
             # the derived claims of every row, not just the audit rows
-            assert_derived_equals_direct(harness._petrie_table(o, images), want, (tree,))
+            expected = harness._petrie_table(o, *_fast.unrank_cycles(v, np.arange(rows))[1:])
+            assert_derived_equals_direct(expected, want, (tree,))
             # every row outside the audit set is certified
             counts = QuotientCounts()
-            got = decided_now(harness._path_graph_claims, o, images, counts)
+            got = decided_now(harness._path_graph_claims, o, np.arange(len(images)), counts)
             audited = min(rows, AUDIT_ROWS)
             assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
             assert got.rows.tolist() == audit_rows(rows).tolist()
@@ -1806,7 +1859,7 @@ class TestPathGraphCertificate:
         corrupt_table(monkeypatch, along.tree, along.bits)
         o = path_graph_oriented(tree)
         images = _fast.cycle_images(v)
-        assert harness._petrie_table(o, images[audit_rows(720)]) is not None
+        assert harness._petrie_table(o, *_fast.unrank_cycles(v, audit_rows(720))[1:]) is not None
         sent = []
         real = harness._path_graph_claims_direct
         spy = partial(
@@ -1814,7 +1867,7 @@ class TestPathGraphCertificate:
             lambda o, images, a: sent.append(images) or real(o, images, a),
         )
         counts = QuotientCounts()
-        got = decided_now(spy, o, images, counts)
+        got = decided_now(spy, o, np.arange(len(images)), counts)
         (rows,) = sent
         assert (rows == images).all()
         assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
@@ -1840,7 +1893,7 @@ class TestPathGraphCertificate:
         audit = audit_rows(images.shape[0])
         o = path_graph_oriented(next(t for t in trees_for(v) if t.is_path()))
         counts = QuotientCounts()
-        got = decided_now(harness._path_graph_claims, o, images, counts)
+        got = decided_now(harness._path_graph_claims, o, np.arange(len(images)), counts)
         assert counts.disagreements == AUDIT_ROWS
         assert got.rows.tolist() == audit.tolist()
         assert not got.values[AUDIT_AGREEMENT].any() and not got.values["ok"].any()
@@ -1861,8 +1914,8 @@ class TestPathGraphCertificate:
         from arbormat import harness
         from arbormat.certificate import decide
 
-        def wrong(o, images):
-            return {**harness._petrie_table(o, images), "petrie": np.zeros(len(images), bool)}
+        def wrong(o, orbit, sign):
+            return {**harness._petrie_table(o, orbit, sign), "petrie": np.zeros(len(orbit), bool)}
 
         claims = partial(decide, wrong, harness._path_graph_claims_direct)
         monkeypatch.setattr(harness, "_PATH_GRAPH", harness._PATH_GRAPH._replace(claims=claims))
@@ -1893,7 +1946,7 @@ class TestPathGraphCertificate:
             for o in cases:
                 a = o.build(images)
                 out.append(harness._path_graph_claims_direct(rows_of(o, len(images)), images, a))
-                out.append(decided_now(harness._path_graph_claims, o, images, QuotientCounts()))
+                out.append(decided_now(harness._path_graph_claims, o, np.arange(len(images)), QuotientCounts()))
             # a decided chunk's values, on every row here: path-graph claims stay per row
             return [x if isinstance(x, dict) else x.values for x in out]
 
@@ -1927,9 +1980,9 @@ class TestPathGraphCertificate:
         for o in cases:
             a = o.build(images)
             assert certified(o)
-            assert harness._petrie_table(o, images[audit_rows(len(a))]) is None
+            assert harness._petrie_table(o, *_fast.unrank_cycles(v, audit_rows(len(a)))[1:]) is None
             counts = QuotientCounts()
-            got = decided_now(harness._path_graph_claims, o, images, counts)
+            got = decided_now(harness._path_graph_claims, o, np.arange(len(images)), counts)
             assert counts.certified == 0 and counts.uncertified + counts.audited == len(images)
             assert got.rows.tolist() == list(range(len(images)))
             want = harness._path_graph_claims_direct(rows_of(o, len(images)), images, a)
