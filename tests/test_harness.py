@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import os
 import platform
 import random
@@ -253,8 +254,6 @@ class TestKernelAgreement:
     def test_unranked_cycles_match_pure_python(self, v):
         """200 random ranks past the exhaustive check: each is unranked by
         picking entry r // (k - 1)! of the values left, k of them."""
-        import math
-
         ranks = np.random.default_rng(v).integers(math.factorial(v - 1), size=200)
         images, orbit, sign = _fast.unrank_cycles(v, ranks)
         for rank, row, seq, s in zip(ranks.tolist(), images, orbit, sign):
