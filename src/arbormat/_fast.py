@@ -149,11 +149,11 @@ def batched_path_image_ok(
     """Per instance: the matrix transports every signed path vector of (u, w)
     to that of (f(u), f(w)).
 
-    roots: oriented root vectors (see root_vectors), (v+1, n) shared by the
-    batch or (B, v+1, n) per instance; images: (B, v+1) with images[b, u] =
-    f(u); mats: (B, n, n).  Since spv(u, w) = r(w) - r(u), the identity for
-    every pair holds iff r(w).A = r(f(w)) - r(f(1)) for every w, which costs
-    O(v n^2) per instance instead of O(v^2 n^2).
+    roots: (B, v+1, n), each instance's oriented root vectors (see
+    root_vectors); images: (B, v+1) with images[b, u] = f(u); mats: (B, n,
+    n).  Since spv(u, w) = r(w) - r(u), the identity for every pair holds
+    iff r(w).A = r(f(w)) - r(f(1)) for every w, which costs O(v n^2) per
+    instance instead of O(v^2 n^2).
 
     Both sides are compared as one integer per w, their dot product with the
     digit weights z = (2n+1)^k; A must have entries in {-1, 0, 1} (see the
@@ -162,13 +162,9 @@ def batched_path_image_ok(
     _check_small(n)
     z = (2 * n + 1) ** np.arange(n, dtype=np.int64)
     code_a = np.einsum("bij,j->bi", mats, z)  # (B, n): row i of A as one number
-    code_r = np.einsum("...i,i->...", roots, z)  # r(x).z per vertex x
-    if roots.ndim == 2:
-        lhs = code_a @ roots[1:].T.astype(np.int64)
-        image_codes = code_r[images[:, 1:]]
-    else:
-        lhs = np.einsum("bi,bwi->bw", code_a, roots[:, 1:].astype(np.int64))
-        image_codes = np.take_along_axis(code_r, images[:, 1:], axis=1)
+    code_r = np.einsum("bxi,i->bx", roots, z)  # r(x).z per vertex x
+    lhs = np.einsum("bi,bwi->bw", code_a, roots[:, 1:].astype(np.int64))
+    image_codes = np.take_along_axis(code_r, images[:, 1:], axis=1)
     rhs = image_codes - image_codes[:, :1]  # images[:, 1] = f(1)
     return unit_entries(mats) & np.all(lhs == rhs, axis=1)
 

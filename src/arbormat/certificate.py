@@ -54,10 +54,9 @@ the audit samples it.
 The direct rows are not decided at once.  :data:`QUEUE` holds the direct
 rows of every chunk a worker has claimed, each row with an index into the
 distinct oriented trees of the batch, and decides them by one call of the
-direct claims function per vertex count, in blocks of at most CYCLE_CHUNK
-rows: whenever that many rows are queued, and when the worker runs out of
-tasks.  Work waiting on a chunk's verdicts, such as its tally, runs after
-that call, in the order it was queued.
+direct claims function per vertex count: once FLUSH_ROWS rows are queued,
+and when the worker runs out of tasks.  Work waiting on a chunk's verdicts,
+such as its tally, runs after that call, in the order it was queued.
 """
 
 from __future__ import annotations
@@ -75,8 +74,12 @@ from .trees import Tree
 
 # A quarter of the 8! cycles of one n = 8 task: its (B, n, n) int64
 # temporaries stay near 45 MB instead of 175 MB, and n <= 7 is never split.
-# It also bounds the rows of one direct call (see QUEUE).
 CYCLE_CHUNK = 10_080
+# QUEUE decides its rows once this many wait.  The theorem kernels' int64
+# temporaries on 10,080 queued audit rows set a verify worker's peak (66 MB
+# at n = 9 on 2 cores, against 37 MB at this bound); at benchmark sizes no
+# worker queues this many, so each still decides its rows in one flush.
+FLUSH_ROWS = CYCLE_CHUNK // 4
 AUDIT_ROWS = 16  # rows of every chunk also decided on the direct route
 # the claim an audit row fails when its direct values differ from the
 # closed form
@@ -281,7 +284,7 @@ class _Queue:
         ``settle(values)`` takes their claims."""
         self.entries.append((self.task, direct, o, images, a, settle))
         self.rows += images.shape[0]
-        if self.rows >= CYCLE_CHUNK:
+        if self.rows >= FLUSH_ROWS:
             self.flush()
 
     def then(self, work) -> None:
@@ -309,26 +312,20 @@ class _Queue:
 
 
 def _decide_group(direct, group) -> None:
-    """One direct call per CYCLE_CHUNK rows of a group of (oriented tree,
-    images, matrices, settle) entries of one vertex count, each row reading
-    its own oriented tree from a stack of the distinct ones."""
+    """One direct call on a group of (oriented tree, images, matrices,
+    settle) entries of one vertex count, each row reading its own oriented
+    tree from a stack of the distinct ones."""
     distinct = {}
     for o, *_ in group:
         distinct.setdefault((o.tree.edges, o.bits), o)
     slot = {key: k for k, key in enumerate(distinct)}
     oriented = tuple(distinct.values())
-    tables = np.stack([o.table for o in oriented])
     index = np.concatenate([
         np.full(images.shape[0], slot[o.tree.edges, o.bits]) for o, images, _, _ in group
     ])
+    rows = OrientedRows(oriented, np.stack([o.table for o in oriented]), index)
     images = np.concatenate([images for _, images, _, _ in group])
-    a = np.concatenate([a for _, _, a, _ in group])
-    blocks = [
-        direct(OrientedRows(oriented, tables, index[lo : lo + CYCLE_CHUNK]),
-               images[lo : lo + CYCLE_CHUNK], a[lo : lo + CYCLE_CHUNK])
-        for lo in range(0, images.shape[0], CYCLE_CHUNK)
-    ]
-    values = {k: np.concatenate([block[k] for block in blocks]) for k in blocks[0]}
+    values = direct(rows, images, np.concatenate([a for _, _, a, _ in group]))
     lo = 0
     for _, part, _, settle in group:
         hi = lo + part.shape[0]

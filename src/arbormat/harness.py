@@ -10,19 +10,19 @@ the sweep's result.  Claims invariant under the similarity A_o = D.A_0.D
 that reversing edges induces are computed once per tree and carried to the
 other orientations by a check of their tables (see
 :class:`_OrientationQuotient`); the split-sign claims are not, so all
-orientations of a split-sign task go to its kernel together.  On a (tree,
-orientation) that passes the path-transport certificate, the theorem,
-witness, determinant and path-graph claims of every row follow from the
-closed form of det Mf, so its rows are kept as counts and only a fixed
-audit set of every chunk is built and decided by the direct kernels; a
-tree that fails the certificate sends every row to them.  Those direct
-rows are queued across the worker's tasks and decided in batches, and a
-task's chunks are tallied once its rows are (see
-:mod:`arbormat.certificate`).  With more than one worker, forked children
-take tasks from a shared pipe (see :func:`_fork_join`), and sub-results are
-reduced in sorted (v, tree, orientation) order, so output is identical for
-any worker count.  Orientation sampling is counter-based, keyed by (seed,
-tree code), hence schedule-independent.
+orientations of a split-sign task go to its kernel together.  Every other
+sweep decides through certificate.decide: on a (tree, orientation) that
+passes the path-transport certificate, every row's claims follow from it,
+so its rows are kept as counts and only a fixed audit set of every chunk
+is built and decided by the direct kernels; a tree that fails the
+certificate sends every row to them.  Those direct rows are queued across
+the worker's tasks and decided in batches, and a task's chunks are
+tallied once its rows are (see :mod:`arbormat.certificate`).  With more
+than one worker, forked children take tasks from a shared pipe (see
+:func:`_fork_join`), and sub-results are reduced in sorted (v, tree,
+orientation) order, so output is identical for any worker count.
+Orientation sampling is counter-based, keyed by (seed, tree code), hence
+schedule-independent.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .certificate import (
     AUDIT_AGREEMENT,
     CYCLE_CHUNK,
     QUEUE,
-    Decided,
     closed_form_dets,
     decide,
     similar,
@@ -543,7 +542,7 @@ def _row_tally(count: str, extras: tuple, res, quotient, bits, claims) -> None:
     the claim "ok" or the audit, with its verdicts of the ``extras`` claims."""
     res[count] += claims.size
     values, images = claims.values, claims.images
-    ok = values["ok"] & values.get(AUDIT_AGREEMENT, True)
+    ok = values["ok"] & values[AUDIT_AGREEMENT]
     _capped(res["failures"], (
         {**quotient.descriptor(bits, images[idx]), **{k: bool(values[k][idx]) for k in extras}}
         for idx in np.nonzero(~ok)[0]
@@ -579,7 +578,7 @@ def _theorem_claims_direct(o, images, a) -> dict:
         "oriented_determinant": (sign * cp_a[:, 0]) == sign,
         "geometric_sum_zero": _fast.batched_geometric_sum_zero(a),
         "unoriented_charpoly_odd": np.all(cp_b % 2 == 1, axis=1),
-        "path_image_identity": _fast.batched_path_image_ok(o.tables[o.index, 1], images, a),
+        "path_image_identity": _path_image_claims_direct(o, images, a)["ok"],
     }
     ok["z2_companion_similar"] = (
         ok["unoriented_charpoly_odd"] & _fast.batched_gf2_nonderogatory(b)
@@ -588,11 +587,14 @@ def _theorem_claims_direct(o, images, a) -> dict:
     return ok
 
 
-# Every theorem claim holds on a row of a certified tree: A = Mf^-1.C.Mf
-# over Z gives the charpoly, the determinant and the geometric sum of C, and
-# B = |A| == A mod 2 is similar to C over GF(2), so its charpoly is odd.
-# Path transport follows from the certified table.
-_theorem_claims = partial(decide, lambda o, orbit, sign: {}, _theorem_claims_direct)
+def _constant_claims(o, orbit, sign) -> dict:
+    """Every theorem claim holds on a row of a certified tree: A = Mf^-1.C.Mf
+    over Z gives C's charpoly, determinant and geometric sum, B = |A| == A
+    mod 2 is similar to C over GF(2), and transport is the table's."""
+    return {}
+
+
+_theorem_claims = partial(decide, _constant_claims, _theorem_claims_direct)
 
 
 def _theorem_tally(res, quotient, bits, claims) -> None:
@@ -802,16 +804,14 @@ def run_det_search(
 # path-transport sweep: exhaustive small n plus seeded random large n
 
 
-def _path_image_claims(o: _Oriented, ranks, counts) -> Decided:
-    images = _fast.unrank_cycles(o.tree.vertex_count, ranks)[0]
-    ok = _fast.batched_path_image_ok(o.table[1], images, o.build(images))
-    return Decided(ok.size, np.arange(ok.size), images, {"ok": ok})
+def _path_image_claims_direct(o, images, a) -> dict:
+    """Per row: path transport under its oriented tree in ``o``."""
+    return {"ok": _fast.batched_path_image_ok(o.tables[o.index, 1], images, a)}
 
 
-_PATH_IMAGE = _Sweep(
-    _path_image_claims, {"exhaustive_instances": 0, "failures": []},
-    partial(_row_tally, "exhaustive_instances", ()),
-)
+_PATH_IMAGE = _Sweep(partial(decide, _constant_claims, _path_image_claims_direct),
+                     {"exhaustive_instances": 0, "failures": []},
+                     partial(_row_tally, "exhaustive_instances", ()))
 
 
 def _random_instance(seed: int, idx: int, n_lo: int, n_hi: int):

@@ -40,7 +40,7 @@ def leaves(value):
 def test_flush_bound_leaves_injected_runs_unchanged(capsys, monkeypatch, bound):
     """The injected-failure runs of verify and search-detmf print the same
     documents, counts and exit codes whether the queued direct rows are
-    decided in calls of at most ``bound`` rows or in one call."""
+    decided once ``bound`` rows wait or in one call."""
     import re
 
     from arbormat import certificate
@@ -59,7 +59,7 @@ def test_flush_bound_leaves_injected_runs_unchanged(capsys, monkeypatch, bound):
 
     want = outputs()
     assert [code for code, _, _ in want] == [1, 0]
-    monkeypatch.setattr(certificate, "CYCLE_CHUNK", bound)
+    monkeypatch.setattr(certificate, "FLUSH_ROWS", bound)
     assert outputs() == want
 
 

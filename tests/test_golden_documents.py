@@ -121,11 +121,11 @@ def test_document_is_unchanged(name):
 @pytest.mark.parametrize("bound", [1, 7])
 @pytest.mark.parametrize("name", NAMES)
 def test_flush_bound_leaves_documents_unchanged(monkeypatch, name, bound):
-    """Direct rows decided a few at a time, in calls of at most ``bound``
-    rows, give the same documents as one call per worker."""
+    """Direct rows decided a chunk or two at a time, once ``bound`` rows
+    wait, give the same documents as one call per worker."""
     from arbormat import certificate
 
-    monkeypatch.setattr(certificate, "CYCLE_CHUNK", bound)
+    monkeypatch.setattr(certificate, "FLUSH_ROWS", bound)
     assert_unchanged(name)
 
 

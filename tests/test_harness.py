@@ -392,12 +392,12 @@ class TestKernelAgreement:
             table = _fast.orient_table(_fast.signed_path_table(tree), bits, tree.edge_count)
             images = np.array([[0] + list(f.image)], dtype=np.int64)
             single = mats[k : k + 1]
-            got = _fast.batched_path_image_ok(table[1], images, single)
+            got = _fast.batched_path_image_ok(per_row(table[1], 1), images, single)
             assert bool(got[0])
             corrupted = single.copy()
             corrupted[0, 0, :] = -corrupted[0, 0, :]
             if not (corrupted[0] == single[0]).all():
-                bad = _fast.batched_path_image_ok(table[1], images, corrupted)
+                bad = _fast.batched_path_image_ok(per_row(table[1], 1), images, corrupted)
                 assert not bool(bad[0])
 
 
@@ -769,11 +769,16 @@ class TestRootVectors:
                 assert not _path_image_check_matrix(f, o, ExactMatrix(ZZ, mats[0].tolist()))
 
 
+def per_row(roots, b):
+    """The root vectors ``roots`` (v+1, n) of one oriented tree, as the
+    per-row roots (b, v+1, n) of a b-row batch under that tree."""
+    return np.broadcast_to(roots, (b,) + roots.shape)
+
+
 def transport_batches(n, count, seed):
     """Valid path-transport inputs (roots, images, int8 A) of ``count``
-    random instances with n edges, in both root shapes: the first
-    instance's oriented tree shared by every map, roots (v+1, n), and each
-    instance's own, roots (count, v+1, n)."""
+    random instances with n edges, in two layouts: every map under the
+    first instance's oriented tree, and each under its own."""
     instances = list(random_instances(seed, count, n, n))
     images = np.array([(0,) + f.image for f, _ in instances], dtype=np.int64)
 
@@ -783,7 +788,7 @@ def transport_batches(n, count, seed):
 
     table, bits = oriented(*instances[0])
     ends = _fast.oriented_endpoint_arrays(instances[0][0].tree, bits)
-    shared = table[1], images, _fast.build_oriented_batch(table, images, *ends)
+    shared = per_row(table[1], count), images, _fast.build_oriented_batch(table, images, *ends)
     roots, mats = [], []
     for k, (f, o) in enumerate(instances):
         table, bits = oriented(f, o)
@@ -1080,15 +1085,11 @@ class TestOrientationQuotient:
         assert (brute_counts.derived, brute_counts.fallbacks) == (0, 0)
         assert counts.computed + counts.derived == total
         assert counts.derived > counts.computed > 0 and counts.fallbacks == 0
-        transport = (counts.certified, counts.audited, counts.uncertified, counts.disagreements)
-        if sweep == "path_image":  # its claim is transport itself
-            assert transport == (0, 0, 0, 0)
-        else:
-            assert counts.audited > 0 and counts.disagreements == 0
-            assert counts.certified + counts.audited + counts.uncertified == counts.computed
-            # injected failures refuse every certificate
-            assert (counts.certified > counts.audited) != injected
-            assert (counts.uncertified > 0) == injected
+        assert counts.audited > 0 and counts.disagreements == 0
+        assert counts.certified + counts.audited + counts.uncertified == counts.computed
+        # injected failures refuse every certificate
+        assert (counts.certified > counts.audited) != injected
+        assert (counts.uncertified > 0) == injected
         failures = quotient.nonunit_witnesses if sweep == "det" else quotient.failures
         if not injected:
             assert not failures
@@ -1128,11 +1129,8 @@ class TestOrientationQuotient:
         quotient = fn((5, idx, tree.edges, (0, 5)))
         brute = [fn((5, idx, tree.edges, (bits,)))[0] for bits in (0, 5)]
         # 24 cycles: 16 audited, and 8 certified or uncertified
-        transport = [(0, 0, 0, 0)] * 2
-        if worker != "path_image":
-            transport = [(8, 16, 0, 0), (0, 16, 8, 0)]
         assert [astuple(s["quotient"]) for s in quotient] == [
-            (24, 0, 0) + transport[0], (24, 0, 24) + transport[1]
+            (24, 0, 0, 8, 16, 0, 0), (24, 0, 24, 0, 16, 8, 0)
         ]
         for got, want in zip(quotient, brute):
             del got["quotient"], want["quotient"]
@@ -1357,6 +1355,21 @@ class TestAuditQueue:
             assert "in a sweep worker" in str(exc.value.__cause__)
         assert not QUEUE.entries and not QUEUE.waiting
         assert_all_reaped()
+
+    def test_flush_bound_caps_every_direct_call(self, monkeypatch):
+        """A serial n = 8 theorem sweep queues 3,008 audit rows.  The queue
+        decides them once FLUSH_ROWS wait, so no direct call takes more than
+        FLUSH_ROWS rows and the audit set of the chunk pushed last."""
+        from arbormat.certificate import FLUSH_ROWS
+
+        sizes = []
+        real = _fast.batched_geometric_sum_zero  # one call per direct call
+        monkeypatch.setattr(
+            _fast, "batched_geometric_sum_zero", lambda a: sizes.append(len(a)) or real(a)
+        )
+        assert run_theorem_sweep([8], OrientationPolicy("canonical")).all_pass
+        assert sum(sizes) == 3008 and len(sizes) > 1
+        assert max(sizes) <= FLUSH_ROWS + AUDIT_ROWS
 
     def test_flush_exception_names_its_lowest_task(self):
         from arbormat.certificate import decide
@@ -1725,7 +1738,8 @@ class TestTransportCertificate:
             for bits in self.orientations(tree, v):
                 o = _Oriented.of(tree, bits)
                 assert certified(o)
-                assert _fast.batched_path_image_ok(o.table[1], images, o.build(images)).all()
+                roots = per_row(o.table[1], len(images))
+                assert _fast.batched_path_image_ok(roots, images, o.build(images)).all()
 
     @pytest.mark.parametrize("v", range(3, 8))
     def test_direct_claims_equal_the_counted_verdicts(self, v):
@@ -1789,9 +1803,63 @@ class TestTransportCertificate:
                 images = rng.integers(1, v + 1, size=(25, v + 1))
                 images[:, 0] = 0
                 images[:, 2] = images[:, 1]  # f(2) = f(1): not a permutation
-                assert _fast.batched_path_image_ok(o.table[1], images, o.build(images)).all()
+                roots = per_row(o.table[1], len(images))
+                assert _fast.batched_path_image_ok(roots, images, o.build(images)).all()
                 checked += images.shape[0]
         assert checked == 1000
+
+
+class TestPathTransportSweep:
+    """The exhaustive path-transport sweep decides through the certificate:
+    a certified tree's rows are a count but for its audit rows, which the
+    transport kernel checks."""
+
+    def test_flipped_audit_verdict_fails_the_agreement(self, monkeypatch):
+        """One audit row's transport verdict flipped on a certified tree
+        disagrees with the certificate: that row alone fails
+        AUDIT_AGREEMENT and becomes the task's one failure record."""
+        from arbormat import harness
+        from arbormat.harness import QuotientCounts, _Oriented
+
+        v, tree = 6, trees_for(6)[3]  # 120 cycles
+        target = _fast.cycle_images(v)[audit_rows(120)[5]]
+        transport = _fast.batched_path_image_ok
+        monkeypatch.setattr(
+            _fast, "batched_path_image_ok",
+            lambda r, i, m: transport(r, i, m) ^ (i == target).all(axis=1),
+        )
+        counts = QuotientCounts()
+        o = _Oriented.of(tree, 9)
+        got = decided_now(harness._PATH_IMAGE.claims, o, np.arange(120), counts)
+        assert astuple(counts)[3:] == (120 - AUDIT_ROWS, AUDIT_ROWS, 0, 1)
+        assert np.nonzero(~got.values[AUDIT_AGREEMENT])[0].tolist() == [5]
+        (sub,) = decided_now(harness._sweep_worker, harness._PATH_IMAGE, (v, 3, tree.edges, (9,)))
+        assert sub["exhaustive_instances"] == 120
+        assert [f["map"] for f in sub["failures"]] == [",".join(map(str, target[1:]))]
+
+    def test_refused_certificate_sends_every_row_direct(self, monkeypatch):
+        """A certified sweep checks only its audit rows; with every
+        certificate refused, every row is checked and counted uncertified,
+        and the result does not change."""
+        from arbormat.harness import QuotientCounts
+
+        rows = []
+        transport = _fast.batched_path_image_ok
+        monkeypatch.setattr(
+            _fast, "batched_path_image_ok", lambda r, i, m: rows.append(len(i)) or transport(r, i, m)
+        )
+        runs = []
+        for refused in (False, True):
+            if refused:
+                refuse_certificate(monkeypatch)
+            counts = QuotientCounts()
+            rows.clear()
+            runs.append(run_path_image_sweep([2, 3, 4, 5], counts=counts))
+            assert counts.audited + counts.certified + counts.uncertified == counts.computed
+            assert sum(rows) == counts.computed - counts.certified
+            assert (counts.certified > 0, counts.uncertified > 0) == (not refused, refused)
+            assert counts.disagreements == 0
+        assert runs[0] == runs[1] and runs[0].all_pass
 
 
 def path_graph_oriented(tree, flip=0):
