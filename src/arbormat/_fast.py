@@ -439,24 +439,28 @@ def path_table(tree):
     return vertices, edges, lengths
 
 
-def orientation_signs(bits: int, n: int) -> np.ndarray:
-    """The diagonal of D for an orientation bitmask: -1 on reversed edges."""
-    return np.array([-1 if (bits >> k) & 1 else 1 for k in range(n)], dtype=np.int8)
+# row b: the diagonal of D for the orientation bitmask b < 2^_BATCH_N_CAP
+_SIGNS = (1 - 2 * (np.arange(1 << _BATCH_N_CAP)[:, None] >> np.arange(_BATCH_N_CAP) & 1))
+_SIGNS = _SIGNS.astype(np.int8)
 
 
-def orient_table(table: np.ndarray, bits: int, n: int) -> np.ndarray:
-    """Apply an orientation bitmask: flipping edge k negates coordinate k."""
-    return table * orientation_signs(bits, n)[None, None, :]
+def orientation_signs(bits, n: int) -> np.ndarray:
+    """The diagonal of D for an orientation bitmask, -1 on reversed edges:
+    (n,) for one bitmask, (O, n) for an array of O."""
+    return np.take(_SIGNS, bits, axis=0)[..., :n]
 
 
-def oriented_endpoint_arrays(tree, bits: int):
-    first, second = [], []
-    for k, (a, b) in enumerate(tree.edges):
-        if (bits >> k) & 1:
-            a, b = b, a
-        first.append(a)
-        second.append(b)
-    return np.array(first), np.array(second)
+def orient_table(table: np.ndarray, bits, n: int) -> np.ndarray:
+    """Apply an orientation bitmask, or stack an array of them: flipping
+    edge k negates coordinate k."""
+    return table * orientation_signs(bits, n)[..., None, None, :]
+
+
+def oriented_endpoint_arrays(tree, bits):
+    """Edge k runs first[k] -> second[k]; (O, n) each for O bitmasks."""
+    ends = np.array(tree.edges, dtype=np.int64).reshape(-1, 2)
+    swap = orientation_signs(bits, len(ends)) < 0
+    return np.where(swap, ends[:, 1], ends[:, 0]), np.where(swap, ends[:, 0], ends[:, 1])
 
 
 def build_oriented_batch(

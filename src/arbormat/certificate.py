@@ -40,23 +40,24 @@ and det T(n, j) of every step j coprime to n + 1 are +-1.  The exact table
 (:func:`exact_table`, walks over the tree with the sign rule of
 Tree.signed_path_vector) and the determinants (by
 :class:`arbormat.algebra.ExactMatrix`) are computed once per process and
-key, and the verdict once per oriented tree of a task.  On a certified tree
-every row passes every claim with |det Mf| = 1, so :func:`decide` keeps its
-rows as a count and unranks and builds only a fixed audit set of every
+key, and the verdict once per oriented tree a sweep computes (the others
+take its verdicts through :func:`similar`).  On a certified tree every row
+passes every claim with |det Mf| = 1, so :func:`decide` keeps its rows as a
+count and unranks, in one call, and builds only a fixed audit set of every
 chunk, which the direct kernels decide: those are the referee, and on an
 audit row their values must equal the closed form.  Of its values only the
-signed det Mf is not a constant, and it is evaluated on those rows only.
-A tree that fails the certificate sends every row to the direct kernels.
+signed det Mf is not a constant, and it is evaluated on those rows only.  A
+tree that fails the certificate sends every row to the direct kernels.
 What this gives up: the rows of a certified tree outside the audit set are
 neither built nor checked one by one; the argument above covers them, and
 the audit samples it.
 
 The direct rows are not decided at once.  :data:`QUEUE` holds the direct
-rows of every chunk a worker has claimed, each row with an index into the
-distinct oriented trees of the batch, and decides them by one call of the
-direct claims function per vertex count: once FLUSH_ROWS rows are queued,
-and when the worker runs out of tasks.  Work waiting on a chunk's verdicts,
-such as its tally, runs after that call, in the order it was queued.
+rows a worker has claimed, each row with an index into the distinct
+oriented trees of the batch, and decides them by calls of the direct claims
+function on at most FLUSH_ROWS rows of one vertex count: once FLUSH_ROWS
+rows are queued, and when the worker runs out of tasks.  Work waiting on
+verdicts, such as a tally, runs after those calls, in the order queued.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ from .trees import Tree
 # A quarter of the 8! cycles of one n = 8 task: its (B, n, n) int64
 # temporaries stay near 45 MB instead of 175 MB, and n <= 7 is never split.
 CYCLE_CHUNK = 10_080
-# QUEUE decides its rows once this many wait.  The theorem kernels' int64
-# temporaries on 10,080 queued audit rows set a verify worker's peak (66 MB
-# at n = 9 on 2 cores, against 37 MB at this bound); at benchmark sizes no
-# worker queues this many, so each still decides its rows in one flush.
+# QUEUE decides its rows once this many wait, this many per direct call:
+# the theorem kernels' int64 temporaries on 10,080 audit rows set a verify
+# worker's peak (66 MB at n = 9 on 2 cores, against 37 MB at this bound).
+# At benchmark sizes no worker queues this many, so each flushes once.
 FLUSH_ROWS = CYCLE_CHUNK // 4
 AUDIT_ROWS = 16  # rows of every chunk also decided on the direct route
 # the claim an audit row fails when its direct values differ from the
@@ -141,20 +142,21 @@ def certified(o) -> bool:
     )
 
 
-def similar(r, o) -> bool:
+def similar(r, o):
     """Whether every matrix under the oriented tree ``o`` is D.A_r.D, with
     A_r the same map's matrix under ``r`` and D = diag(signs of o ^ r): o's
     table is r's times D, r's table is antisymmetric, and o swaps the
     endpoints of the edges D reverses and only those.  Row k of A_o is then
     entry (f(a_k), f(b_k)) of r's table times D, negated when D reverses
-    edge k, a_k -> b_k being edge k under r."""
+    edge k, a_k -> b_k being edge k under r.  For a stack ``o`` of O
+    oriented trees (see harness._Oriented.of), one verdict per tree."""
     flip = _fast.orientation_signs(o.bits ^ r.bits, r.first.size)
     swap = flip < 0
     return (
-        np.array_equal(o.table, r.table * flip)
-        and np.array_equal(r.table, -r.table.swapaxes(0, 1))
-        and np.array_equal(o.first, np.where(swap, r.second, r.first))
-        and np.array_equal(o.second, np.where(swap, r.first, r.second))
+        (o.table == r.table * flip[..., None, None, :]).all(axis=(-3, -2, -1))
+        & np.array_equal(r.table, -r.table.swapaxes(0, 1))
+        & (o.first == np.where(swap, r.second, r.first)).all(axis=-1)
+        & (o.second == np.where(swap, r.first, r.second)).all(axis=-1)
     )
 
 
@@ -187,27 +189,27 @@ def closed_form_dets(o, orbit, sign):
 
 
 def audit_rows(b: int) -> np.ndarray:
-    """The audit set of a b-row chunk: AUDIT_ROWS rows evenly spaced through
-    it, or every row of a smaller chunk.  It depends on b alone, so it is
-    the same for any worker count."""
-    if b <= AUDIT_ROWS:
-        return np.arange(b)
-    return np.arange(AUDIT_ROWS) * b // AUDIT_ROWS
+    """The audit set of b rows taken in chunks of CYCLE_CHUNK: AUDIT_ROWS
+    rows evenly spaced through each chunk, or every row of a smaller one.
+    It depends on b alone, so it is the same for any worker count."""
+    chunks = [(lo, min(CYCLE_CHUNK, b - lo)) for lo in range(0, b, CYCLE_CHUNK)]
+    return np.concatenate([
+        lo + np.arange(min(m, AUDIT_ROWS)) * max(m, AUDIT_ROWS) // AUDIT_ROWS for lo, m in chunks
+    ])
 
 
 class Decided:
-    """The claims of one chunk of ``size`` rows: ``values`` holds the direct
-    per-row arrays of the chunk rows ``rows``, ascending, whose cycle images
-    are ``images``; every other row is certified, so it passes every claim
-    and its |det Mf| is 1.  A chunk with direct rows is complete once QUEUE
-    has decided them."""
+    """The claims of ``size`` rows: ``values`` holds the direct per-row
+    arrays of the rows ``rows``, ascending, whose cycle images are
+    ``images``; every other row is certified, so it passes every claim and
+    its |det Mf| is 1.  It is complete once QUEUE has decided ``rows``."""
 
     def __init__(self, size: int, rows: np.ndarray, images: np.ndarray, values: dict):
         self.size, self.rows, self.images, self.values = size, rows, images, values
 
     def settle(self, expected, counts, direct: dict) -> None:
-        """Take the direct values of the rows.  On a certified chunk
-        (``expected`` not None, ``rows`` its audit set) a row whose direct
+        """Take the direct values of the rows.  On certified rows
+        (``expected`` not None, ``rows`` their audit set) a row whose direct
         value of a claim differs from ``expected.get(claim, True)`` fails
         AUDIT_AGREEMENT and is counted in ``counts``."""
         agrees = np.ones(self.rows.size, dtype=bool)
@@ -234,10 +236,11 @@ class OrientedRows(NamedTuple):
 
 
 def decide(derived, direct, o, ranks, counts) -> Decided:
-    """Claims of one chunk, the cycles of lexicographic ranks ``ranks``
-    (see _fast.unrank_cycles), under the oriented tree ``o``: on a certified
-    tree (``o.certified``, see :func:`certified`) a count, with only the
-    audit rows unranked, built and decided on the direct route; on any
+    """Claims of the cycles of lexicographic ranks ``ranks`` (see
+    _fast.unrank_cycles), a contiguous range taken in chunks of CYCLE_CHUNK,
+    under the oriented tree ``o``: on a certified tree (``o.certified``, see
+    :func:`certified`) a count, with only the audit rows of each chunk
+    unranked, in one call, built and decided on the direct route; on any
     other tree the direct route on every row.
 
     ``derived(o, orbit, sign)`` returns the closed-form values of the audit
@@ -247,10 +250,10 @@ def decide(derived, direct, o, ranks, counts) -> Decided:
     images, a)`` returns the claims of its rows; both as dicts of per-row
     arrays.  The direct rows go to QUEUE, so the result is complete once it
     has decided them."""
-    b, v = ranks.size, o.tree.vertex_count
+    b, v = len(ranks), o.tree.vertex_count
     rows = audit_rows(b)
     counts.audited += rows.size
-    images, orbit, sign = _fast.unrank_cycles(v, ranks[rows])
+    images, orbit, sign = _fast.unrank_cycles(v, ranks[0] + rows)
     expected = derived(o, orbit, sign) if o.certified else None
     if expected is None:
         counts.uncertified += b - rows.size
@@ -312,9 +315,9 @@ class _Queue:
 
 
 def _decide_group(direct, group) -> None:
-    """One direct call on a group of (oriented tree, images, matrices,
-    settle) entries of one vertex count, each row reading its own oriented
-    tree from a stack of the distinct ones."""
+    """Direct calls of at most FLUSH_ROWS rows on a group of (oriented tree,
+    images, matrices, settle) entries of one vertex count, each row reading
+    its own oriented tree from a stack of the distinct ones."""
     distinct = {}
     for o, *_ in group:
         distinct.setdefault((o.tree.edges, o.bits), o)
@@ -323,9 +326,12 @@ def _decide_group(direct, group) -> None:
     index = np.concatenate([
         np.full(images.shape[0], slot[o.tree.edges, o.bits]) for o, images, _, _ in group
     ])
-    rows = OrientedRows(oriented, np.stack([o.table for o in oriented]), index)
+    tables = np.stack([o.table for o in oriented])
     images = np.concatenate([images for _, images, _, _ in group])
-    values = direct(rows, images, np.concatenate([a for _, _, a, _ in group]))
+    a = np.concatenate([a for _, _, a, _ in group])
+    cuts = [slice(lo, lo + FLUSH_ROWS) for lo in range(0, len(images), FLUSH_ROWS)]
+    blocks = [direct(OrientedRows(oriented, tables, index[at]), images[at], a[at]) for at in cuts]
+    values = {k: np.concatenate([x[k] for x in blocks]) for k in blocks[0]}
     lo = 0
     for _, part, _, settle in group:
         hi = lo + part.shape[0]

@@ -22,6 +22,7 @@ of them; ``arbormat reproduce`` reports a failed caption check on stderr.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -173,12 +174,6 @@ def _solve_signs(m1, m2, n):
     return d
 
 
-def _permutations(n):
-    import itertools
-
-    return list(itertools.permutations(range(n)))
-
-
 def reconstruct_instance(fixture: Fixture, max_results: int = 4) -> list[dict]:
     """Search instances on n+1 vertices reproducing the printed matrix.
 
@@ -193,7 +188,7 @@ def reconstruct_instance(fixture: Fixture, max_results: int = 4) -> list[dict]:
     target = [list(r) for r in fixture.oriented.rows]
     target_abs = [[abs(e) for e in row] for row in target]
     caption = fixture.caption_charpoly
-    perms = _permutations(n)
+    perms = list(itertools.permutations(range(n)))
     images = _fast.cycle_images(v)
     results = []
     for tree in enumerate_trees(v):
@@ -213,9 +208,7 @@ def reconstruct_instance(fixture: Fixture, max_results: int = 4) -> list[dict]:
                     for l in range(n)
                 ):
                     continue
-                m2 = [
-                    [0] * n for _ in range(n)
-                ]  # target pulled back to candidate indexing
+                m2 = [[0] * n for _ in range(n)]  # target pulled back to candidate indexing
                 for k in range(n):
                     for l in range(n):
                         m2[sigma[k]][sigma[l]] = target[k][l]

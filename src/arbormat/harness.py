@@ -1,23 +1,17 @@
 """Deterministic sweep driver over instance spaces.
 
 An instance is (tree, orientation, single-cycle vertex map).  A task is one
-tree with a tuple of orientations, covering all cycles at once via the
-batched kernels in :mod:`arbormat._fast`.  A sweep is a claims function,
-which decides per-row claims of one cycle chunk, plus a tally, which folds
-them into one orientation's sub-result (see :class:`_Sweep`); one worker
-runs the tasks of every sweep and one reducer folds the sub-results into
-the sweep's result.  Claims invariant under the similarity A_o = D.A_0.D
-that reversing edges induces are computed once per tree and carried to the
-other orientations by a check of their tables (see
-:class:`_OrientationQuotient`); the split-sign claims are not, so all
-orientations of a split-sign task go to its kernel together.  Every other
-sweep decides through certificate.decide: on a (tree, orientation) that
-passes the path-transport certificate, every row's claims follow from it,
-so its rows are kept as counts and only a fixed audit set of every chunk
-is built and decided by the direct kernels; a tree that fails the
-certificate sends every row to them.  Those direct rows are queued across
-the worker's tasks and decided in batches, and a task's chunks are
-tallied once its rows are (see :mod:`arbormat.certificate`).  With more
+tree with a tuple of orientations, covering all cycles via the batched
+kernels in :mod:`arbormat._fast`.  A sweep is a claims function plus a
+tally (see :class:`_Sweep`); one worker runs the tasks of every sweep and
+one reducer folds their sub-results into the sweep's result.  Claims
+invariant under the similarity A_o = D.A_0.D that reversing edges induces
+are computed once per tree, and the other orientations are carried as a
+count (see :class:`_OrientationQuotient`); the split-sign claims are not,
+so all orientations of a split-sign task go to its kernel together.  The
+other sweeps decide through the path-transport certificate, which builds
+only a fixed audit set of a certified tree's rows, and queue the rows they
+build across a worker's tasks (see :mod:`arbormat.certificate`).  With more
 than one worker, forked children take tasks from a shared pipe (see
 :func:`_fork_join`), and sub-results are reduced in sorted (v, tree,
 orientation) order, so output is identical for any worker count.
@@ -328,16 +322,12 @@ class QuotientCounts:
             setattr(self, name, getattr(self, name) + value)
 
     def transport(self) -> str:
-        return (
-            f"{self.certified} certified, {self.audited} audited, "
-            f"{self.uncertified} uncertified, {self.disagreements} audit disagreements"
-        )
+        return (f"{self.certified} certified, {self.audited} audited, "
+                f"{self.uncertified} uncertified, {self.disagreements} audit disagreements")
 
     def __str__(self) -> str:
-        return (
-            f"{self.computed} computed, {self.derived} derived, "
-            f"{self.fallbacks} certificate fallbacks"
-        )
+        return (f"{self.computed} computed, {self.derived} derived, "
+                f"{self.fallbacks} certificate fallbacks")
 
 
 @dataclass
@@ -351,9 +341,14 @@ class _Oriented:
     second: np.ndarray
 
     @classmethod
-    def of(cls, tree: Tree, bits: int) -> "_Oriented":
+    def of(cls, tree: Tree, bits) -> "_Oriented":
+        """The tree under a bitmask, or under an array of bitmasks as one stack."""
         table = _fast.orient_table(_spv_table_cached(tree.edges), bits, tree.edge_count)
         return cls(tree, bits, table, *_fast.oriented_endpoint_arrays(tree, bits))
+
+    def __getitem__(self, k: int) -> "_Oriented":  # orientation k of a stack
+        arrays = self.table[k], self.first[k], self.second[k]
+        return _Oriented(self.tree, int(self.bits[k]), *arrays)
 
     def build(self, images: np.ndarray) -> np.ndarray:
         return _fast.build_oriented_batch(self.table, images, self.first, self.second)
@@ -368,77 +363,82 @@ class _OrientationQuotient:
     """One tree under a tuple of orientations, its claims computed once.
 
     Reversing edge k negates row k and coordinate k of the oriented matrix,
-    so A_o = D.A_r.D with D = diag(signs of o ^ r) for the representative
-    r = orientations[0], for every map once the two tables pass
-    :func:`arbormat.certificate.similar`.  An invariant sweep's claims hold
-    under that similarity, except for det Mf, which picks up the factor det
-    D = +-1.  So its claims function runs on r, and every other orientation
-    takes r's verdicts once they are decided; an orientation that fails the
-    check is computed on its own, every row counted as a fallback in its
-    QuotientCounts."""
+    so A_o = D.A_r.D, D = diag(signs of o ^ r), for the representative r =
+    orientations[0] and every map once the two tables pass
+    :func:`arbormat.certificate.similar`, checked on the stack of the task's
+    tables.  An invariant sweep's claims hold under that similarity, except
+    det Mf, which picks up det D = +-1; so they are computed on r and carried
+    to the other orientations (see :meth:`results`).  An orientation that
+    fails the check is computed on its own, every row counted as a fallback
+    in its QuotientCounts."""
 
-    def __init__(self, v: int, edges: tuple, orientations: tuple):
-        self.v = v
-        self.tree = Tree(edges)
-        self.edges_str = self.tree.edge_list_str()
-        self.orientations = orientations
-        # distinct orientations, representative first
-        self.oriented = {bits: _Oriented.of(self.tree, bits) for bits in orientations}
-        self.rows = 0
-        self.counts = {bits: QuotientCounts() for bits in self.oriented}
+    def __init__(self, sweep: "_Sweep", v: int, edges: tuple, orientations: tuple):
+        self.sweep, self.v, self.tree, self.orientations = sweep, v, Tree(edges), orientations
+        self.rows = math.factorial(v - 1)
+        bits = np.array(list(dict.fromkeys(orientations)))  # distinct, representative first
+        self.stack, ok = _Oriented.of(self.tree, bits), np.zeros(bits.size, dtype=bool)
+        if sweep.invariant and bits.size > 1:  # the representative is computed
+            ok[1:] = similar(self.stack[0], self.stack)[1:]
+        self.own = [self.stack[k] for k in np.nonzero(~ok)[0]]
+        r = self.own[0].bits  # carried with det D = (-1)^(edges reversed)
+        self.carried = [(b, 1 - 2 * (bin(b ^ r).count("1") % 2)) for b in bits[ok].tolist()]
+        self.counts = {o.bits: QuotientCounts(computed=self.rows) for o in self.own}
+        for o in self.own[1:] if sweep.invariant else ():  # failed the similarity check
+            self.counts[o.bits].fallbacks = self.rows
+        self.out = {o.bits: {k: copy.copy(x) for k, x in sweep.empty.items()} for o in self.own}
 
-    def chunks(self, sweep: "_Sweep"):
-        """Per chunk of cycle ranks, a function that returns, once the
-        chunk's direct rows are decided, the claims per distinct
-        orientation; a sweep that is not invariant takes chunks of at most
-        CYCLE_CHUNK rows over all orientations together."""
-        rep, *others = self.oriented.values()
-        own, carried = [rep], []
-        for o in others:
-            if sweep.invariant and similar(rep, o):
-                det_d = 1 - 2 * (bin(o.bits ^ rep.bits).count("1") % 2)
-                carried.append((o.bits, det_d))
-            else:
-                own.append(o)
-        size = CYCLE_CHUNK if sweep.invariant else max(1, CYCLE_CHUNK // len(own))
-        cycles = math.factorial(self.v - 1)
-        for start in range(0, cycles, size):
-            ranks = np.arange(start, min(start + size, cycles))
-            self.rows += ranks.size
-            for o in own:
-                self.counts[o.bits].computed += ranks.size
-            if not sweep.invariant:
-                flags = sweep.claims(own, ranks)
-                yield lambda flags=flags: flags
-                continue
-            base = {o.bits: sweep.claims(o, ranks, self.counts[o.bits]) for o in own}
-            for o in own[1:]:
-                self.counts[o.bits].fallbacks += ranks.size
-            yield partial(self._settled, rep.bits, base, carried)
+    def chunks(self):
+        """(bitmask, claims) of the computed orientations per piece of cycle
+        ranks, complete once QUEUE decides the piece's direct rows: all
+        cycles of a certified orientation, else chunks of CYCLE_CHUNK, over
+        all orientations together for a sweep that is not invariant."""
+        if not self.sweep.invariant:
+            size = max(1, CYCLE_CHUNK // len(self.own))
+            for lo in range(0, self.rows, size):
+                yield from self.sweep.claims(self, range(lo, min(lo + size, self.rows))).items()
+            return
+        for o in self.own:
+            size = self.rows if o.certified else CYCLE_CHUNK
+            for start in range(0, self.rows, size):
+                ranks = range(start, min(start + size, self.rows))
+                yield o.bits, self.sweep.claims(o, ranks, self.counts[o.bits])
 
-    @staticmethod
-    def _settled(rep_bits, base, carried) -> dict:
-        rep = base[rep_bits]
-        return {**base, **{bits: rep.carried(det_d) for bits, det_d in carried}}
+    def tally(self, bits: int, claims) -> None:
+        """Fold a piece's claims into its orientation's sub-result.  A carried
+        orientation equals the representative until a piece gives the latter
+        a record, and is tallied on its own through Decided.carried from it."""
+        rep, out = self.orientations[0], self.out
+        carry = bits == rep and self.carried
+        before = copy.deepcopy(out[rep]) if carry and not _has_records(out[rep]) else None
+        self.sweep.tally(out[bits], self, bits, claims)
+        for b, det_d in self.carried if carry and _has_records(out[rep]) else ():
+            out[b] = out[b] if before is None else copy.deepcopy(before)
+            self.sweep.tally(out[b], self, b, claims.carried(det_d))
 
     def descriptor(self, bits: int, image_row) -> dict:
         return {
-            "tree": self.edges_str,
+            "tree": self.tree.edge_list_str(),
             "orientation": Orientation.from_int(bits, self.v - 1).bitstring(),
             "map": ",".join(str(int(x)) for x in image_row[1:]),
         }
 
-    def results(self, tree_idx: int, per_bits: dict) -> list[dict]:
-        """One sub-result per entry of the orientations tuple, duplicates
-        included; a repeated orientation counts as derived."""
-        out = []
-        seen = set()
-        for bits in self.orientations:
-            counts = QuotientCounts() if bits in seen else self.counts[bits]
-            seen.add(bits)
+    def results(self, tree_idx: int) -> list[dict]:
+        """One sub-result per entry of the orientations tuple, an entry past
+        an orientation's first counted as derived; while the representative's
+        holds no record, the later entries equal to it, carried or repeated,
+        are one sub-result with their count as "multiplicity"."""
+        out, (rep, *rest) = self.out, self.orientations
+        fold = () if _has_records(out[rep]) else {rep, *(bits for bits, _ in self.carried)}
+        res, folded = [], [bits for bits in rest if bits in fold]
+        for bits in [rep] + [bits for bits in rest if bits not in fold]:
+            counts = self.counts.pop(bits, None) or QuotientCounts()  # fresh past the first
             counts.derived = self.rows - counts.computed
-            out.append({"key": (self.v, tree_idx, bits), **per_bits[bits], "quotient": counts})
-        return out
+            res.append({"key": (self.v, tree_idx, bits), **out[bits], "quotient": counts})
+        if folded:
+            counts = QuotientCounts(derived=self.rows * len(folded))
+            res.append({"key": (self.v, tree_idx, folded[0]), **out[rep], "quotient": counts,
+                        "multiplicity": len(folded)})
+        return res
 
 
 def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only=False):
@@ -467,10 +467,10 @@ class _Sweep(NamedTuple):
     ``claims(o, ranks, counts)`` returns the :class:`Decided` claims of
     the cycles of lexicographic ranks ``ranks`` under one orientation.
     Claims not ``invariant`` under the similarity A_o = D.A.D are never
-    carried: ``claims(oriented, ranks)`` returns the claims of every
-    oriented tree of the task, by orientation.  ``empty`` is the sub-result
-    of one orientation before its first chunk, and ``tally(res, quotient,
-    bits, claims)`` folds one chunk's claims into it.  Sub-result entries
+    carried: ``claims(quotient, ranks)`` returns the claims of every
+    orientation of the task, by orientation.  ``empty`` is the sub-result
+    of one orientation before its first piece, and ``tally(res, quotient,
+    bits, claims)`` folds one piece's claims into it.  Sub-result entries
     are named after the result's fields."""
 
     claims: Callable
@@ -482,19 +482,13 @@ class _Sweep(NamedTuple):
 def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
     """The sub-results of one (v, tree index, edges, orientations) task.
     The list is filled once QUEUE has decided the task's direct rows: the
-    chunks are tallied then, in order."""
+    pieces are tallied then, in order."""
     v, tree_idx, edges, orientations = task
-    quotient = _OrientationQuotient(v, edges, orientations)
-    out = {bits: {k: copy.copy(x) for k, x in sweep.empty.items()} for bits in quotient.oriented}
-
-    def tally(flags):
-        for bits, claims in flags().items():
-            sweep.tally(out[bits], quotient, bits, claims)
-
-    for flags in quotient.chunks(sweep):
-        QUEUE.then(partial(tally, flags))
+    quotient = _OrientationQuotient(sweep, v, edges, orientations)
+    for bits, claims in quotient.chunks():
+        QUEUE.then(partial(quotient.tally, bits, claims))
     results = []
-    QUEUE.then(lambda: results.extend(quotient.results(tree_idx, out)))
+    QUEUE.then(lambda: results.extend(quotient.results(tree_idx)))
     return results
 
 
@@ -505,30 +499,36 @@ def _sweep(sweep: _Sweep, out, tasks, workers: int, counts=None):
 
 
 def _fold(out, results):
-    """Fold sub-results, in key order, into the result ``out``: counts add
-    up, dicts of counts merge key by key, failure lists concatenate up to
-    MAX_FAILURE_RECORDS, and the first example found is kept."""
+    """Fold sub-results, in key order, into ``out``: counts add up, times a
+    sub-result's "multiplicity", dicts of counts merge key by key, failure
+    lists concatenate up to MAX_FAILURE_RECORDS, the first example is kept."""
     for res in results:
+        times = res.get("multiplicity", 1)
         for name, value in res.items():
             if name.startswith("example_"):
                 if getattr(out, name) is None:
                     setattr(out, name, value)
-            elif value and name not in ("key", "quotient"):
-                setattr(out, name, _merge(getattr(out, name), value))
+            elif value and name not in ("key", "quotient", "multiplicity"):
+                setattr(out, name, _merge(getattr(out, name), value, times))
     return out
 
 
-def _merge(into, value):
-    """``into`` with ``value`` added: numbers sum, dicts merge key by key
-    (copying what ``into`` lacks), and lists concatenate up to
-    MAX_FAILURE_RECORDS."""
+def _merge(into, value, times: int = 1):
+    """``into`` with ``value`` added: numbers sum, ``times`` times, dicts
+    merge key by key (copying what ``into`` lacks), and lists concatenate up
+    to MAX_FAILURE_RECORDS."""
     if isinstance(value, dict):
         for k, x in value.items():
-            into[k] = _merge(into.get(k, type(x)()), x)
+            into[k] = _merge(into.get(k, type(x)()), x, times)
         return into
     if isinstance(value, list):
         return (into + value)[:MAX_FAILURE_RECORDS]
-    return into + value
+    return into + times * value
+
+
+def _has_records(res: dict) -> bool:
+    """Whether a sub-result holds a record: a list entry or an example."""
+    return any(x for k, x in res.items() if isinstance(x, list) or k.startswith("example_"))
 
 
 def _capped(failures: list, records) -> None:
@@ -982,16 +982,13 @@ def _exact_split_sign(tree: Tree, orientation: Orientation, image_row):
     return ("with_additions" if reduction.mixed_rows else "applicable"), None
 
 
-def _split_sign_claims(oriented: list, ranks) -> dict:
+def _split_sign_claims(quotient, ranks) -> dict:
     """Per orientation of the task: (images, applicable, mixed, holds)."""
-    images = _fast.unrank_cycles(oriented[0].tree.vertex_count, ranks)[0]
-    # oriented tables and edge endpoints, stacked on an orientation axis
-    stacked = zip(*((o.table, o.first, o.second) for o in oriented))
-    table, first, second = (np.stack(x) for x in stacked)
-    a = np.stack([o.build(images) for o in oriented])
-    paths = _path_table_cached(oriented[0].tree.edges)
-    flags = _fast.batched_split_sign(paths, table, images, first, second, a)
-    return {o.bits: (images, *(x[k] for x in flags)) for k, o in enumerate(oriented)}
+    images = _fast.unrank_cycles(quotient.v, ranks)[0]
+    a = np.stack([o.build(images) for o in quotient.own])
+    o, paths = quotient.stack, _path_table_cached(quotient.tree.edges)
+    flags = _fast.batched_split_sign(paths, o.table, images, o.first, o.second, a)
+    return {o.bits: (images, *(x[k] for x in flags)) for k, o in enumerate(quotient.own)}
 
 
 def _split_sign_tally(res, quotient, bits, claims) -> None:

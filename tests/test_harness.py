@@ -950,14 +950,16 @@ def corrupt_table(monkeypatch, tree, bits):
     """Flip one entry (x, y >= 2) of the oriented signed path table of
     ``tree`` under the orientation bitmask ``bits``: the table then fails
     the certificate and the similarity with every other orientation, and
-    the matrices that gather that entry fail path transport."""
+    the matrices that gather that entry fail path transport.  ``b`` may be
+    one bitmask or an array of them, whose tables are stacked."""
     orient = _fast.orient_table
     canonical = _fast.signed_path_table(tree)
+    k = int(np.nonzero(canonical[2, 3])[0][0])
 
     def corrupt(table, b, n):
         out = orient(table, b, n)
-        if b == bits and table.shape == canonical.shape and (table == canonical).all():
-            out[2, 3, int(np.nonzero(out[2, 3])[0][0])] *= -1
+        if table.shape == canonical.shape and (table == canonical).all():
+            out.reshape(-1, *canonical.shape)[np.atleast_1d(b) == bits, 2, 3, k] *= -1
         return out
 
     monkeypatch.setattr(_fast, "orient_table", corrupt)
@@ -1106,13 +1108,16 @@ class TestOrientationQuotient:
 
         tree = trees_for(5)[1]
         subs = decided_now(harness._sweep_worker, harness._THEOREM, (5, 1, tree.edges, (0, 6, 0, 6, 9)))
-        assert [s["key"] for s in subs] == [(5, 1, b) for b in (0, 6, 0, 6, 9)]
+        # the four entries after the representative fold into one
+        assert [(s["key"], s.get("multiplicity")) for s in subs] == [((5, 1, 0), None), ((5, 1, 6), 4)]
         # 24 cycles: 16 audited, 8 certified, on the representative only
         assert [astuple(s["quotient"]) for s in subs] == [
-            (24, 0, 0, 8, 16, 0, 0), (0, 24, 0, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0, 0),
-            (0, 24, 0, 0, 0, 0, 0), (0, 24, 0, 0, 0, 0, 0),
+            (24, 0, 0, 8, 16, 0, 0), (0, 4 * 24, 0, 0, 0, 0, 0),
         ]
-        strip = [{k: v for k, v in s.items() if k not in ("key", "quotient")} for s in subs]
+        strip = [
+            {k: v for k, v in s.items() if k not in ("key", "quotient", "multiplicity")}
+            for s in subs
+        ]
         assert all(s == strip[0] for s in strip)
 
     @pytest.mark.parametrize("worker", ["theorem", "witness", "det_search", "path_image"])
@@ -1143,6 +1148,100 @@ class TestOrientationQuotient:
         if worker == "theorem":
             assert clean["per_n"][4]["failures"] == 0
             assert all("path_image_identity" in f["claims"] for f in flipped["failures"])
+
+    @pytest.mark.parametrize("pieces", [1, 12])
+    @pytest.mark.parametrize("sweep", ["theorem", "witness"])
+    def test_representative_with_a_record_is_tallied_per_orientation(
+        self, monkeypatch, sweep, pieces
+    ):
+        """One row fails a kernel, keyed on |A| so that it fails under every
+        orientation: an audit row of a certified tree, decided in one piece,
+        or, with the certificate refused, a row of the second of 12 pieces.
+        The representative's sub-result then holds a record, so every
+        carried orientation is tallied on its own from that piece on: a
+        record each, with its own bitstring (and, for witnesses, its own det
+        sign), in (tree, orientation) order, and the document of the
+        one-orientation tasks."""
+        from arbormat import harness
+        from arbormat.harness import _Oriented
+
+        if pieces > 1:
+            refuse_certificate(monkeypatch)
+            monkeypatch.setattr(harness, "CYCLE_CHUNK", 24 // pieces)
+
+        tree = trees_for(5)[1]
+        # rank 3 is in the audit set of the 24 cycles
+        bad = np.abs(_Oriented.of(tree, 0).build(_fast.unrank_cycles(5, np.array([3]))[0]))
+
+        def hit(a):
+            return (np.abs(a) == bad).all(axis=(1, 2))
+
+        if sweep == "theorem":
+            real = _fast.batched_geometric_sum_zero
+            monkeypatch.setattr(_fast, "batched_geometric_sum_zero", lambda a: real(a) & ~hit(a))
+            run = run_theorem_sweep
+        else:
+            real = _fast.batched_witness
+
+            def witness(a, seeds):
+                gate, det, companion_ok, mf = real(a, seeds)
+                return gate, det, companion_ok & ~hit(a)[:, None, None], mf
+
+            monkeypatch.setattr(_fast, "batched_witness", witness)
+            run = run_witness_sweep
+        monkeypatch.setattr(harness, "MAX_FAILURE_RECORDS", 10**6)
+        got = run([4], OrientationPolicy("all"))
+        with monkeypatch.context() as m:
+            one_orientation_per_task(m)
+            want = run([4], OrientationPolicy("all"))
+        assert got == want
+        records = [f for f in got.failures if f["tree"] == tree.edge_list_str()]
+        bitstrings = [Orientation.from_int(bits, 4).bitstring() for bits in range(16)]
+        seen = [f["orientation"] for f in records]
+        assert list(dict.fromkeys(seen)) == bitstrings
+        assert sorted(seen, key=bitstrings.index) == seen
+        if sweep == "witness":
+            assert {int(f["det"]) for f in records} == {1, -1}
+
+    def test_corrupted_orientation_in_the_stack_is_computed_on_its_own(self, monkeypatch):
+        """Orientation 5's table, corrupted in the stack of all 16, fails the
+        stacked similarity check: it is computed on its own and counted as a
+        fallback, and the other 14 carried ones fold into one sub-result."""
+        from arbormat import harness
+
+        idx, tree = 2, trees_for(5)[2]
+        corrupt_table(monkeypatch, tree, 5)
+        task = (5, idx, tree.edges, tuple(range(16)))
+        subs = decided_now(harness._sweep_worker, harness._THEOREM, task)
+        assert [(s["key"], s.get("multiplicity")) for s in subs] == [
+            ((5, idx, 0), None), ((5, idx, 5), None), ((5, idx, 1), 14)
+        ]
+        assert [astuple(s["quotient"]) for s in subs] == [
+            (24, 0, 0, 8, 16, 0, 0), (24, 0, 24, 0, 16, 8, 0), (0, 14 * 24, 0, 0, 0, 0, 0)
+        ]
+        assert {f["orientation"] for f in subs[1]["failures"]} == {"1010"}
+        got = run_theorem_sweep([4], OrientationPolicy("all"))
+        with monkeypatch.context() as m:
+            one_orientation_per_task(m)
+            assert got == run_theorem_sweep([4], OrientationPolicy("all"))
+
+    def test_one_tally_per_tree_and_orientation(self, monkeypatch):
+        """A certified representative is decided in one piece, and carried
+        orientations without records are a count: no (tree, orientation)
+        of `verify --n 8` is tallied twice."""
+        from arbormat import harness
+
+        calls = []
+        real = harness._THEOREM.tally
+
+        def tally(res, quotient, bits, claims):
+            calls.append((quotient.tree.edges, bits))
+            real(res, quotient, bits, claims)
+
+        monkeypatch.setattr(harness, "_THEOREM", harness._THEOREM._replace(tally=tally))
+        res = run_theorem_sweep([8], OrientationPolicy("all"))
+        assert res.all_pass and res.total_instances == 47 * 256 * math.factorial(8)
+        assert calls and len(set(calls)) == len(calls)
 
     def test_pool_never_exceeds_tasks(self, monkeypatch):
         from arbormat import harness
