@@ -46,8 +46,8 @@ passes every claim with |det Mf| = 1, so :func:`decide` keeps its rows as a
 count and unranks, in one call, and builds only a fixed audit set of every
 chunk, which the direct kernels decide: those are the referee, and on an
 audit row their values must equal the closed form.  Of its values only the
-signed det Mf is not a constant, and it is evaluated on those rows only.  A
-tree that fails the certificate sends every row to the direct kernels.
+signed det Mf is not a constant, and it is evaluated on those rows only.
+A tree that fails the certificate sends every row to the direct kernels.
 What this gives up: the rows of a certified tree outside the audit set are
 neither built nor checked one by one; the argument above covers them, and
 the audit samples it.
