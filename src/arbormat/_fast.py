@@ -12,8 +12,10 @@ arbitrary-precision arithmetic:
   so at most n**(n-1); the running vector holds characteristic-polynomial
   coefficients of principal submatrices, at most C(n,k) * k**(k/2); their
   products stay below 1e15 for n <= 10.
-* Geometric-sum iterates: |(A^k)_ij| <= n**(k-1) * n, and the Horner
-  accumulator adds 1 per step, so entries stay below (n+1) * n**n.
+* Geometric sum: with |entries| <= 1, |(A^k)_ij| <= n**(k-1), and every
+  partial sum of a product A^p . A^q is at most n**(p+q-1).  Every product
+  on the squaring chain to A^(n+1) has p + q <= n + 1, so all values stay
+  within n**n = 1e10 for n <= 10 (2.9e11 at n = 11).
 * Witness kernels additionally gate on observed |entries| <= 1 before any
   charpoly work and report out-of-range batches for the exact fallback
   path.  The iterates of a witness stack may wrap modulo 2**64 once they
@@ -103,17 +105,24 @@ def batched_charpoly(mats: np.ndarray) -> np.ndarray:
     return vec[:, ::-1]
 
 
-def batched_geometric_sum_zero(mats: np.ndarray) -> np.ndarray:
-    """Whether I + A + ... + A^n vanishes, per batch element."""
+def batched_geometric_sum_zero(mats: np.ndarray, charpolys: np.ndarray) -> np.ndarray:
+    """Whether I + A + ... + A^n vanishes, per batch element, given the
+    stack's characteristic polynomials from batched_charpoly.
+
+    (I - A)(I + A + ... + A^n) = I - A^(n+1), so the sum vanishes exactly
+    when A^(n+1) = I and det(I - A), the sum of the charpoly's
+    coefficients, is nonzero: a vector fixed by A is multiplied by n + 1.
+    A^(n+1) is taken by repeated squaring.  Requires |entries| <= 1 (see
+    module bound analysis)."""
     b, n, _ = mats.shape
     _check_small(n)
-    mats = mats.astype(np.int64, copy=False)
-    acc = np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n)).copy()
-    diag = np.arange(n)
-    for _ in range(n):
-        acc = mats @ acc
-        acc[:, diag, diag] += 1
-    return np.all(acc == 0, axis=(1, 2))
+    a = mats.astype(np.int64, copy=False)
+    power = a
+    for bit in bin(n + 1)[3:]:  # the bits of n + 1 after the leading one
+        power = power @ power
+        if bit == "1":
+            power = power @ a
+    return (power == np.eye(n, dtype=np.int64)).all(axis=(1, 2)) & (charpolys.sum(axis=1) != 0)
 
 
 def batched_gf2_nonderogatory(mats: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ Matrices and polynomials are immutable; entries are plain payloads (int,
 Fraction, or reduced residues) interpreted by a ring object from
 :mod:`arbormat.rings`.  The characteristic polynomial uses the division-free
 Berkowitz scheme, so the same code path is exact over the integers, the
-rationals, and every prime field.
+rationals, and every prime field.  The determinant is read off it, except
+over the integers, where fraction-free (Bareiss) elimination is exact too
+and takes O(n^3) steps against Berkowitz's O(n^4).
 """
 
 from __future__ import annotations
@@ -209,14 +211,34 @@ class ExactMatrix:
         return ExactPolynomial(ring, reversed(vec))
 
     def determinant(self):
-        """Exact determinant, read off the characteristic polynomial.
+        """Exact determinant.
 
-        det(M) = (-1)^n p(0) where p = det(xI - M).
+        Over ZZ by fraction-free (Bareiss) elimination with row swaps: the
+        entry (i, j) after step k is the (k+1)-minor on rows 0..k, i and
+        columns 0..k, j, so every division by the previous pivot is exact.
+        Over other rings det(M) = (-1)^n p(0), p = det(xI - M).
         """
-        p = self.charpoly()
         n = self.nrows
-        c0 = p.coeffs[0] if p.coeffs else self.ring.zero
-        return c0 if n % 2 == 0 else self.ring.neg(c0)
+        if self.ring != ZZ:
+            p = self.charpoly()
+            c0 = p.coeffs[0] if p.coeffs else self.ring.zero
+            return c0 if n % 2 == 0 else self.ring.neg(c0)
+        if not self.is_square():
+            raise NotSquare("determinant needs a square matrix")
+        m, sign, prev = [list(row) for row in self.rows], 1, 1
+        for k in range(n - 1):
+            pivot = next((i for i in range(k, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            if pivot != k:
+                m[k], m[pivot], sign = m[pivot], m[k], -sign
+            top, p = m[k], m[k][k]
+            for row in m[k + 1 :]:
+                a = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - a * top[j]) // prev
+            prev = p
+        return sign * m[-1][-1]
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse over a field (Gauss-Jordan)."""

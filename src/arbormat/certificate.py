@@ -38,15 +38,18 @@ table equals the exact table of signed path vectors on every pair, every
 entry (x, y) of it is r(y) - r(x), and the exact determinants det R_{2..v}
 and det T(n, j) of every step j coprime to n + 1 are +-1.  The exact table
 (:func:`exact_table`, walks over the tree with the sign rule of
-Tree.signed_path_vector) and the determinants (by
-:class:`arbormat.algebra.ExactMatrix`) are computed once per process and
-key, and the verdict once per oriented tree a sweep computes (the others
-take its verdicts through :func:`similar`).  On a certified tree every row
-passes every claim with |det Mf| = 1, so :func:`decide` keeps its rows as a
-count and unranks, in one call, and builds only a fixed audit set of every
-chunk, which the direct kernels decide: those are the referee, and on an
-audit row their values must equal the closed form.  Of its values only the
-signed det Mf is not a constant, and it is evaluated on those rows only.
+Tree.signed_path_vector) and the determinants (exact integer elimination by
+:meth:`arbormat.algebra.ExactMatrix.determinant`) are computed once per
+process and (tree, orientation), and the verdict once per oriented tree a
+sweep computes (the others take its verdicts through :func:`similar`).  On
+a certified tree every row passes every claim with |det Mf| = 1, so
+:func:`decide` keeps its rows, taken in pieces of PIECE_ROWS, as a count
+and builds only a fixed audit set of every chunk, which the direct kernels
+decide: those are the referee, and on an audit row their values must equal
+the closed form.  A piece's audit set depends on its ranks alone, the same
+for every tree on v vertices, so its cycles are unranked once per process
+(:func:`audit_cycles`).  Of its values only the signed det Mf is not a
+constant, and it is evaluated on those rows only.
 A tree that fails the certificate sends every row to the direct kernels.
 What this gives up: the rows of a certified tree outside the audit set are
 neither built nor checked one by one; the argument above covers them, and
@@ -55,9 +58,10 @@ the audit samples it.
 The direct rows are not decided at once.  :data:`QUEUE` holds the direct
 rows a worker has claimed, each row with an index into the distinct
 oriented trees of the batch, and decides them by calls of the direct claims
-function on at most FLUSH_ROWS rows of one vertex count: once FLUSH_ROWS
-rows are queued, and when the worker runs out of tasks.  Work waiting on
-verdicts, such as a tally, runs after those calls, in the order queued.
+function on at most FLUSH_ROWS rows of one vertex count: before rows that
+would take it past FLUSH_ROWS, once FLUSH_ROWS rows are queued, and when
+the worker runs out of tasks.  Work waiting on verdicts, such as a tally,
+runs after those calls, in the order queued.
 """
 
 from __future__ import annotations
@@ -82,6 +86,10 @@ CYCLE_CHUNK = 10_080
 # At benchmark sizes no worker queues this many, so each flushes once.
 FLUSH_ROWS = CYCLE_CHUNK // 4
 AUDIT_ROWS = 16  # rows of every chunk also decided on the direct route
+# A certified (tree, orientation) is decided in pieces of whole chunks whose
+# audit set fits one direct call: one piece through n = 9, three at n = 10,
+# so the direct values a worker holds stay within FLUSH_ROWS rows.
+PIECE_ROWS = CYCLE_CHUNK * (FLUSH_ROWS // AUDIT_ROWS)
 # the claim an audit row fails when its direct values differ from the
 # closed form
 AUDIT_AGREEMENT = "derived_claims_agree"
@@ -101,14 +109,13 @@ def step_det(n: int, j: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def exact_table(edges: tuple, bits: int) -> np.ndarray:
+def exact_table(tree: Tree, bits: int) -> np.ndarray:
     """The signed path vector of every pair x -> y of a tree under an
     orientation bitmask, as a (v+1, v+1, n) table with row and column 0
     zero, the layout of the sweeps' oriented tables.  Row x is one walk from
     x over Tree.adjacency: the step a -> b over edge k gives b the vector of
     a with coordinate k set by the rule of Tree.signed_path_vector, +1 when
     a < b and -1 otherwise, negated when the bitmask reverses edge k."""
-    tree = Tree(edges)
     v = tree.vertex_count
     table = np.zeros((v + 1, v + 1, tree.edge_count), dtype=np.int8)
     for x in range(1, v + 1):
@@ -124,10 +131,10 @@ def exact_table(edges: tuple, bits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def root_det(edges: tuple, bits: int) -> int:
+def root_det(tree: Tree, bits: int) -> int:
     """Exact det R_{2..v} of a tree under an orientation bitmask: its rows
     are the oriented root vectors r(2), ..., r(v)."""
-    return ExactMatrix(ZZ, exact_table(edges, bits)[1, 2:].tolist()).determinant()
+    return ExactMatrix(ZZ, exact_table(tree, bits)[1, 2:].tolist()).determinant()
 
 
 def certified(o) -> bool:
@@ -135,9 +142,9 @@ def certified(o) -> bool:
     notes)."""
     r, n = o.table[1], o.table.shape[2]
     return (
-        np.array_equal(o.table, exact_table(o.tree.edges, o.bits))
+        np.array_equal(o.table, exact_table(o.tree, o.bits))
         and np.array_equal(o.table[1:, 1:], r[None, 1:] - r[1:, None])
-        and abs(root_det(o.tree.edges, o.bits)) == 1
+        and abs(root_det(o.tree, o.bits)) == 1
         and all(abs(step_det(n, j)) == 1 for j in coprime_steps(n + 1))
     )
 
@@ -176,26 +183,42 @@ def start_vertex_orbit(images: np.ndarray):
 def closed_form_dets(o, orbit, sign):
     """Signed det Mf(i, j) of every witness pair, ordered as witness_pairs
     orders them, from the closed form, given each row's orbit f^k(1) and
-    sgn(sigma_f) (see _fast.unrank_cycles); meaningful on certified rows."""
+    sgn(sigma_f) (see _fast.unrank_cycles); meaningful on certified rows,
+    where every factor is +-1, so the dets are int8."""
     b, v = orbit.shape
     n = v - 1
     position = np.zeros((b, v + 1), dtype=np.int64)
     np.put_along_axis(position, orbit, np.arange(v), axis=1)
-    step_dets = np.array([step_det(n, j) for j in coprime_steps(v)], dtype=np.int64)
-    first = root_det(o.tree.edges, o.bits) * sign
-    parity = 1 - 2 * (n * position[:, 1:] % 2)  # (-1)^(n m) for i = x_m = 1..v
+    step_dets = np.array([step_det(n, j) for j in coprime_steps(v)], dtype=np.int8)
+    first = (root_det(o.tree, o.bits) * sign).astype(np.int8)
+    parity = (1 - 2 * (n * position[:, 1:] % 2)).astype(np.int8)  # (-1)^(n m), i = x_m
     det = first[:, None, None] * step_dets[None, :, None] * parity[:, None, :]
     return det.reshape(b, -1)
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only: a cached value is shared by every caller."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def audit_rows(b: int) -> np.ndarray:
     """The audit set of b rows taken in chunks of CYCLE_CHUNK: AUDIT_ROWS
     rows evenly spaced through each chunk, or every row of a smaller one.
     It depends on b alone, so it is the same for any worker count."""
     chunks = [(lo, min(CYCLE_CHUNK, b - lo)) for lo in range(0, b, CYCLE_CHUNK)]
-    return np.concatenate([
+    return _frozen(np.concatenate([
         lo + np.arange(min(m, AUDIT_ROWS)) * max(m, AUDIT_ROWS) // AUDIT_ROWS for lo, m in chunks
-    ])
+    ]))[0]
+
+
+@lru_cache(maxsize=None)
+def audit_cycles(v: int, lo: int, b: int):
+    """(images, orbit, sign) of the audit set of the cycles of ranks lo..lo +
+    b - 1 on v vertices (see _fast.unrank_cycles), read-only."""
+    return _frozen(*_fast.unrank_cycles(v, lo + audit_rows(b)))
 
 
 class Decided:
@@ -240,8 +263,8 @@ def decide(derived, direct, o, ranks, counts) -> Decided:
     _fast.unrank_cycles), a contiguous range taken in chunks of CYCLE_CHUNK,
     under the oriented tree ``o``: on a certified tree (``o.certified``, see
     :func:`certified`) a count, with only the audit rows of each chunk
-    unranked, in one call, built and decided on the direct route; on any
-    other tree the direct route on every row.
+    (their cycles from :func:`audit_cycles`) built and decided on the
+    direct route; on any other tree the direct route on every row.
 
     ``derived(o, orbit, sign)`` returns the closed-form values of the audit
     rows, given their orbits and signs, for the claims whose value is not
@@ -253,8 +276,10 @@ def decide(derived, direct, o, ranks, counts) -> Decided:
     b, v = len(ranks), o.tree.vertex_count
     rows = audit_rows(b)
     counts.audited += rows.size
-    images, orbit, sign = _fast.unrank_cycles(v, ranks[0] + rows)
-    expected = derived(o, orbit, sign) if o.certified else None
+    expected = None
+    if o.certified:
+        images, orbit, sign = audit_cycles(v, ranks[0], b)
+        expected = derived(o, orbit, sign)
     if expected is None:
         counts.uncertified += b - rows.size
         rows = np.arange(b)
@@ -284,7 +309,10 @@ class _Queue:
 
     def push(self, direct, o, images, a, settle) -> None:
         """Queue rows of the oriented tree ``o`` for ``direct``;
-        ``settle(values)`` takes their claims."""
+        ``settle(values)`` takes their claims.  The rows queued before are
+        decided first if these would take the queue past FLUSH_ROWS."""
+        if self.rows + images.shape[0] > FLUSH_ROWS:
+            self.flush()
         self.entries.append((self.task, direct, o, images, a, settle))
         self.rows += images.shape[0]
         if self.rows >= FLUSH_ROWS:

@@ -142,13 +142,13 @@ def trees_for(v: int) -> tuple[Tree, ...]:
 
 
 @lru_cache(maxsize=256)
-def _spv_table_cached(edges: tuple) -> np.ndarray:
-    return _fast.signed_path_table(Tree(edges))
+def _spv_table_cached(tree: Tree) -> np.ndarray:
+    return _fast.signed_path_table(tree)
 
 
 @lru_cache(maxsize=256)
-def _path_table_cached(edges: tuple):
-    return _fast.path_table(Tree(edges))
+def _path_table_cached(tree: Tree):
+    return _fast.path_table(tree)
 
 
 def _check_cap(ns) -> list[int]:
@@ -343,7 +343,7 @@ class _Oriented:
     @classmethod
     def of(cls, tree: Tree, bits) -> "_Oriented":
         """The tree under a bitmask, or under an array of bitmasks as one stack."""
-        table = _fast.orient_table(_spv_table_cached(tree.edges), bits, tree.edge_count)
+        table = _fast.orient_table(_spv_table_cached(tree), bits, tree.edge_count)
         return cls(tree, bits, table, *_fast.oriented_endpoint_arrays(tree, bits))
 
     def __getitem__(self, k: int) -> "_Oriented":  # orientation k of a stack
@@ -372,8 +372,8 @@ class _OrientationQuotient:
     fails the check is computed on its own, every row counted as a fallback
     in its QuotientCounts."""
 
-    def __init__(self, sweep: "_Sweep", v: int, edges: tuple, orientations: tuple):
-        self.sweep, self.v, self.tree, self.orientations = sweep, v, Tree(edges), orientations
+    def __init__(self, sweep: "_Sweep", v: int, tree: Tree, orientations: tuple):
+        self.sweep, self.v, self.tree, self.orientations = sweep, v, tree, orientations
         self.rows = math.factorial(v - 1)
         bits = np.array(list(dict.fromkeys(orientations)))  # distinct, representative first
         self.stack, ok = _Oriented.of(self.tree, bits), np.zeros(bits.size, dtype=bool)
@@ -389,16 +389,16 @@ class _OrientationQuotient:
 
     def chunks(self):
         """(bitmask, claims) of the computed orientations per piece of cycle
-        ranks, complete once QUEUE decides the piece's direct rows: all
-        cycles of a certified orientation, else chunks of CYCLE_CHUNK, over
-        all orientations together for a sweep that is not invariant."""
+        ranks, complete once QUEUE decides the piece's direct rows: PIECE_ROWS
+        cycles of a certified orientation, else CYCLE_CHUNK, over all
+        orientations together for a sweep that is not invariant."""
         if not self.sweep.invariant:
             size = max(1, CYCLE_CHUNK // len(self.own))
             for lo in range(0, self.rows, size):
                 yield from self.sweep.claims(self, range(lo, min(lo + size, self.rows))).items()
             return
         for o in self.own:
-            size = self.rows if o.certified else CYCLE_CHUNK
+            size = certificate.PIECE_ROWS if o.certified else CYCLE_CHUNK
             for start in range(0, self.rows, size):
                 ranks = range(start, min(start + size, self.rows))
                 yield o.bits, self.sweep.claims(o, ranks, self.counts[o.bits])
@@ -442,7 +442,7 @@ class _OrientationQuotient:
 
 
 def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only=False):
-    """(v, tree index, edges, orientations) per tree of every n, counting
+    """(v, tree index, tree, orientations) per tree of every n, counting
     trees and orientations into per_n when given."""
     tasks = []
     for n in ns:
@@ -453,7 +453,7 @@ def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only
             orientations = tuple(orientations_for(policy, n, seed, canonical_form(tree)))
             if per_n is not None:
                 _merge(per_n, {n: {"trees": 1, "orientations": len(orientations)}})
-            tasks.append((v, tree_idx, tree.edges, orientations))
+            tasks.append((v, tree_idx, tree, orientations))
     return tasks
 
 
@@ -480,11 +480,11 @@ class _Sweep(NamedTuple):
 
 
 def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
-    """The sub-results of one (v, tree index, edges, orientations) task.
+    """The sub-results of one (v, tree index, tree, orientations) task.
     The list is filled once QUEUE has decided the task's direct rows: the
     pieces are tallied then, in order."""
-    v, tree_idx, edges, orientations = task
-    quotient = _OrientationQuotient(sweep, v, edges, orientations)
+    v, tree_idx, tree, orientations = task
+    quotient = _OrientationQuotient(sweep, v, tree, orientations)
     for bits, claims in quotient.chunks():
         QUEUE.then(partial(quotient.tally, bits, claims))
     results = []
@@ -576,7 +576,7 @@ def _theorem_claims_direct(o, images, a) -> dict:
     ok = {
         "oriented_charpoly_geometric": np.all(cp_a == 1, axis=1),
         "oriented_determinant": (sign * cp_a[:, 0]) == sign,
-        "geometric_sum_zero": _fast.batched_geometric_sum_zero(a),
+        "geometric_sum_zero": _fast.batched_geometric_sum_zero(a, cp_a),
         "unoriented_charpoly_odd": np.all(cp_b % 2 == 1, axis=1),
         "path_image_identity": _path_image_claims_direct(o, images, a)["ok"],
     }
@@ -729,17 +729,17 @@ def _witness_tally(res, quotient, bits, claims) -> None:
 
 def _det_tally(res, quotient, bits, claims) -> None:
     """Histogram the |det Mf| of the chunk: the decided rows' values, and
-    1 for every pair of a certified row."""
-    dets = np.abs(claims.values["det"])
-    values, counts = np.unique(dets, return_counts=True)
+    1 for every pair of a certified row; only non-unit values are sorted."""
+    det = claims.values["det"]
+    nonunit = (det != 1) & (det != -1)
+    values, counts = np.unique(np.abs(det[nonunit]), return_counts=True)
     histogram = dict(zip(values.tolist(), counts.tolist()))
-    certified = (claims.size - claims.rows.size) * len(witness_pairs(quotient.v))
-    if certified:
-        histogram[1] = histogram.get(1, 0) + certified
+    if unit := claims.size * len(witness_pairs(quotient.v)) - int(counts.sum()):
+        histogram[1] = unit
     _merge(res["histogram"], histogram)
-    if (dets != 1).any():
-        nonunit = _pair_records(quotient, bits, claims.images, dets != 1, abs_det=dets)
-        _capped(res["nonunit_witnesses"], nonunit)
+    if nonunit.any():
+        records = _pair_records(quotient, bits, claims.images, nonunit, abs_det=np.abs(det))
+        _capped(res["nonunit_witnesses"], records)
 
 
 _WITNESS = _Sweep(_witness_claims, {"total_witnesses": 0, "failures": []}, _witness_tally)
@@ -941,10 +941,10 @@ def run_path_graph_sweep(ns, workers: int = 1) -> PathGraphResult:
     relative to interval-style edge order."""
     tasks = []
     paths = _tree_tasks(_check_cap(ns), OrientationPolicy("canonical"), 0, paths_only=True)
-    for v, tree_idx, edges, _ in paths:
-        tree = path_edge_ordered(Tree(edges))
+    for v, tree_idx, tree, _ in paths:
+        tree = path_edge_ordered(tree)
         bits = sum(1 << k for k, flag in enumerate(same_direction_orientation(tree).bits) if flag)
-        tasks.append((v, tree_idx, tree.edges, (bits,)))
+        tasks.append((v, tree_idx, tree, (bits,)))
     out = _sweep(_PATH_GRAPH, PathGraphResult(), tasks, workers)
     out.all_pass = not out.failures
     return out
@@ -986,7 +986,7 @@ def _split_sign_claims(quotient, ranks) -> dict:
     """Per orientation of the task: (images, applicable, mixed, holds)."""
     images = _fast.unrank_cycles(quotient.v, ranks)[0]
     a = np.stack([o.build(images) for o in quotient.own])
-    o, paths = quotient.stack, _path_table_cached(quotient.tree.edges)
+    o, paths = quotient.stack, _path_table_cached(quotient.tree)
     flags = _fast.batched_split_sign(paths, o.table, images, o.first, o.second, a)
     return {o.bits: (images, *(x[k] for x in flags)) for k, o in enumerate(quotient.own)}
 

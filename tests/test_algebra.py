@@ -137,6 +137,47 @@ class TestDeterminant:
             rows = rand_matrix(rng, n, -5, 5)
             assert ExactMatrix(ZZ, rows).determinant() == bareiss_det(rows)
 
+    def test_bareiss_equals_charpoly_route(self, monkeypatch):
+        """Over ZZ the determinant is fraction-free elimination; it equals
+        (-1)^n p(0) of the charpoly on random, singular and zero-pivot
+        matrices of size 1..11, and never computes the charpoly."""
+        rng = random.Random(31)
+        cases = []
+        for n in range(1, 12):
+            for lo in (-1, -4, -40):
+                cases.append(rand_matrix(rng, n, lo, -lo))
+            if n > 1:
+                rows = rand_matrix(rng, n, -3, 3)
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]  # singular
+                cases.append(rows)
+                rows = rand_matrix(rng, n, -2, 2)
+                rows[0][0] = 0  # a row swap at the first pivot
+                rows[1][0] = rows[1][0] or 1
+                cases.append(rows)
+                cases.append([[int(i == (j + 1) % n) for j in range(n)] for i in range(n)])
+        want = []
+        for rows in cases:
+            c0 = dict(enumerate(ExactMatrix(ZZ, rows).charpoly().coeffs)).get(0, 0)
+            want.append(c0 * (-1) ** len(rows))
+        assert 0 in want and {1, -1} <= set(want)
+
+        def no_charpoly(self):
+            raise AssertionError("charpoly called over ZZ")
+
+        monkeypatch.setattr(ExactMatrix, "charpoly", no_charpoly)
+        assert [ExactMatrix(ZZ, rows).determinant() for rows in cases] == want
+        with pytest.raises(NotSquare):
+            ExactMatrix(ZZ, [[1, 2]]).determinant()
+
+    def test_fields_take_the_charpoly_route(self, monkeypatch):
+        calls = []
+        real = ExactMatrix.charpoly
+        monkeypatch.setattr(ExactMatrix, "charpoly", lambda m: calls.append(m.ring) or real(m))
+        rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+        assert ExactMatrix(GF(7), rows).determinant() == (-3) % 7
+        assert ExactMatrix(QQ, rows).determinant() == Fraction(-3)
+        assert calls == [GF(7), QQ]
+
     def test_charpoly_constant_relation(self):
         rng = random.Random(29)
         for _ in range(20):

@@ -23,6 +23,7 @@ from arbormat import (
     VertexMap,
     ZZ,
     basis_witness,
+    companion,
     geometric_sum_is_zero,
     invariant_factors,
     oriented_matrix,
@@ -135,7 +136,7 @@ def matrix_consumer_outputs(tree, table, images, first, second, a) -> dict:
     paths = _fast.path_table(tree)
     return {
         "charpoly": (_fast.batched_charpoly(a), _fast.batched_charpoly(b)),
-        "geometric_sum_zero": (_fast.batched_geometric_sum_zero(a),),
+        "geometric_sum_zero": (_fast.batched_geometric_sum_zero(a, _fast.batched_charpoly(a)),),
         "gf2_nonderogatory": (_fast.batched_gf2_nonderogatory(b),),
         "witness": _fast.batched_witness(a, seeds),
         "split_sign": _fast.batched_split_sign(
@@ -162,10 +163,22 @@ class TestKernelAgreement:
             _fast.batched_charpoly(np.full((1, 3, 3), 2, dtype=np.int64))
 
     def test_geometric_sum_random(self):
-        mats = random_sign_matrices(3, 30, 5)
-        got = _fast.batched_geometric_sum_zero(mats)
-        for k in range(30):
-            assert bool(got[k]) == geometric_sum_is_zero(ExactMatrix(ZZ, mats[k].tolist()))
+        """A^(n+1) = I with p(1) != 0 against the sum itself: random sign
+        matrices, I and 0 (false), and signed conjugates D.P.C.P^-1.D of
+        the companion C of 1 + x + ... + x^n (true)."""
+        for n in (2, 5, 7, 10):
+            rng = np.random.default_rng(n)
+            mats = random_sign_matrices(3, 30, n)
+            mats[0], mats[1] = np.eye(n, dtype=np.int64), 0
+            c = companion(n).rows
+            for k in range(2, 12):
+                p = np.eye(n, dtype=np.int64)[rng.permutation(n)] * rng.choice([-1, 1], n)
+                mats[k] = p @ c @ p.T
+            got = _fast.batched_geometric_sum_zero(mats, _fast.batched_charpoly(mats))
+            assert got[2:12].all() and not got[:2].any()
+            for k in range(30):
+                want = geometric_sum_is_zero(ExactMatrix(ZZ, mats[k].tolist()))
+                assert bool(got[k]) == want, (n, k)
 
     def test_gf2_route_matches_invariant_factors(self):
         instances, mats = instance_batch(71, 30, 6)
@@ -543,8 +556,7 @@ class TestWitnessFallback:
 def exact_split_sign_task(args) -> list[dict]:
     """Split-sign outcome of one (tree, orientations) task per orientation,
     every cycle on the exact route: the reference for the batched worker."""
-    v, _, edges, orientations = args
-    tree = Tree(edges)
+    v, _, tree, orientations = args
     return [exact_split_sign(tree, Orientation.from_int(bits, v - 1)) for bits in orientations]
 
 
@@ -587,7 +599,7 @@ def exact_split_sign(tree, orientation) -> dict:
 def split_sign_tasks(n):
     """The per-tree tasks of run_split_sign_sweep: every orientation."""
     v = n + 1
-    return [(v, idx, tree.edges, tuple(range(1 << n))) for idx, tree in enumerate(trees_for(v))]
+    return [(v, idx, tree, tuple(range(1 << n))) for idx, tree in enumerate(trees_for(v))]
 
 
 class TestSplitSignKernel:
@@ -615,9 +627,9 @@ class TestSplitSignKernel:
         for n, count in ((5, 6), (6, 3)):
             pairs = [(task, bits) for task in split_sign_tasks(n) for bits in task[3]]
             picked = {}
-            for (v, idx, edges, _), bits in rng.sample(pairs, count):
-                picked.setdefault((v, idx, edges), []).append(bits)
-            for key, orientations in sorted(picked.items()):
+            for (v, idx, tree, _), bits in rng.sample(pairs, count):
+                picked.setdefault((v, idx, tree), []).append(bits)
+            for key, orientations in sorted(picked.items(), key=lambda item: item[0][:2]):
                 task = key + (tuple(sorted(orientations)),)
                 assert self.batched(task) == exact_split_sign_task(task), task
 
@@ -629,8 +641,8 @@ class TestSplitSignKernel:
         row without additions one more entry of its own sign, so A is rebuilt
         but |det B| != 1."""
         for task in split_sign_tasks(4):
-            v, _, edges, orientations = task
-            tree, n = Tree(edges), v - 1
+            v, _, tree, orientations = task
+            n = v - 1
             images = _fast.cycle_images(v)
             for bits in orientations:
                 table = _fast.orient_table(_fast.signed_path_table(tree), bits, n)
@@ -667,8 +679,8 @@ class TestSplitSignKernel:
         from arbormat import dynamics, theorems
 
         task, bits, image, row, col, value = self.corruption(kind)
-        v, _, edges, orientations = task
-        tree, n = Tree(edges), v - 1
+        v, _, tree, orientations = task
+        n = v - 1
         target = _fast.oriented_endpoint_arrays(tree, bits)
         build = _fast.build_oriented_batch
 
@@ -858,13 +870,13 @@ class TestCycleChunks:
 
         # orientation 5 is derived from 0 through the quotient in every chunk
         trees = list(enumerate(trees_for(5)))
-        tasks = [(5, idx, tree.edges, (0, 5)) for idx, tree in trees]
+        tasks = [(5, idx, tree, (0, 5)) for idx, tree in trees]
         sweeps = {
             "theorem": tasks,
             "witness": tasks,
             "det_search": tasks,
             "path_image": tasks,
-            "path_graph": [(5, idx, tree.edges, (0,)) for idx, tree in trees],
+            "path_graph": [(5, idx, tree, (0,)) for idx, tree in trees],
             "split_sign": tasks,  # every orientation decided directly
         }
         def run(name, ts):
@@ -920,6 +932,47 @@ class TestExactRouteBudget:
         pairs = sum(len(task[3]) for n in (2, 3, 4) for task in split_sign_tasks(n))
         assert res.all_pass and res.instances == 1256
         assert pairs <= len(calls) <= 2 * pairs
+
+    def test_certified_trees_share_one_audit_set(self, monkeypatch):
+        """A serial n = 7 theorem sweep of 23 certified trees unranks its
+        audit set once, builds no Tree inside a task, and takes the
+        certificate's 27 exact determinants without a charpoly."""
+        from arbormat import algebra, certificate, harness, trees
+
+        for cached in (certificate.audit_cycles, certificate.exact_table,
+                       certificate.root_det, certificate.step_det):
+            cached.cache_clear()
+        trees_for(8)  # planning builds the trees, outside any task
+        unranked, built, calls, inside = [], [], [], []
+        real = _fast.unrank_cycles, trees.Tree.__init__, harness._sweep_worker
+        monkeypatch.setattr(_fast, "unrank_cycles", lambda v, r: unranked.append(v) or real[0](v, r))
+        monkeypatch.setattr(trees.Tree, "__init__", lambda t, e: built.append(inside[:]) or real[1](t, e))
+        def counted(name, method):
+            return lambda m: calls.append(name) or method(m)
+
+        for name in ("charpoly", "determinant"):
+            monkeypatch.setattr(algebra.ExactMatrix, name,
+                                counted(name, getattr(algebra.ExactMatrix, name)))
+
+        def worker(sweep, task):
+            inside.append(task)
+            try:
+                return real[2](sweep, task)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(harness, "_sweep_worker", worker)
+        res = run_theorem_sweep([7], OrientationPolicy("canonical"))
+        assert res.all_pass and res.total_instances == 23 * 5040
+        assert unranked == [8] and not any(built)
+        assert calls == ["determinant"] * 27  # 23 trees and 4 steps
+
+    def test_cached_audit_arrays_are_read_only(self):
+        from arbormat.certificate import audit_cycles
+
+        for x in (audit_rows(5040), *audit_cycles(8, 0, 5040)):
+            with pytest.raises(ValueError):
+                x[0] = 0
 
     def test_path_image_audit_only(self, monkeypatch):
         from arbormat import harness
@@ -1024,7 +1077,9 @@ def inject_failures(monkeypatch, sweep):
         )
     if sweep == "theorem":
         real = _fast.batched_geometric_sum_zero
-        monkeypatch.setattr(_fast, "batched_geometric_sum_zero", lambda a: real(a) & ~marked(a))
+        monkeypatch.setattr(
+            _fast, "batched_geometric_sum_zero", lambda a, cp: real(a, cp) & ~marked(a)
+        )
     elif sweep in ("witness", "det"):
         real = _fast.batched_witness
 
@@ -1107,7 +1162,7 @@ class TestOrientationQuotient:
         from arbormat import harness
 
         tree = trees_for(5)[1]
-        subs = decided_now(harness._sweep_worker, harness._THEOREM, (5, 1, tree.edges, (0, 6, 0, 6, 9)))
+        subs = decided_now(harness._sweep_worker, harness._THEOREM, (5, 1, tree, (0, 6, 0, 6, 9)))
         # the four entries after the representative fold into one
         assert [(s["key"], s.get("multiplicity")) for s in subs] == [((5, 1, 0), None), ((5, 1, 6), 4)]
         # 24 cycles: 16 audited, 8 certified, on the representative only
@@ -1131,8 +1186,8 @@ class TestOrientationQuotient:
         fn = partial(decided_now, harness._sweep_worker, getattr(harness, f"_{worker.upper()}"))
         idx, tree = 2, trees_for(5)[2]
         corrupt_table(monkeypatch, tree, 5)
-        quotient = fn((5, idx, tree.edges, (0, 5)))
-        brute = [fn((5, idx, tree.edges, (bits,)))[0] for bits in (0, 5)]
+        quotient = fn((5, idx, tree, (0, 5)))
+        brute = [fn((5, idx, tree, (bits,)))[0] for bits in (0, 5)]
         # 24 cycles: 16 audited, and 8 certified or uncertified
         assert [astuple(s["quotient"]) for s in quotient] == [
             (24, 0, 0, 8, 16, 0, 0), (24, 0, 24, 0, 16, 8, 0)
@@ -1178,7 +1233,9 @@ class TestOrientationQuotient:
 
         if sweep == "theorem":
             real = _fast.batched_geometric_sum_zero
-            monkeypatch.setattr(_fast, "batched_geometric_sum_zero", lambda a: real(a) & ~hit(a))
+            monkeypatch.setattr(
+                _fast, "batched_geometric_sum_zero", lambda a, cp: real(a, cp) & ~hit(a)
+            )
             run = run_theorem_sweep
         else:
             real = _fast.batched_witness
@@ -1211,7 +1268,7 @@ class TestOrientationQuotient:
 
         idx, tree = 2, trees_for(5)[2]
         corrupt_table(monkeypatch, tree, 5)
-        task = (5, idx, tree.edges, tuple(range(16)))
+        task = (5, idx, tree, tuple(range(16)))
         subs = decided_now(harness._sweep_worker, harness._THEOREM, task)
         assert [(s["key"], s.get("multiplicity")) for s in subs] == [
             ((5, idx, 0), None), ((5, idx, 5), None), ((5, idx, 1), 14)
@@ -1443,7 +1500,7 @@ class TestAuditQueue:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_flush_exception_keeps_its_type(self, monkeypatch, workers):
-        def fail(a):
+        def fail(a, cp):
             raise WitnessFailed("geometric sum kernel")
 
         # the kernel runs on the direct route only, so inside a flush
@@ -1457,18 +1514,40 @@ class TestAuditQueue:
 
     def test_flush_bound_caps_every_direct_call(self, monkeypatch):
         """A serial n = 8 theorem sweep queues 3,008 audit rows.  The queue
-        decides them once FLUSH_ROWS wait, so no direct call takes more than
-        FLUSH_ROWS rows and the audit set of the chunk pushed last."""
+        decides the rows it holds before a tree's audit set would take it
+        past FLUSH_ROWS, so no direct call takes more than FLUSH_ROWS rows."""
         from arbormat.certificate import FLUSH_ROWS
 
         sizes = []
         real = _fast.batched_geometric_sum_zero  # one call per direct call
         monkeypatch.setattr(
-            _fast, "batched_geometric_sum_zero", lambda a: sizes.append(len(a)) or real(a)
+            _fast, "batched_geometric_sum_zero", lambda a, cp: sizes.append(len(a)) or real(a, cp)
         )
         assert run_theorem_sweep([8], OrientationPolicy("canonical")).all_pass
         assert sum(sizes) == 3008 and len(sizes) > 1
-        assert max(sizes) <= FLUSH_ROWS + AUDIT_ROWS
+        assert max(sizes) <= FLUSH_ROWS
+
+    def test_certified_tree_in_pieces_at_n10(self, monkeypatch):
+        """At n = 10 a certified tree's 10! cycles come in three pieces of at
+        most PIECE_ROWS, each tallied once, and no direct call takes more
+        than FLUSH_ROWS of its 5,760 audit rows."""
+        from arbormat import harness
+        from arbormat.certificate import FLUSH_ROWS, PIECE_ROWS
+
+        sizes, tallied = [], []
+        real = _fast.batched_geometric_sum_zero
+        monkeypatch.setattr(
+            _fast, "batched_geometric_sum_zero", lambda a, cp: sizes.append(len(a)) or real(a, cp)
+        )
+        tally = harness._THEOREM.tally
+        monkeypatch.setattr(harness, "_THEOREM", harness._THEOREM._replace(
+            tally=lambda res, q, bits, claims: tallied.append(claims.size) or tally(res, q, bits, claims)
+        ))
+        task = (11, 0, trees_for(11)[0], (0,))
+        (sub,) = decided_now(harness._sweep_worker, harness._THEOREM, task)
+        assert tallied == [PIECE_ROWS, PIECE_ROWS, math.factorial(10) - 2 * PIECE_ROWS]
+        assert sum(sizes) == 360 * AUDIT_ROWS and max(sizes) <= FLUSH_ROWS
+        assert sub["per_n"] == {10: {"instances": math.factorial(10), "failures": 0}}
 
     def test_flush_exception_names_its_lowest_task(self):
         from arbormat.certificate import decide
@@ -1642,7 +1721,7 @@ class TestClosedForm:
                 for bits in {0, (1 << n) - 1, 0x55 & ((1 << n) - 1)}:
                     o = Orientation.from_int(bits, n)
                     rows = [tree.signed_path_vector(o, 1, x) for x in range(2, v + 1)]
-                    det = root_det(tree.edges, bits)
+                    det = root_det(tree, bits)
                     assert abs(det) == 1 and det == bareiss_det(rows), (tree, bits)
 
     @pytest.mark.parametrize("name", ["root_det", "step_det"])
@@ -1766,7 +1845,7 @@ class TestClosedForm:
         audited = 6 * AUDIT_ROWS  # n = 5: 6 trees, one 120-row chunk each
         policy = OrientationPolicy("canonical")
         monkeypatch.setattr(
-            _fast, "batched_geometric_sum_zero", lambda a: np.zeros(a.shape[0], dtype=bool)
+            _fast, "batched_geometric_sum_zero", lambda a, cp: np.zeros(a.shape[0], dtype=bool)
         )
         counts = QuotientCounts()
         res = run_theorem_sweep([5], policy, counts=counts)
@@ -1821,7 +1900,7 @@ class TestTransportCertificate:
         for tree in trees_for(v):
             for bits in self.orientations(tree, v):
                 o = Orientation.from_int(bits, n)
-                table = exact_table(tree.edges, bits)
+                table = exact_table(tree, bits)
                 assert table.shape == (v + 1, v + 1, n)
                 assert not table[0].any() and not table[:, 0].any()
                 for x, y in itertools.product(range(1, v + 1), repeat=2):
@@ -1932,7 +2011,7 @@ class TestPathTransportSweep:
         got = decided_now(harness._PATH_IMAGE.claims, o, np.arange(120), counts)
         assert astuple(counts)[3:] == (120 - AUDIT_ROWS, AUDIT_ROWS, 0, 1)
         assert np.nonzero(~got.values[AUDIT_AGREEMENT])[0].tolist() == [5]
-        (sub,) = decided_now(harness._sweep_worker, harness._PATH_IMAGE, (v, 3, tree.edges, (9,)))
+        (sub,) = decided_now(harness._sweep_worker, harness._PATH_IMAGE, (v, 3, tree, (9,)))
         assert sub["exhaustive_instances"] == 120
         assert [f["map"] for f in sub["failures"]] == [",".join(map(str, target[1:]))]
 
