@@ -242,12 +242,6 @@ class Decided:
             counts.disagreements += int((~agrees).sum())
         self.values = {**direct, AUDIT_AGREEMENT: agrees}
 
-    def carried(self, det_d: int) -> "Decided":
-        """These claims under another orientation A_o = D.A.D: det Mf, the
-        one signed value, times det D."""
-        values = {k: x * det_d if k == "det" else x for k, x in self.values.items()}
-        return Decided(self.size, self.rows, self.images, values)
-
 
 class OrientedRows(NamedTuple):
     """The oriented trees of a batch of rows: row k is under

@@ -3,20 +3,20 @@
 An instance is (tree, orientation, single-cycle vertex map).  A task is one
 tree with a tuple of orientations, covering all cycles via the batched
 kernels in :mod:`arbormat._fast`.  A sweep is a claims function plus a
-tally (see :class:`_Sweep`); one worker runs the tasks of every sweep and
-one reducer folds their sub-results into the sweep's result.  Claims
-invariant under the similarity A_o = D.A_0.D that reversing edges induces
-are computed once per tree, and the other orientations are carried as a
-count (see :class:`_OrientationQuotient`); the split-sign claims are not,
-so all orientations of a split-sign task go to its kernel together.  The
-other sweeps decide through the path-transport certificate, which builds
-only a fixed audit set of a certified tree's rows, and queue the rows they
-build across a worker's tasks (see :mod:`arbormat.certificate`).  With more
-than one worker, forked children take tasks from a shared pipe (see
-:func:`_fork_join`), and sub-results are reduced in sorted (v, tree,
-orientation) order, so output is identical for any worker count.
-Orientation sampling is counter-based, keyed by (seed, tree code), hence
-schedule-independent.
+tally (see :class:`_Sweep`); one worker runs the tasks of every sweep, each
+task folding its orientations into one sub-result, and the parent folds
+those in task order into the sweep's result.  Claims invariant under the
+similarity A_o = D.A_0.D that reversing edges induces are computed once per
+tree and carried to the other orientations (see
+:class:`_OrientationQuotient`); the split-sign claims are not, so all
+orientations of a split-sign task go to its kernel together.  The other
+sweeps decide through the path-transport certificate, which builds only a
+fixed audit set of a certified tree's rows, and queue the rows they build
+across a worker's tasks (see :mod:`arbormat.certificate`).  With more than
+one worker, forked children take tasks from a shared pipe (see
+:func:`_fork_join`), and the parent still folds in task order, so output is
+identical for any worker count.  Orientation sampling is counter-based,
+keyed by (seed, tree code), hence schedule-independent.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import pickle
 import random
 import signal
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
@@ -131,9 +132,9 @@ def orientations_for(
         return list(range(1 << n))
     if policy.mode == "canonical":
         return [0]
-    return [0] + [
+    return [0] + sorted(
         _sample_orientation(seed, tree_code, k, n) for k in range(policy.sample_count)
-    ]
+    )
 
 
 @lru_cache(maxsize=64)
@@ -164,12 +165,11 @@ def _check_cap(ns) -> list[int]:
     return ns
 
 
-def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
-    """Run every task, flatten the sub-results each returns and sort them by
-    key; a QuotientCounts given as ``counts`` sums their quotient counters.
-    More than one worker forks min(workers, tasks) children (see
-    :func:`_fork_join`); one worker runs them here and then decides the rows
-    they queued (see :data:`arbormat.certificate.QUEUE`)."""
+def _run_tasks(worker, tasks, workers: int) -> list:
+    """``[worker(t) for t in tasks]``, in task order.  More than one worker
+    forks min(workers, tasks) children (see :func:`_fork_join`); one worker
+    runs them here and then decides the rows they queued (see
+    :data:`arbormat.certificate.QUEUE`)."""
     _keep_heap()
     workers = min(workers, len(tasks))
     try:
@@ -178,12 +178,7 @@ def _run_tasks(worker, tasks, workers: int, counts=None) -> list[dict]:
     except BaseException:
         QUEUE.clear()
         raise
-    results = [res for subs in outputs for res in subs]
-    if counts is not None:
-        for res in results:
-            counts.add(res["quotient"])
-    results.sort(key=lambda r: r["key"])
-    return results
+    return outputs
 
 
 def _fork_join(worker, tasks, processes: int) -> list:
@@ -368,23 +363,24 @@ class _OrientationQuotient:
     :func:`arbormat.certificate.similar`, checked on the stack of the task's
     tables.  An invariant sweep's claims hold under that similarity, except
     det Mf, which picks up det D = +-1; so they are computed on r and carried
-    to the other orientations (see :meth:`results`).  An orientation that
-    fails the check is computed on its own, every row counted as a fallback
-    in its QuotientCounts."""
+    to the other orientations (see :meth:`result`).  An orientation that
+    fails the check is computed on its own, every row counted as a fallback.
+    ``out`` holds the sub-result of each computed orientation, ``counts``
+    the task's quotient counters."""
 
     def __init__(self, sweep: "_Sweep", v: int, tree: Tree, orientations: tuple):
         self.sweep, self.v, self.tree, self.orientations = sweep, v, tree, orientations
-        self.rows = math.factorial(v - 1)
+        self.rows = rows = math.factorial(v - 1)
         bits = np.array(list(dict.fromkeys(orientations)))  # distinct, representative first
         self.stack, ok = _Oriented.of(self.tree, bits), np.zeros(bits.size, dtype=bool)
         if sweep.invariant and bits.size > 1:  # the representative is computed
             ok[1:] = similar(self.stack[0], self.stack)[1:]
         self.own = [self.stack[k] for k in np.nonzero(~ok)[0]]
         r = self.own[0].bits  # carried with det D = (-1)^(edges reversed)
-        self.carried = [(b, 1 - 2 * (bin(b ^ r).count("1") % 2)) for b in bits[ok].tolist()]
-        self.counts = {o.bits: QuotientCounts(computed=self.rows) for o in self.own}
-        for o in self.own[1:] if sweep.invariant else ():  # failed the similarity check
-            self.counts[o.bits].fallbacks = self.rows
+        self.carried = {b: 1 - 2 * (bin(b ^ r).count("1") % 2) for b in bits[ok].tolist()}
+        computed = rows * len(self.own)
+        self.counts = QuotientCounts(computed=computed, derived=rows * len(orientations) - computed,
+                                     fallbacks=computed - rows if sweep.invariant else 0)
         self.out = {o.bits: {k: copy.copy(x) for k, x in sweep.empty.items()} for o in self.own}
 
     def chunks(self):
@@ -401,19 +397,7 @@ class _OrientationQuotient:
             size = certificate.PIECE_ROWS if o.certified else CYCLE_CHUNK
             for start in range(0, self.rows, size):
                 ranks = range(start, min(start + size, self.rows))
-                yield o.bits, self.sweep.claims(o, ranks, self.counts[o.bits])
-
-    def tally(self, bits: int, claims) -> None:
-        """Fold a piece's claims into its orientation's sub-result.  A carried
-        orientation equals the representative until a piece gives the latter
-        a record, and is tallied on its own through Decided.carried from it."""
-        rep, out = self.orientations[0], self.out
-        carry = bits == rep and self.carried
-        before = copy.deepcopy(out[rep]) if carry and not _has_records(out[rep]) else None
-        self.sweep.tally(out[bits], self, bits, claims)
-        for b, det_d in self.carried if carry and _has_records(out[rep]) else ():
-            out[b] = out[b] if before is None else copy.deepcopy(before)
-            self.sweep.tally(out[b], self, b, claims.carried(det_d))
+                yield o.bits, self.sweep.claims(o, ranks, self.counts)
 
     def descriptor(self, bits: int, image_row) -> dict:
         return {
@@ -422,43 +406,43 @@ class _OrientationQuotient:
             "map": ",".join(str(int(x)) for x in image_row[1:]),
         }
 
-    def results(self, tree_idx: int) -> list[dict]:
-        """One sub-result per entry of the orientations tuple, an entry past
-        an orientation's first counted as derived; while the representative's
-        holds no record, the later entries equal to it, carried or repeated,
-        are one sub-result with their count as "multiplicity"."""
-        out, (rep, *rest) = self.out, self.orientations
-        fold = () if _has_records(out[rep]) else {rep, *(bits for bits, _ in self.carried)}
-        res, folded = [], [bits for bits in rest if bits in fold]
-        for bits in [rep] + [bits for bits in rest if bits not in fold]:
-            counts = self.counts.pop(bits, None) or QuotientCounts()  # fresh past the first
-            counts.derived = self.rows - counts.computed
-            res.append({"key": (self.v, tree_idx, bits), **out[bits], "quotient": counts})
-        if folded:
-            counts = QuotientCounts(derived=self.rows * len(folded))
-            res.append({"key": (self.v, tree_idx, folded[0]), **out[rep], "quotient": counts,
-                        "multiplicity": len(folded)})
-        return res
+    def result(self) -> dict:
+        """The task's one sub-result: the entries of the orientations tuple
+        folded in order, with the task's counters as "quotient".  A carried
+        orientation's sub-result is the representative's with each record
+        (list entry) relabeled: its orientation's bitstring, and det Mf
+        times det D.  While the representative holds no record, that is the
+        representative's own, so it and every entry equal to it, carried or
+        repeated, are one fold."""
+        rep, out, carried = self.orientations[0], self.out, self.carried
+        if any(isinstance(x, list) and x for x in out[rep].values()):  # records to relabel
+            for b, det_d in carried.items():
+                out[b] = _relabeled(out[rep], Orientation.from_int(b, self.v - 1).bitstring(), det_d)
+            carried = {}
+        res = {k: copy.copy(x) for k, x in self.sweep.empty.items()}
+        for b, times in Counter(rep if b in carried else b for b in self.orientations).items():
+            _fold(res, out[b], times)
+        return {**res, "quotient": self.counts}
 
 
 def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only=False):
-    """(v, tree index, tree, orientations) per tree of every n, counting
-    trees and orientations into per_n when given."""
+    """(v, tree, orientations) per tree of every n, counting trees and
+    orientations into per_n when given."""
     tasks = []
     for n in ns:
         v = n + 1
-        for tree_idx, tree in enumerate(trees_for(v)):
+        for tree in trees_for(v):
             if paths_only and not tree.is_path():
                 continue
             orientations = tuple(orientations_for(policy, n, seed, canonical_form(tree)))
             if per_n is not None:
                 _merge(per_n, {n: {"trees": 1, "orientations": len(orientations)}})
-            tasks.append((v, tree_idx, tree, orientations))
+            tasks.append((v, tree, orientations))
     return tasks
 
 
 # --------------------------------------------------------------------------
-# the sweep engine: one worker, one reducer
+# the sweep engine: one worker, one fold
 
 
 class _Sweep(NamedTuple):
@@ -471,7 +455,8 @@ class _Sweep(NamedTuple):
     orientation of the task, by orientation.  ``empty`` is the sub-result
     of one orientation before its first piece, and ``tally(res, quotient,
     bits, claims)`` folds one piece's claims into it.  Sub-result entries
-    are named after the result's fields."""
+    are named after the result's fields; :func:`_fold` folds the
+    orientations of a task, and then the tasks, into one."""
 
     claims: Callable
     empty: dict
@@ -479,42 +464,45 @@ class _Sweep(NamedTuple):
     invariant: bool = True
 
 
-def _sweep_worker(sweep: _Sweep, task) -> list[dict]:
-    """The sub-results of one (v, tree index, tree, orientations) task.
-    The list is filled once QUEUE has decided the task's direct rows: the
-    pieces are tallied then, in order."""
-    v, tree_idx, tree, orientations = task
-    quotient = _OrientationQuotient(sweep, v, tree, orientations)
+def _sweep_worker(sweep: _Sweep, task) -> dict:
+    """The one sub-result of a (v, tree, orientations) task.  It is filled
+    once QUEUE has decided the task's direct rows: the pieces are tallied
+    then, in order."""
+    quotient = _OrientationQuotient(sweep, *task)
     for bits, claims in quotient.chunks():
-        QUEUE.then(partial(quotient.tally, bits, claims))
-    results = []
-    QUEUE.then(lambda: results.extend(quotient.results(tree_idx)))
-    return results
+        QUEUE.then(partial(sweep.tally, quotient.out[bits], quotient, bits, claims))
+    res = {}
+    QUEUE.then(lambda: res.update(quotient.result()))
+    return res
 
 
-def _sweep(sweep: _Sweep, out, tasks, workers: int, counts=None):
-    """Run a sweep's tasks and fold their sub-results into the result
-    ``out`` (see :func:`_fold`)."""
-    return _fold(out, _run_tasks(partial(_sweep_worker, sweep), tasks, workers, counts))
-
-
-def _fold(out, results):
-    """Fold sub-results, in key order, into ``out``: counts add up, times a
-    sub-result's "multiplicity", dicts of counts merge key by key, failure
-    lists concatenate up to MAX_FAILURE_RECORDS, the first example is kept."""
-    for res in results:
-        times = res.get("multiplicity", 1)
-        for name, value in res.items():
-            if name.startswith("example_"):
-                if getattr(out, name) is None:
-                    setattr(out, name, value)
-            elif value and name not in ("key", "quotient", "multiplicity"):
-                setattr(out, name, _merge(getattr(out, name), value, times))
+def _sweep(worker, out, tasks, workers: int, counts=None):
+    """Run the tasks and fold their sub-results, in task order, into the
+    result ``out``; their quotient counters are added to ``counts`` when
+    given."""
+    for res in _run_tasks(worker, tasks, workers):
+        _fold(vars(out), res)
+        if counts is not None:
+            counts.add(res["quotient"])
     return out
 
 
+def _fold(into: dict, res: dict, times: int = 1) -> dict:
+    """Fold a sub-result ``times`` times into ``into``: counts add up, dicts
+    of counts merge key by key, failure lists concatenate up to
+    MAX_FAILURE_RECORDS, the first example is kept.  Folding is associative,
+    so tasks may fold their orientations before the parent folds the tasks."""
+    for name, value in res.items():
+        if name.startswith("example_"):
+            if into[name] is None:
+                into[name] = value
+        elif value and name != "quotient":
+            into[name] = _merge(into[name], value, times)
+    return into
+
+
 def _merge(into, value, times: int = 1):
-    """``into`` with ``value`` added: numbers sum, ``times`` times, dicts
+    """``into`` with ``value`` added ``times`` times: numbers sum, dicts
     merge key by key (copying what ``into`` lacks), and lists concatenate up
     to MAX_FAILURE_RECORDS."""
     if isinstance(value, dict):
@@ -522,13 +510,18 @@ def _merge(into, value, times: int = 1):
             into[k] = _merge(into.get(k, type(x)()), x, times)
         return into
     if isinstance(value, list):
-        return (into + value)[:MAX_FAILURE_RECORDS]
+        return (into + value * times)[:MAX_FAILURE_RECORDS]
     return into + times * value
 
 
-def _has_records(res: dict) -> bool:
-    """Whether a sub-result holds a record: a list entry or an example."""
-    return any(x for k, x in res.items() if isinstance(x, list) or k.startswith("example_"))
+def _relabeled(res: dict, orientation: str, det_d: int) -> dict:
+    """``res`` with each record moved to another orientation of its tree:
+    that orientation's bitstring, and "det" times det D; no other record
+    field changes under the similarity."""
+    def record(r):
+        return {**r, "orientation": orientation, **({"det": r["det"] * det_d} if "det" in r else {})}
+
+    return {k: list(map(record, x)) if isinstance(x, list) else x for k, x in res.items()}
 
 
 def _capped(failures: list, records) -> None:
@@ -654,7 +647,8 @@ def run_theorem_sweep(
     quotient counters of the run are added to ``counts`` when given."""
     ns = _check_cap(ns)
     out = TheoremSweepResult(ns=ns, policy=policy.describe(), seed=seed)
-    _sweep(_THEOREM, out, _tree_tasks(ns, policy, seed, out.per_n), workers, counts)
+    tasks = _tree_tasks(ns, policy, seed, out.per_n)
+    _sweep(partial(_sweep_worker, _THEOREM), out, tasks, workers, counts)
     out.total_instances = sum(stats["instances"] for stats in out.per_n.values())
     out.all_pass = not any(stats["failures"] for stats in out.per_n.values())
     out.claim_failures = dict(sorted(out.claim_failures.items()))
@@ -685,19 +679,21 @@ def _witness_verdicts(o, images, a, steps, windows) -> dict:
     """Per row and witness pair (i, j), j in ``steps`` outermost and i =
     1..windows inner, windows being 1 or v: whether the basis claims hold,
     and signed det Mf, from batched_witness on the orbit of each seed(1, j);
-    a pair whose iterates leave {-1, 0, 1} is decided on the exact route."""
-    out = [np.empty((len(images), len(steps), windows), dtype=t) for t in (bool, np.int64, bool)]
+    a pair whose iterates leave {-1, 0, 1} is decided on the exact route.
+    Verdicts are taken block by block, so no whole-batch gate is held."""
+    ok = np.empty((len(images), len(steps) * windows), dtype=bool)
+    det = np.empty(ok.shape, dtype=np.int64)
     chain = np.arange(len(steps))[:, None]
     for rows, mats, seeds, position in _witness_blocks(o, images, a, steps, windows):
         at = np.arange(len(mats))[:, None, None], chain, position[:, None, 1 : windows + 1]
-        for dst, x in zip(out, _fast.batched_witness(mats, seeds)):
-            dst[rows] = x[at]  # orbit positions to start vertices
-    gate, det, companion_ok = (x.reshape(len(images), -1) for x in out)
-    ok = gate & (det % 2 == 1) & companion_ok
-    for idx, p in zip(*np.nonzero(~gate)):
-        k = o.oriented[o.index[idx]]
-        s, i = divmod(int(p), windows)
-        ok[idx, p], det[idx, p] = _exact_witness(k.tree, k.bits, images[idx], i + 1, steps[s])
+        gate, det[rows], companion_ok = (  # orbit positions to start vertices
+            x[at].reshape(len(mats), -1) for x in _fast.batched_witness(mats, seeds)[:3])
+        ok[rows] = gate & (det[rows] % 2 == 1) & companion_ok
+        for idx, p in zip(*np.nonzero(~gate)):
+            idx += rows.start
+            k = o.oriented[o.index[idx]]
+            s, i = divmod(int(p), windows)
+            ok[idx, p], det[idx, p] = _exact_witness(k.tree, k.bits, images[idx], i + 1, steps[s])
     return {"ok": ok, "det": det}
 
 
@@ -765,7 +761,7 @@ def run_witness_sweep(
 ) -> WitnessSweepResult:
     ns = _check_cap(ns)
     out = WitnessSweepResult(ns=ns, policy=policy.describe(), seed=seed)
-    _sweep(_WITNESS, out, _tree_tasks(ns, policy, seed), workers, counts)
+    _sweep(partial(_sweep_worker, _WITNESS), out, _tree_tasks(ns, policy, seed), workers, counts)
     out.all_pass = not out.failures
     return out
 
@@ -793,7 +789,7 @@ def run_det_search(
     ns = _check_cap(ns)
     out = DetSearchResult(ns=ns, policy=policy.describe(), seed=seed)
     tasks = _tree_tasks(ns, policy, seed, paths_only=paths_only)
-    _sweep(_DET_SEARCH, out, tasks, workers, counts)
+    _sweep(partial(_sweep_worker, _DET_SEARCH), out, tasks, workers, counts)
     out.histogram = dict(sorted(out.histogram.items()))
     out.all_odd = all(value % 2 == 1 for value in out.histogram)
     out.all_unit = set(out.histogram) <= {1}
@@ -835,12 +831,11 @@ def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
     return (_random_instance(seed, idx, n_lo, n_hi) for idx in range(count))
 
 
-def _path_image_worker(task) -> list[dict]:
-    """The sub-results of a tree task, or of the random chunk ("random",
-    seed, start, stop, random_n): instances start..stop-1, keyed by
-    (inf, start) to follow every tree.  The first PATH_IMAGE_AUDIT instances
-    of the stream are also decided on the exact route; a disagreement fails
-    the instance."""
+def _path_image_worker(task) -> dict:
+    """The sub-result of a tree task, or of the random chunk ("random",
+    seed, start, stop, random_n): instances start..stop-1.  The first
+    PATH_IMAGE_AUDIT instances of the stream are also decided on the exact
+    route; a disagreement fails the instance."""
     if task[0] != "random":
         return _sweep_worker(_PATH_IMAGE, task)
     _, seed, start, stop, random_n = task
@@ -853,8 +848,7 @@ def _path_image_worker(task) -> list[dict]:
         {"tree": f.tree.edge_list_str(), "orientation": o.bitstring(), "map": f.image_str()}
         for (f, o), good in zip(chunk, ok) if not good
     ))
-    return [{"key": (float("inf"), start), "random_instances": len(chunk),
-             "failures": failures, "quotient": QuotientCounts()}]
+    return {"random_instances": len(chunk), "failures": failures, "quotient": QuotientCounts()}
 
 
 @dataclass
@@ -882,7 +876,7 @@ def run_path_image_sweep(
         ("random", seed, start, min(start + RANDOM_CHUNK, random_count), tuple(random_n))
         for start in range(0, random_count, RANDOM_CHUNK)
     ]
-    out = _fold(PathImageResult(), _run_tasks(_path_image_worker, tasks, workers, counts))
+    out = _sweep(_path_image_worker, PathImageResult(), tasks, workers, counts)
     out.all_pass = not out.failures
     return out
 
@@ -941,11 +935,11 @@ def run_path_graph_sweep(ns, workers: int = 1) -> PathGraphResult:
     relative to interval-style edge order."""
     tasks = []
     paths = _tree_tasks(_check_cap(ns), OrientationPolicy("canonical"), 0, paths_only=True)
-    for v, tree_idx, tree, _ in paths:
+    for v, tree, _ in paths:
         tree = path_edge_ordered(tree)
         bits = sum(1 << k for k, flag in enumerate(same_direction_orientation(tree).bits) if flag)
-        tasks.append((v, tree_idx, tree, (bits,)))
-    out = _sweep(_PATH_GRAPH, PathGraphResult(), tasks, workers)
+        tasks.append((v, tree, (bits,)))
+    out = _sweep(partial(_sweep_worker, _PATH_GRAPH), PathGraphResult(), tasks, workers)
     out.all_pass = not out.failures
     return out
 
@@ -1037,6 +1031,6 @@ _SPLIT_SIGN = _Sweep(
 
 def run_split_sign_sweep(ns, workers: int = 1) -> SplitSignResult:
     tasks = _tree_tasks(_check_cap(ns), OrientationPolicy("all"), 0)
-    out = _sweep(_SPLIT_SIGN, SplitSignResult(), tasks, workers)
+    out = _sweep(partial(_sweep_worker, _SPLIT_SIGN), SplitSignResult(), tasks, workers)
     out.all_pass = not out.failures
     return out

@@ -234,6 +234,18 @@ class TestVerify:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1] == paths[2]
 
+    def test_sampled_orientations_byte_identical_across_workers(self, tmp_path):
+        """16 sampled orientations per tree, repeats of 0 among them, folded
+        per task: the same bytes whichever worker takes a tree."""
+        docs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}.json"
+            argv = ["verify", "--n", "6", "--orientations", "sample:16", "--seed", "7",
+                    "--workers", str(workers), "--out", str(out)]
+            assert cli.main(argv) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+
 
 class TestReproduce:
     def test_single_figure(self, capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import itertools
 import math
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arbormat import (
     ExactMatrix,
@@ -434,6 +436,10 @@ class TestSampling:
         assert got != orientations_for(pol, 5, 8, "code") or got != orientations_for(
             pol, 5, 7, "other"
         )
+        # the representative first, then the samples in sorted order: a
+        # task's tuple order is the order its orientations are folded in
+        assert got == [0] + sorted(_sample_orientation(7, "code", k, 5) for k in range(4))
+        assert got[1:] != [_sample_orientation(7, "code", k, 5) for k in range(4)]
 
     def test_random_instances_deterministic(self):
         a = [(f.tree.edges, f.image, o.bits) for f, o in random_instances(3, 10, 2, 5)]
@@ -556,7 +562,7 @@ class TestWitnessFallback:
 def exact_split_sign_task(args) -> list[dict]:
     """Split-sign outcome of one (tree, orientations) task per orientation,
     every cycle on the exact route: the reference for the batched worker."""
-    v, _, tree, orientations = args
+    v, tree, orientations = args
     return [exact_split_sign(tree, Orientation.from_int(bits, v - 1)) for bits in orientations]
 
 
@@ -599,7 +605,7 @@ def exact_split_sign(tree, orientation) -> dict:
 def split_sign_tasks(n):
     """The per-tree tasks of run_split_sign_sweep: every orientation."""
     v = n + 1
-    return [(v, idx, tree, tuple(range(1 << n))) for idx, tree in enumerate(trees_for(v))]
+    return [(v, tree, tuple(range(1 << n))) for tree in trees_for(v)]
 
 
 class TestSplitSignKernel:
@@ -607,13 +613,18 @@ class TestSplitSignKernel:
 
     @staticmethod
     def batched(task):
+        """The sub-result of each orientation of the task, in its order; the
+        worker's one sub-result is their fold."""
         from arbormat import harness
 
-        # one sub-result per orientation of the task
-        out = harness._sweep_worker(harness._SPLIT_SIGN, task)
-        assert [sub["key"][2] for sub in out] == list(task[3])
-        for sub in out:
-            del sub["key"], sub["quotient"]
+        sweep = harness._SPLIT_SIGN
+        quotient = harness._OrientationQuotient(sweep, *task)
+        for bits, claims in quotient.chunks():
+            sweep.tally(quotient.out[bits], quotient, bits, claims)
+        out = [quotient.out[bits] for bits in task[2]]
+        sub = harness._sweep_worker(sweep, task)
+        assert astuple(sub.pop("quotient")) == astuple(quotient.counts)
+        assert sub == fold(sweep, out)
         return out
 
     def test_every_task_small_n(self):
@@ -625,12 +636,13 @@ class TestSplitSignKernel:
         # seeded (tree, orientation) pairs, run as per-tree tasks
         rng = random.Random(2024)
         for n, count in ((5, 6), (6, 3)):
-            pairs = [(task, bits) for task in split_sign_tasks(n) for bits in task[3]]
+            tasks = split_sign_tasks(n)
+            pairs = [(k, bits) for k, task in enumerate(tasks) for bits in task[2]]
             picked = {}
-            for (v, idx, tree, _), bits in rng.sample(pairs, count):
-                picked.setdefault((v, idx, tree), []).append(bits)
-            for key, orientations in sorted(picked.items(), key=lambda item: item[0][:2]):
-                task = key + (tuple(sorted(orientations)),)
+            for k, bits in rng.sample(pairs, count):
+                picked.setdefault(k, []).append(bits)
+            for k, orientations in sorted(picked.items()):
+                task = tasks[k][:2] + (tuple(sorted(orientations)),)
                 assert self.batched(task) == exact_split_sign_task(task), task
 
     @staticmethod
@@ -641,7 +653,7 @@ class TestSplitSignKernel:
         row without additions one more entry of its own sign, so A is rebuilt
         but |det B| != 1."""
         for task in split_sign_tasks(4):
-            v, _, tree, orientations = task
+            v, tree, orientations = task
             n = v - 1
             images = _fast.cycle_images(v)
             for bits in orientations:
@@ -679,7 +691,7 @@ class TestSplitSignKernel:
         from arbormat import dynamics, theorems
 
         task, bits, image, row, col, value = self.corruption(kind)
-        v, _, tree, orientations = task
+        v, tree, orientations = task
         n = v - 1
         target = _fast.oriented_endpoint_arrays(tree, bits)
         build = _fast.build_oriented_batch
@@ -868,24 +880,24 @@ class TestCycleChunks:
     def test_workers_ignore_chunk_size(self, monkeypatch):
         from arbormat import harness
 
-        # orientation 5 is derived from 0 through the quotient in every chunk
-        trees = list(enumerate(trees_for(5)))
-        tasks = [(5, idx, tree, (0, 5)) for idx, tree in trees]
+        # orientation 5 is derived from 0 through the quotient in every
+        # chunk; the one-orientation tasks compare each orientation
+        trees = trees_for(5)
+        tasks = [(5, tree, bits) for bits in ((0, 5), (0,), (5,)) for tree in trees]
         sweeps = {
             "theorem": tasks,
             "witness": tasks,
             "det_search": tasks,
             "path_image": tasks,
-            "path_graph": [(5, idx, tree, (0,)) for idx, tree in trees],
+            "path_graph": [(5, tree, (0,)) for tree in trees],
             "split_sign": tasks,  # every orientation decided directly
         }
         def run(name, ts):
             # the transport split depends on the chunk size: chunks of at
             # most AUDIT_ROWS rows are audited whole
             sweep = getattr(harness, f"_{name.upper()}")
-            outputs = decided_now(lambda: [harness._sweep_worker(sweep, t) for t in ts])
-            subs = [sub for out in outputs for sub in out]
-            assert len(subs) == sum(len(t[3]) for t in ts)
+            subs = decided_now(lambda: [harness._sweep_worker(sweep, t) for t in ts])
+            assert all(isinstance(sub, dict) for sub in subs)
             for sub in subs:
                 q = sub.pop("quotient")
                 sub["orientation_quotient"] = (q.computed, q.derived, q.fallbacks)
@@ -929,7 +941,7 @@ class TestExactRouteBudget:
         )
         res = run_split_sign_sweep([2, 3, 4])
         # one or two audits per (tree, orientation)
-        pairs = sum(len(task[3]) for n in (2, 3, 4) for task in split_sign_tasks(n))
+        pairs = sum(len(task[2]) for n in (2, 3, 4) for task in split_sign_tasks(n))
         assert res.all_pass and res.instances == 1256
         assert pairs <= len(calls) <= 2 * pairs
 
@@ -1018,6 +1030,16 @@ def corrupt_table(monkeypatch, tree, bits):
     monkeypatch.setattr(_fast, "orient_table", corrupt)
 
 
+def fold(sweep, subs):
+    """The sub-results folded in order into the empty one of ``sweep``."""
+    from arbormat import harness
+
+    into = copy.deepcopy(sweep.empty)
+    for sub in subs:
+        harness._fold(into, sub)
+    return into
+
+
 def decided_now(fn, *args):
     """``fn(*args)`` with the direct rows it queued decided: what a sweep
     worker or a claims function returns is complete once QUEUE flushes."""
@@ -1039,9 +1061,8 @@ def one_orientation_per_task(monkeypatch):
 
     real = harness._run_tasks
 
-    def split(worker, tasks, workers, counts=None):
-        single = [t[:3] + ((bits,),) + t[4:] for t in tasks for bits in t[3]]
-        return real(worker, single, workers, counts)
+    def split(worker, tasks, workers):
+        return real(worker, [t[:2] + ((bits,),) for t in tasks for bits in t[2]], workers)
 
     monkeypatch.setattr(harness, "_run_tasks", split)
 
@@ -1124,7 +1145,7 @@ class TestOrientationQuotient:
 
         policy = OrientationPolicy.parse(policy)
         if policy.mode == "sample":  # seed 11 samples 0 again and repeats
-            tuples = [t[3] for t in harness._tree_tasks([2, 3, 4, 5], policy, 11)]
+            tuples = [t[2] for t in harness._tree_tasks([2, 3, 4, 5], policy, 11)]
             assert any(0 in t[1:] for t in tuples)
             assert any(len(set(t)) < len(t) for t in tuples)
         if injected:
@@ -1162,18 +1183,14 @@ class TestOrientationQuotient:
         from arbormat import harness
 
         tree = trees_for(5)[1]
-        subs = decided_now(harness._sweep_worker, harness._THEOREM, (5, 1, tree, (0, 6, 0, 6, 9)))
-        # the four entries after the representative fold into one
-        assert [(s["key"], s.get("multiplicity")) for s in subs] == [((5, 1, 0), None), ((5, 1, 6), 4)]
-        # 24 cycles: 16 audited, 8 certified, on the representative only
-        assert [astuple(s["quotient"]) for s in subs] == [
-            (24, 0, 0, 8, 16, 0, 0), (0, 4 * 24, 0, 0, 0, 0, 0),
-        ]
-        strip = [
-            {k: v for k, v in s.items() if k not in ("key", "quotient", "multiplicity")}
-            for s in subs
-        ]
-        assert all(s == strip[0] for s in strip)
+        sub = decided_now(harness._sweep_worker, harness._THEOREM, (5, tree, (0, 6, 0, 6, 9)))
+        # 24 cycles: 16 audited, 8 certified, on the representative only;
+        # the four entries after it are derived
+        assert astuple(sub.pop("quotient")) == (24, 4 * 24, 0, 8, 16, 0, 0)
+        assert sub["per_n"] == {4: {"instances": 5 * 24, "failures": 0}}
+        one = decided_now(harness._sweep_worker, harness._THEOREM, (5, tree, (0,)))
+        del one["quotient"]
+        assert sub == fold(harness._THEOREM, [one] * 5)
 
     @pytest.mark.parametrize("worker", ["theorem", "witness", "det_search", "path_image"])
     def test_corrupted_row_is_recomputed(self, monkeypatch, worker):
@@ -1183,20 +1200,21 @@ class TestOrientationQuotient:
         too, decided on the direct route."""
         from arbormat import harness
 
-        fn = partial(decided_now, harness._sweep_worker, getattr(harness, f"_{worker.upper()}"))
-        idx, tree = 2, trees_for(5)[2]
+        sweep = getattr(harness, f"_{worker.upper()}")
+        fn = partial(decided_now, harness._sweep_worker, sweep)
+        tree = trees_for(5)[2]
         corrupt_table(monkeypatch, tree, 5)
-        quotient = fn((5, idx, tree, (0, 5)))
-        brute = [fn((5, idx, tree, (bits,)))[0] for bits in (0, 5)]
-        # 24 cycles: 16 audited, and 8 certified or uncertified
-        assert [astuple(s["quotient"]) for s in quotient] == [
-            (24, 0, 0, 8, 16, 0, 0), (24, 0, 24, 0, 16, 8, 0)
+        quotient = fn((5, tree, (0, 5)))
+        brute = [fn((5, tree, (bits,))) for bits in (0, 5)]
+        # 24 cycles each: 16 audited, and 8 certified or uncertified
+        assert [astuple(s.pop("quotient")) for s in brute] == [
+            (24, 0, 0, 8, 16, 0, 0), (24, 0, 0, 0, 16, 8, 0)
         ]
-        for got, want in zip(quotient, brute):
-            del got["quotient"], want["quotient"]
-            assert got == want
+        # both computed, the second as a fallback
+        assert astuple(quotient.pop("quotient")) == (48, 0, 24, 8, 32, 8, 0)
+        assert quotient == fold(sweep, brute)
         if worker in ("theorem", "path_image"):
-            clean, flipped = quotient
+            clean, flipped = brute
             assert not clean["failures"] and flipped["failures"]
             # the matrices that gather the flipped entry fail path transport
             assert {f["orientation"] for f in flipped["failures"]} == {"1010"}
@@ -1213,10 +1231,9 @@ class TestOrientationQuotient:
         orientation: an audit row of a certified tree, decided in one piece,
         or, with the certificate refused, a row of the second of 12 pieces.
         The representative's sub-result then holds a record, so every
-        carried orientation is tallied on its own from that piece on: a
-        record each, with its own bitstring (and, for witnesses, its own det
-        sign), in (tree, orientation) order, and the document of the
-        one-orientation tasks."""
+        carried orientation takes it relabeled: a record each, with its own
+        bitstring (and, for witnesses, its own det sign), in (tree,
+        orientation) order, and the document of the one-orientation tasks."""
         from arbormat import harness
         from arbormat.harness import _Oriented
 
@@ -1263,20 +1280,14 @@ class TestOrientationQuotient:
     def test_corrupted_orientation_in_the_stack_is_computed_on_its_own(self, monkeypatch):
         """Orientation 5's table, corrupted in the stack of all 16, fails the
         stacked similarity check: it is computed on its own and counted as a
-        fallback, and the other 14 carried ones fold into one sub-result."""
+        fallback, and the other 14 are carried."""
         from arbormat import harness
 
-        idx, tree = 2, trees_for(5)[2]
+        tree = trees_for(5)[2]
         corrupt_table(monkeypatch, tree, 5)
-        task = (5, idx, tree, tuple(range(16)))
-        subs = decided_now(harness._sweep_worker, harness._THEOREM, task)
-        assert [(s["key"], s.get("multiplicity")) for s in subs] == [
-            ((5, idx, 0), None), ((5, idx, 5), None), ((5, idx, 1), 14)
-        ]
-        assert [astuple(s["quotient"]) for s in subs] == [
-            (24, 0, 0, 8, 16, 0, 0), (24, 0, 24, 0, 16, 8, 0), (0, 14 * 24, 0, 0, 0, 0, 0)
-        ]
-        assert {f["orientation"] for f in subs[1]["failures"]} == {"1010"}
+        sub = decided_now(harness._sweep_worker, harness._THEOREM, (5, tree, tuple(range(16))))
+        assert astuple(sub["quotient"]) == (48, 14 * 24, 24, 8, 32, 8, 0)
+        assert sub["failures"] and {f["orientation"] for f in sub["failures"]} == {"1010"}
         got = run_theorem_sweep([4], OrientationPolicy("all"))
         with monkeypatch.context() as m:
             one_orientation_per_task(m)
@@ -1284,8 +1295,8 @@ class TestOrientationQuotient:
 
     def test_one_tally_per_tree_and_orientation(self, monkeypatch):
         """A certified representative is decided in one piece, and carried
-        orientations without records are a count: no (tree, orientation)
-        of `verify --n 8` is tallied twice."""
+        orientations are never tallied: no (tree, orientation) of
+        `verify --n 8` is tallied twice."""
         from arbormat import harness
 
         calls = []
@@ -1299,6 +1310,22 @@ class TestOrientationQuotient:
         res = run_theorem_sweep([8], OrientationPolicy("all"))
         assert res.all_pass and res.total_instances == 47 * 256 * math.factorial(8)
         assert calls and len(set(calls)) == len(calls)
+
+    def test_one_sub_result_per_task(self, monkeypatch):
+        """The fold of run_theorem_sweep([4], all) is handed one sub-result
+        per tree, its orientations already folded, in task order."""
+        from arbormat import harness
+
+        real, handed = harness._run_tasks, []
+        monkeypatch.setattr(harness, "_run_tasks", lambda *args: handed.append(real(*args)) or handed[-1])
+        res = run_theorem_sweep([4], OrientationPolicy("all"))
+        assert res.all_pass and res.total_instances == 3 * 16 * 24
+        (subs,) = handed
+        assert len(subs) == len(trees_for(5)) == 3
+        # per tree: 24 cycles of the representative computed, 16 audited
+        # and 8 certified, and the other 15 orientations derived
+        assert [astuple(sub["quotient"]) for sub in subs] == [(24, 15 * 24, 0, 8, 16, 0, 0)] * 3
+        assert [sub["per_n"] for sub in subs] == [{4: {"instances": 16 * 24, "failures": 0}}] * 3
 
     def test_pool_never_exceeds_tasks(self, monkeypatch):
         from arbormat import harness
@@ -1315,6 +1342,49 @@ class TestOrientationQuotient:
         assert sizes == [2]  # one task per tree
         run_theorem_sweep([3, 4], OrientationPolicy("all"), workers=2)
         assert sizes == [2, 2]
+
+
+FOLD_EMPTY = {"count": 0, "histogram": {}, "per_n": {}, "failures": [],
+              "example_a": None, "example_b": None}
+fold_records = st.lists(st.fixed_dictionaries({"map": st.sampled_from("abcdefgh")}), max_size=25)
+fold_subs = st.fixed_dictionaries({}, optional={
+    "count": st.integers(0, 9),
+    "histogram": st.dictionaries(st.integers(1, 4), st.integers(0, 9), max_size=3),
+    "per_n": st.dictionaries(st.integers(2, 4), st.fixed_dictionaries(
+        {}, optional={"instances": st.integers(0, 9), "failures": st.integers(0, 2)}), max_size=2),
+    "failures": fold_records,
+    "example_a": st.none() | st.fixed_dictionaries({"map": st.sampled_from("xyz")}),
+    "example_b": st.none() | st.fixed_dictionaries({"map": st.sampled_from("xyz")}),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(fold_subs, st.integers(1, 3)), max_size=8), st.lists(st.booleans()))
+def test_fold_splits_into_partials(subs, cuts):
+    """Folding sub-results, each ``times`` times, in one pass equals folding
+    them one copy at a time, and equals folding consecutive groups into
+    partials and then the partials: what a worker folding its task's
+    orientations and the parent folding the tasks compute.  Key order,
+    which the documents keep, is compared too (through repr)."""
+    from arbormat import harness
+
+    def folded(pairs):
+        into = copy.deepcopy(FOLD_EMPTY)
+        for sub, times in pairs:
+            harness._fold(into, copy.deepcopy(sub), times)
+        return into
+
+    one_pass = folded(subs)
+    assert repr(folded([(sub, 1) for sub, times in subs for _ in range(times)])) == repr(one_pass)
+    groups, group = [], []
+    for pair, cut in zip(subs, cuts + [False] * len(subs)):
+        group.append(pair)
+        if cut:
+            groups.append(group)
+            group = []
+    partials = [(folded(g), 1) for g in groups + [group]]
+    assert repr(folded(partials)) == repr(one_pass)
+    assert len(one_pass["failures"]) <= harness.MAX_FAILURE_RECORDS
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
@@ -1360,7 +1430,7 @@ def assert_all_reaped():
 
 
 def keyed(task):
-    return [{"key": task, "pid": os.getpid()}]
+    return {"task": task, "pid": os.getpid()}
 
 
 class TestForkJoin:
@@ -1395,7 +1465,7 @@ class TestForkJoin:
         tasks = list(range(20_000))
         with no_hang():
             results = harness._run_tasks(keyed, tasks, 2)
-        assert [r["key"] for r in results] == tasks
+        assert [r["task"] for r in results] == tasks
         assert_all_reaped()
 
     def test_a_busy_child_leaves_the_next_task_to_the_other(self):
@@ -1543,8 +1613,8 @@ class TestAuditQueue:
         monkeypatch.setattr(harness, "_THEOREM", harness._THEOREM._replace(
             tally=lambda res, q, bits, claims: tallied.append(claims.size) or tally(res, q, bits, claims)
         ))
-        task = (11, 0, trees_for(11)[0], (0,))
-        (sub,) = decided_now(harness._sweep_worker, harness._THEOREM, task)
+        task = (11, trees_for(11)[0], (0,))
+        sub = decided_now(harness._sweep_worker, harness._THEOREM, task)
         assert tallied == [PIECE_ROWS, PIECE_ROWS, math.factorial(10) - 2 * PIECE_ROWS]
         assert sum(sizes) == 360 * AUDIT_ROWS and max(sizes) <= FLUSH_ROWS
         assert sub["per_n"] == {10: {"instances": math.factorial(10), "failures": 0}}
@@ -2011,7 +2081,7 @@ class TestPathTransportSweep:
         got = decided_now(harness._PATH_IMAGE.claims, o, np.arange(120), counts)
         assert astuple(counts)[3:] == (120 - AUDIT_ROWS, AUDIT_ROWS, 0, 1)
         assert np.nonzero(~got.values[AUDIT_AGREEMENT])[0].tolist() == [5]
-        (sub,) = decided_now(harness._sweep_worker, harness._PATH_IMAGE, (v, 3, tree, (9,)))
+        sub = decided_now(harness._sweep_worker, harness._PATH_IMAGE, (v, tree, (9,)))
         assert sub["exhaustive_instances"] == 120
         assert [f["map"] for f in sub["failures"]] == [",".join(map(str, target[1:]))]
 
