@@ -178,24 +178,67 @@ def batched_path_image_ok(
     return unit_entries(mats) & np.all(lhs == rhs, axis=1)
 
 
-def instance_path_image_ok(instances) -> np.ndarray:
-    """Path-transport verdicts of (vertex map, orientation) pairs of any
-    size, one batched_path_image_ok call per vertex count."""
-    ok = np.zeros(len(instances), dtype=bool)
+def decode_instances(codes: np.ndarray, cycles: np.ndarray, bits: np.ndarray):
+    """Arrays of B drawn instances on v vertices, without a Tree: Prufer
+    codes (B, v-2), cycles (B, v) starting at vertex 1 (f maps each entry
+    to the next, the last to 1) and orientation bitmasks (B,).
+
+    The codes are decoded in lockstep by the smallest-leaf rule of
+    trees.decode_prufer, so edge k is the k-th edge it gives.  Vertex v is
+    never the smallest of two or more leaves, so decoding roots the tree at
+    v: the leaf removed at step k hangs from code entry k by edge k, and
+    the last remaining vertex other than v from v by the last edge.  Walking
+    the steps backwards gives each vertex x the signed path vector s(x) of
+    v -> x after its parent's, and r(x) = s(x) - s(1).
+
+    Returns (edges (B, n, 2), each edge smaller end first; roots (B, v+1,
+    n), root_vectors under each orientation; first, second (B, n), as
+    oriented_endpoint_arrays; images (B, v+1), images[b, u] = f(u))."""
+    b, v = cycles.shape
+    n = v - 1
+    each = np.arange(b)
+    degree = 1 + (codes[:, :, None] == np.arange(v + 1)).sum(axis=1)
+    degree[:, 0] = 0
+    child = np.empty((b, n), dtype=np.int64)
+    parent = np.full((b, n), v, dtype=np.int64)
+    for k in range(n - 1):
+        child[:, k] = np.argmax(degree == 1, axis=1)
+        parent[:, k] = codes[:, k]
+        degree[each, child[:, k]] = 0
+        degree[each, codes[:, k]] -= 1
+    child[:, n - 1] = np.argmax(degree == 1, axis=1)
+
+    s = np.zeros((b, v + 1, n), dtype=np.int8)
+    for k in range(n - 1, -1, -1):
+        s[each, child[:, k]] = s[each, parent[:, k]]
+        s[each, child[:, k], k] = np.where(parent[:, k] < child[:, k], 1, -1)
+    signs = orientation_signs(bits, n)
+    roots = (s - s[:, 1:2]) * signs[:, None]
+    roots[:, 0] = 0
+
+    edges = np.sort(np.stack([child, parent], axis=2), axis=2)
+    swap = signs < 0
+    first = np.where(swap, edges[..., 1], edges[..., 0])
+    second = np.where(swap, edges[..., 0], edges[..., 1])
+    images = np.zeros((b, v + 1), dtype=np.int64)
+    images[each[:, None], cycles] = np.roll(cycles, -1, axis=1)
+    return edges, roots, first, second, images
+
+
+def drawn_path_image_ok(draws) -> np.ndarray:
+    """Path-transport verdicts of drawn instances of any size, each given
+    as (Prufer code, cycle, orientation bitmask) (see decode_instances),
+    from one batched_path_image_ok call per vertex count."""
+    ok = np.zeros(len(draws), dtype=bool)
     by_v: dict[int, list[int]] = {}
-    for k, (f, _) in enumerate(instances):
-        by_v.setdefault(f.tree.vertex_count, []).append(k)
+    for k, (code, _, _) in enumerate(draws):
+        by_v.setdefault(len(code) + 2, []).append(k)
     for group in by_v.values():
-        pairs = [instances[k] for k in group]
-        roots = np.stack([root_vectors(f.tree) * o.sign_vector() for f, o in pairs])
-        images = np.array([(0,) + f.image for f, _ in pairs], dtype=np.int64)
-        ends = np.array([f.tree.oriented_endpoints(o) for f, o in pairs], dtype=np.int64)
-        b, n, _ = ends.shape
-        image_ends = np.take_along_axis(images, ends.reshape(b, 2 * n), axis=1)
-        image_ends = image_ends.reshape(b, n, 2)
-        batch = np.arange(b)[:, None]
+        codes, cycles, bits = (np.array(x, dtype=np.int64) for x in zip(*(draws[k] for k in group)))
+        _, roots, first, second, images = decode_instances(codes, cycles, bits)
+        batch = np.arange(len(group))[:, None]
         # row i: the signed path vector f(first_i) -> f(second_i)
-        mats = roots[batch, image_ends[..., 1]] - roots[batch, image_ends[..., 0]]
+        mats = roots[batch, images[batch, second]] - roots[batch, images[batch, first]]
         ok[group] = batched_path_image_ok(roots, images, mats)
     return ok
 
@@ -218,8 +261,10 @@ def batched_split_sign(paths, tables, images, first, second, mats):
 
     Returns (applicable, mixed, holds), each (O, B): the hypothesis holds
     (no row changes sign twice, no correction row is mixed); some row is
-    mixed; the row operations rebuild A and det |A| = +-1, from one charpoly
-    call over all O.B matrices.  ``holds`` is only meaningful where
+    mixed; the row operations rebuild A and det |A| = +-1.  Reversing edges
+    maps A to D.A.D, so |A| is the same under every orientation: det |A| is
+    taken once per cycle, under the first orientation, and again only for a
+    row whose |A| differs from that one.  ``holds`` is only meaningful where
     ``applicable`` is set."""
     vertices, edges, lengths = paths
     o, b, n = mats.shape[:3]
@@ -254,7 +299,10 @@ def batched_split_sign(paths, tables, images, first, second, mats):
     single = np.where(mixed[..., None], 0, s1[..., None] * unoriented)
     rebuilt = sign[..., None] * unoriented + 2 * delta[..., None] * (corrections @ single)
     holds = np.all(rebuilt == mats, axis=(2, 3))
-    det_b = batched_charpoly(unoriented.reshape(o * b, n, n))[:, 0].reshape(o, b)
+    det_b = np.repeat(batched_charpoly(unoriented[0])[None, :, 0], o, axis=0)
+    own = (unoriented != unoriented[0]).any(axis=(2, 3))
+    if own.any():
+        det_b[own] = batched_charpoly(unoriented[own])[:, 0]
     holds &= np.abs(det_b) == 1
     return applicable, mixed.any(axis=2), holds
 

@@ -115,18 +115,23 @@ def exact_table(tree: Tree, bits: int) -> np.ndarray:
     zero, the layout of the sweeps' oriented tables.  Row x is one walk from
     x over Tree.adjacency: the step a -> b over edge k gives b the vector of
     a with coordinate k set by the rule of Tree.signed_path_vector, +1 when
-    a < b and -1 otherwise, negated when the bitmask reverses edge k."""
-    v = tree.vertex_count
-    table = np.zeros((v + 1, v + 1, tree.edge_count), dtype=np.int8)
+    a < b and -1 otherwise, negated when the bitmask reverses edge k.  A
+    walk fills byte strings, its vectors in two's complement, and the table
+    is read from them once."""
+    v, n = tree.vertex_count, tree.edge_count
+    rows = []
     for x in range(1, v + 1):
-        row = table[x]
+        row = [bytes(n)] * (v + 1)
         walk = [(x, 0)]
         for a, before in walk:
             for b, k in tree.adjacency[a]:
                 if b != before:
-                    row[b] = row[a]
-                    row[b, k] = (1 if a < b else -1) * (-1 if bits >> k & 1 else 1)
+                    row[b] = step = bytearray(row[a])
+                    step[k] = (1 if a < b else -1) * (-1 if bits >> k & 1 else 1) & 0xFF
                     walk.append((b, a))
+        rows += row
+    table = np.zeros((v + 1, v + 1, n), dtype=np.int8)
+    table[1:] = np.frombuffer(b"".join(rows), dtype=np.int8).reshape(v, v + 1, n)
     return table
 
 

@@ -810,45 +810,46 @@ _PATH_IMAGE = _Sweep(partial(decide, _constant_claims, _path_image_claims_direct
                      partial(_row_tally, "exhaustive_instances", ()))
 
 
-def _random_instance(seed: int, idx: int, n_lo: int, n_hi: int):
-    """Instance ``idx`` of the seeded stream: (vertex map, orientation) with
-    n in [n_lo, n_hi], drawn from its own generator."""
+def _random_draw(seed: int, idx: int, n_lo: int, n_hi: int):
+    """The draws of instance ``idx`` of the seeded stream, from its own
+    generator: (Prufer code, cycle, orientation bitmask)."""
     rng = random.Random(f"{seed}|instance|{idx}")
     n = rng.randint(n_lo, n_hi)
-    v = n + 1
-    tree = decode_prufer([rng.randint(1, v) for _ in range(v - 2)])
-    rest = list(range(2, v + 1))
+    code = [rng.randint(1, n + 1) for _ in range(n - 1)]
+    rest = list(range(2, n + 2))
     rng.shuffle(rest)
-    cycle = [1] + rest
-    image = [0] * v
-    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-        image[x - 1] = y
-    return VertexMap(tree, image), Orientation.from_int(rng.getrandbits(n), n)
+    return code, [1] + rest, rng.getrandbits(n)
+
+
+def _random_instance(code, cycle, bits):
+    """(vertex map, orientation) of the draws."""
+    image = [y for _, y in sorted(zip(cycle, cycle[1:] + [1]))]
+    return VertexMap(decode_prufer(code), image), Orientation.from_int(bits, len(code) + 1)
 
 
 def random_instances(seed: int, count: int, n_lo: int, n_hi: int):
     """Seeded stream of (vertex map, orientation) with n in [n_lo, n_hi]."""
-    return (_random_instance(seed, idx, n_lo, n_hi) for idx in range(count))
+    return (_random_instance(*_random_draw(seed, idx, n_lo, n_hi)) for idx in range(count))
 
 
 def _path_image_worker(task) -> dict:
     """The sub-result of a tree task, or of the random chunk ("random",
-    seed, start, stop, random_n): instances start..stop-1.  The first
-    PATH_IMAGE_AUDIT instances of the stream are also decided on the exact
-    route; a disagreement fails the instance."""
+    seed, start, stop, random_n): the draws of instances start..stop-1.  The
+    stream's first PATH_IMAGE_AUDIT are built and checked on the exact route
+    too; a disagreement fails the instance."""
     if task[0] != "random":
         return _sweep_worker(_PATH_IMAGE, task)
     _, seed, start, stop, random_n = task
-    chunk = [_random_instance(seed, idx, *random_n) for idx in range(start, stop)]
-    ok = _fast.instance_path_image_ok(chunk)
-    for k, (f, orientation) in enumerate(chunk[: max(0, PATH_IMAGE_AUDIT - start)]):
-        ok[k] &= path_image_check(f, orientation) == ok[k]
+    draws = [_random_draw(seed, idx, *random_n) for idx in range(start, stop)]
+    ok = _fast.drawn_path_image_ok(draws)
+    for k, draw in enumerate(draws[: max(0, PATH_IMAGE_AUDIT - start)]):
+        ok[k] &= path_image_check(*_random_instance(*draw)) == ok[k]
     failures = []
     _capped(failures, (
         {"tree": f.tree.edge_list_str(), "orientation": o.bitstring(), "map": f.image_str()}
-        for (f, o), good in zip(chunk, ok) if not good
+        for f, o in (_random_instance(*draws[k]) for k in np.nonzero(~ok)[0])
     ))
-    return {"random_instances": len(chunk), "failures": failures, "quotient": QuotientCounts()}
+    return {"random_instances": len(draws), "failures": failures, "quotient": QuotientCounts()}
 
 
 @dataclass
@@ -964,11 +965,11 @@ class SplitSignResult:
 SPLIT_SIGN_AGREEMENT = "batched and exact split-sign verdicts agree"
 
 
-def _exact_split_sign(tree: Tree, orientation: Orientation, image_row):
+def _exact_split_sign(quotient, bits: int, image_row):
     """(verdict, reason or failed identity) of split_sign_check."""
-    f = VertexMap(tree, [int(x) for x in image_row[1:]])
+    f = VertexMap(quotient.tree, image_row[1:].tolist())
     try:
-        reduction = split_sign_check(f, orientation)
+        reduction = split_sign_check(f, Orientation.from_int(bits, quotient.v - 1))
     except WitnessFailed as exc:
         return "fail", exc.identity
     if reduction.status is not ClaimStatus.PASS:
@@ -1003,22 +1004,16 @@ def _split_sign_tally(res, quotient, bits, claims) -> None:
         if res[kind] == 0 and flags.any():  # not audited in an earlier chunk
             picks.append(int(np.argmax(flags)))
         res[kind] += int(flags.sum())
-    orientation = Orientation.from_int(bits, quotient.v - 1)
     for idx in sorted(picks):
-        if not applicable[idx]:
-            verdict = "not_applicable"
-        elif not holds[idx]:
-            verdict = "fail"
-        else:
-            verdict = "with_additions" if mixed[idx] else "applicable"
-        desc = quotient.descriptor(bits, images[idx])
-        exact, detail = _exact_split_sign(quotient.tree, orientation, images[idx])
-        if exact == "fail":
-            res["failures"].append({**desc, "identity": detail})
-        elif exact != verdict:
-            res["failures"].append({**desc, "identity": SPLIT_SIGN_AGREEMENT})
+        verdict = ("not_applicable" if not applicable[idx] else "fail" if not holds[idx]
+                   else "with_additions" if mixed[idx] else "applicable")
+        row = images[idx]
+        exact, detail = _exact_split_sign(quotient, bits, row)
+        if exact == "fail" or exact != verdict:
+            detail = detail if exact == "fail" else SPLIT_SIGN_AGREEMENT
+            res["failures"].append({**quotient.descriptor(bits, row), "identity": detail})
         elif exact == "not_applicable":
-            res["example_not_applicable"] = {**desc, "reason": detail}
+            res["example_not_applicable"] = {**quotient.descriptor(bits, row), "reason": detail}
 
 
 _SPLIT_SIGN = _Sweep(

@@ -55,7 +55,7 @@ SWEEPS = {
     "split_sign": lambda: run_split_sign_sweep([2, 3, 4]),
     "path_graph": lambda: run_path_graph_sweep([2, 3, 4, 5, 6]),
 }
-INJECTED = ("theorem", "witness", "det", "path_graph")
+INJECTED = ("theorem", "witness", "det", "path_image", "path_graph")
 NAMES = list(SWEEPS) + [f"{sweep}_injected" for sweep in INJECTED]
 
 

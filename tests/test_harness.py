@@ -646,17 +646,18 @@ class TestSplitSignKernel:
                 assert self.batched(task) == exact_split_sign_task(task), task
 
     @staticmethod
-    def corruption(kind):
-        """A task, an orientation and one reduction under it that no audit
-        picks, and an entry of its A to corrupt: "flip" negates an entry of a
-        mixed row, so the row operations no longer rebuild A; "extend" gives a
-        row without additions one more entry of its own sign, so A is rebuilt
-        but |det B| != 1."""
-        for task in split_sign_tasks(4):
+    def corruption(kind, only=None):
+        """A task, an orientation (bitmask ``only`` when given) and one
+        reduction under it that no audit picks, and an entry of its A to
+        corrupt: "flip" negates an entry of a mixed row, so the row
+        operations no longer rebuild A; "extend" gives a row without
+        additions one more entry of its own sign, so A is rebuilt but
+        |det B| != 1."""
+        for task in split_sign_tasks(4) + split_sign_tasks(5):
             v, tree, orientations = task
             n = v - 1
             images = _fast.cycle_images(v)
-            for bits in orientations:
+            for bits in orientations if only is None else [only]:
                 table = _fast.orient_table(_fast.signed_path_table(tree), bits, n)
                 first, second = _fast.oriented_endpoint_arrays(tree, bits)
                 a = _fast.build_oriented_batch(table, images, first, second)
@@ -688,9 +689,22 @@ class TestSplitSignKernel:
         ],
     )
     def test_corrupted_entry_fails_with_exact_identity(self, monkeypatch, kind, identity):
+        self.corrupted_entry_fails(monkeypatch, self.corruption(kind), identity)
+
+    def test_corrupted_first_orientation_fails_only_there(self, monkeypatch):
+        """|A| grows an entry under bitmask 0, the orientation the kernel
+        takes det |A| from: that orientation alone fails, and every other
+        one, whose |A| now differs from it, is decided on its own det."""
+        (v, tree, orientations), *entry = self.corruption("extend", only=0)
+        task = (v, tree, orientations[:4])  # bitmask 0 first, as in a sweep task
+        self.corrupted_entry_fails(monkeypatch, (task, *entry), "unoriented determinant is +-1")
+
+    def corrupted_entry_fails(self, monkeypatch, corruption, identity):
+        """The batched worker fails the corrupted reduction alone, with the
+        identity the exact route names, and agrees with the exact route."""
         from arbormat import dynamics, theorems
 
-        task, bits, image, row, col, value = self.corruption(kind)
+        task, bits, image, row, col, value = corruption
         v, tree, orientations = task
         n = v - 1
         target = _fast.oriented_endpoint_arrays(tree, bits)
@@ -769,12 +783,34 @@ class TestRootVectors:
 
     def test_root_transport_matches_exact_route(self):
         from arbormat import path_image_check
+        from arbormat.harness import _random_draw, _random_instance
 
-        instances = list(random_instances(17, 300, 2, 9))
+        draws = [_random_draw(17, idx, 2, 9) for idx in range(300)]
+        instances = [_random_instance(*draw) for draw in draws]
         assert {f.tree.edge_count for f, _ in instances} == set(range(2, 10))
-        got = _fast.instance_path_image_ok(instances)
+        got = _fast.drawn_path_image_ok(draws)
         assert got.all()
         assert got.tolist() == [path_image_check(f, o) for f, o in instances]
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_decoded_instances_match_trees(self, seed):
+        """Codes decoded in lockstep give each instance's Tree: its edges in
+        order, oriented endpoints, oriented root vectors and images."""
+        from arbormat.harness import _random_draw, _random_instance
+
+        for n in range(2, _fast._BATCH_N_CAP + 1):
+            draws = [_random_draw(seed, idx, n, n) for idx in range(40)]
+            codes, cycles, bits = (np.array(x) for x in zip(*draws))
+            edges, roots, first, second, images = _fast.decode_instances(codes, cycles, bits)
+            for k, draw in enumerate(draws):
+                f, o = _random_instance(*draw)
+                assert edges[k].tolist() == [list(e) for e in f.tree.edges]
+                want = _fast.oriented_endpoint_arrays(f.tree, bits[k])
+                assert first[k].tolist() == want[0].tolist()
+                assert second[k].tolist() == want[1].tolist()
+                want = _fast.root_vectors(f.tree) * np.array(o.sign_vector())
+                assert roots[k].tolist() == want.tolist()
+                assert images[k].tolist() == [0, *f.image]
 
     def test_corrupted_matrix_rejected_every_n(self):
         from arbormat.dynamics import _path_image_check_matrix
@@ -1073,6 +1109,13 @@ def marked(mats):
     return np.abs(mats).sum(axis=tuple(range(1, mats.ndim))) % 3 == 0
 
 
+def marked_images(images):
+    """An injected failure pattern on the image rows (B, v+1) of cycles:
+    sum of u.f(u) divisible by 3.  It does not depend on the orientation,
+    or on where a row sits in its batch."""
+    return (images * np.arange(images.shape[1])).sum(axis=1) % 3 == 0
+
+
 def refuse_certificate(monkeypatch):
     """Fail the certificate of every (tree, orientation), so every row of
     the theorem, witness, determinant and path-graph claims is built and
@@ -1087,15 +1130,19 @@ def inject_failures(monkeypatch, sweep):
     determinant signs and non-unit histogram entries occur.  Every tree's
     certificate is refused, which sends every row to the direct kernels,
     and kernels of `sweep` fail the marked rows there: path transport (the
-    theorem and path-transport sweeps), the geometric sum (theorem), the
-    witness kernel (witness and determinant sweeps) and the uniform-sign
-    kernel (path graphs)."""
+    theorem sweep, and the path-transport sweep by image row, so its random
+    stream fails the same instances however they are built), the geometric
+    sum (theorem), the witness kernel (witness and determinant sweeps) and
+    the uniform-sign kernel (path graphs)."""
     refuse_certificate(monkeypatch)
     if sweep in ("theorem", "path_image"):
         transport = _fast.batched_path_image_ok
-        monkeypatch.setattr(
-            _fast, "batched_path_image_ok", lambda r, i, m: transport(r, i, m) & ~marked(m)
-        )
+
+        def path_image_ok(roots, images, mats):
+            bad = marked(mats) if sweep == "theorem" else marked_images(images)
+            return transport(roots, images, mats) & ~bad
+
+        monkeypatch.setattr(_fast, "batched_path_image_ok", path_image_ok)
     if sweep == "theorem":
         real = _fast.batched_geometric_sum_zero
         monkeypatch.setattr(
