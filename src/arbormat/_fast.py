@@ -27,7 +27,8 @@ arbitrary-precision arithmetic:
   same gate: the product is at most n**n = 1e10 < 2**63 through n = 10.
 * Split-sign rebuilt rows are sf.B[i] + 2.delta.(c . A') with sf, delta,
   the entries of B and A' in {-1,0,1} and c a signed path vector, so
-  |entries| <= 1 + 2n.
+  |entries| <= 1 + 2n = 21: the kernel keeps its (O, B, n, n) temporaries
+  in int8, and an A with an entry outside {-1, 0, 1} never holds.
 * Path transport r(w).A = r(f(w)) - r(f(1)) is compared per vertex as one
   integer: both sides dotted with the digit weights z = (2n+1)^k, k < n.
   Once every entry of A is in {-1, 0, 1}, both sides have coordinates in
@@ -274,7 +275,7 @@ def batched_split_sign(paths, tables, images, first, second, mats):
     steps = np.where(np.arange(n) < lengths[..., None], steps, 0)
 
     fa, fb = images[:, first].swapaxes(0, 1), images[:, second].swapaxes(0, 1)
-    signs = steps[each, fa, fb].astype(np.int64)  # (O, B, n, n): step t of row i
+    signs = steps[each, fa, fb].astype(np.int8)  # (O, B, n, n): step t of row i
     change = (signs[..., 1:] != signs[..., :-1]) & (signs[..., 1:] != 0)
     changes = change.sum(axis=3)
     mixed = changes == 1
@@ -288,17 +289,17 @@ def batched_split_sign(paths, tables, images, first, second, mats):
     beyond = vertices[first[..., None], np.arange(v + 1), 1] == second[..., None]
     far = beyond[each, np.arange(n), pre]
     near = np.where(far, second[:, None, :], first[:, None, :])
-    corrections = tables[each, near, pre].astype(np.int64)
+    corrections = tables[each, near, pre].astype(np.int8)
     corrections[~mixed] = 0
     applicable &= ~((corrections != 0) & mixed[..., None, :]).any(axis=(2, 3))
 
     unoriented = np.abs(mats)
     s1 = signs[..., 0]
     sign = np.where(mixed & ~far, -s1, s1)
-    delta = np.where(far, -1, 1)
+    delta = np.where(far, np.int8(-1), np.int8(1))
     single = np.where(mixed[..., None], 0, s1[..., None] * unoriented)
     rebuilt = sign[..., None] * unoriented + 2 * delta[..., None] * (corrections @ single)
-    holds = np.all(rebuilt == mats, axis=(2, 3))
+    holds = np.all(rebuilt == mats, axis=(2, 3)) & unit_entries(mats)
     det_b = np.repeat(batched_charpoly(unoriented[0])[None, :, 0], o, axis=0)
     own = (unoriented != unoriented[0]).any(axis=(2, 3))
     if own.any():

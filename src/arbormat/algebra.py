@@ -151,18 +151,16 @@ class ExactMatrix:
         return ExactMatrix(self.ring, out)
 
     def vec_mul(self, w: Sequence) -> tuple:
-        """Row vector times matrix: returns w . M as a tuple of payloads."""
+        """Row vector times matrix: returns w . M as a tuple of payloads, the
+        rows of M added up with their weights in w, zero weights skipped."""
         if len(w) != self.nrows:
             raise DimensionMismatch("vector length does not match row count")
         ring = self.ring
         add, mul, zero = ring.add, ring.mul, ring.zero
-        w = [ring.coerce(x) for x in w]
-        out = []
-        for col in zip(*self.rows):
-            s = zero
-            for a, b in zip(w, col):
-                s = add(s, mul(a, b))
-            out.append(s)
+        out = [zero] * self.ncols
+        for x, row in zip(map(ring.coerce, w), self.rows):
+            if x != zero:
+                out = [add(s, mul(x, b)) for s, b in zip(out, row)]
         return tuple(out)
 
     def abs(self) -> "ExactMatrix":

@@ -149,13 +149,8 @@ def path_image_check(f: VertexMap, orientation: Orientation) -> bool:
 def _path_image_check_matrix(
     f: VertexMap, orientation: Orientation, oriented: ExactMatrix
 ) -> bool:
-    """Same identity against an arbitrary candidate matrix."""
-    tree = f.tree
-    v = tree.vertex_count
-    spv = tree.signed_path_vector
-    for u in range(1, v + 1):
-        for w in range(1, v + 1):
-            lhs = oriented.vec_mul(spv(orientation, u, w))
-            if lhs != spv(orientation, f(u), f(w)):
-                return False
-    return True
+    """Same identity against an arbitrary candidate matrix, checked on every
+    ordered pair, each side read from one table of the v^2 path vectors."""
+    vertices = range(1, f.tree.vertex_count + 1)
+    spv = {(u, w): f.tree.signed_path_vector(orientation, u, w) for u in vertices for w in vertices}
+    return all(oriented.vec_mul(x) == spv[f(u), f(w)] for (u, w), x in spv.items())

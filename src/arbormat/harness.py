@@ -12,11 +12,11 @@ tree and carried to the other orientations (see
 orientations of a split-sign task go to its kernel together.  The other
 sweeps decide through the path-transport certificate, which builds only a
 fixed audit set of a certified tree's rows, and queue the rows they build
-across a worker's tasks (see :mod:`arbormat.certificate`).  With more than
-one worker, forked children take tasks from a shared pipe (see
-:func:`_fork_join`), and the parent still folds in task order, so output is
-identical for any worker count.  Orientation sampling is counter-based,
-keyed by (seed, tree code), hence schedule-independent.
+across a worker's tasks (see :mod:`arbormat.certificate`).  The calling
+process is one worker and forks the others; all take tasks from one shared
+file (see :func:`_fork_join`), and the parent folds in task order, so
+output is identical for any worker count.  Orientation sampling is
+counter-based, keyed by (seed, tree code), hence schedule-independent.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from __future__ import annotations
 import contextlib
 import copy
 import ctypes
-import hashlib
 import itertools
 import math
 import os
 import pickle
 import random
 import signal
+import tempfile
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
@@ -120,13 +120,19 @@ class OrientationPolicy:
         return f"sample:{self.sample_count}" if self.mode == "sample" else self.mode
 
 
+for _module in ("_sha2", "_sha256", "hashlib"):  # hashlib loads OpenSSL: 3.5 MB
+    with contextlib.suppress(ImportError):
+        _sha256 = __import__(_module).sha256
+        break
+
+
 def _sample_orientation(seed: int, tree_code: str, counter: int, n: int) -> int:
-    digest = hashlib.sha256(f"{seed}|{tree_code}|{counter}".encode()).digest()
+    digest = _sha256(f"{seed}|{tree_code}|{counter}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % (1 << n)
 
 
 def orientations_for(
-    policy: OrientationPolicy, n: int, seed: int, tree_code: str
+    policy: OrientationPolicy, n: int, seed: int, tree_code: str | None
 ) -> list[int]:
     if policy.mode == "all":
         return list(range(1 << n))
@@ -166,100 +172,87 @@ def _check_cap(ns) -> list[int]:
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:
-    """``[worker(t) for t in tasks]``, in task order.  More than one worker
-    forks min(workers, tasks) children (see :func:`_fork_join`); one worker
-    runs them here and then decides the rows they queued (see
-    :data:`arbormat.certificate.QUEUE`)."""
+    """``[worker(t) for t in tasks]``, in task order, on min(workers, tasks)
+    processes: this one and the children it forks (see :func:`_fork_join`).
+    Every process runs the same loop (see :func:`_take_tasks`), so one
+    worker runs the tasks here and forks nothing."""
     _keep_heap()
-    workers = min(workers, len(tasks))
-    try:
-        outputs = _fork_join(worker, tasks, workers) if workers > 1 else [worker(t) for t in tasks]
-        QUEUE.flush()
-    except BaseException:
-        QUEUE.clear()
-        raise
-    return outputs
+    return _fork_join(worker, tasks, min(workers, len(tasks)))
 
 
 def _fork_join(worker, tasks, processes: int) -> list:
-    """``[worker(t) for t in tasks]``, computed by ``processes`` forked children.
+    """``[worker(t) for t in tasks]``, computed by this process and
+    ``processes - 1`` forked children.
 
     Children inherit the worker and the tasks, so nothing is pickled on the
-    way in.  They take task indices, in task order, from one shared pipe
-    that the parent fills after forking; each index is a 4-byte record, so
-    every write is atomic and every read takes one whole index.  A child
-    decides the rows its tasks queued, then pickles its (index, output)
-    pairs, and the first exception a task or that decision raised, back
-    through its own pipe and leaves through os._exit, so it
-    runs no atexit handler and flushes none of the parent's stdio buffers.
-    The parent reads and reaps every child, so RUSAGE_CHILDREN counts them,
-    re-raises the exception of the earliest failed task, and raises
-    RuntimeError when a child ends without a result; on any exception it
-    kills and reaps the children still running."""
-    outputs = [None] * len(tasks)
-    errors = []
+    way in.  The task indices, 4-byte records in task order, fill an
+    unlinked temporary file before the first fork, and every process reads
+    the next one from the shared file offset, so each index is taken once,
+    in order, and a process that dies blocks no other.  A child pickles its
+    (index, output) pairs, and the first exception a task or its rows'
+    decision raised, back through its own pipe and leaves through os._exit,
+    so it runs no atexit handler and flushes none of the parent's stdio
+    buffers.  The parent keeps its own outputs, then reads and reaps every
+    child, so RUSAGE_CHILDREN counts them; it re-raises the exception of
+    the earliest failed task, and raises RuntimeError when a child ends
+    without a result.  On any exception outside a task it kills and reaps
+    the children still running."""
     children = {}  # pid -> read end of its result pipe, until reaped
     with contextlib.ExitStack() as stack:
-
-        def pipe(write_buffering):
-            r, w = os.pipe()
-            return (stack.enter_context(open(r, "rb", buffering=0)),
-                    stack.enter_context(open(w, "wb", buffering=write_buffering)))
-
-        queue_r, queue_w = pipe(0)
+        queue = stack.enter_context(tempfile.TemporaryFile(buffering=0))
+        queue.write(np.arange(len(tasks), dtype="<u4").tobytes())
+        queue.seek(0)
         try:
-            for _ in range(processes):
-                result_r, result_w = pipe(-1)
-                pid = os.fork()
-                if pid == 0:
-                    _fork_child(worker, tasks, queue_r, queue_w, result_w)
-                result_w.close()
+            for _ in range(processes - 1):
+                r, w = os.pipe()
+                result_r = stack.enter_context(open(r, "rb"))
+                with open(w, "wb") as result_w:
+                    if (pid := os.fork()) == 0:
+                        _fork_child(worker, tasks, queue, result_w)
                 children[pid] = result_r
-            queue_r.close()
-            try:
-                for idx in range(len(tasks)):
-                    queue_w.write(idx.to_bytes(4, "little"))
-            except BrokenPipeError:
-                pass  # every child has ended; its result pipe says why
-            queue_w.close()
+            results = [_take_tasks(worker, tasks, queue)]
             for pid, result_r in list(children.items()):
-                blob = result_r.readall()
+                blob = result_r.read()
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del children[pid]
                 if code != 0:
-                    raise RuntimeError(
-                        f"sweep worker {pid} ended without a result (exit code {code})"
-                    )
-                done, error = pickle.loads(blob)
-                for idx, output in done:
-                    outputs[idx] = output
-                if error is not None:
-                    errors.append(error)
+                    raise RuntimeError(f"sweep worker {pid} ended without a result (exit code {code})")
+                results.append(pickle.loads(blob))
         finally:
+            QUEUE.clear()  # empty after a flush; else it holds a failed task's rows
             for pid in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    if errors:
+    if errors := [error for _, error in results if error is not None]:
         _, exc, trace = min(errors)  # task indices differ
         raise exc from RuntimeError(f"in a sweep worker:\n{trace}")
-    return outputs
+    outputs = dict(pair for done, _ in results for pair in done)
+    return [outputs[idx] for idx in range(len(tasks))]
 
 
-def _fork_child(worker, tasks, queue_r, queue_w, result_w) -> None:
-    """The body of a child of _fork_join: run the tasks whose indices it
-    reads, send the outputs, and leave; it never returns."""
+def _take_tasks(worker, tasks, queue):
+    """The loop of every sweep process: run the tasks whose indices it reads
+    from ``queue`` until end of file, then decide the rows they queued.
+    Returns the (index, output) pairs and the first exception, as (task
+    index, exception, traceback), or None; after an exception it takes no
+    more tasks."""
+    done = []
+    try:
+        while record := queue.read(4):
+            QUEUE.task = int.from_bytes(record, "little")
+            done.append((QUEUE.task, worker(tasks[QUEUE.task])))
+        QUEUE.flush()
+    except Exception as exc:
+        return done, (QUEUE.task, exc, traceback.format_exc())
+    return done, None
+
+
+def _fork_child(worker, tasks, queue, result_w) -> None:
+    """The body of a child of _fork_join: run its share of the tasks, send
+    the outputs, and leave; it never returns."""
     code = 1
     try:
-        queue_w.close()  # else the queue never reaches end of file
-        done, error = [], None
-        try:
-            while record := queue_r.read(4):
-                QUEUE.task = int.from_bytes(record, "little")
-                done.append((QUEUE.task, worker(tasks[QUEUE.task])))
-            QUEUE.flush()
-        except Exception as exc:
-            error = (QUEUE.task, exc, traceback.format_exc())
-        pickle.dump((done, error), result_w, pickle.HIGHEST_PROTOCOL)
+        pickle.dump(_take_tasks(worker, tasks, queue), result_w, pickle.HIGHEST_PROTOCOL)
         result_w.flush()
         code = 0
     finally:
@@ -275,9 +268,9 @@ def _keep_heap() -> None:
     heap after the rest, so each chunk faults its pages in anew: about 23k
     extra minor faults and a quarter of the workers' CPU in `verify --n 7
     --orientations canonical`.  Fixed thresholds, mmap from 32 MiB (glibc's
-    own adaptive ceiling on 64-bit) and trim from 64 MiB, are set before
-    _fork_join forks, so its children inherit them; a serial sweep leaves
-    them set in the calling process.  Without glibc this does nothing."""
+    own adaptive ceiling on 64-bit) and trim from 64 MiB, are set in the
+    calling process, itself a sweep worker, before _fork_join forks, so its
+    children inherit them.  Without glibc this does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -427,14 +420,17 @@ class _OrientationQuotient:
 
 def _tree_tasks(ns, policy: OrientationPolicy, seed: int, per_n=None, paths_only=False):
     """(v, tree, orientations) per tree of every n, counting trees and
-    orientations into per_n when given."""
+    orientations into per_n when given.  Only a sample depends on the tree,
+    seeded by its canonical form; every other policy gives the trees of an
+    n one shared tuple (2^10 orientations of 235 trees held 7.7 MB)."""
     tasks = []
     for n in ns:
         v = n + 1
+        shared = policy.mode != "sample" and tuple(orientations_for(policy, n, seed, None))
         for tree in trees_for(v):
             if paths_only and not tree.is_path():
                 continue
-            orientations = tuple(orientations_for(policy, n, seed, canonical_form(tree)))
+            orientations = shared or tuple(orientations_for(policy, n, seed, canonical_form(tree)))
             if per_n is not None:
                 _merge(per_n, {n: {"trees": 1, "orientations": len(orientations)}})
             tasks.append((v, tree, orientations))

@@ -422,6 +422,29 @@ class TestSampling:
         b = _sample_orientation(7, "(()())", 3, 5)
         assert a == b and 0 <= a < 32
 
+    def test_digest_equals_hashlib(self):
+        """The interpreter's own SHA-256 gives hashlib's digests."""
+        import hashlib
+
+        for seed, code, counter, n in itertools.product(
+            (0, 7, 2**40), ("", "(()())", "((()))()"), (0, 3, 1000), (2, 5, 10)
+        ):
+            digest = hashlib.sha256(f"{seed}|{code}|{counter}".encode()).digest()
+            want = int.from_bytes(digest[:8], "big") % (1 << n)
+            assert _sample_orientation(seed, code, counter, n) == want
+
+    @pytest.mark.parametrize("policy", ["all", "canonical", "sample:2"])
+    def test_trees_canonicalized_only_when_sampled(self, monkeypatch, policy):
+        """Only a sampled orientation is seeded by the tree's canonical form."""
+        from arbormat import harness
+
+        calls = []
+        real = harness.canonical_form
+        monkeypatch.setattr(harness, "canonical_form", lambda t: calls.append(t) or real(t))
+        tasks = harness._tree_tasks([3, 4], OrientationPolicy.parse(policy), 5)
+        assert len(calls) == (len(tasks) if policy.startswith("sample") else 0)
+        assert len(tasks) == len(trees_for(4)) + len(trees_for(5))
+
     def test_policy_parsing(self):
         assert OrientationPolicy.parse("all").mode == "all"
         assert OrientationPolicy.parse("sample:16").sample_count == 16
@@ -1377,13 +1400,10 @@ class TestOrientationQuotient:
     def test_pool_never_exceeds_tasks(self, monkeypatch):
         from arbormat import harness
 
-        sizes = []
-
-        def serial_fork_join(worker, tasks, processes):
-            sizes.append(processes)
-            return [worker(t) for t in tasks]
-
-        monkeypatch.setattr(harness, "_fork_join", serial_fork_join)
+        sizes, real = [], harness._fork_join
+        monkeypatch.setattr(
+            harness, "_fork_join", lambda w, tasks, p: sizes.append(p) or real(w, tasks, p)
+        )
         res = run_theorem_sweep([3], OrientationPolicy("all"), workers=8)
         assert res.all_pass and res.total_instances == 96
         assert sizes == [2]  # one task per tree
@@ -1455,6 +1475,27 @@ def test_serial_sweep_reuses_its_heap():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 15_000
 
 
+def test_split_sign_task_transients_stay_small():
+    """The (orientations, cycles, n, n) temporaries of the split-sign kernel
+    are int8: an n = 5 task, all 32 orientations of 120 cycles, peaks at
+    about 2 MB under tracemalloc (6.4 MB with int64 ones)."""
+    import tracemalloc
+
+    from arbormat import harness
+
+    task = harness._tree_tasks([5], OrientationPolicy("all"), 0)[0]
+    worker = partial(harness._sweep_worker, harness._SPLIT_SIGN)
+    harness._run_tasks(worker, [task], 1)  # warm the per-tree caches
+    tracemalloc.start()
+    try:
+        (res,) = harness._run_tasks(worker, [task], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["instances"] == 32 * 120
+    assert peak < 3 << 20, peak
+
+
 @contextlib.contextmanager
 def no_hang(seconds=60):
     """Fail with TimeoutError instead of hanging past ``seconds``."""
@@ -1515,8 +1556,45 @@ class TestForkJoin:
         assert [r["task"] for r in results] == tasks
         assert_all_reaped()
 
-    def test_a_busy_child_leaves_the_next_task_to_the_other(self):
+    def test_each_task_is_taken_once(self, tmp_path):
+        """Four processes, more than the cores, read the shared task file:
+        each index is run exactly once, whichever process read it."""
         from arbormat import harness
+
+        log = tmp_path / "taken"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def take(task):
+            os.write(fd, task.to_bytes(4, "little"))
+            return keyed(task)
+
+        tasks = list(range(20_000))
+        try:
+            with no_hang():
+                results = harness._run_tasks(take, tasks, 4)
+        finally:
+            os.close(fd)
+        assert sorted(np.frombuffer(log.read_bytes(), dtype="<u4").tolist()) == tasks
+        assert [r["task"] for r in results] == tasks
+        assert_all_reaped()
+
+    def test_one_worker_forks_nothing(self, monkeypatch):
+        from arbormat import harness
+
+        def fork():
+            raise AssertionError("forked with one worker")
+
+        monkeypatch.setattr(os, "fork", fork)
+        results = harness._run_tasks(keyed, list(range(5)), 1)
+        assert results == [{"task": t, "pid": os.getpid()} for t in range(5)]
+
+    def test_a_busy_child_leaves_the_next_task_to_the_other(self, monkeypatch):
+        """Two workers are the parent and one forked child; with both busy,
+        each takes a task."""
+        from arbormat import harness
+
+        forks, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
 
         def nap(task):
             time.sleep(0.5)
@@ -1524,7 +1602,9 @@ class TestForkJoin:
 
         with no_hang():
             results = harness._run_tasks(nap, [0, 1], 2)
-        assert len({r["pid"] for r in results}) == 2
+        assert len(forks) == 1
+        pids = {r["pid"] for r in results}
+        assert len(pids) == 2 and os.getpid() in pids
         assert_all_reaped()
 
     def test_task_exception_is_raised_in_the_parent(self):
@@ -1541,15 +1621,21 @@ class TestForkJoin:
         assert "in a sweep worker" in str(exc.value.__cause__)
         assert_all_reaped()
 
-    @pytest.mark.parametrize("killed", [(3,), range(20_000)])
+    @pytest.mark.parametrize("killed", [range(3, 20_000), range(20_000)])
     def test_killed_child_raises_instead_of_hanging(self, killed):
-        """One child killed while the other finishes, and both killed while
-        the parent still writes task indices."""
+        """The child kills itself at its first task in ``killed``, after
+        some tasks or at its first, while the parent, slowed at its own
+        first task, runs the rest."""
         from arbormat import harness
 
+        parent, napped = os.getpid(), []
+
         def die(task):
-            if task in killed:
+            if os.getpid() != parent and task in killed:
                 os.kill(os.getpid(), signal.SIGKILL)
+            if os.getpid() == parent and not napped:
+                napped.append(task)
+                time.sleep(0.5)
             return keyed(task)
 
         with no_hang(), pytest.raises(RuntimeError, match="without a result .exit code -9."):
@@ -1557,10 +1643,13 @@ class TestForkJoin:
         assert_all_reaped()
 
     def test_parent_exception_kills_the_children(self):
+        """The parent's timeout fires while it waits for a stalled child."""
         from arbormat import harness
 
+        parent = os.getpid()
+
         def stall(task):
-            time.sleep(60)
+            time.sleep(0.5 if os.getpid() == parent else 60)
             return keyed(task)
 
         started = time.monotonic()
@@ -1576,15 +1665,16 @@ class TestForkJoin:
         code = (
             "import sys\n"
             "from arbormat import cli\n"
-            f"status = cli.main(['verify', '--n', '3', '--workers', '2', '--out', {out!r}])\n"
-            "print(status, 'multiprocessing.pool' in sys.modules)\n"
+            "args = ['verify', '--n', '3', '--orientations', 'sample:2', '--workers', '2']\n"
+            f"status = cli.main(args + ['--out', {out!r}])\n"
+            "print(status, 'multiprocessing.pool' in sys.modules, 'hashlib' in sys.modules)\n"
         )
         path = [str(Path(arbormat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         )
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
 
 
 class TestAuditQueue:
