@@ -186,19 +186,13 @@ class ExactMatrix:
             if m >= 2:
                 R = rows[m - 1][: m - 1]
                 v = [rows[i][m - 1] for i in range(m - 1)]
-                s = zero
-                for a, b in zip(R, v):
-                    s = add(s, mul(a, b))
-                t.append(neg(s))
+                t.append(neg(_dot(R, v, add, mul, zero)))
                 for _ in range(3, m + 1):
                     v = [
                         _dot(rows[i][: m - 1], v, add, mul, zero)
                         for i in range(m - 1)
                     ]
-                    s = zero
-                    for a, b in zip(R, v):
-                        s = add(s, mul(a, b))
-                    t.append(neg(s))
+                    t.append(neg(_dot(R, v, add, mul, zero)))
             new = []
             for i in range(m + 1):
                 s = zero

@@ -105,29 +105,10 @@ def cmd_analyze(args) -> tuple[dict, int]:
     else:
         orientation = Orientation.canonical(tree.edge_count)
     report = verify_instance(f, orientation, all_witnesses=args.all_witnesses)
-    w = report.witness
-    doc = {
-        "command": "analyze",
-        "instance": {
-            "tree": report.tree_edges,
-            "tree_canonical": report.tree_canonical,
-            "orientation": report.orientation,
-            "map": report.image,
-            "n": report.n,
-        },
-        "matrices": {"oriented": report.oriented_rows, "unoriented": report.unoriented_rows},
-        "charpolys": {
-            "oriented": report.oriented_charpoly,
-            "unoriented": report.unoriented_charpoly,
-            "unoriented_mod2": report.unoriented_charpoly_mod2,
-        },
-        "determinants": {"oriented": report.det_oriented, "unoriented": report.det_unoriented},
-        "claims": {name: res.status.value for name, res in sorted(report.claims.items())},
-        "witness": None if w is None else {
-            "i": w["i"], "j": w["j"], "matrix": w["rows"], "determinant": w["determinant"]
-        },
-    }
-    return doc, 0 if report.all_pass() else CLAIM_ERROR
+    claims = {name: res.status.value for name, res in report.claims.items()}
+    return {"command": "analyze", **vars(report), "claims": claims}, (
+        0 if report.all_pass() else CLAIM_ERROR
+    )
 
 
 def cmd_enumerate(args) -> tuple[dict, int]:
@@ -224,43 +205,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full claim report for one instance")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    def sweep(name, func, help, orientations):
+        p = command(name, func, help)
+        p.add_argument("--n", required=True, help="edge count or range, e.g. 4 or 2..5")
+        p.add_argument("--orientations", default=orientations, help="all | canonical | sample:K")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--workers", type=int, default=1)
+        return p
+
+    p = command("analyze", cmd_analyze, "full claim report for one instance")
     p.add_argument("--tree", required=True, help="edge list '1-2,2-3' or Prufer code '1,1'")
     p.add_argument("--map", required=True, help="image list '2,3,1' or cycle '(1 2 3)'")
     p.add_argument("--orientation", help="bitstring, one char per edge (default all 0)")
     p.add_argument("--all-witnesses", action="store_true", help="validate every (i, j) witness")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("enumerate", help="one tree per isomorphism class")
+    p = command("enumerate", cmd_enumerate, "one tree per isomorphism class")
     p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("verify", help="sweep instance spaces and check all claims")
-    p.add_argument("--n", required=True, help="edge count or range, e.g. 4 or 2..5")
-    p.add_argument("--orientations", default="all", help="all | canonical | sample:K")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+    sweep("verify", cmd_verify, "sweep instance spaces and check all claims", "all")
 
-    p = sub.add_parser("reproduce", help="check bundled figure fixtures")
+    p = command("reproduce", cmd_reproduce, "check bundled figure fixtures")
     p.add_argument("--figure", default="all", choices=list(FIGURE_IDS) + ["all"])
     p.add_argument("--fixtures", help="directory overriding the bundled fixtures")
     p.add_argument("--reconstruct", action="store_true",
                    help="search for instances behind 5x5 panels")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("search-detmf", help="histogram of |det| over witness matrices")
-    p.add_argument("--n", required=True)
-    p.add_argument("--orientations", default="canonical", help="all | canonical | sample:K")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p = sweep("search-detmf", cmd_search_detmf, "histogram of |det| over witness matrices",
+              "canonical")
     p.add_argument("--paths-only", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_search_detmf)
+
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

@@ -31,17 +31,11 @@ from typing import Optional
 import numpy as np
 
 from . import _fast
-from .algebra import ExactMatrix, ExactPolynomial, geometric_poly
+from .algebra import ExactMatrix, ExactPolynomial
 from .dynamics import VertexMap, oriented_matrix
 from .errors import FixtureMissing, ParseError
 from .rings import ZZ
-from .theorems import (
-    _witness_rows,
-    geometric_sum_is_zero,
-    odd_coefficients_check,
-    witness_pairs,
-    z2_similarity_to_companion,
-)
+from .theorems import _witness_rows, matrix_claims, witness_pairs
 from .trees import Orientation, Tree, enumerate_trees
 
 __all__ = [
@@ -127,15 +121,8 @@ def check_fixture(fixture: Fixture) -> dict[str, bool]:
     """Every matrix-level claim checkable without knowing the source tree."""
     a = fixture.oriented
     b = a.abs()
-    n = fixture.n
-    checks = {
-        "oriented_charpoly_geometric": a.charpoly() == geometric_poly(n),
-        "oriented_determinant": a.determinant() == (-1) ** n,
-        "geometric_sum_zero": geometric_sum_is_zero(a),
-        "unoriented_charpoly_caption": b.charpoly() == fixture.caption_charpoly,
-        "unoriented_charpoly_odd": odd_coefficients_check(b),
-        "z2_companion_similar": z2_similarity_to_companion(b),
-    }
+    checks = matrix_claims(a)
+    checks["unoriented_charpoly_caption"] = b.charpoly() == fixture.caption_charpoly
     if fixture.unoriented_printed is not None:
         checks["printed_unoriented_is_abs"] = fixture.unoriented_printed == b
     if fixture.row_ops is not None and fixture.unoriented_printed is not None:

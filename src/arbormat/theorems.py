@@ -10,7 +10,7 @@ failure by :func:`verify_instance`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
 
@@ -48,6 +48,7 @@ __all__ = [
     "zp_similarity",
     "odd_coefficients_check",
     "petrie_check",
+    "matrix_claims",
     "uniform_sign_check",
     "split_sign_check",
     "verify_instance",
@@ -68,8 +69,8 @@ class ClaimResult:
     detail: Optional[dict] = None
 
     @classmethod
-    def from_bool(cls, ok: bool, detail=None) -> "ClaimResult":
-        return cls(ClaimStatus.PASS if ok else ClaimStatus.FAIL, detail)
+    def from_bool(cls, ok: bool) -> "ClaimResult":
+        return cls(ClaimStatus.PASS if ok else ClaimStatus.FAIL)
 
 
 def geometric_sum_is_zero(a: ExactMatrix) -> bool:
@@ -187,13 +188,11 @@ def iter_witness_determinants(
 
 
 def z2_similarity_to_companion(b: ExactMatrix) -> bool:
-    """Similarity over GF(2) to the companion matrix of 1 + ... + x^n."""
+    """Similarity over GF(2) to the companion matrix of 1 + ... + x^n, whose
+    one invariant factor is that polynomial itself."""
     if not b.is_square():
         raise NotSquare("similarity needs a square matrix")
-    n = b.nrows
-    return invariant_factors(reduce_mod(b, 2)) == invariant_factors(
-        reduce_mod(companion(n), 2)
-    )
+    return invariant_factors(reduce_mod(b, 2)) == [geometric_poly(b.nrows).reduce_mod(2)]
 
 
 def zp_similarity(b1: ExactMatrix, b2: ExactMatrix, p: int) -> bool:
@@ -225,6 +224,27 @@ def petrie_check(m: ExactMatrix) -> bool:
         if values != {1} and values != {-1}:
             return False
     return True
+
+
+def matrix_claims(a: ExactMatrix) -> dict[str, bool]:
+    """The claims about an n x n oriented matrix A that need nothing but A:
+    charpoly 1 + x + ... + x^n, det (-1)^n, I + A + ... + A^n = 0, and for
+    |A| odd charpoly coefficients and GF(2) similarity to the companion."""
+    n = a.nrows
+    b = a.abs()
+    return {
+        "oriented_charpoly_geometric": a.charpoly() == geometric_poly(n),
+        "oriented_determinant": a.determinant() == (-1) ** n,
+        "geometric_sum_zero": geometric_sum_is_zero(a),
+        "unoriented_charpoly_odd": odd_coefficients_check(b),
+        "z2_companion_similar": z2_similarity_to_companion(b),
+    }
+
+
+def _check_unit_determinant(b: ExactMatrix) -> None:
+    det_b = b.determinant()
+    if det_b not in (1, -1):
+        raise WitnessFailed("unoriented determinant is +-1", {"det": det_b})
 
 
 def _row_signs_along_path(f: VertexMap, orientation: Orientation, first: int, second: int):
@@ -261,9 +281,7 @@ def uniform_sign_check(f: VertexMap, orientation: Orientation) -> bool:
     rebuilt = ExactMatrix(ZZ, [[s * e for e in row] for s, row in zip(signs, b.rows)])
     if rebuilt != a:
         raise WitnessFailed("row negations rebuild the oriented matrix", None)
-    det_b = b.determinant()
-    if det_b not in (1, -1):
-        raise WitnessFailed("unoriented determinant is +-1", {"det": det_b})
+    _check_unit_determinant(b)
     return True
 
 
@@ -365,9 +383,7 @@ def split_sign_check(f: VertexMap, orientation: Orientation) -> SignReduction:
             "row operations rebuild the oriented matrix",
             {"operations": operations, "got": rebuilt, "want": a.rows},
         )
-    det_b = b.determinant()
-    if det_b not in (1, -1):
-        raise WitnessFailed("unoriented determinant is +-1", {"det": det_b})
+    _check_unit_determinant(b)
     return SignReduction(
         ClaimStatus.PASS,
         operations=tuple(operations),
@@ -392,22 +408,20 @@ CONDITIONAL_CLAIMS = ("uniform_sign", "split_sign")
 
 @dataclass
 class InstanceReport:
-    """All claim outcomes for one (tree, orientation, vertex map) instance."""
+    """All claim outcomes for one (tree, orientation, vertex map) instance,
+    in the sections of the ``analyze`` document: ``instance`` (tree,
+    tree_canonical, orientation, map, n), ``matrices`` and ``determinants``
+    (oriented, unoriented), ``charpolys`` (oriented, unoriented,
+    unoriented_mod2; constant term first), ``claims`` (name to
+    :class:`ClaimResult`) and ``witness`` (i, j, matrix, determinant of the
+    (1, 1) basis witness, or None when a witness failed)."""
 
-    tree_edges: str
-    tree_canonical: str
-    orientation: str
-    image: str
-    n: int
-    claims: dict = field(default_factory=dict)
-    oriented_rows: tuple = ()
-    unoriented_rows: tuple = ()
-    oriented_charpoly: tuple = ()
-    unoriented_charpoly: tuple = ()
-    unoriented_charpoly_mod2: tuple = ()
-    det_oriented: int = 0
-    det_unoriented: int = 0
-    witness: Optional[dict] = None
+    instance: dict
+    matrices: dict
+    charpolys: dict
+    determinants: dict
+    claims: dict
+    witness: Optional[dict]
 
     def all_pass(self) -> bool:
         for name in MANDATORY_CLAIMS:
@@ -419,6 +433,10 @@ class InstanceReport:
         )
 
 
+def _failed(exc: WitnessFailed) -> ClaimResult:
+    return ClaimResult(ClaimStatus.FAIL, {"identity": exc.identity})
+
+
 def verify_instance(
     f: VertexMap, orientation: Orientation, all_witnesses: bool = False
 ) -> InstanceReport:
@@ -427,48 +445,21 @@ def verify_instance(
     n = tree.edge_count
     tm = oriented_matrix(f, orientation)
     a, b = tm.oriented, tm.unoriented
-    cp_a = a.charpoly()
     cp_b = b.charpoly()
-    cp_b2 = cp_b.reduce_mod(2)
-    det_a = a.determinant()
-    det_b = b.determinant()
-    geometric = geometric_poly(n)
+    claims = {name: ClaimResult.from_bool(ok) for name, ok in matrix_claims(a).items()}
+    # a monic degree-n polynomial has only odd coefficients exactly when it
+    # is 1 + x + ... + x^n mod 2
+    claims["unoriented_charpoly_mod2_geometric"] = claims["unoriented_charpoly_odd"]
+    claims["path_image_identity"] = ClaimResult.from_bool(path_image_check(f, orientation))
 
-    claims = {
-        "oriented_charpoly_geometric": ClaimResult.from_bool(
-            cp_a == geometric, {"charpoly": list(cp_a.coeffs)}
-        ),
-        "oriented_determinant": ClaimResult.from_bool(
-            det_a == (-1) ** n, {"det": det_a}
-        ),
-        "geometric_sum_zero": ClaimResult.from_bool(geometric_sum_is_zero(a)),
-        "unoriented_charpoly_odd": ClaimResult.from_bool(
-            odd_coefficients_check(b), {"charpoly": list(cp_b.coeffs)}
-        ),
-        "unoriented_charpoly_mod2_geometric": ClaimResult.from_bool(
-            cp_b2 == geometric.reduce_mod(2)
-        ),
-        "z2_companion_similar": ClaimResult.from_bool(z2_similarity_to_companion(b)),
-        "path_image_identity": ClaimResult.from_bool(path_image_check(f, orientation)),
-    }
-
-    witness_info = None
+    witness = None
     try:
-        if all_witnesses:
-            for i, j in witness_pairs(n + 1):
-                basis_witness(f, orientation, i, j)
-        w = basis_witness(f, orientation, 1, 1)
-        witness_info = {
-            "i": w.i,
-            "j": w.j,
-            "rows": w.mf.rows,
-            "determinant": w.determinant,
-        }
+        pairs = witness_pairs(n + 1) if all_witnesses else [(1, 1)]
+        w = [basis_witness(f, orientation, i, j) for i, j in pairs][0]  # (1, 1) comes first
+        witness = {"i": w.i, "j": w.j, "matrix": w.mf.rows, "determinant": w.determinant}
         claims["basis_witness"] = ClaimResult(ClaimStatus.PASS)
     except WitnessFailed as exc:
-        claims["basis_witness"] = ClaimResult(
-            ClaimStatus.FAIL, {"identity": exc.identity}
-        )
+        claims["basis_witness"] = _failed(exc)
 
     try:
         uniform = uniform_sign_check(f, orientation)
@@ -476,9 +467,7 @@ def verify_instance(
             ClaimStatus.PASS if uniform else ClaimStatus.NOT_APPLICABLE
         )
     except WitnessFailed as exc:
-        claims["uniform_sign"] = ClaimResult(
-            ClaimStatus.FAIL, {"identity": exc.identity}
-        )
+        claims["uniform_sign"] = _failed(exc)
 
     try:
         reduction = split_sign_check(f, orientation)
@@ -487,23 +476,23 @@ def verify_instance(
             {"reason": reduction.reason} if reduction.reason else None,
         )
     except WitnessFailed as exc:
-        claims["split_sign"] = ClaimResult(
-            ClaimStatus.FAIL, {"identity": exc.identity}
-        )
+        claims["split_sign"] = _failed(exc)
 
     return InstanceReport(
-        tree_edges=tree.edge_list_str(),
-        tree_canonical=canonical_form(tree),
-        orientation=orientation.bitstring(),
-        image=f.image_str(),
-        n=n,
+        instance={
+            "tree": tree.edge_list_str(),
+            "tree_canonical": canonical_form(tree),
+            "orientation": orientation.bitstring(),
+            "map": f.image_str(),
+            "n": n,
+        },
+        matrices={"oriented": a.rows, "unoriented": b.rows},
+        charpolys={
+            "oriented": a.charpoly().coeffs,
+            "unoriented": cp_b.coeffs,
+            "unoriented_mod2": cp_b.reduce_mod(2).coeffs,
+        },
+        determinants={"oriented": a.determinant(), "unoriented": b.determinant()},
         claims=claims,
-        oriented_rows=a.rows,
-        unoriented_rows=b.rows,
-        oriented_charpoly=cp_a.coeffs,
-        unoriented_charpoly=cp_b.coeffs,
-        unoriented_charpoly_mod2=cp_b2.coeffs,
-        det_oriented=det_a,
-        det_unoriented=det_b,
-        witness=witness_info,
+        witness=witness,
     )

@@ -95,6 +95,43 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", "--tree", "zzz", "--map", "2,3,1")
         assert code == 2
 
+    HAND = ("analyze", "--tree", "1-2,1-3", "--map", "2,3,1")
+
+    def test_failed_matrix_claim_exit_1(self, capsys, monkeypatch):
+        from arbormat import theorems
+
+        monkeypatch.setattr(theorems, "geometric_sum_is_zero", lambda a: False)
+        code, doc, _ = run_json(capsys, *self.HAND)
+        assert code == 1
+        assert [k for k, v in doc["claims"].items() if v == "fail"] == ["geometric_sum_zero"]
+        assert doc["witness"] is not None
+
+    def test_failed_witness_is_null(self, capsys, monkeypatch):
+        from arbormat import theorems
+        from arbormat.errors import WitnessFailed
+
+        def fail(*args):
+            raise WitnessFailed("det(Mf) is odd", None)
+
+        monkeypatch.setattr(theorems, "basis_witness", fail)
+        code, doc, _ = run_json(capsys, *self.HAND, "--all-witnesses")
+        assert code == 1
+        assert [k for k, v in doc["claims"].items() if v == "fail"] == ["basis_witness"]
+        assert doc["witness"] is None
+
+    def test_failed_split_sign_exit_1(self, capsys, monkeypatch):
+        from arbormat import theorems
+        from arbormat.errors import WitnessFailed
+
+        def fail(f, orientation):
+            raise WitnessFailed("row operations rebuild the oriented matrix", None)
+
+        monkeypatch.setattr(theorems, "split_sign_check", fail)
+        code, doc, _ = run_json(capsys, *self.HAND)
+        assert code == 1
+        assert [k for k, v in doc["claims"].items() if v == "fail"] == ["split_sign"]
+        assert doc["claims"]["uniform_sign"] == "not_applicable"
+
 
 class TestEnumerate:
     def test_counts(self, capsys):

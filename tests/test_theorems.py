@@ -23,7 +23,7 @@ from arbormat import (
 )
 from arbormat.errors import NotCoprime, NotSquare, OutOfRange, UnknownVertex
 from arbormat.harness import random_instances
-from arbormat.theorems import MANDATORY_CLAIMS
+from arbormat.theorems import MANDATORY_CLAIMS, matrix_claims
 from arbormat._fast import cycle_images
 
 from oracles import gcd_multiples_oracle, residue_set_oracle
@@ -146,6 +146,27 @@ class TestSimilarity:
             assert got == similar_bruteforce(m1, m2, p), (m1, m2, p)
 
 
+class TestMatrixClaims:
+    def test_hand_instance_passes(self, shift3):
+        f, o = shift3
+        assert all(matrix_claims(oriented_matrix(f, o).oriented).values())
+
+    def test_zero_matrix_fails_each(self):
+        claims = matrix_claims(ExactMatrix(ZZ, [[0, 0], [0, 0]]))
+        assert len(claims) == 5 and not any(claims.values())
+
+    def test_z2_against_the_companion_route(self):
+        # comparing with the one invariant factor 1 + ... + x^n agrees with
+        # computing the companion matrix's own invariant factors
+        import random as rnd
+
+        rng = rnd.Random(5)
+        for n in (2, 3, 4, 5):
+            for _ in range(40):
+                b = ExactMatrix(ZZ, [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
+                assert z2_similarity_to_companion(b) == zp_similarity(b, companion(n), 2)
+
+
 class TestOddCoefficients:
     def test_zero_matrix(self):
         assert not odd_coefficients_check(ExactMatrix(ZZ, [[0, 0], [0, 0]]))
@@ -229,9 +250,9 @@ class TestVerifyInstance:
         assert report.all_pass()
         for name in MANDATORY_CLAIMS:
             assert report.claims[name].status is ClaimStatus.PASS
-        assert report.oriented_charpoly == (1, 1, 1)
-        assert report.det_oriented == 1
-        assert report.witness["rows"] == ((1, 0), (0, 1))
+        assert report.charpolys["oriented"] == (1, 1, 1)
+        assert report.determinants["oriented"] == 1
+        assert report.witness["matrix"] == ((1, 0), (0, 1))
 
     def test_report_orientation_independent(self):
         # mandatory claim statuses agree across every orientation of a fixed
@@ -257,8 +278,8 @@ class TestVerifyInstance:
                     for r in reports:
                         assert r.claims["uniform_sign"].status is not ClaimStatus.FAIL
                         assert r.claims["split_sign"].status is not ClaimStatus.FAIL
-                    unoriented = {r.unoriented_charpoly for r in reports}
-                    oriented = {r.oriented_charpoly for r in reports}
+                    unoriented = {r.charpolys["unoriented"] for r in reports}
+                    oriented = {r.charpolys["oriented"] for r in reports}
                     assert len(unoriented) == 1 and len(oriented) == 1
 
     def test_all_witnesses_flag(self, shift3):
