@@ -33,35 +33,39 @@ single-signed block (a path tree oriented along the line); and when each
 row of A has one sign, B = S.A for the diagonal S of those signs, so
 |det B| = |det A| = 1.
 
-A (tree, orientation) is certified (:func:`certified`) when its oriented
-table equals the exact table of signed path vectors on every pair, every
-entry (x, y) of it is r(y) - r(x), and the exact determinants det R_{2..v}
-and det T(n, j) of every step j coprime to n + 1 are +-1.  The exact table
-(:func:`exact_table`, walks over the tree with the sign rule of
-Tree.signed_path_vector) and the determinants (exact integer elimination by
-:meth:`arbormat.algebra.ExactMatrix.determinant`) are computed once per
-process and (tree, orientation), and the verdict once per oriented tree a
-sweep computes (the others take its verdicts through :func:`similar`).  On
-a certified tree every row passes every claim with |det Mf| = 1, so
-:func:`decide` keeps its rows, taken in pieces of PIECE_ROWS, as a count
-and builds only a fixed audit set of every chunk, which the direct kernels
-decide: those are the referee, and on an audit row their values must equal
-the closed form.  A piece's audit set depends on its ranks alone, the same
-for every tree on v vertices, so its cycles are unranked once per process
-(:func:`audit_cycles`).  Of its values only the signed det Mf is not a
-constant, and it is evaluated on those rows only.
+A (tree, orientation) is certified (:func:`certified`) when row 1 of its
+oriented table holds the exact root vectors, every entry (x, y) of it is
+r(y) - r(x), and the exact determinants det R_{2..v} and det T(n, j) of
+every step j coprime to n + 1 are +-1.  Row 1 is enough: the path x -> y
+is x -> 1 -> y with the shared stretch cancelled, so the signed path
+vector of x -> y is r(y) - r(x), and a table whose row 1 is exact and
+which telescopes is the exact table on every pair (rows and columns 0
+build no matrix entry).  The root vectors (:func:`exact_roots`,
+Tree.signed_path_vector of 1 -> x) and the determinants (exact integer
+elimination by :meth:`arbormat.algebra.ExactMatrix.determinant`) are
+computed once per process and (tree, orientation), and the verdict once
+per oriented tree a sweep computes (the others take its verdicts through
+:func:`similar`).  On a certified tree every row passes every claim with
+|det Mf| = 1, so :func:`decide` keeps its rows, taken in pieces of
+PIECE_ROWS, as a count and builds only a fixed audit set of every chunk,
+which the direct kernels decide: those are the referee, and on an audit
+row their values must equal the closed form.  A piece's audit set depends
+on its ranks alone, the same for every tree on v vertices, so its cycles
+are unranked once per process (:func:`audit_cycles`).  Of its values only
+the signed det Mf is not a constant, and it is evaluated on those rows
+only.
 A tree that fails the certificate sends every row to the direct kernels.
 What this gives up: the rows of a certified tree outside the audit set are
 neither built nor checked one by one; the argument above covers them, and
 the audit samples it.
 
 The direct rows are not decided at once.  :data:`QUEUE` holds the direct
-rows a worker has claimed, each row with an index into the distinct
-oriented trees of the batch, and decides them by calls of the direct claims
-function on at most FLUSH_ROWS rows of one vertex count: before rows that
-would take it past FLUSH_ROWS, once FLUSH_ROWS rows are queued, and when
-the worker runs out of tasks.  Work waiting on verdicts, such as a tally,
-runs after those calls, in the order queued.
+rows a worker has claimed, each row with an index into the oriented trees
+of the batch, one per queued entry, and decides them by calls of the direct
+claims function on at most FLUSH_ROWS rows of one vertex count: before rows
+that would take it past FLUSH_ROWS, once FLUSH_ROWS rows are queued, and
+when the worker runs out of tasks.  Work waiting on verdicts, such as a
+tally, runs after those calls, in the order queued.
 """
 
 from __future__ import annotations
@@ -75,10 +79,12 @@ from . import _fast
 from .algebra import ExactMatrix
 from .rings import ZZ
 from .theorems import coprime_steps
-from .trees import Tree
+from .trees import Orientation, Tree
 
-# A quarter of the 8! cycles of one n = 8 task: its (B, n, n) int64
-# temporaries stay near 45 MB instead of 175 MB, and n <= 7 is never split.
+# Sets the audit density, AUDIT_ROWS rows of every chunk (the audited counts
+# that the pinned stderr lines carry), the chunks of rows built direct (an
+# uncertified tree's, and the split-sign sweep's over all orientations
+# together), and the witness blocks of about this many witnesses.
 CYCLE_CHUNK = 10_080
 # QUEUE decides its rows once this many wait, this many per direct call:
 # the theorem kernels' int64 temporaries on 10,080 audit rows set a verify
@@ -109,37 +115,20 @@ def step_det(n: int, j: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def exact_table(tree: Tree, bits: int) -> np.ndarray:
-    """The signed path vector of every pair x -> y of a tree under an
-    orientation bitmask, as a (v+1, v+1, n) table with row and column 0
-    zero, the layout of the sweeps' oriented tables.  Row x is one walk from
-    x over Tree.adjacency: the step a -> b over edge k gives b the vector of
-    a with coordinate k set by the rule of Tree.signed_path_vector, +1 when
-    a < b and -1 otherwise, negated when the bitmask reverses edge k.  A
-    walk fills byte strings, its vectors in two's complement, and the table
-    is read from them once."""
-    v, n = tree.vertex_count, tree.edge_count
-    rows = []
-    for x in range(1, v + 1):
-        row = [bytes(n)] * (v + 1)
-        walk = [(x, 0)]
-        for a, before in walk:
-            for b, k in tree.adjacency[a]:
-                if b != before:
-                    row[b] = step = bytearray(row[a])
-                    step[k] = (1 if a < b else -1) * (-1 if bits >> k & 1 else 1) & 0xFF
-                    walk.append((b, a))
-        rows += row
-    table = np.zeros((v + 1, v + 1, n), dtype=np.int8)
-    table[1:] = np.frombuffer(b"".join(rows), dtype=np.int8).reshape(v, v + 1, n)
-    return table
+def exact_roots(tree: Tree, bits: int) -> np.ndarray:
+    """The oriented root vectors r(1), ..., r(v) of a tree under an
+    orientation bitmask, read-only: row x - 1 is Tree.signed_path_vector of
+    1 -> x."""
+    o = Orientation.from_int(bits, tree.edge_count)
+    roots = [tree.signed_path_vector(o, 1, x) for x in range(1, tree.vertex_count + 1)]
+    return _frozen(np.array(roots, dtype=np.int8))[0]
 
 
 @lru_cache(maxsize=1024)
 def root_det(tree: Tree, bits: int) -> int:
     """Exact det R_{2..v} of a tree under an orientation bitmask: its rows
     are the oriented root vectors r(2), ..., r(v)."""
-    return ExactMatrix(ZZ, exact_table(tree, bits)[1, 2:].tolist()).determinant()
+    return ExactMatrix(ZZ, exact_roots(tree, bits)[1:].tolist()).determinant()
 
 
 def certified(o) -> bool:
@@ -147,7 +136,7 @@ def certified(o) -> bool:
     notes)."""
     r, n = o.table[1], o.table.shape[2]
     return (
-        np.array_equal(o.table, exact_table(o.tree, o.bits))
+        np.array_equal(r[1:], exact_roots(o.tree, o.bits))
         and np.array_equal(o.table[1:, 1:], r[None, 1:] - r[1:, None])
         and abs(root_det(o.tree, o.bits)) == 1
         and all(abs(step_det(n, j)) == 1 for j in coprime_steps(n + 1))
@@ -344,16 +333,10 @@ class _Queue:
 def _decide_group(direct, group) -> None:
     """Direct calls of at most FLUSH_ROWS rows on a group of (oriented tree,
     images, matrices, settle) entries of one vertex count, each row reading
-    its own oriented tree from a stack of the distinct ones."""
-    distinct = {}
-    for o, *_ in group:
-        distinct.setdefault((o.tree.edges, o.bits), o)
-    slot = {key: k for k, key in enumerate(distinct)}
-    oriented = tuple(distinct.values())
-    index = np.concatenate([
-        np.full(images.shape[0], slot[o.tree.edges, o.bits]) for o, images, _, _ in group
-    ])
+    its entry's oriented tree from a stack of one per entry."""
+    oriented = tuple(o for o, *_ in group)
     tables = np.stack([o.table for o in oriented])
+    index = np.repeat(np.arange(len(group)), [images.shape[0] for _, images, _, _ in group])
     images = np.concatenate([images for _, images, _, _ in group])
     a = np.concatenate([a for _, _, a, _ in group])
     cuts = [slice(lo, lo + FLUSH_ROWS) for lo in range(0, len(images), FLUSH_ROWS)]

@@ -265,12 +265,14 @@ def _keep_heap() -> None:
 
     Every chunk of a sweep allocates the same megabyte-sized numpy
     temporaries.  glibc's adaptive thresholds mmap the largest and trim the
-    heap after the rest, so each chunk faults its pages in anew: about 23k
-    extra minor faults and a quarter of the workers' CPU in `verify --n 7
-    --orientations canonical`.  Fixed thresholds, mmap from 32 MiB (glibc's
-    own adaptive ceiling on 64-bit) and trim from 64 MiB, are set in the
-    calling process, itself a sweep worker, before _fork_join forks, so its
-    children inherit them.  Without glibc this does nothing."""
+    heap after the rest, so each chunk faults its pages in anew:
+    `search-detmf --n 9 --workers 2` takes about 186k minor faults in its
+    two processes under them, 5.4k under the fixed ones set here, and about
+    1.3 s of wall time against 1.2 s on 2 cores.  Fixed thresholds, mmap
+    from 32 MiB (glibc's own adaptive ceiling on 64-bit) and trim from 64
+    MiB, are set in the calling process, itself a sweep worker, before
+    _fork_join forks, so its children inherit them.  Without glibc this
+    does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):

@@ -5,7 +5,6 @@ import math
 import os
 import platform
 import random
-import resource
 import signal
 import subprocess
 import sys
@@ -1010,7 +1009,7 @@ class TestExactRouteBudget:
         certificate's 27 exact determinants without a charpoly."""
         from arbormat import algebra, certificate, harness, trees
 
-        for cached in (certificate.audit_cycles, certificate.exact_table,
+        for cached in (certificate.audit_cycles, certificate.exact_roots,
                        certificate.root_det, certificate.step_det):
             cached.cache_clear()
         trees_for(8)  # planning builds the trees, outside any task
@@ -1454,25 +1453,43 @@ def test_fold_splits_into_partials(subs, cuts):
     assert len(one_pass["failures"]) <= harness.MAX_FAILURE_RECORDS
 
 
+def det_search_faults(workers: int) -> int:
+    """Minor page faults of ``search-detmf --n 8 --orientations canonical``
+    in a fresh interpreter, where glibc's adaptive thresholds have not yet
+    risen: the interpreter's own on one worker, its forked child's on two."""
+    import arbormat
+
+    who = "SELF" if workers == 1 else "CHILDREN"
+    code = (
+        "import resource\n"
+        "from arbormat.harness import OrientationPolicy, run_det_search\n"
+        f"before = resource.getrusage(resource.RUSAGE_{who}).ru_minflt\n"
+        f"res = run_det_search([8], OrientationPolicy('canonical'), workers={workers})\n"
+        f"print(res.all_unit, resource.getrusage(resource.RUSAGE_{who}).ru_minflt - before)\n"
+    )
+    path = [str(Path(arbormat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    unit, faults = proc.stdout.split()
+    assert unit == "True", proc.stderr
+    return int(faults)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
 def test_pool_workers_reuse_their_heap():
-    """Forked workers keep chunk temporaries in the heap: with glibc's
-    adaptive thresholds this sweep's two workers take about 29k minor page
-    faults, about 6.5k without them."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    res = run_theorem_sweep([7], OrientationPolicy("canonical"), workers=2)
-    assert res.all_pass
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before < 15_000
+    """Forked workers keep chunk temporaries in the heap: the child of a
+    two-worker search takes about 2.3k minor page faults with the fixed
+    thresholds, 6.3k to 8k with glibc's adaptive ones."""
+    assert det_search_faults(2) < 4_000
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
 def test_serial_sweep_reuses_its_heap():
     """A serial sweep sets the same thresholds in the calling process: about
-    25k minor page faults with glibc's adaptive ones, about 2k without."""
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    res = run_theorem_sweep([7], OrientationPolicy("canonical"), workers=1)
-    assert res.all_pass
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 15_000
+    1.1k minor page faults with them, 10.7k with glibc's adaptive ones."""
+    assert det_search_faults(1) < 4_000
 
 
 def test_split_sign_task_transients_stay_small():
@@ -2045,6 +2062,23 @@ class TestClosedForm:
         assert got.rows.tolist() == list(range(120))
         assert not np.logical_and.reduce(list(got.values.values())).all()
 
+    def test_table_with_a_negated_coordinate_certifies_nothing(self):
+        """One coordinate of the table negated: the table still telescopes
+        and R_{2..v} and T(n, j) are still unimodular, so only the
+        comparison of row 1 with Tree.signed_path_vector refuses it."""
+        from arbormat.algebra import ExactMatrix
+        from arbormat.certificate import certified
+        from arbormat.harness import _Oriented
+        from arbormat.rings import ZZ
+
+        v = 6
+        o = _Oriented.of(trees_for(v)[3], 0)
+        negated = replace(o, table=o.table * np.array([1, 1, -1, 1, 1], dtype=np.int8))
+        r = negated.table[1]
+        assert (negated.table[1:, 1:] == r[None, 1:] - r[1:, None]).all()
+        assert abs(ExactMatrix(ZZ, r[2:].tolist()).determinant()) == 1
+        assert certified(o) and not certified(negated)
+
     def test_audit_disagreement_is_counted_and_fails(self, monkeypatch, capsys, tmp_path):
         from arbormat import cli
         from arbormat.harness import QuotientCounts
@@ -2099,19 +2133,20 @@ class TestTransportCertificate:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_exact_table_equals_signed_path_vector(self, n):
-        """The exact table, one walk per source vertex, is
-        Tree.signed_path_vector on every pair, with row and column 0 zero."""
-        from arbormat.certificate import exact_table
+        """A certified oriented table is the exact table: checked on row 1
+        alone, it is Tree.signed_path_vector on every pair, with row and
+        column 0 zero."""
+        from arbormat.certificate import certified
+        from arbormat.harness import _Oriented
 
         v = n + 1
         for tree in trees_for(v):
             for bits in self.orientations(tree, v):
-                o = Orientation.from_int(bits, n)
-                table = exact_table(tree, bits)
-                assert table.shape == (v + 1, v + 1, n)
-                assert not table[0].any() and not table[:, 0].any()
+                o, orientation = _Oriented.of(tree, bits), Orientation.from_int(bits, n)
+                assert certified(o) and o.table.shape == (v + 1, v + 1, n)
+                assert not o.table[0].any() and not o.table[:, 0].any()
                 for x, y in itertools.product(range(1, v + 1), repeat=2):
-                    assert table[x, y].tolist() == list(tree.signed_path_vector(o, x, y))
+                    assert o.table[x, y].tolist() == list(tree.signed_path_vector(orientation, x, y))
 
     @pytest.mark.parametrize("v", range(3, 10))
     def test_every_row_of_a_certified_tree_passes_transport(self, v):
