@@ -44,9 +44,10 @@ build no matrix entry).  The root vectors (:func:`exact_roots`,
 Tree.signed_path_vector of 1 -> x) and the determinants (exact integer
 elimination by :meth:`arbormat.algebra.ExactMatrix.determinant`) are
 computed once per process and (tree, orientation), and the verdict once
-per oriented tree a sweep computes (the others take its verdicts through
-:func:`similar`).  On a certified tree every row passes every claim with
-|det Mf| = 1, so :func:`decide` keeps its rows, taken in pieces of
+per oriented tree a sweep computes (an orientation carried from its
+tree's representative takes the representative's verdicts).  On a
+certified tree every row passes every claim with |det Mf| = 1, so
+:func:`decide` keeps its rows, taken in pieces of
 PIECE_ROWS, as a count and builds only a fixed audit set of every chunk,
 which the direct kernels decide: those are the referee, and on an audit
 row their values must equal the closed form.  A piece's audit set depends
@@ -140,24 +141,6 @@ def certified(o) -> bool:
         and np.array_equal(o.table[1:, 1:], r[None, 1:] - r[1:, None])
         and abs(root_det(o.tree, o.bits)) == 1
         and all(abs(step_det(n, j)) == 1 for j in coprime_steps(n + 1))
-    )
-
-
-def similar(r, o):
-    """Whether every matrix under the oriented tree ``o`` is D.A_r.D, with
-    A_r the same map's matrix under ``r`` and D = diag(signs of o ^ r): o's
-    table is r's times D, r's table is antisymmetric, and o swaps the
-    endpoints of the edges D reverses and only those.  Row k of A_o is then
-    entry (f(a_k), f(b_k)) of r's table times D, negated when D reverses
-    edge k, a_k -> b_k being edge k under r.  For a stack ``o`` of O
-    oriented trees (see harness._Oriented.of), one verdict per tree."""
-    flip = _fast.orientation_signs(o.bits ^ r.bits, r.first.size)
-    swap = flip < 0
-    return (
-        (o.table == r.table * flip[..., None, None, :]).all(axis=(-3, -2, -1))
-        & np.array_equal(r.table, -r.table.swapaxes(0, 1))
-        & (o.first == np.where(swap, r.second, r.first)).all(axis=-1)
-        & (o.second == np.where(swap, r.first, r.second)).all(axis=-1)
     )
 
 

@@ -63,6 +63,13 @@ def _sweep_ns(text: str) -> list[int]:
     return ns
 
 
+def positive_int(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -88,7 +95,10 @@ def _strings(value):
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(_strings(doc), sort_keys=True, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:  # an unwritable --out is an input error
+            raise ArbormatError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", required=True, help="edge count or range, e.g. 4 or 2..5")
         p.add_argument("--orientations", default=orientations, help="all | canonical | sample:K")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=positive_int, default=1)
         return p
 
     p = command("analyze", cmd_analyze, "full claim report for one instance")

@@ -46,7 +46,6 @@ from .certificate import (
     QUEUE,
     closed_form_dets,
     decide,
-    similar,
     start_vertex_orbit,
 )
 from .errors import CapExceeded, WitnessFailed
@@ -288,9 +287,10 @@ class QuotientCounts:
     """How the instances of a quotiented sweep were decided.
 
     Orientation quotient, in instances: computed by the claims function;
-    derived: carried over from the representative, whose table passed the
-    similarity check, or repeated from a sampled duplicate; fallbacks:
-    computed rows of an orientation whose table failed that check.
+    derived: carried over from the representative, whose table is
+    antisymmetric, or repeated from a sampled duplicate; fallbacks: the
+    computed rows of the orientations after the representative, each
+    computed on its own because the representative's table is not.
 
     Transport certificate, splitting the computed rows: certified, rows of
     a certified (tree, orientation) outside the audit sets, counted without
@@ -352,27 +352,38 @@ class _Oriented:
 class _OrientationQuotient:
     """One tree under a tuple of orientations, its claims computed once.
 
-    Reversing edge k negates row k and coordinate k of the oriented matrix,
-    so A_o = D.A_r.D, D = diag(signs of o ^ r), for the representative r =
-    orientations[0] and every map once the two tables pass
-    :func:`arbormat.certificate.similar`, checked on the stack of the task's
-    tables.  An invariant sweep's claims hold under that similarity, except
-    det Mf, which picks up det D = +-1; so they are computed on r and carried
-    to the other orientations (see :meth:`result`).  An orientation that
-    fails the check is computed on its own, every row counted as a fallback.
-    ``out`` holds the sub-result of each computed orientation, ``counts``
-    the task's quotient counters."""
+    Reversing edge k negates row k and coordinate k of the oriented matrix:
+    A_o = D.A_r.D, D = diag(signs of o ^ r), for the representative r =
+    orientations[0], every other orientation o and every map, once r's
+    signed path table is antisymmetric.  Both tables are the one unoriented
+    table times their signs (_fast.orient_table), so o's is r's times D, and
+    o's edge endpoints are r's swapped on exactly the edges D reverses
+    (_fast.oriented_endpoint_arrays).  So row k of A_o, entry (f(a_k),
+    f(b_k)) of o's table with a_k -> b_k edge k under o, is row k of A_r
+    times D, negated by the antisymmetry when D reverses edge k.  The tests
+    check both facts on every pair of orientations of the small trees.
+
+    An invariant sweep's claims hold under that similarity, except det Mf,
+    which picks up det D = +-1; so only r's table is built, and its claims
+    are computed once and carried to the other orientations (see
+    :meth:`result`).  If r's table is not antisymmetric, which only a
+    corrupted table is, every distinct orientation is computed on its own,
+    and each row beyond r's counts as a fallback.  ``stack`` holds the
+    computed orientations (the split-sign kernel reads it), ``out`` the
+    sub-result of each, ``counts`` the task's quotient counters."""
 
     def __init__(self, sweep: "_Sweep", v: int, tree: Tree, orientations: tuple):
         self.sweep, self.v, self.tree, self.orientations = sweep, v, tree, orientations
         self.rows = rows = math.factorial(v - 1)
         bits = np.array(list(dict.fromkeys(orientations)))  # distinct, representative first
-        self.stack, ok = _Oriented.of(self.tree, bits), np.zeros(bits.size, dtype=bool)
-        if sweep.invariant and bits.size > 1:  # the representative is computed
-            ok[1:] = similar(self.stack[0], self.stack)[1:]
-        self.own = [self.stack[k] for k in np.nonzero(~ok)[0]]
-        r = self.own[0].bits  # carried with det D = (-1)^(edges reversed)
-        self.carried = {b: 1 - 2 * (bin(b ^ r).count("1") % 2) for b in bits[ok].tolist()}
+        self.stack = _Oriented.of(tree, bits[:1] if sweep.invariant else bits)
+        rep = self.stack.table[0]
+        if not np.array_equal(rep, -rep.swapaxes(0, 1)):  # a corrupted table: nothing carried
+            self.stack = _Oriented.of(tree, bits)
+        self.own = [self.stack[k] for k in range(self.stack.bits.size)]
+        r, carried = self.own[0].bits, bits[len(self.own):].tolist()
+        # carried with det D = (-1)^(edges reversed)
+        self.carried = {b: 1 - 2 * (bin(b ^ r).count("1") % 2) for b in carried}
         computed = rows * len(self.own)
         self.counts = QuotientCounts(computed=computed, derived=rows * len(orientations) - computed,
                                      fallbacks=computed - rows if sweep.invariant else 0)

@@ -264,24 +264,14 @@ def _row_signs_along_path(f: VertexMap, orientation: Orientation, first: int, se
 def uniform_sign_check(f: VertexMap, orientation: Orientation) -> bool:
     """Whether every row of the oriented matrix carries a single sign.
 
-    When it does, re-derives the oriented matrix from the unoriented one by
-    row negations and confirms the unoriented determinant is +-1."""
-    tm = oriented_matrix(f, orientation)
-    a = tm.oriented
-    signs = []
-    for row in a.rows:
-        nz = {e for e in row if e != 0}
-        if nz == {1}:
-            signs.append(1)
-        elif nz == {-1}:
-            signs.append(-1)
-        else:
-            return False
-    b = tm.unoriented
-    rebuilt = ExactMatrix(ZZ, [[s * e for e in row] for s, row in zip(signs, b.rows)])
-    if rebuilt != a:
+    When it does, :func:`split_sign_check` rebuilds the oriented matrix from
+    the unoriented one by row negations alone, with the signs read off the
+    image paths, and confirms the unoriented determinant is +-1."""
+    a = oriented_matrix(f, orientation).oriented
+    if any({e for e in row if e} not in ({1}, {-1}) for row in a.rows):
+        return False
+    if split_sign_check(f, orientation).status is not ClaimStatus.PASS:
         raise WitnessFailed("row negations rebuild the oriented matrix", None)
-    _check_unit_determinant(b)
     return True
 
 

@@ -452,6 +452,25 @@ class TestOutput:
             "1": ["-2", True, ["3", "x"]], "k": {"4": False, "n": None}
         }
 
+    @pytest.mark.parametrize(
+        "target, reason", [("missing/doc.json", "No such file or directory"), (".", "Is a directory")]
+    )
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, target, reason):
+        """A missing directory, or a directory, as --out is an input error
+        after the sweep's own stderr line: one error line, no traceback."""
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--out", str(tmp_path / target))
+        assert code == 2 and not out
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: cannot write {tmp_path / target}: {reason}"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "search-detmf"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, capsys, command, workers):
+        code, out, err = run_cli(capsys, command, "--n", "3", "--workers", workers)
+        assert code == 2 and not out
+        assert f"--workers: must be at least 1, got {workers}" in err and "Traceback" not in err
+
     def test_usage_error(self, capsys):
         assert cli.main(["bogus"]) == 2
         assert cli.main([]) == 2

@@ -1072,8 +1072,8 @@ class TestExactRouteBudget:
 def corrupt_table(monkeypatch, tree, bits):
     """Flip one entry (x, y >= 2) of the oriented signed path table of
     ``tree`` under the orientation bitmask ``bits``: the table then fails
-    the certificate and the similarity with every other orientation, and
-    the matrices that gather that entry fail path transport.  ``b`` may be
+    the certificate and is no longer antisymmetric, and the matrices that
+    gather that entry fail path transport.  ``b`` may be
     one bitmask or an array of them, whose tables are stacked."""
     orient = _fast.orient_table
     canonical = _fast.signed_path_table(tree)
@@ -1248,6 +1248,52 @@ class TestOrientationQuotient:
         if sweep == "det":
             assert set(quotient.histogram) == {1, 3}
 
+    @staticmethod
+    def assert_carried_by_signs(tree, reps, orientations):
+        """Under every bitmask o, the oriented table is r's times the signs
+        of o ^ r, the table is antisymmetric, and the edge endpoints are r's
+        swapped on exactly the edges o ^ r reverses, for each bitmask r of
+        ``reps``: what carrying r's claims to o takes."""
+        n, base = tree.edge_count, _fast.signed_path_table(tree)
+        tables = _fast.orient_table(base, orientations, n)
+        first, second = _fast.oriented_endpoint_arrays(tree, orientations)
+        assert np.array_equal(tables, -tables.swapaxes(1, 2))
+        for r in reps:
+            flip = _fast.orientation_signs(orientations ^ r, n)
+            carried = _fast.orient_table(base, r, n) * flip[:, None, None, :]
+            assert np.array_equal(tables, carried)
+            swap = flip < 0
+            assert np.array_equal(first, np.where(swap, second[r], first[r]))
+            assert np.array_equal(second, np.where(swap, first[r], second[r]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_orientation_is_the_representative_times_signs(self, n):
+        for tree in trees_for(n + 1):
+            everything = np.arange(1 << n)
+            self.assert_carried_by_signs(tree, everything, everything)
+
+    def test_every_orientation_at_n10_is_orientation_0_times_signs(self):
+        self.assert_carried_by_signs(trees_for(11)[17], [0], np.arange(1 << 10))
+
+    def test_invariant_sweep_builds_the_representative_alone(self, monkeypatch):
+        """An invariant sweep orients one table per task, its
+        representative's; the split-sign sweep, whose kernel reads every
+        orientation, orients the stack of all 16."""
+        from arbormat.harness import run_split_sign_sweep
+
+        real, seen = _fast.orient_table, []
+
+        def orient_table(table, bits, n):
+            seen.append(np.size(bits))
+            return real(table, bits, n)
+
+        monkeypatch.setattr(_fast, "orient_table", orient_table)
+        assert run_theorem_sweep([4], OrientationPolicy("all")).all_pass
+        assert seen == [1] * len(trees_for(5))
+        seen.clear()
+        assert run_split_sign_sweep([4]).all_pass
+        assert seen == [16] * len(trees_for(5))
+
     def test_sampled_duplicates_are_repeated(self):
         from arbormat import harness
 
@@ -1263,30 +1309,31 @@ class TestOrientationQuotient:
 
     @pytest.mark.parametrize("worker", ["theorem", "witness", "det_search", "path_image"])
     def test_corrupted_row_is_recomputed(self, monkeypatch, worker):
-        """An entry flipped in the table of a non-canonical orientation fails
-        table_o == table_r.D: every row of that orientation is recomputed
-        and counted as a fallback, and, its table failing the certificate
-        too, decided on the direct route."""
+        """An entry flipped in the representative's table leaves it not
+        antisymmetric: every orientation of the task is computed on its own,
+        the rows after the representative's counted as fallbacks, and the
+        corrupted one, failing the certificate too, decided on the direct
+        route."""
         from arbormat import harness
 
         sweep = getattr(harness, f"_{worker.upper()}")
         fn = partial(decided_now, harness._sweep_worker, sweep)
         tree = trees_for(5)[2]
-        corrupt_table(monkeypatch, tree, 5)
+        corrupt_table(monkeypatch, tree, 0)
         quotient = fn((5, tree, (0, 5)))
         brute = [fn((5, tree, (bits,))) for bits in (0, 5)]
-        # 24 cycles each: 16 audited, and 8 certified or uncertified
+        # 24 cycles each: 16 audited, and 8 uncertified or certified
         assert [astuple(s.pop("quotient")) for s in brute] == [
-            (24, 0, 0, 8, 16, 0, 0), (24, 0, 0, 0, 16, 8, 0)
+            (24, 0, 0, 0, 16, 8, 0), (24, 0, 0, 8, 16, 0, 0)
         ]
         # both computed, the second as a fallback
         assert astuple(quotient.pop("quotient")) == (48, 0, 24, 8, 32, 8, 0)
         assert quotient == fold(sweep, brute)
         if worker in ("theorem", "path_image"):
-            clean, flipped = brute
+            flipped, clean = brute
             assert not clean["failures"] and flipped["failures"]
             # the matrices that gather the flipped entry fail path transport
-            assert {f["orientation"] for f in flipped["failures"]} == {"1010"}
+            assert {f["orientation"] for f in flipped["failures"]} == {"0000"}
         if worker == "theorem":
             assert clean["per_n"][4]["failures"] == 0
             assert all("path_image_identity" in f["claims"] for f in flipped["failures"])
@@ -1347,16 +1394,17 @@ class TestOrientationQuotient:
             assert {int(f["det"]) for f in records} == {1, -1}
 
     def test_corrupted_orientation_in_the_stack_is_computed_on_its_own(self, monkeypatch):
-        """Orientation 5's table, corrupted in the stack of all 16, fails the
-        stacked similarity check: it is computed on its own and counted as a
-        fallback, and the other 14 are carried."""
+        """The representative's table, corrupted, is not antisymmetric: all
+        16 orientations are then built as one stack and computed on their
+        own, the 15 after the representative counted as fallbacks, and only
+        the corrupted one fails."""
         from arbormat import harness
 
         tree = trees_for(5)[2]
-        corrupt_table(monkeypatch, tree, 5)
+        corrupt_table(monkeypatch, tree, 0)
         sub = decided_now(harness._sweep_worker, harness._THEOREM, (5, tree, tuple(range(16))))
-        assert astuple(sub["quotient"]) == (48, 14 * 24, 24, 8, 32, 8, 0)
-        assert sub["failures"] and {f["orientation"] for f in sub["failures"]} == {"1010"}
+        assert astuple(sub["quotient"]) == (16 * 24, 0, 15 * 24, 15 * 8, 16 * 16, 8, 0)
+        assert sub["failures"] and {f["orientation"] for f in sub["failures"]} == {"0000"}
         got = run_theorem_sweep([4], OrientationPolicy("all"))
         with monkeypatch.context() as m:
             one_orientation_per_task(m)
@@ -1705,8 +1753,9 @@ class TestAuditQueue:
 
         policy = OrientationPolicy.parse(policy)
         if corrupted:
-            # an orientation failing the similarity is queued on its own
-            corrupt_table(monkeypatch, trees_for(5)[2], 5)
+            # a representative whose table is not antisymmetric has every
+            # orientation of its tree queued on its own
+            corrupt_table(monkeypatch, trees_for(5)[2], 0)
         runs = []
         for workers in (1, 2, 3):
             docs, counts = [], []
@@ -1717,9 +1766,9 @@ class TestAuditQueue:
             runs.append((docs, [astuple(c) for c in counts]))
         assert runs[0] == runs[1] == runs[2]
         assert_all_reaped()
-        if policy.mode == "all":  # orientation 5 of that tree is swept
+        if policy.mode == "all":  # that tree's representative is orientation 0
             (theorem, _, _), counts = runs[0]
-            assert [c[2] for c in counts] == [24 * corrupted] * 3  # fallbacks
+            assert [c[2] for c in counts] == [15 * 24 * corrupted] * 3  # fallbacks
             assert theorem.all_pass != corrupted
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -2188,8 +2237,8 @@ class TestTransportCertificate:
         """A serial determinant search at n = 8 checks each of its 47 trees
         once, not once per 10,080-row chunk.  A theorem sweep under every
         orientation checks the orientations it computes and no carried one:
-        one per tree, and the orientation whose corrupted table fails the
-        similarity."""
+        one per tree, and all 16 of the tree whose representative's table is
+        corrupted."""
         from arbormat import certificate
         from arbormat.harness import QuotientCounts
 
@@ -2199,11 +2248,11 @@ class TestTransportCertificate:
         run_det_search([8], OrientationPolicy("canonical"))
         assert len(calls) == len(trees_for(9)) == 47
         calls.clear()
-        corrupt_table(monkeypatch, trees_for(5)[2], 5)
+        corrupt_table(monkeypatch, trees_for(5)[2], 0)
         counts = QuotientCounts()
         run_theorem_sweep([2, 3, 4, 5], OrientationPolicy("all"), counts=counts)
-        own = sum(len(trees_for(v)) for v in range(3, 7)) + 1
-        assert counts.fallbacks == 24 and len(calls) == own == 13
+        own = sum(len(trees_for(v)) for v in range(3, 7)) + 15
+        assert counts.fallbacks == 15 * 24 and len(calls) == own == 27
         assert len({(o.tree.edges, o.bits) for o in calls}) == own
 
     def test_random_vertex_maps_pass_transport(self):

@@ -21,7 +21,7 @@ from arbormat import (
     z2_similarity_to_companion,
     zp_similarity,
 )
-from arbormat.errors import NotCoprime, NotSquare, OutOfRange, UnknownVertex
+from arbormat.errors import NotCoprime, NotSquare, OutOfRange, UnknownVertex, WitnessFailed
 from arbormat.harness import random_instances
 from arbormat.theorems import MANDATORY_CLAIMS, matrix_claims
 from arbormat._fast import cycle_images
@@ -202,6 +202,24 @@ class TestSignConditions:
         # frozen from an exhaustive scan of the 4-vertex star
         f = VertexMap(star4, [2, 3, 4, 1])
         assert not uniform_sign_check(f, Orientation.canonical(3))
+
+    def test_uniform_signs_come_from_the_image_paths(self, shift3, monkeypatch):
+        """Row 1 of A negated keeps every row single-signed, but the signs
+        read off the image paths no longer rebuild A."""
+        from arbormat import theorems
+        from arbormat.dynamics import TransitionMatrices
+
+        real = theorems.oriented_matrix
+
+        def negated_row_1(f, o):
+            rows = [list(row) for row in real(f, o).oriented.rows]
+            rows[0] = [-e for e in rows[0]]
+            return TransitionMatrices(ExactMatrix(ZZ, rows))
+
+        monkeypatch.setattr(theorems, "oriented_matrix", negated_row_1)
+        with pytest.raises(WitnessFailed) as exc:
+            uniform_sign_check(*shift3)
+        assert exc.value.identity == "row operations rebuild the oriented matrix"
 
     def test_split_degenerates_to_negations(self, shift3):
         f, o = shift3
