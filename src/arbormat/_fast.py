@@ -1,8 +1,9 @@
 """Batched integer kernels for the sweep harness.
 
 Everything here is exact integer arithmetic vectorized over an instance
-batch (axis 0).  Transition matrices are built and stored as int8, with
-entries in {-1, 0, 1}; a kernel widens to int64 where it does arithmetic.
+batch (axis 0).  Transition matrices are built from root vectors (see
+root_vectors) and stored as int8, with entries in {-1, 0, 1}; a kernel
+widens to int64 where it does arithmetic.
 Every {-1, 0, 1} guard is the bound comparison of unit_entries, since
 np.abs maps an int8 -128 to itself.  All intermediate magnitudes are
 bounded well below 2**63, so numpy int64 gives the same answers as
@@ -244,16 +245,16 @@ def drawn_path_image_ok(draws) -> np.ndarray:
     return ok
 
 
-def batched_split_sign(paths, tables, images, first, second, mats):
+def batched_split_sign(paths, roots, images, first, second, mats):
     """The one-sign-change reduction of theorems.split_sign_check, per
     orientation and instance.
 
-    paths: path_table of the tree, tables: its oriented signed path tables
-    (O, v+1, v+1, n), images: (B, v+1), first/second: oriented edge
-    endpoints (O, n), mats: the oriented matrices A (O, B, n, n), one stack
-    per orientation.  As in the exact route, the step signs of row i come
-    from the image path f(first_i) -> f(second_i) and A enters only the
-    final comparison, so a corrupted A fails the rebuild there.
+    paths: path_table of the tree, roots: its oriented root vectors (O, v+1,
+    n), images: (B, v+1), first/second: oriented edge endpoints (O, n),
+    mats: the oriented matrices A (O, B, n, n), one stack per orientation.
+    As in the exact route, the step signs of row i come from the image path
+    f(first_i) -> f(second_i) and A enters only the final comparison, so a
+    corrupted A fails the rebuild there.
 
     A mixed row changes sign once, at split vertex s; with p = f^-1(s) and
     near the endpoint of edge i on p's side, the row is rebuilt as
@@ -268,6 +269,7 @@ def batched_split_sign(paths, tables, images, first, second, mats):
     row whose |A| differs from that one.  ``holds`` is only meaningful where
     ``applicable`` is set."""
     vertices, edges, lengths = paths
+    tables = signed_path_table(roots)
     o, b, n = mats.shape[:3]
     v = images.shape[1] - 1
     each = np.arange(o)[:, None, None]
@@ -469,12 +471,12 @@ def root_vectors(tree) -> np.ndarray:
     return roots
 
 
-def signed_path_table(tree) -> np.ndarray:
-    """(v+1, v+1, n) table of signed path vectors under canonical orientation."""
-    roots = root_vectors(tree)
-    table = roots[None, :, :] - roots[:, None, :]
-    table[0] = 0
-    table[:, 0] = 0
+def signed_path_table(roots: np.ndarray) -> np.ndarray:
+    """(..., v+1, v+1, n) table of signed path vectors r(y) - r(x) from
+    (..., v+1, n) root vectors, rows and columns 0 zero."""
+    table = roots[..., None, :, :] - roots[..., :, None, :]
+    table[..., 0, :, :] = 0
+    table[..., :, 0, :] = 0
     return table
 
 
@@ -508,10 +510,10 @@ def orientation_signs(bits, n: int) -> np.ndarray:
     return np.take(_SIGNS, bits, axis=0)[..., :n]
 
 
-def orient_table(table: np.ndarray, bits, n: int) -> np.ndarray:
+def orient_roots(roots: np.ndarray, bits, n: int) -> np.ndarray:
     """Apply an orientation bitmask, or stack an array of them: flipping
     edge k negates coordinate k."""
-    return table * orientation_signs(bits, n)[..., None, None, :]
+    return roots * orientation_signs(bits, n)[..., None, :]
 
 
 def oriented_endpoint_arrays(tree, bits):
@@ -522,13 +524,11 @@ def oriented_endpoint_arrays(tree, bits):
 
 
 def build_oriented_batch(
-    table_o: np.ndarray, images: np.ndarray, first: np.ndarray, second: np.ndarray
+    roots: np.ndarray, images: np.ndarray, first: np.ndarray, second: np.ndarray
 ) -> np.ndarray:
     """Stack of oriented transition matrices: row i of instance b is the
-    signed path vector from f_b(first_i) to f_b(second_i)."""
-    v1, n = table_o.shape[1:]
-    pairs = images[:, first] * v1 + images[:, second]
-    return np.take(table_o.reshape(v1 * v1, n), pairs, axis=0)
+    signed path vector r(f_b(second_i)) - r(f_b(first_i))."""
+    return roots[images[:, second]] - roots[images[:, first]]
 
 
 def iterate_images(images: np.ndarray, start: int, steps: int) -> np.ndarray:

@@ -3,14 +3,14 @@ and path-graph claims of the sweeps.
 
 Let A be the oriented transition matrix of a vertex map f of a tree, and
 r(x) the oriented root vector (the signed path vector of 1 -> x, so r(1) =
-0).  Row i of A is entry (f(a_i), f(b_i)) of the oriented signed path table,
-a_i -> b_i the oriented edge i.  When every entry (x, y) of that table is
-r(y) - r(x), the rows along the path 1 -> w telescope, and r(w).A = r(f(w))
-- r(f(1)) for every vertex w: path transport is a property of the (tree,
-orientation) table, not of f.  For a single (n+1)-cycle f, with x_k =
-f^k(1), it makes every iterate of a seed a signed path vector: row k of the
-witness matrix Mf(x_m, j) is r(x_{m+k+j}) - r(x_{m+k}), indices mod n + 1.
-Hence
+0).  The sweeps build row i of A as r(f(b_i)) - r(f(a_i)), a_i -> b_i the
+oriented edge i (see _fast.build_oriented_batch).  The path x -> y is x ->
+1 -> y with the shared stretch cancelled, so on exact root vectors the rows
+along the path 1 -> w telescope, and r(w).A = r(f(w)) - r(f(1)) for every
+vertex w: path transport is a property of the (tree, orientation) root
+vectors, not of f.  For a single (n+1)-cycle f, with x_k = f^k(1), it makes
+every iterate of a seed a signed path vector: row k of the witness matrix
+Mf(x_m, j) is r(x_{m+k+j}) - r(x_{m+k}), indices mod n + 1.  Hence
 
 * Mf(1, j) = T(n, j).R_f, where R_f has rows r(x_1), ..., r(x_n) and row k
   of T(n, j) is e_{k+j} - e_k over the orbit positions 0..n with column 0
@@ -33,18 +33,15 @@ single-signed block (a path tree oriented along the line); and when each
 row of A has one sign, B = S.A for the diagonal S of those signs, so
 |det B| = |det A| = 1.
 
-A (tree, orientation) is certified (:func:`certified`) when row 1 of its
-oriented table holds the exact root vectors, every entry (x, y) of it is
-r(y) - r(x), and the exact determinants det R_{2..v} and det T(n, j) of
-every step j coprime to n + 1 are +-1.  Row 1 is enough: the path x -> y
-is x -> 1 -> y with the shared stretch cancelled, so the signed path
-vector of x -> y is r(y) - r(x), and a table whose row 1 is exact and
-which telescopes is the exact table on every pair (rows and columns 0
-build no matrix entry).  The root vectors (:func:`exact_roots`,
-Tree.signed_path_vector of 1 -> x) and the determinants (exact integer
-elimination by :meth:`arbormat.algebra.ExactMatrix.determinant`) are
-computed once per process and (tree, orientation), and the verdict once
-per oriented tree a sweep computes (an orientation carried from its
+A (tree, orientation) is certified (:func:`certified`) when its oriented
+root vectors r(1), ..., r(v) are the exact ones and the exact
+determinants det R_{2..v} and det T(n, j) of every step j coprime to n + 1
+are +-1 (row 0 is no vertex and builds no matrix entry).  The root vectors
+(:func:`exact_roots`, Tree.signed_path_vector of 1 -> x) and the
+determinants (exact integer elimination by
+:meth:`arbormat.algebra.ExactMatrix.determinant`) are computed once per
+process and (tree, orientation), and the verdict once per oriented tree a
+sweep computes (an orientation carried from its
 tree's representative takes the representative's verdicts).  On a
 certified tree every row passes every claim with |det Mf| = 1, so
 :func:`decide` keeps its rows, taken in pieces of
@@ -135,10 +132,9 @@ def root_det(tree: Tree, bits: int) -> int:
 def certified(o) -> bool:
     """Whether the oriented tree ``o`` passes the certificate (see the module
     notes)."""
-    r, n = o.table[1], o.table.shape[2]
+    n = o.roots.shape[1]
     return (
-        np.array_equal(r[1:], exact_roots(o.tree, o.bits))
-        and np.array_equal(o.table[1:, 1:], r[None, 1:] - r[1:, None])
+        np.array_equal(o.roots[1:], exact_roots(o.tree, o.bits))
         and abs(root_det(o.tree, o.bits)) == 1
         and all(abs(step_det(n, j)) == 1 for j in coprime_steps(n + 1))
     )
@@ -222,10 +218,10 @@ class Decided:
 
 class OrientedRows(NamedTuple):
     """The oriented trees of a batch of rows: row k is under
-    ``oriented[index[k]]``, whose signed path table is ``tables[index[k]]``."""
+    ``oriented[index[k]]``, whose root vectors are ``roots[index[k]]``."""
 
     oriented: tuple
-    tables: np.ndarray  # (T, v+1, v+1, n)
+    roots: np.ndarray  # (T, v+1, n)
     index: np.ndarray
 
 
@@ -318,12 +314,12 @@ def _decide_group(direct, group) -> None:
     images, matrices, settle) entries of one vertex count, each row reading
     its entry's oriented tree from a stack of one per entry."""
     oriented = tuple(o for o, *_ in group)
-    tables = np.stack([o.table for o in oriented])
+    roots = np.stack([o.roots for o in oriented])
     index = np.repeat(np.arange(len(group)), [images.shape[0] for _, images, _, _ in group])
     images = np.concatenate([images for _, images, _, _ in group])
     a = np.concatenate([a for _, _, a, _ in group])
     cuts = [slice(lo, lo + FLUSH_ROWS) for lo in range(0, len(images), FLUSH_ROWS)]
-    blocks = [direct(OrientedRows(oriented, tables, index[at]), images[at], a[at]) for at in cuts]
+    blocks = [direct(OrientedRows(oriented, roots, index[at]), images[at], a[at]) for at in cuts]
     values = {k: np.concatenate([x[k] for x in blocks]) for k in blocks[0]}
     lo = 0
     for _, part, _, settle in group:

@@ -103,6 +103,14 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_out(out_path: str | None) -> None:
+    """Reject, before any work, an --out that is a directory or in none."""
+    path = Path(out_path or ".")
+    if out_path and (path.is_dir() or not path.parent.is_dir()):
+        reason = "Is a directory" if path.is_dir() else "No such file or directory"
+        raise ArbormatError(f"cannot write {out_path}: {reason}")
+
+
 def cmd_analyze(args) -> tuple[dict, int]:
     tree = parse_tree(args.tree)
     f = parse_map(args.map, tree)
@@ -261,6 +269,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
+        _check_out(args.out)
         doc, code = args.func(args)
         _emit(doc, args.out)
         return code

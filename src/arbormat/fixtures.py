@@ -179,9 +179,8 @@ def reconstruct_instance(fixture: Fixture, max_results: int = 4) -> list[dict]:
     images = _fast.cycle_images(v)
     results = []
     for tree in enumerate_trees(v):
-        table = _fast.signed_path_table(tree)
         first, second = _fast.oriented_endpoint_arrays(tree, 0)
-        batch = _fast.build_oriented_batch(table, images, first, second)
+        batch = _fast.build_oriented_batch(_fast.root_vectors(tree), images, first, second)
         cps = _fast.batched_charpoly(np.abs(batch))
         want = np.array(caption.coeffs, dtype=np.int64)
         hits = np.all(cps == want, axis=1)

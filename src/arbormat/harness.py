@@ -109,7 +109,11 @@ class OrientationPolicy:
         if text == "canonical":
             return cls("canonical")
         if text.startswith("sample:"):
-            count = int(text.split(":", 1)[1])
+            raw = text.split(":", 1)[1]
+            try:
+                count = int(raw)
+            except ValueError:
+                raise ValueError(f"sample count must be an integer, got {raw!r}") from None
             if count < 0:
                 raise ValueError("sample count must be nonnegative")
             return cls("sample", count)
@@ -145,11 +149,6 @@ def orientations_for(
 @lru_cache(maxsize=64)
 def trees_for(v: int) -> tuple[Tree, ...]:
     return tuple(enumerate_trees(v))
-
-
-@lru_cache(maxsize=256)
-def _spv_table_cached(tree: Tree) -> np.ndarray:
-    return _fast.signed_path_table(tree)
 
 
 @lru_cache(maxsize=256)
@@ -287,10 +286,8 @@ class QuotientCounts:
     """How the instances of a quotiented sweep were decided.
 
     Orientation quotient, in instances: computed by the claims function;
-    derived: carried over from the representative, whose table is
-    antisymmetric, or repeated from a sampled duplicate; fallbacks: the
-    computed rows of the orientations after the representative, each
-    computed on its own because the representative's table is not.
+    derived: carried over from the representative, or repeated from a
+    sampled duplicate.
 
     Transport certificate, splitting the computed rows: certified, rows of
     a certified (tree, orientation) outside the audit sets, counted without
@@ -301,7 +298,6 @@ class QuotientCounts:
 
     computed: int = 0
     derived: int = 0
-    fallbacks: int = 0
     certified: int = 0
     audited: int = 0
     uncertified: int = 0
@@ -316,8 +312,7 @@ class QuotientCounts:
                 f"{self.uncertified} uncertified, {self.disagreements} audit disagreements")
 
     def __str__(self) -> str:
-        return (f"{self.computed} computed, {self.derived} derived, "
-                f"{self.fallbacks} certificate fallbacks")
+        return f"{self.computed} computed, {self.derived} derived"
 
 
 @dataclass
@@ -326,22 +321,22 @@ class _Oriented:
 
     tree: Tree
     bits: int
-    table: np.ndarray  # oriented signed path table
+    roots: np.ndarray  # oriented root vectors, (v+1, n)
     first: np.ndarray  # oriented edge endpoints
     second: np.ndarray
 
     @classmethod
     def of(cls, tree: Tree, bits) -> "_Oriented":
         """The tree under a bitmask, or under an array of bitmasks as one stack."""
-        table = _fast.orient_table(_spv_table_cached(tree), bits, tree.edge_count)
-        return cls(tree, bits, table, *_fast.oriented_endpoint_arrays(tree, bits))
+        roots = _fast.orient_roots(_fast.root_vectors(tree), bits, tree.edge_count)
+        return cls(tree, bits, roots, *_fast.oriented_endpoint_arrays(tree, bits))
 
     def __getitem__(self, k: int) -> "_Oriented":  # orientation k of a stack
-        arrays = self.table[k], self.first[k], self.second[k]
+        arrays = self.roots[k], self.first[k], self.second[k]
         return _Oriented(self.tree, int(self.bits[k]), *arrays)
 
     def build(self, images: np.ndarray) -> np.ndarray:
-        return _fast.build_oriented_batch(self.table, images, self.first, self.second)
+        return _fast.build_oriented_batch(self.roots, images, self.first, self.second)
 
     @cached_property
     def certified(self) -> bool:
@@ -354,39 +349,35 @@ class _OrientationQuotient:
 
     Reversing edge k negates row k and coordinate k of the oriented matrix:
     A_o = D.A_r.D, D = diag(signs of o ^ r), for the representative r =
-    orientations[0], every other orientation o and every map, once r's
-    signed path table is antisymmetric.  Both tables are the one unoriented
-    table times their signs (_fast.orient_table), so o's is r's times D, and
-    o's edge endpoints are r's swapped on exactly the edges D reverses
-    (_fast.oriented_endpoint_arrays).  So row k of A_o, entry (f(a_k),
-    f(b_k)) of o's table with a_k -> b_k edge k under o, is row k of A_r
-    times D, negated by the antisymmetry when D reverses edge k.  The tests
-    check both facts on every pair of orientations of the small trees.
+    orientations[0], every other orientation o and every map.  Row k of A
+    is r(f(b_k)) - r(f(a_k)) for the root vectors r and the edge a_k -> b_k
+    (_fast.build_oriented_batch).  o's root vectors are r's times D
+    coordinate by coordinate (_fast.orient_roots), since the signs of o are
+    those of r times those of o ^ r, and o's edge endpoints are r's swapped
+    on exactly the edges D reverses (_fast.oriented_endpoint_arrays).  So
+    row k of A_o is row k of A_r times D, negated when D reverses edge k:
+    D_kk times row k of A_r.D.  No property of the root vectors enters, so
+    the similarity holds for any of them; the tests compare the carried
+    sweeps with one orientation per task.
 
     An invariant sweep's claims hold under that similarity, except det Mf,
-    which picks up det D = +-1; so only r's table is built, and its claims
-    are computed once and carried to the other orientations (see
-    :meth:`result`).  If r's table is not antisymmetric, which only a
-    corrupted table is, every distinct orientation is computed on its own,
-    and each row beyond r's counts as a fallback.  ``stack`` holds the
-    computed orientations (the split-sign kernel reads it), ``out`` the
-    sub-result of each, ``counts`` the task's quotient counters."""
+    which picks up det D = +-1; so only r is built, and its claims are
+    computed once and carried to the other orientations (see
+    :meth:`result`).  ``stack`` holds the computed orientations (the
+    split-sign kernel reads it), ``out`` the sub-result of each, ``counts``
+    the task's quotient counters."""
 
     def __init__(self, sweep: "_Sweep", v: int, tree: Tree, orientations: tuple):
         self.sweep, self.v, self.tree, self.orientations = sweep, v, tree, orientations
         self.rows = rows = math.factorial(v - 1)
         bits = np.array(list(dict.fromkeys(orientations)))  # distinct, representative first
         self.stack = _Oriented.of(tree, bits[:1] if sweep.invariant else bits)
-        rep = self.stack.table[0]
-        if not np.array_equal(rep, -rep.swapaxes(0, 1)):  # a corrupted table: nothing carried
-            self.stack = _Oriented.of(tree, bits)
         self.own = [self.stack[k] for k in range(self.stack.bits.size)]
         r, carried = self.own[0].bits, bits[len(self.own):].tolist()
         # carried with det D = (-1)^(edges reversed)
         self.carried = {b: 1 - 2 * (bin(b ^ r).count("1") % 2) for b in carried}
         computed = rows * len(self.own)
-        self.counts = QuotientCounts(computed=computed, derived=rows * len(orientations) - computed,
-                                     fallbacks=computed - rows if sweep.invariant else 0)
+        self.counts = QuotientCounts(computed=computed, derived=rows * len(orientations) - computed)
         self.out = {o.bits: {k: copy.copy(x) for k, x in sweep.empty.items()} for o in self.own}
 
     def chunks(self):
@@ -592,7 +583,8 @@ def _theorem_claims_direct(o, images, a) -> dict:
 def _constant_claims(o, orbit, sign) -> dict:
     """Every theorem claim holds on a row of a certified tree: A = Mf^-1.C.Mf
     over Z gives C's charpoly, determinant and geometric sum, B = |A| == A
-    mod 2 is similar to C over GF(2), and transport is the table's."""
+    mod 2 is similar to C over GF(2), and path transport holds for every map
+    on exact root vectors."""
     return {}
 
 
@@ -672,15 +664,17 @@ def run_theorem_sweep(
 def _witness_blocks(o, images, a, steps, windows):
     """The rows in blocks of about CYCLE_CHUNK witnesses: per block, its
     rows, their A in int64, their seeds (rows, steps, windows, n), the signed
-    path vectors x_m -> x_{m+j}, x_m = f^m(1), j = steps[s], m < windows, of
-    each row's tree in ``o`` (an OrientedRows), and each vertex's orbit position."""
+    path vectors r(x_{m+j}) - r(x_m), x_m = f^m(1), j = steps[s], m <
+    windows, of each row's tree in ``o`` (an OrientedRows), and each
+    vertex's orbit position."""
     v = images.shape[1] - 1
     ahead = (np.arange(windows) + np.array(steps)[:, None]) % v
     block = max(1, CYCLE_CHUNK // (len(steps) * windows))
     for lo in range(0, images.shape[0], block):
         rows = slice(lo, lo + block)
         orbit, position = start_vertex_orbit(images[rows])
-        seeds = o.tables[o.index[rows, None, None], orbit[:, None, :windows], orbit[:, ahead]]
+        at = o.index[rows, None, None]
+        seeds = o.roots[at, orbit[:, ahead]] - o.roots[at, orbit[:, None, :windows]]
         yield rows, a[rows].astype(np.int64), seeds, position
 
 
@@ -811,7 +805,7 @@ def run_det_search(
 
 def _path_image_claims_direct(o, images, a) -> dict:
     """Per row: path transport under its oriented tree in ``o``."""
-    return {"ok": _fast.batched_path_image_ok(o.tables[o.index, 1], images, a)}
+    return {"ok": _fast.batched_path_image_ok(o.roots[o.index], images, a)}
 
 
 _PATH_IMAGE = _Sweep(partial(decide, _constant_claims, _path_image_claims_direct),
@@ -913,13 +907,14 @@ def _path_graph_claims_direct(o, images, a) -> dict:
 
 def _petrie_table(o: _Oriented, orbit, sign):
     """Every path-graph claim holds on a row of a certified tree once each
-    entry of the oriented path table is a Petrie row, a contiguous
-    single-signed block, as on a path tree oriented along the line ({};
-    None otherwise).  Row i of A is the entry (f(a_i), f(b_i)), so it has
-    one sign, and so has every row of every Mf, a signed path vector: every
-    Mf is a Petrie matrix.  |det Mf| = 1 by the closed form, and with the
-    row signs S of A, B = S.A, so |det B| = |det A| = 1."""
-    return {} if _fast.batched_petrie(o.table.reshape(-1, 1, o.table.shape[2])).all() else None
+    signed path vector r(y) - r(x) of the oriented tree is a Petrie row, a
+    contiguous single-signed block, as on a path tree oriented along the
+    line ({}; None otherwise).  Row i of A is the vector of f(a_i) ->
+    f(b_i), so it has one sign, and so has every row of every Mf, a signed
+    path vector: every Mf is a Petrie matrix.  |det Mf| = 1 by the closed
+    form, and with the row signs S of A, B = S.A, so |det B| = |det A| = 1."""
+    table = _fast.signed_path_table(o.roots)
+    return {} if _fast.batched_petrie(table.reshape(-1, 1, table.shape[2])).all() else None
 
 
 _path_graph_claims = partial(decide, _petrie_table, _path_graph_claims_direct)
@@ -991,7 +986,7 @@ def _split_sign_claims(quotient, ranks) -> dict:
     images = _fast.unrank_cycles(quotient.v, ranks)[0]
     a = np.stack([o.build(images) for o in quotient.own])
     o, paths = quotient.stack, _path_table_cached(quotient.tree)
-    flags = _fast.batched_split_sign(paths, o.table, images, o.first, o.second, a)
+    flags = _fast.batched_split_sign(paths, o.roots, images, o.first, o.second, a)
     return {o.bits: (images, *(x[k] for x in flags)) for k, o in enumerate(quotient.own)}
 
 

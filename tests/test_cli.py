@@ -187,7 +187,7 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "2..3", "--orientations", "all")
         assert code == 0
         assert err.startswith("verify: 104 instances in ")
-        assert err.rstrip().endswith("(14 computed, 90 derived, 0 certificate fallbacks)")
+        assert err.rstrip().endswith("(14 computed, 90 derived)")
 
     def test_stderr_reports_transport_split(self, capsys):
         # n = 4: 3 trees x 24 cycles on orientation 0, each chunk 16 audited
@@ -197,7 +197,7 @@ class TestVerify:
         assert err.startswith("verify: 1152 instances in ")
         assert err.rstrip().endswith(
             ", 24 certified, 48 audited, 0 uncertified, 0 audit disagreements "
-            "(72 computed, 1080 derived, 0 certificate fallbacks)"
+            "(72 computed, 1080 derived)"
         )
 
     def test_cap_exit_2(self, capsys):
@@ -391,7 +391,7 @@ class TestSearchDetmf:
         assert code == 0
         assert sum(int(c) for c in doc["histogram"].values()) == 108
         assert err.startswith("search-detmf: 108 witnesses in ")
-        assert err.rstrip().endswith("(14 computed, 0 derived, 0 certificate fallbacks)")
+        assert err.rstrip().endswith("(14 computed, 0 derived)")
 
     def test_stderr_reports_transport_split(self, capsys):
         # chunks of 2 and 6 cycles (n = 2, 3) are audited whole; the three
@@ -401,7 +401,7 @@ class TestSearchDetmf:
         assert err.startswith("search-detmf: 1548 witnesses in ")
         assert err.rstrip().endswith(
             ", 24 certified, 62 audited, 0 uncertified, 0 audit disagreements "
-            "(86 computed, 0 derived, 0 certificate fallbacks)"
+            "(86 computed, 0 derived)"
         )
 
     def test_paths_only(self, capsys):
@@ -457,12 +457,18 @@ class TestOutput:
     )
     def test_unwritable_out_exit_2(self, tmp_path, capsys, target, reason):
         """A missing directory, or a directory, as --out is an input error
-        after the sweep's own stderr line: one error line, no traceback."""
-        code, out, err = run_cli(capsys, "verify", "--n", "3", "--out", str(tmp_path / target))
+        found before the sweep runs: one error line and no sweep summary,
+        and no file created."""
+        for command in ("verify", "search-detmf"):
+            code, out, err = run_cli(capsys, command, "--n", "3", "--out", str(tmp_path / target))
+            assert code == 2 and not out
+            assert err == f"error: cannot write {tmp_path / target}: {reason}\n"
+            assert list(tmp_path.iterdir()) == []
+
+    def test_non_integer_sample_count_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--orientations", "sample:abc")
         assert code == 2 and not out
-        errors = [line for line in err.splitlines() if line.startswith("error: ")]
-        assert errors == [f"error: cannot write {tmp_path / target}: {reason}"]
-        assert "Traceback" not in err
+        assert err == "error: sample count must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize("command", ["verify", "search-detmf"])
     @pytest.mark.parametrize("workers", ["0", "-1"])

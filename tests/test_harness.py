@@ -129,11 +129,11 @@ def assert_witness_matches_per_pair(mats, seeds):
     return got
 
 
-def matrix_consumer_outputs(tree, table, images, first, second, a) -> dict:
+def matrix_consumer_outputs(tree, roots, images, first, second, a) -> dict:
     """The outputs, as tuples of arrays, of every batched kernel that reads
     the oriented matrices ``a`` of one oriented tree, witnesses on (1, 1)."""
     b = np.abs(a)
-    seeds = table[1, images[:, 1], None, None]  # spv(1, f(1)), one per matrix
+    seeds = roots[images[:, 1], None, None]  # spv(1, f(1)) = r(f(1)), one per matrix
     paths = _fast.path_table(tree)
     return {
         "charpoly": (_fast.batched_charpoly(a), _fast.batched_charpoly(b)),
@@ -141,7 +141,7 @@ def matrix_consumer_outputs(tree, table, images, first, second, a) -> dict:
         "gf2_nonderogatory": (_fast.batched_gf2_nonderogatory(b),),
         "witness": _fast.batched_witness(a, seeds),
         "split_sign": _fast.batched_split_sign(
-            paths, table[None], images, first[None], second[None], a[None]
+            paths, roots[None], images, first[None], second[None], a[None]
         ),
         "uniform_sign": (_fast.batched_uniform_sign(a),),
         "petrie": (_fast.batched_petrie(a),),
@@ -285,10 +285,10 @@ class TestKernelAgreement:
             n = v - 1
             tree = rng.choice(trees_for(v))
             bits = rng.randrange(1 << n)
-            table = _fast.orient_table(_fast.signed_path_table(tree), bits, n)
+            roots = _fast.orient_roots(_fast.root_vectors(tree), bits, n)
             images = _fast.cycle_images(v)
             first, second = _fast.oriented_endpoint_arrays(tree, bits)
-            batch = _fast.build_oriented_batch(table, images, first, second)
+            batch = _fast.build_oriented_batch(roots, images, first, second)
             assert batch.dtype == np.int8
             o = Orientation.from_int(bits, n)
             for idx in range(0, images.shape[0], 7):
@@ -296,7 +296,7 @@ class TestKernelAgreement:
                 want = oriented_matrix(f, o).oriented.rows
                 assert tuple(tuple(int(e) for e in row) for row in batch[idx]) == want
             # every kernel reading A gives the same output on its int64 copy
-            args = tree, table, images, first, second
+            args = tree, roots, images, first, second
             narrow = matrix_consumer_outputs(*args, batch)
             wide = matrix_consumer_outputs(*args, batch.astype(np.int64))
             for name in narrow:
@@ -309,8 +309,8 @@ class TestKernelAgreement:
         route that builds and charpolys every (start, step) witness apart,
         on the audit rows of every tree under the canonical and one seeded
         orientation, from at most four evenly spaced chunks (all chunks up to
-        n = 8); and on those rows again with one table entry flipped in the
-        seeds, which breaks the chain at one pair of a row."""
+        n = 8); and on those rows again with one entry flipped in one seed of
+        every row, which breaks the chain at that pair."""
         from arbormat import harness
         from arbormat.certificate import CYCLE_CHUNK
         from arbormat.harness import _Oriented
@@ -333,15 +333,15 @@ class TestKernelAgreement:
                 ):
                     gate = assert_witness_matches_per_pair(mats, seeds)[0]
                     assert gate.all()  # the sweep's witnesses pass the gate
-        flipped = o.table.copy()
-        flipped[2, 3, np.nonzero(flipped[2, 3])[0][0]] *= -1
-        clean = next(harness._witness_blocks(rows_of(o, len(a)), images, a, steps, v))
-        bad = OrientedRows((o,), flipped[None], np.zeros(len(a), dtype=np.int64))
-        _, mats, seeds, _ = next(harness._witness_blocks(bad, images, a, steps, v))
-        broken = (seeds != clean[2]).any(axis=3)
-        assert broken.sum(axis=(1, 2)).max() == 1 and broken.any()
+        _, mats, clean, _ = next(harness._witness_blocks(rows_of(o, len(a)), images, a, steps, v))
+        each = np.arange(len(mats))
+        pair = each, each % len(steps), each % v  # one (step, window) per row
+        seeds = clean.copy()
+        seeds[(*pair, (seeds[pair] != 0).argmax(axis=1))] *= -1  # every seed is nonzero
+        broken = (seeds != clean).any(axis=3)
+        assert (broken.sum(axis=(1, 2)) == 1).all()
         mf = assert_witness_matches_per_pair(mats, seeds)[3]
-        _, _, _, clean_mf = _fast.batched_witness(*clean[1:3])
+        _, _, _, clean_mf = _fast.batched_witness(mats, clean)
         assert ((mf != clean_mf).any(axis=(3, 4)) == broken).all()
 
     def test_witness_chains_off_the_gate(self):
@@ -403,15 +403,15 @@ class TestKernelAgreement:
         for k, (f, o, tm) in enumerate(instances):
             tree = f.tree
             bits = sum(1 << i for i, flag in enumerate(o.bits) if flag)
-            table = _fast.orient_table(_fast.signed_path_table(tree), bits, tree.edge_count)
+            roots = _fast.orient_roots(_fast.root_vectors(tree), bits, tree.edge_count)
             images = np.array([[0] + list(f.image)], dtype=np.int64)
             single = mats[k : k + 1]
-            got = _fast.batched_path_image_ok(per_row(table[1], 1), images, single)
+            got = _fast.batched_path_image_ok(per_row(roots, 1), images, single)
             assert bool(got[0])
             corrupted = single.copy()
             corrupted[0, 0, :] = -corrupted[0, 0, :]
             if not (corrupted[0] == single[0]).all():
-                bad = _fast.batched_path_image_ok(per_row(table[1], 1), images, corrupted)
+                bad = _fast.batched_path_image_ok(per_row(roots, 1), images, corrupted)
                 assert not bool(bad[0])
 
 
@@ -449,6 +449,9 @@ class TestSampling:
         assert OrientationPolicy.parse("sample:16").sample_count == 16
         with pytest.raises(ValueError):
             OrientationPolicy.parse("some")
+        for raw in ("abc", ""):
+            with pytest.raises(ValueError, match=f"^sample count must be an integer, got '{raw}'$"):
+                OrientationPolicy.parse(f"sample:{raw}")
 
     def test_orientations_for(self):
         pol = OrientationPolicy("sample", 4)
@@ -680,11 +683,11 @@ class TestSplitSignKernel:
             n = v - 1
             images = _fast.cycle_images(v)
             for bits in orientations if only is None else [only]:
-                table = _fast.orient_table(_fast.signed_path_table(tree), bits, n)
+                roots = _fast.orient_roots(_fast.root_vectors(tree), bits, n)
                 first, second = _fast.oriented_endpoint_arrays(tree, bits)
-                a = _fast.build_oriented_batch(table, images, first, second)
+                a = _fast.build_oriented_batch(roots, images, first, second)
                 applicable, mixed, holds = (x[0] for x in _fast.batched_split_sign(
-                    _fast.path_table(tree), table[None], images, first[None], second[None], a[None]
+                    _fast.path_table(tree), roots[None], images, first[None], second[None], a[None]
                 ))
                 passed = applicable & holds
                 chosen = passed & (mixed if kind == "flip" else ~mixed)
@@ -732,8 +735,8 @@ class TestSplitSignKernel:
         target = _fast.oriented_endpoint_arrays(tree, bits)
         build = _fast.build_oriented_batch
 
-        def corrupt_batch(table_o, imgs, fst, snd):
-            out = build(table_o, imgs, fst, snd)
+        def corrupt_batch(roots, imgs, fst, snd):
+            out = build(roots, imgs, fst, snd)
             if (fst == target[0]).all() and (snd == target[1]).all():
                 out[(imgs[:, 1:] == image).all(axis=1), row, col] = value
             return out
@@ -789,15 +792,18 @@ class TestSplitSignKernel:
 
 class TestRootVectors:
     def test_signed_path_table_certificate(self):
+        """The table built from oriented root vectors, one orientation or a
+        stack of them, is Tree.signed_path_vector on every pair, with row
+        and column 0 zero."""
         rng = random.Random(3)
         for v in range(3, 10):
             n = v - 1
             for tree in trees_for(v):
-                base = _fast.signed_path_table(tree)
-                assert not base[0].any() and not base[:, 0].any()
-                for bits in {0, (1 << n) - 1, rng.randrange(1 << n), rng.randrange(1 << n)}:
-                    table = _fast.orient_table(base, bits, n)
-                    o = Orientation.from_int(bits, n)
+                bits = sorted({0, (1 << n) - 1, rng.randrange(1 << n), rng.randrange(1 << n)})
+                stack = _fast.signed_path_table(_fast.orient_roots(_fast.root_vectors(tree), bits, n))
+                assert not stack[:, 0].any() and not stack[:, :, 0].any()
+                for b, table in zip(bits, stack):
+                    o = Orientation.from_int(b, n)
                     for u in range(1, v + 1):
                         for w in range(1, v + 1):
                             want = tree.signed_path_vector(o, u, w)
@@ -866,17 +872,17 @@ def transport_batches(n, count, seed):
 
     def oriented(f, o):
         bits = sum(1 << k for k, flag in enumerate(o.bits) if flag)
-        return _fast.orient_table(_fast.signed_path_table(f.tree), bits, n), bits
+        return _fast.orient_roots(_fast.root_vectors(f.tree), bits, n), bits
 
-    table, bits = oriented(*instances[0])
+    first, bits = oriented(*instances[0])
     ends = _fast.oriented_endpoint_arrays(instances[0][0].tree, bits)
-    shared = per_row(table[1], count), images, _fast.build_oriented_batch(table, images, *ends)
+    shared = per_row(first, count), images, _fast.build_oriented_batch(first, images, *ends)
     roots, mats = [], []
     for k, (f, o) in enumerate(instances):
-        table, bits = oriented(f, o)
+        own, bits = oriented(f, o)
         ends = _fast.oriented_endpoint_arrays(f.tree, bits)
-        roots.append(table[1])
-        mats.append(_fast.build_oriented_batch(table, images[k : k + 1], *ends)[0])
+        roots.append(own)
+        mats.append(_fast.build_oriented_batch(own, images[k : k + 1], *ends)[0])
     return shared, (np.stack(roots), images, np.stack(mats))
 
 
@@ -958,7 +964,7 @@ class TestCycleChunks:
             assert all(isinstance(sub, dict) for sub in subs)
             for sub in subs:
                 q = sub.pop("quotient")
-                sub["orientation_quotient"] = (q.computed, q.derived, q.fallbacks)
+                sub["orientation_quotient"] = (q.computed, q.derived)
             return subs
 
         base = {name: run(name, ts) for name, ts in sweeps.items()}
@@ -1069,23 +1075,20 @@ class TestExactRouteBudget:
         assert [f["map"] for f in res.failures] == [audited.image_str()]
 
 
-def corrupt_table(monkeypatch, tree, bits):
-    """Flip one entry (x, y >= 2) of the oriented signed path table of
-    ``tree`` under the orientation bitmask ``bits``: the table then fails
-    the certificate and is no longer antisymmetric, and the matrices that
-    gather that entry fail path transport.  ``b`` may be
-    one bitmask or an array of them, whose tables are stacked."""
-    orient = _fast.orient_table
-    canonical = _fast.signed_path_table(tree)
-    k = int(np.nonzero(canonical[2, 3])[0][0])
+def corrupt_roots(monkeypatch, tree):
+    """Zero the first nonzero coordinate of vertex 3's root vector in the
+    root vectors of ``tree``, and so under every orientation: every entry
+    stays in {-1, 0, 1}, the tree fails the certificate, and matrices built
+    from those roots fail path transport."""
+    real = _fast.root_vectors
 
-    def corrupt(table, b, n):
-        out = orient(table, b, n)
-        if table.shape == canonical.shape and (table == canonical).all():
-            out.reshape(-1, *canonical.shape)[np.atleast_1d(b) == bits, 2, 3, k] *= -1
-        return out
+    def root_vectors(t):
+        roots = real(t)
+        if t == tree:
+            roots[3, np.nonzero(roots[3])[0][0]] = 0
+        return roots
 
-    monkeypatch.setattr(_fast, "orient_table", corrupt)
+    monkeypatch.setattr(_fast, "root_vectors", root_vectors)
 
 
 def fold(sweep, subs):
@@ -1109,7 +1112,7 @@ def decided_now(fn, *args):
 def rows_of(o, b):
     """The oriented tree ``o`` for each row of a b-row batch, as the direct
     claims functions take it."""
-    return OrientedRows((o,), o.table[None], np.zeros(b, dtype=np.int64))
+    return OrientedRows((o,), o.roots[None], np.zeros(b, dtype=np.int64))
 
 
 def one_orientation_per_task(monkeypatch):
@@ -1229,9 +1232,9 @@ class TestOrientationQuotient:
             brute = quotiented_sweep(sweep, policy, brute_counts)
         assert quotient == brute
         total = brute_counts.computed
-        assert (brute_counts.derived, brute_counts.fallbacks) == (0, 0)
+        assert brute_counts.derived == 0
         assert counts.computed + counts.derived == total
-        assert counts.derived > counts.computed > 0 and counts.fallbacks == 0
+        assert counts.derived > counts.computed > 0
         assert counts.audited > 0 and counts.disagreements == 0
         assert counts.certified + counts.audited + counts.uncertified == counts.computed
         # injected failures refuse every certificate
@@ -1249,45 +1252,63 @@ class TestOrientationQuotient:
             assert set(quotient.histogram) == {1, 3}
 
     @staticmethod
-    def assert_carried_by_signs(tree, reps, orientations):
-        """Under every bitmask o, the oriented table is r's times the signs
-        of o ^ r, the table is antisymmetric, and the edge endpoints are r's
-        swapped on exactly the edges o ^ r reverses, for each bitmask r of
-        ``reps``: what carrying r's claims to o takes."""
-        n, base = tree.edge_count, _fast.signed_path_table(tree)
-        tables = _fast.orient_table(base, orientations, n)
-        first, second = _fast.oriented_endpoint_arrays(tree, orientations)
-        assert np.array_equal(tables, -tables.swapaxes(1, 2))
-        for r in reps:
-            flip = _fast.orientation_signs(orientations ^ r, n)
-            carried = _fast.orient_table(base, r, n) * flip[:, None, None, :]
-            assert np.array_equal(tables, carried)
-            swap = flip < 0
-            assert np.array_equal(first, np.where(swap, second[r], first[r]))
-            assert np.array_equal(second, np.where(swap, first[r], second[r]))
+    def assert_carried_by_signs(tree, reps, orientations, images, roots=None):
+        """Under every bitmask o, the matrices built on every cycle of
+        ``images`` are D.A_r.D, A_r those built under r and D the signs of
+        o ^ r, for each bitmask r of ``reps``: what carrying r's claims to o
+        takes.  ``roots`` stands for the tree's root vectors when given."""
+        n = tree.edge_count
+        base = _fast.root_vectors(tree) if roots is None else roots
+
+        def build(bits):
+            ends = _fast.oriented_endpoint_arrays(tree, bits)
+            return _fast.build_oriented_batch(_fast.orient_roots(base, bits, n), images, *ends)
+
+        built = {r: build(r) for r in reps}
+        for o in orientations:
+            a_o = build(o)
+            for r in reps:
+                d = _fast.orientation_signs(o ^ r, n)
+                assert np.array_equal(a_o, d[:, None] * built[r] * d), (o, r)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_orientation_is_the_representative_times_signs(self, n):
+        """Every pair of bitmasks through n = 4, and 0 against every bitmask
+        at n = 5, on every cycle of every tree."""
+        images, everything = _fast.cycle_images(n + 1), range(1 << n)
         for tree in trees_for(n + 1):
-            everything = np.arange(1 << n)
-            self.assert_carried_by_signs(tree, everything, everything)
+            self.assert_carried_by_signs(tree, everything if n < 5 else [0], everything, images)
 
     def test_every_orientation_at_n10_is_orientation_0_times_signs(self):
-        self.assert_carried_by_signs(trees_for(11)[17], [0], np.arange(1 << 10))
+        ranks = np.random.default_rng(10).integers(math.factorial(10), size=40)
+        images = _fast.unrank_cycles(11, ranks)[0]
+        self.assert_carried_by_signs(trees_for(11)[17], [0], range(1 << 10), images)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_carried_by_signs_for_roots_of_no_tree(self, n):
+        """The similarity uses no property of the root vectors: random ones
+        in {-1, 0, 1}, row 0 included, are carried all the same."""
+        rng = np.random.default_rng(n)
+        images = _fast.unrank_cycles(n + 1, rng.integers(math.factorial(n), size=60))[0]
+        for tree in trees_for(n + 1)[:3]:
+            roots = rng.integers(-1, 1, (n + 2, n), endpoint=True).astype(np.int8)
+            assert not np.array_equal(roots, _fast.root_vectors(tree))
+            reps = range(1 << n) if n < 6 else [0, 21]
+            self.assert_carried_by_signs(tree, reps, range(1 << n), images, roots)
 
     def test_invariant_sweep_builds_the_representative_alone(self, monkeypatch):
-        """An invariant sweep orients one table per task, its
+        """An invariant sweep orients one set of root vectors per task, its
         representative's; the split-sign sweep, whose kernel reads every
         orientation, orients the stack of all 16."""
         from arbormat.harness import run_split_sign_sweep
 
-        real, seen = _fast.orient_table, []
+        real, seen = _fast.orient_roots, []
 
-        def orient_table(table, bits, n):
+        def orient_roots(roots, bits, n):
             seen.append(np.size(bits))
-            return real(table, bits, n)
+            return real(roots, bits, n)
 
-        monkeypatch.setattr(_fast, "orient_table", orient_table)
+        monkeypatch.setattr(_fast, "orient_roots", orient_roots)
         assert run_theorem_sweep([4], OrientationPolicy("all")).all_pass
         assert seen == [1] * len(trees_for(5))
         seen.clear()
@@ -1301,7 +1322,7 @@ class TestOrientationQuotient:
         sub = decided_now(harness._sweep_worker, harness._THEOREM, (5, tree, (0, 6, 0, 6, 9)))
         # 24 cycles: 16 audited, 8 certified, on the representative only;
         # the four entries after it are derived
-        assert astuple(sub.pop("quotient")) == (24, 4 * 24, 0, 8, 16, 0, 0)
+        assert astuple(sub.pop("quotient")) == (24, 4 * 24, 8, 16, 0, 0)
         assert sub["per_n"] == {4: {"instances": 5 * 24, "failures": 0}}
         one = decided_now(harness._sweep_worker, harness._THEOREM, (5, tree, (0,)))
         del one["quotient"]
@@ -1309,34 +1330,29 @@ class TestOrientationQuotient:
 
     @pytest.mark.parametrize("worker", ["theorem", "witness", "det_search", "path_image"])
     def test_corrupted_row_is_recomputed(self, monkeypatch, worker):
-        """An entry flipped in the representative's table leaves it not
-        antisymmetric: every orientation of the task is computed on its own,
-        the rows after the representative's counted as fallbacks, and the
-        corrupted one, failing the certificate too, decided on the direct
-        route."""
+        """A coordinate zeroed in one vertex's root vector fails the
+        certificate under every orientation, and matrices built from those
+        roots fail on the direct route.  Orientation 5 is still carried
+        from 0, since the similarity holds for any root vectors: the task
+        equals the fold of the one-orientation tasks."""
         from arbormat import harness
 
         sweep = getattr(harness, f"_{worker.upper()}")
         fn = partial(decided_now, harness._sweep_worker, sweep)
         tree = trees_for(5)[2]
-        corrupt_table(monkeypatch, tree, 0)
+        corrupt_roots(monkeypatch, tree)
         quotient = fn((5, tree, (0, 5)))
         brute = [fn((5, tree, (bits,))) for bits in (0, 5)]
-        # 24 cycles each: 16 audited, and 8 uncertified or certified
-        assert [astuple(s.pop("quotient")) for s in brute] == [
-            (24, 0, 0, 0, 16, 8, 0), (24, 0, 0, 8, 16, 0, 0)
-        ]
-        # both computed, the second as a fallback
-        assert astuple(quotient.pop("quotient")) == (48, 0, 24, 8, 32, 8, 0)
+        # 24 cycles each, uncertified: 16 audited, 8 more decided direct
+        assert [astuple(s.pop("quotient")) for s in brute] == [(24, 0, 0, 16, 8, 0)] * 2
+        # the representative computed, the other orientation carried
+        assert astuple(quotient.pop("quotient")) == (24, 24, 0, 16, 8, 0)
         assert quotient == fold(sweep, brute)
-        if worker in ("theorem", "path_image"):
-            flipped, clean = brute
-            assert not clean["failures"] and flipped["failures"]
-            # the matrices that gather the flipped entry fail path transport
-            assert {f["orientation"] for f in flipped["failures"]} == {"0000"}
+        key = "nonunit_witnesses" if worker == "det_search" else "failures"
+        assert [len(s[key]) for s in brute] == [harness.MAX_FAILURE_RECORDS] * 2
+        assert [{f["orientation"] for f in s[key]} for s in brute] == [{"0000"}, {"1010"}]
         if worker == "theorem":
-            assert clean["per_n"][4]["failures"] == 0
-            assert all("path_image_identity" in f["claims"] for f in flipped["failures"])
+            assert all("path_image_identity" in f["claims"] for f in brute[0]["failures"])
 
     @pytest.mark.parametrize("pieces", [1, 12])
     @pytest.mark.parametrize("sweep", ["theorem", "witness"])
@@ -1393,23 +1409,6 @@ class TestOrientationQuotient:
         if sweep == "witness":
             assert {int(f["det"]) for f in records} == {1, -1}
 
-    def test_corrupted_orientation_in_the_stack_is_computed_on_its_own(self, monkeypatch):
-        """The representative's table, corrupted, is not antisymmetric: all
-        16 orientations are then built as one stack and computed on their
-        own, the 15 after the representative counted as fallbacks, and only
-        the corrupted one fails."""
-        from arbormat import harness
-
-        tree = trees_for(5)[2]
-        corrupt_table(monkeypatch, tree, 0)
-        sub = decided_now(harness._sweep_worker, harness._THEOREM, (5, tree, tuple(range(16))))
-        assert astuple(sub["quotient"]) == (16 * 24, 0, 15 * 24, 15 * 8, 16 * 16, 8, 0)
-        assert sub["failures"] and {f["orientation"] for f in sub["failures"]} == {"0000"}
-        got = run_theorem_sweep([4], OrientationPolicy("all"))
-        with monkeypatch.context() as m:
-            one_orientation_per_task(m)
-            assert got == run_theorem_sweep([4], OrientationPolicy("all"))
-
     def test_one_tally_per_tree_and_orientation(self, monkeypatch):
         """A certified representative is decided in one piece, and carried
         orientations are never tallied: no (tree, orientation) of
@@ -1441,7 +1440,7 @@ class TestOrientationQuotient:
         assert len(subs) == len(trees_for(5)) == 3
         # per tree: 24 cycles of the representative computed, 16 audited
         # and 8 certified, and the other 15 orientations derived
-        assert [astuple(sub["quotient"]) for sub in subs] == [(24, 15 * 24, 0, 8, 16, 0, 0)] * 3
+        assert [astuple(sub["quotient"]) for sub in subs] == [(24, 15 * 24, 8, 16, 0, 0)] * 3
         assert [sub["per_n"] for sub in subs] == [{4: {"instances": 16 * 24, "failures": 0}}] * 3
 
     def test_pool_never_exceeds_tasks(self, monkeypatch):
@@ -1753,9 +1752,9 @@ class TestAuditQueue:
 
         policy = OrientationPolicy.parse(policy)
         if corrupted:
-            # a representative whose table is not antisymmetric has every
-            # orientation of its tree queued on its own
-            corrupt_table(monkeypatch, trees_for(5)[2], 0)
+            # every orientation of that tree fails the certificate, and its
+            # representative's rows are all queued direct
+            corrupt_roots(monkeypatch, trees_for(5)[2])
         runs = []
         for workers in (1, 2, 3):
             docs, counts = [], []
@@ -1766,10 +1765,9 @@ class TestAuditQueue:
             runs.append((docs, [astuple(c) for c in counts]))
         assert runs[0] == runs[1] == runs[2]
         assert_all_reaped()
-        if policy.mode == "all":  # that tree's representative is orientation 0
-            (theorem, _, _), counts = runs[0]
-            assert [c[2] for c in counts] == [15 * 24 * corrupted] * 3  # fallbacks
-            assert theorem.all_pass != corrupted
+        (theorem, _, _), counts = runs[0]
+        assert [c[4] > 0 for c in counts] == [corrupted] * 3  # uncertified
+        assert theorem.all_pass != corrupted
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_flush_exception_keeps_its_type(self, monkeypatch, workers):
@@ -1883,7 +1881,7 @@ class TestStartVertexQuotient:
                 assert (closed == witness_direct["det"]).all()
                 # the claims function audits and certifies once
                 audited = min(rows, AUDIT_ROWS)
-                assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
+                assert astuple(counts)[2:] == (rows - audited, audited, 0, 0)
 
     def test_signed_dets_match_exact_route(self):
         from arbormat.theorems import iter_witness_determinants
@@ -1911,15 +1909,15 @@ class TestStartVertexQuotient:
         target = _fast.cycle_images(v)[audit[5]]
         build = _fast.build_oriented_batch
 
-        def corrupt(table_o, images, first, second):
-            out = build(table_o, images, first, second)
+        def corrupt(roots, images, first, second):
+            out = build(roots, images, first, second)
             for k in np.nonzero((images == target).all(axis=1))[0]:
                 out[k, 2, int(np.nonzero(out[k, 2])[0][0])] *= -1
             return out
 
         monkeypatch.setattr(_fast, "build_oriented_batch", corrupt)
         witness, witness_direct, closed, counts = start_vertex_route(v, tree, 9)
-        assert astuple(counts)[3:] == (120 - AUDIT_ROWS, AUDIT_ROWS, 0, 1)
+        assert astuple(counts)[2:] == (120 - AUDIT_ROWS, AUDIT_ROWS, 0, 1)
         assert witness.rows.tolist() == audit.tolist()
         assert np.nonzero(~witness.values[AUDIT_AGREEMENT])[0].tolist() == [5]
         for key in ("ok", "det"):
@@ -2008,7 +2006,7 @@ class TestClosedForm:
         counts = QuotientCounts()
         assert run_det_search([5], policy, counts=counts) == want
         # n = 5: 6 trees, one 120-row chunk each
-        assert astuple(counts)[3:] == (0, 6 * AUDIT_ROWS, 6 * (120 - AUDIT_ROWS), 0)
+        assert astuple(counts)[2:] == (0, 6 * AUDIT_ROWS, 6 * (120 - AUDIT_ROWS), 0)
 
     @pytest.mark.parametrize("v", range(3, 8))
     def test_derived_equals_direct_every_tree(self, v):
@@ -2046,7 +2044,7 @@ class TestClosedForm:
         images = _fast.cycle_images(7)
         counts = QuotientCounts()
         got = decided_now(harness._witness_claims, o, np.arange(len(images)), counts)
-        assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
+        assert astuple(counts)[2:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
         assert got.rows.tolist() == list(range(720))
         assert got.values.pop(AUDIT_AGREEMENT).all()
         a = o.build(images)
@@ -2057,14 +2055,16 @@ class TestClosedForm:
         assert refused.any() and not want["ok"][refused].any() and want["ok"][~refused].all()
 
     def test_flipped_table_entry_sends_every_row_to_the_direct_route(self, monkeypatch):
-        """An entry flipped in the oriented table fails the certificate of
-        its tree: every row is built and decided on the direct route, and
-        the rows that gather the entry fail there."""
+        """A coordinate zeroed in one vertex's root vector, which changes
+        every entry r(y) - r(x) of the signed path table that reads it,
+        fails the certificate of its tree: every row is built and decided on
+        the direct route, where every row fails path transport and some
+        witness pairs fail."""
         from arbormat.certificate import certified, decide
         from arbormat.harness import QuotientCounts, _Oriented
 
         v, tree = 7, trees_for(7)[4]
-        corrupt_table(monkeypatch, tree, 5)
+        corrupt_roots(monkeypatch, tree)
         o = _Oriented.of(tree, 5)
         images = _fast.cycle_images(v)
         failing = {"theorem": "path_image_identity", "witness": "ok"}
@@ -2081,19 +2081,20 @@ class TestClosedForm:
             (rows,) = sent
             assert (rows == images).all()
             assert got.rows.tolist() == list(range(720))
-            assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
+            assert astuple(counts)[2:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
             assert got.values.pop(AUDIT_AGREEMENT).all()
             want = direct(rows_of(o, len(images)), images, o.build(images))
             assert got.values.keys() == want.keys()
             for key, x in want.items():
                 assert (got.values[key] == x).all()
-            assert 0 < (~want[failing[name]]).sum() < want[failing[name]].size
+            fails = ~want[failing[name]]
+            assert fails.all() if name == "theorem" else 0 < fails.sum() < fails.size
 
     def test_table_with_swapped_edges_certifies_nothing(self):
-        """Two coordinates of the table swapped: every entry is still
-        r(y) - r(x) for the table's own row 1, so only the comparison with
-        Tree.signed_path_vector refuses it.  Every row goes direct, and the
-        matrices, gathered from the wrong table, fail there."""
+        """Two coordinates of the table of root vectors swapped: R_{2..v}
+        stays unimodular, so only the comparison with
+        Tree.signed_path_vector refuses them.  Every row goes direct, and
+        the matrices, built from the wrong roots, fail there."""
         from arbormat import harness
         from arbormat.certificate import certified
         from arbormat.harness import QuotientCounts, _Oriented
@@ -2101,20 +2102,18 @@ class TestClosedForm:
         v = 6
         images = _fast.cycle_images(v)
         o = _Oriented.of(trees_for(v)[3], 0)
-        swapped = replace(o, table=o.table[..., [1, 0, 2, 3, 4]])
-        r = swapped.table[1]
-        assert (swapped.table[1:, 1:] == r[None, 1:] - r[1:, None]).all()
+        swapped = replace(o, roots=o.roots[..., [1, 0, 2, 3, 4]])
         assert certified(o) and not certified(swapped)
         counts = QuotientCounts()
         got = decided_now(harness._theorem_claims, swapped, np.arange(len(images)), counts)
-        assert astuple(counts)[3:] == (0, AUDIT_ROWS, 120 - AUDIT_ROWS, 0)
+        assert astuple(counts)[2:] == (0, AUDIT_ROWS, 120 - AUDIT_ROWS, 0)
         assert got.rows.tolist() == list(range(120))
         assert not np.logical_and.reduce(list(got.values.values())).all()
 
     def test_table_with_a_negated_coordinate_certifies_nothing(self):
-        """One coordinate of the table negated: the table still telescopes
-        and R_{2..v} and T(n, j) are still unimodular, so only the
-        comparison of row 1 with Tree.signed_path_vector refuses it."""
+        """One coordinate of the table of root vectors negated: R_{2..v} and
+        T(n, j) are still unimodular, so only the comparison of the roots
+        with Tree.signed_path_vector refuses them."""
         from arbormat.algebra import ExactMatrix
         from arbormat.certificate import certified
         from arbormat.harness import _Oriented
@@ -2122,10 +2121,8 @@ class TestClosedForm:
 
         v = 6
         o = _Oriented.of(trees_for(v)[3], 0)
-        negated = replace(o, table=o.table * np.array([1, 1, -1, 1, 1], dtype=np.int8))
-        r = negated.table[1]
-        assert (negated.table[1:, 1:] == r[None, 1:] - r[1:, None]).all()
-        assert abs(ExactMatrix(ZZ, r[2:].tolist()).determinant()) == 1
+        negated = replace(o, roots=o.roots * np.array([1, 1, -1, 1, 1], dtype=np.int8))
+        assert abs(ExactMatrix(ZZ, negated.roots[2:].tolist()).determinant()) == 1
         assert certified(o) and not certified(negated)
 
     def test_audit_disagreement_is_counted_and_fails(self, monkeypatch, capsys, tmp_path):
@@ -2182,9 +2179,9 @@ class TestTransportCertificate:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_exact_table_equals_signed_path_vector(self, n):
-        """A certified oriented table is the exact table: checked on row 1
-        alone, it is Tree.signed_path_vector on every pair, with row and
-        column 0 zero."""
+        """The table built from certified root vectors is the exact table:
+        checked on the roots alone, it is Tree.signed_path_vector on every
+        pair, with row and column 0 zero."""
         from arbormat.certificate import certified
         from arbormat.harness import _Oriented
 
@@ -2192,10 +2189,11 @@ class TestTransportCertificate:
         for tree in trees_for(v):
             for bits in self.orientations(tree, v):
                 o, orientation = _Oriented.of(tree, bits), Orientation.from_int(bits, n)
-                assert certified(o) and o.table.shape == (v + 1, v + 1, n)
-                assert not o.table[0].any() and not o.table[:, 0].any()
+                table = _fast.signed_path_table(o.roots)
+                assert certified(o) and table.shape == (v + 1, v + 1, n)
+                assert not table[0].any() and not table[:, 0].any()
                 for x, y in itertools.product(range(1, v + 1), repeat=2):
-                    assert o.table[x, y].tolist() == list(tree.signed_path_vector(orientation, x, y))
+                    assert table[x, y].tolist() == list(tree.signed_path_vector(orientation, x, y))
 
     @pytest.mark.parametrize("v", range(3, 10))
     def test_every_row_of_a_certified_tree_passes_transport(self, v):
@@ -2207,7 +2205,7 @@ class TestTransportCertificate:
             for bits in self.orientations(tree, v):
                 o = _Oriented.of(tree, bits)
                 assert certified(o)
-                roots = per_row(o.table[1], len(images))
+                roots = per_row(o.roots, len(images))
                 assert _fast.batched_path_image_ok(roots, images, o.build(images)).all()
 
     @pytest.mark.parametrize("v", range(3, 8))
@@ -2237,8 +2235,7 @@ class TestTransportCertificate:
         """A serial determinant search at n = 8 checks each of its 47 trees
         once, not once per 10,080-row chunk.  A theorem sweep under every
         orientation checks the orientations it computes and no carried one:
-        one per tree, and all 16 of the tree whose representative's table is
-        corrupted."""
+        one per tree, also where the tree's root vectors are corrupted."""
         from arbormat import certificate
         from arbormat.harness import QuotientCounts
 
@@ -2248,11 +2245,11 @@ class TestTransportCertificate:
         run_det_search([8], OrientationPolicy("canonical"))
         assert len(calls) == len(trees_for(9)) == 47
         calls.clear()
-        corrupt_table(monkeypatch, trees_for(5)[2], 0)
+        corrupt_roots(monkeypatch, trees_for(5)[2])
         counts = QuotientCounts()
         run_theorem_sweep([2, 3, 4, 5], OrientationPolicy("all"), counts=counts)
-        own = sum(len(trees_for(v)) for v in range(3, 7)) + 15
-        assert counts.fallbacks == 15 * 24 and len(calls) == own == 27
+        own = sum(len(trees_for(v)) for v in range(3, 7))
+        assert counts.uncertified == 24 - AUDIT_ROWS and len(calls) == own == 12
         assert len({(o.tree.edges, o.bits) for o in calls}) == own
 
     def test_random_vertex_maps_pass_transport(self):
@@ -2272,7 +2269,7 @@ class TestTransportCertificate:
                 images = rng.integers(1, v + 1, size=(25, v + 1))
                 images[:, 0] = 0
                 images[:, 2] = images[:, 1]  # f(2) = f(1): not a permutation
-                roots = per_row(o.table[1], len(images))
+                roots = per_row(o.roots, len(images))
                 assert _fast.batched_path_image_ok(roots, images, o.build(images)).all()
                 checked += images.shape[0]
         assert checked == 1000
@@ -2300,7 +2297,7 @@ class TestPathTransportSweep:
         counts = QuotientCounts()
         o = _Oriented.of(tree, 9)
         got = decided_now(harness._PATH_IMAGE.claims, o, np.arange(120), counts)
-        assert astuple(counts)[3:] == (120 - AUDIT_ROWS, AUDIT_ROWS, 0, 1)
+        assert astuple(counts)[2:] == (120 - AUDIT_ROWS, AUDIT_ROWS, 0, 1)
         assert np.nonzero(~got.values[AUDIT_AGREEMENT])[0].tolist() == [5]
         sub = decided_now(harness._sweep_worker, harness._PATH_IMAGE, (v, tree, (9,)))
         assert sub["exhaustive_instances"] == 120
@@ -2370,7 +2367,7 @@ class TestPathGraphCertificate:
             counts = QuotientCounts()
             got = decided_now(harness._path_graph_claims, o, np.arange(len(images)), counts)
             audited = min(rows, AUDIT_ROWS)
-            assert astuple(counts)[3:] == (rows - audited, audited, 0, 0)
+            assert astuple(counts)[2:] == (rows - audited, audited, 0, 0)
             assert got.rows.tolist() == audit_rows(rows).tolist()
             assert got.values["ok"].all() and got.values[AUDIT_AGREEMENT].all()
 
@@ -2381,7 +2378,8 @@ class TestPathGraphCertificate:
         claims take without building the rows."""
         (tree,) = [tree for tree in trees_for(v) if tree.is_path()]
         o = path_graph_oriented(tree)
-        assert _fast.batched_petrie(o.table.reshape(-1, 1, o.table.shape[2])).all()
+        table = _fast.signed_path_table(o.roots)
+        assert _fast.batched_petrie(table.reshape(-1, 1, table.shape[2])).all()
         assert _fast.batched_uniform_sign(o.build(_fast.cycle_images(v))).all()
 
     def test_flipped_table_entry_sends_every_row_to_the_direct_route(self, monkeypatch):
@@ -2391,8 +2389,7 @@ class TestPathGraphCertificate:
 
         v = 7
         tree = next(t for t in trees_for(v) if t.is_path())
-        along = path_graph_oriented(tree)
-        corrupt_table(monkeypatch, along.tree, along.bits)
+        corrupt_roots(monkeypatch, path_graph_oriented(tree).tree)
         o = path_graph_oriented(tree)
         images = _fast.cycle_images(v)
         assert harness._petrie_table(o, *_fast.unrank_cycles(v, audit_rows(720))[1:]) is not None
@@ -2406,7 +2403,7 @@ class TestPathGraphCertificate:
         got = decided_now(spy, o, np.arange(len(images)), counts)
         (rows,) = sent
         assert (rows == images).all()
-        assert astuple(counts)[3:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
+        assert astuple(counts)[2:] == (0, AUDIT_ROWS, 720 - AUDIT_ROWS, 0)
         assert got.rows.tolist() == list(range(720))
         assert got.values.pop(AUDIT_AGREEMENT).all()
         want = real(rows_of(o, len(images)), images, o.build(images))
